@@ -132,7 +132,7 @@ def _write_importance_files(prefix, report, schema):
 def cmd_predict(args) -> int:
     artifact = load_model(args.model)
     forest = artifact.forest
-    ds = load_dense_csv(args.data, artifact.schema)
+    ds = load_dense_csv(args.data, artifact.schema, target_column=args.target)
     if forest.mode == "regression":
         values = predict(forest, ds)
         _write_rows(args.output, ["row", "prediction"],
@@ -342,6 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", help="predict rows of a CSV")
     p.add_argument("model")
     p.add_argument("data")
+    p.add_argument("--target", default=None,
+                   help="target column in the CSV, ignored")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_predict)
 

@@ -4,6 +4,12 @@ A Dataset is an immutable table of float64 cells stored either dense
 row-major or CSR. CSR zeros are structural zeros, never missing values:
 only cells marked in the missing mask are treated as absent. Categorical
 features are integer-coded at load time and split as ordered codes.
+
+The CSR arrays are a CSR dataset's canonical content: they are what the
+model fingerprint hashes. Tree growth reads columns, so `from_csr` also
+builds a private column-major index once (CSC: per column, the row ids
+in ascending order and their values), and every column read goes
+through it without a pass over the rows.
 """
 
 from __future__ import annotations
@@ -186,10 +192,12 @@ class Dataset:
         if ds.indices.size:
             if ds.indices.min() < 0 or ds.indices.max() >= ds.n_features:
                 raise FormatError("CSR column id out of range")
-        for r in range(ds.n_rows):
-            cols = ds.indices[ds.indptr[r]:ds.indptr[r + 1]]
-            if cols.size > 1 and np.any(np.diff(cols) <= 0):
-                raise FormatError(f"row {r}: CSR columns must be strictly increasing")
+        row_of = np.repeat(np.arange(ds.n_rows, dtype=np.int64),
+                           np.diff(ds.indptr))
+        bad = (np.diff(ds.indices) <= 0) & (row_of[1:] == row_of[:-1])
+        if bad.any():
+            r = row_of[np.argmax(bad)]
+            raise FormatError(f"row {r}: CSR columns must be strictly increasing")
         if schema is None:
             schema = continuous_schema([f"f{j + 1}" for j in range(ds.n_features)])
         if schema.n_features != ds.n_features:
@@ -203,6 +211,13 @@ class Dataset:
                 raise ArgumentError(f"missing pair ({i}, {k}) out of bounds")
         ds.missing_set = pairs
         ds._set_target(target)
+        # stable, so row ids stay ascending within each column
+        order = np.argsort(ds.indices, kind="stable")
+        ds._col_ptr = np.zeros(ds.n_features + 1, dtype=np.int64)
+        np.cumsum(np.bincount(ds.indices, minlength=ds.n_features),
+                  out=ds._col_ptr[1:])
+        ds._col_rows = row_of[order]
+        ds._col_vals = ds.data[order]
         return ds
 
     def _set_target(self, target):
@@ -262,14 +277,16 @@ class Dataset:
         rows = np.asarray(rows, dtype=np.int64)
         if not self.is_sparse:
             return self.values[rows, feature]
-        out = np.zeros(len(rows), dtype=np.float64)
-        indptr, indices, data = self.indptr, self.indices, self.data
-        for pos, r in enumerate(rows):
-            s, e = indptr[r], indptr[r + 1]
-            j = np.searchsorted(indices[s:e], feature)
-            if j < e - s and indices[s + j] == feature:
-                out[pos] = data[s + j]
-        return out
+        if rows.size and rows.max() >= self.n_rows:
+            raise IndexError(f"row {rows.max()} out of bounds")
+        s, e = self._col_ptr[feature], self._col_ptr[feature + 1]
+        if s == e:
+            return np.zeros(len(rows), dtype=np.float64)
+        col_rows = self._col_rows[s:e]
+        # searching all but the last entry keeps every position in range; a
+        # row past the column's last entry lands on it and misses
+        pos = np.searchsorted(col_rows[:-1], rows)
+        return np.where(col_rows[pos] == rows, self._col_vals[s:e][pos], 0.0)
 
     def row_dense(self, row: int) -> np.ndarray:
         """One row as a dense vector (missing cells read NaN)."""
@@ -289,9 +306,8 @@ class Dataset:
         if not self.is_sparse:
             return self.values.copy()
         out = np.zeros((self.n_rows, self.n_features), dtype=np.float64)
-        for r in range(self.n_rows):
-            s, e = self.indptr[r], self.indptr[r + 1]
-            out[r, self.indices[s:e]] = self.data[s:e]
+        rows = np.repeat(np.arange(self.n_rows), np.diff(self.indptr))
+        out[rows, self.indices] = self.data
         for i, k in self.missing_set:
             out[i, k] = np.nan
         return out

@@ -224,28 +224,7 @@ class OOBResult:
     n_evaluated: int
 
 
-# -- column access over dense arrays, Datasets, and stacked pairs ---------
-
-class _Stacked:
-    """Row-wise concatenation of two Datasets without materializing."""
-
-    def __init__(self, top: Dataset, bottom: Dataset):
-        self.top = top
-        self.bottom = bottom
-        self.n_rows = top.n_rows + bottom.n_rows
-        self.n_features = top.n_features
-
-    def gather_column(self, rows, feature):
-        rows = np.asarray(rows, dtype=np.int64)
-        out = np.empty(len(rows), dtype=np.float64)
-        low = rows < self.top.n_rows
-        if low.any():
-            out[low] = self.top.gather_column(rows[low], feature)
-        if (~low).any():
-            out[~low] = self.bottom.gather_column(
-                rows[~low] - self.top.n_rows, feature)
-        return out
-
+# -- column access over dense arrays and Datasets --------------------------
 
 def _gather(data, rows, feature):
     if isinstance(data, np.ndarray):
@@ -287,21 +266,38 @@ def generate_synthetic(ds: Dataset, seed: int) -> Dataset:
         return Dataset.from_dense(_permute_columns(ds.values, seed), ds.schema)
 
     all_rows = np.arange(n)
-    per_row_cols: list[list[int]] = [[] for _ in range(n)]
-    per_row_vals: list[list[float]] = [[] for _ in range(n)]
+    rows, cols, vals = [], [], []
     for c in range(m):
-        col = ds.gather_column(all_rows, c)
-        perm = synthetic_rng(seed, c).permutation(n)
-        col = col[perm]
-        for r in np.flatnonzero(col != 0.0):
-            per_row_cols[r].append(c)
-            per_row_vals[r].append(col[r])
+        col = ds.gather_column(all_rows, c)[synthetic_rng(seed, c).permutation(n)]
+        nz = np.flatnonzero(col != 0.0)
+        rows.append(nz)
+        cols.append(np.full(nz.size, c, dtype=np.int32))
+        vals.append(col[nz])
+    rows = np.concatenate(rows)
+    # stable, so columns stay ascending within each row
+    order = np.argsort(rows, kind="stable")
     indptr = np.zeros(n + 1, dtype=np.int64)
-    for r in range(n):
-        indptr[r + 1] = indptr[r] + len(per_row_cols[r])
-    indices = np.array([c for cols in per_row_cols for c in cols], dtype=np.int32)
-    data = np.array([v for vals in per_row_vals for v in vals], dtype=np.float64)
-    return Dataset.from_csr(indptr, indices, data, m, schema=ds.schema)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return Dataset.from_csr(indptr, np.concatenate(cols)[order],
+                            np.concatenate(vals)[order], m, schema=ds.schema)
+
+
+def _training_data(ds: Dataset, mode: str, seed: int):
+    """The matrix trees are grown on: a dense array, or ds itself for CSR.
+
+    Unsupervised forests grow on ds's rows followed by its synthetic
+    rows; for CSR the two are joined into one CSR Dataset.
+    """
+    if mode != "unsupervised":
+        return ds.values if not ds.is_sparse else ds
+    synthetic = generate_synthetic(ds, seed)
+    if not ds.is_sparse:
+        return np.vstack([ds.values, synthetic.values])
+    return Dataset.from_csr(
+        np.concatenate([ds.indptr, synthetic.indptr[1:] + ds.indptr[-1]]),
+        np.concatenate([ds.indices, synthetic.indices]),
+        np.concatenate([ds.data, synthetic.data]),
+        ds.n_features, schema=ds.schema)
 
 
 # -- growth ----------------------------------------------------------------
@@ -500,7 +496,6 @@ def _train(ds: Dataset, config: ForestConfig, n_threads: int,
             raise ConfigError("classification requires a target")
         y, n_classes = _class_labels(ds)
         task = "classification"
-        data = ds.values if not ds.is_sparse else ds
     elif mode == "regression":
         if ds.target is None:
             raise ConfigError("regression requires a target")
@@ -509,18 +504,12 @@ def _train(ds: Dataset, config: ForestConfig, n_threads: int,
         y = ds.target.astype(np.float64)
         n_classes = 0
         task = "regression"
-        data = ds.values if not ds.is_sparse else ds
     else:
         if ds.target is not None:
             raise ConfigError("unsupervised mode takes no target")
-        synthetic = generate_synthetic(ds, config.seed)
         if held_out is not None:
             held_out = np.vstack(
                 [held_out, _permute_columns(held_out, config.seed)])
-        if not ds.is_sparse and not synthetic.is_sparse:
-            data = np.vstack([ds.values, synthetic.values])
-        else:
-            data = _Stacked(ds, synthetic)
         y = np.concatenate([
             np.zeros(ds.n_rows, dtype=np.int64),
             np.ones(ds.n_rows, dtype=np.int64),
@@ -529,6 +518,7 @@ def _train(ds: Dataset, config: ForestConfig, n_threads: int,
         task = "classification"
         synthetic_offset = ds.n_rows
 
+    data = _training_data(ds, mode, config.seed)
     n_train = _data_rows(data)
     mtry = config.resolved_mtry(ds.n_features)
     min_node = config.resolved_min_node_size()

@@ -29,7 +29,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import ArgumentError, ConfigError
-from .forest import Forest, _Stacked, _gather, generate_synthetic
+from .forest import Forest, _gather, _train_labels, _training_data
 from .rng import donor_rng, permute_rng
 
 
@@ -88,19 +88,8 @@ def training_matrix(forest: Forest, ds: Dataset):
     """
     if ds.n_rows != forest.n_scored_rows:
         raise ArgumentError("dataset row count does not match the forest")
-    if forest.mode == "unsupervised":
-        synthetic = generate_synthetic(ds, forest.config.seed)
-        if not ds.is_sparse and not synthetic.is_sparse:
-            data = np.vstack([ds.values, synthetic.values])
-        else:
-            data = _Stacked(ds, synthetic)
-        y = np.concatenate([
-            np.zeros(ds.n_rows, dtype=np.int64),
-            np.ones(ds.n_rows, dtype=np.int64)])
-        return data, y
-    data = ds.values if not ds.is_sparse else ds
-    y = _scored_labels(forest, ds)
-    return data, y
+    return (_training_data(ds, forest.mode, forest.config.seed),
+            _train_labels(forest, ds))
 
 
 def _used_features(tree) -> np.ndarray:

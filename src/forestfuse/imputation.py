@@ -220,8 +220,6 @@ def _column_fills(ds: Dataset) -> np.ndarray:
 
 def initial_impute(ds: Dataset) -> Dataset:
     """Column-median / column-mode fill; the iterative methods' seed fill."""
-    if ds.is_sparse and not ds.has_missing:
-        return ds
     if not ds.has_missing:
         return ds
     fills = _column_fills(ds)

@@ -8,6 +8,8 @@ analyses produce bit-identical results at any thread count.
 
 import numpy as np
 
+from .errors import ConfigError
+
 _MASK64 = (1 << 64) - 1
 
 # purpose tags; kept stable because they are part of the determinism contract
@@ -42,7 +44,8 @@ def child_route(route: int, go_right: bool) -> int:
 
 def _stream(seed: int, tag: int, a: int = 0, b: int = 0) -> np.random.Generator:
     if a > _INDEX_MASK or b > _INDEX_MASK:
-        raise ValueError("rng stream index out of range")
+        raise ConfigError(
+            f"rng stream index out of range (limit {_INDEX_MASK})")
     sub = (tag << (2 * _INDEX_BITS)) | (a << _INDEX_BITS) | b
     key = np.array([seed & _MASK64, sub & _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))

@@ -33,12 +33,6 @@ class Split:
     gain: float
 
 
-def _class_stats(y: np.ndarray, n_classes: int):
-    """Sufficient statistics S = sum_c count_c^2 / n for Gini scoring."""
-    counts = np.bincount(y, minlength=n_classes).astype(np.float64)
-    return counts
-
-
 def _scan_presorted_class(sv, sy, n_classes):
     """Score all boundaries of presorted columns for classification.
 

@@ -1,6 +1,7 @@
 """Shared generators and hand-built forest utilities for the test suite."""
 
 import numpy as np
+from hypothesis import strategies as st
 
 import forestfuse as ff
 
@@ -130,3 +131,27 @@ def walk_tree(tree, x):
         else:
             node = int(tree.right[node])
     return int(tree.leaf_id[node])
+
+
+def dense_to_csr(dense, stored_zero=None):
+    """CSR arrays of a dense matrix; cells in stored_zero are kept even at 0."""
+    keep = dense != 0.0
+    if stored_zero is not None:
+        keep |= stored_zero
+    rows, cols = np.nonzero(keep)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=len(dense)))])
+    return indptr, cols, dense[rows, cols]
+
+
+@st.composite
+def sparse_matrices(draw, max_rows=12, max_cols=7):
+    """Dense matrices with many zeros, some whole rows and columns empty."""
+    n = draw(st.integers(1, max_rows))
+    m = draw(st.integers(1, max_cols))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    dense = np.round(rng.normal(size=(n, m)), 3)
+    dense[rng.uniform(size=(n, m)) < draw(st.floats(0.0, 1.0))] = 0.0
+    dense[draw(st.lists(st.integers(0, n - 1), max_size=n)), :] = 0.0
+    dense[:, draw(st.lists(st.integers(0, m - 1), max_size=m))] = 0.0
+    stored_zero = rng.uniform(size=(n, m)) < 0.1
+    return dense, stored_zero

@@ -1,0 +1,76 @@
+"""The command-line interface, end to end through cli.main."""
+
+import csv
+
+import numpy as np
+import pytest
+
+import forestfuse as ff
+from forestfuse.cli import main
+
+
+def read_csv(path):
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.reader(fh))
+
+
+@pytest.fixture
+def trained(tmp_path):
+    """A tiny classification model trained through the CLI.
+
+    Returns (paths, features, labels): train.csv carries the target column
+    `label`, features.csv holds the same rows without it.
+    """
+    rng = np.random.default_rng(5)
+    X = np.round(rng.normal(size=(40, 3)), 3)
+    y = (X[:, 0] + X[:, 1] > 0).astype(int)
+    paths = {name: tmp_path / name for name in
+             ("schema.txt", "train.csv", "features.csv", "model.ffm")}
+    paths["schema.txt"].write_text("a,continuous\nb,continuous\nc,continuous\n")
+    with open(paths["train.csv"], "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["a", "b", "label", "c"])
+        w.writerows([[*map(repr, x[:2]), int(t), repr(x[2])]
+                     for x, t in zip(X.tolist(), y)])
+    with open(paths["features.csv"], "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["a", "b", "c"])
+        w.writerows([list(map(repr, x)) for x in X.tolist()])
+    assert main(["train", str(paths["train.csv"]), str(paths["schema.txt"]),
+                 "-o", str(paths["model.ffm"]), "--target", "label",
+                 "--mode", "classification", "--trees", "7",
+                 "--seed", "3"]) == 0
+    return paths, X, y
+
+
+@pytest.mark.xfail(strict=True, raises=ValueError, reason=(
+    "cmd_similar writes repr(numpy.float64), read as 'np.float64(...)'; the "
+    "fix must land together with ffbench's explore_cli test, which asserts "
+    "the current cells"))
+def test_similar_scores_are_cooccurrence_fractions(trained, tmp_path):
+    paths, X, _ = trained
+    out = tmp_path / "similar.csv"
+    assert main(["similar", str(paths["model.ffm"]), str(paths["features.csv"]),
+                 "--query-row", "4", "--k", "6", "--build-index",
+                 "-o", str(out)]) == 0
+    header, *rows = read_csv(out)
+    assert header == ["rank", "row_id", "score"]
+    assert len(rows) == 6
+    # oracle: trees in which the training row shares the query's leaf
+    forest = ff.load_model(paths["model.ffm"]).forest
+    query_leaves = [ff.leaf_of(forest, t, X[4]) for t in range(forest.n_trees)]
+    counts = (forest.leaf_of_train == query_leaves).sum(axis=1)
+    for _, row_id, score in rows:
+        assert float(score) == counts[int(row_id)] / forest.n_trees
+
+
+def test_predict_ignores_target_column(trained, tmp_path):
+    paths, _, _ = trained
+    with_target = tmp_path / "with_target.csv"
+    without = tmp_path / "without.csv"
+    assert main(["predict", str(paths["model.ffm"]), str(paths["train.csv"]),
+                 "--target", "label", "-o", str(with_target)]) == 0
+    assert main(["predict", str(paths["model.ffm"]), str(paths["features.csv"]),
+                 "-o", str(without)]) == 0
+    assert read_csv(with_target) == read_csv(without)
+    assert len(read_csv(without)) == 41

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import dense_to_csr, sparse_matrices
 
 import forestfuse as ff
 
@@ -219,6 +220,62 @@ class TestCellSemantics:
             ff.Dataset.from_dense([[2.0]], schema)
         with pytest.raises(ff.SchemaError):
             ff.Dataset.from_dense([[0.5]], schema)
+
+
+class TestCsrColumnIndex:
+    @settings(max_examples=60, deadline=None)
+    @given(sparse_matrices(), st.data())
+    def test_gather_column_matches_dense(self, matrix, data):
+        dense, stored_zero = matrix
+        n, m = dense.shape
+        csr = ff.Dataset.from_csr(*dense_to_csr(dense, stored_zero), m)
+        dd = ff.Dataset.from_dense(dense)
+        # any order, repeats allowed, first and last row always present
+        rows = [0] + data.draw(st.lists(st.integers(0, n - 1), max_size=3 * n)) \
+            + [n - 1]
+        rows = np.array(data.draw(st.permutations(rows)))
+        for k in range(m):
+            assert np.array_equal(csr.gather_column(rows, k),
+                                  dd.gather_column(rows, k))
+        assert csr.gather_column(np.array([], dtype=np.int64), 0).shape == (0,)
+
+    @settings(max_examples=60, deadline=None)
+    @given(sparse_matrices())
+    def test_cell_reads_match_dense(self, matrix):
+        dense, stored_zero = matrix
+        n, m = dense.shape
+        csr = ff.Dataset.from_csr(*dense_to_csr(dense, stored_zero), m)
+        dd = ff.Dataset.from_dense(dense)
+        assert np.array_equal(csr.to_dense(), dense)
+        for r in range(n):
+            assert np.array_equal(csr.row_dense(r), dd.row_dense(r))
+            for k in range(m):
+                assert ff.get_value(csr, r, k) == ff.get_value(dd, r, k)
+
+    @settings(max_examples=60, deadline=None)
+    @given(sparse_matrices(), st.data())
+    def test_non_increasing_columns_name_first_bad_row(self, matrix, data):
+        dense, _ = matrix
+        n, m = dense.shape
+        dense[:, 0] = 1.0  # every row has an entry to corrupt
+        indptr, indices, values = dense_to_csr(dense)
+        bad = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
+        row_cols = [list(indices[indptr[r]:indptr[r + 1]]) for r in range(n)]
+        for r in bad:
+            cols = row_cols[r]
+            # a repeated column, or two columns swapped
+            row_cols[r] = [cols[0]] + cols if len(cols) == 1 \
+                else [cols[1], cols[0]] + cols[2:]
+        indptr = np.concatenate([[0], np.cumsum([len(c) for c in row_cols])])
+        indices = np.concatenate(row_cols)
+        values = np.ones(len(indices))
+        with pytest.raises(ff.FormatError, match=f"^row {min(bad)}: "):
+            ff.Dataset.from_csr(indptr, indices, values, m)
+
+    def test_rows_beyond_the_table_rejected(self):
+        ds = ff.Dataset.from_csr([0, 1, 1], [0], [3.0], n_features=2)
+        with pytest.raises(IndexError):
+            ds.gather_column(np.array([0, 2]), 1)
 
 
 class TestSchemaFile:

@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
-from helpers import assemble_forest, blobs_dataset, leaf_tree, stump, walk_tree
+from helpers import (assemble_forest, blobs_dataset, dense_to_csr, leaf_tree,
+                     sparse_matrices, stump, walk_tree)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import forestfuse as ff
 from forestfuse.forest import train_held_out
+from forestfuse.rng import permute_rng, tree_rng
 
 
 class TestGenerateSynthetic:
@@ -90,6 +94,14 @@ class TestTrainValidation:
             ff.train(ds, ff.ForestConfig(mode="classification", n_trees=1,
                                          mtry=3))
 
+    def test_rng_stream_index_limit(self):
+        # streams key trees and features in 28 bits each
+        assert tree_rng(0, 2 ** 28 - 1) is not None
+        with pytest.raises(ff.ConfigError, match="out of range"):
+            tree_rng(0, 2 ** 28)
+        with pytest.raises(ff.ConfigError, match="out of range"):
+            permute_rng(0, 0, 2 ** 28)
+
 
 class TestTraining:
     def test_separable_blobs_low_oob(self):
@@ -173,6 +185,26 @@ class TestTraining:
         np.testing.assert_array_equal(
             ff.predict_proba(f_dense, ds_dense),
             ff.predict_proba(f_csr, ds_dense))
+
+    @settings(max_examples=20, deadline=None)
+    @given(sparse_matrices(max_rows=30, max_cols=5), st.integers(0, 2 ** 16))
+    def test_unsupervised_csr_and_dense_agree(self, matrix, seed):
+        # CSR unsupervised training stacks real and synthetic rows into one
+        # CSR Dataset; it must grow the very trees the dense copy grows
+        dense, stored_zero = matrix
+        ds_csr = ff.Dataset.from_csr(*dense_to_csr(dense, stored_zero),
+                                     dense.shape[1])
+        ds_dense = ff.Dataset.from_dense(ds_csr.to_dense(), ds_csr.schema)
+        cfg = ff.ForestConfig(mode="unsupervised", n_trees=3, seed=seed)
+        f_dense = ff.train(ds_dense, cfg)
+        f_csr = ff.train(ds_csr, cfg)
+        assert np.array_equal(f_dense.inbag_counts, f_csr.inbag_counts)
+        assert np.array_equal(f_dense.leaf_of_train, f_csr.leaf_of_train)
+        np.testing.assert_equal(f_dense.oob_error, f_csr.oob_error)
+        assert np.array_equal(ff.predict_proba(f_dense, ds_dense),
+                              ff.predict_proba(f_csr, ds_csr))
+        assert np.array_equal(ff.overall_variable_importance(f_dense, ds_dense),
+                              ff.overall_variable_importance(f_csr, ds_csr))
 
     def test_regression_mode(self):
         rng = np.random.default_rng(15)

@@ -59,7 +59,6 @@ def _add_forest_flags(p: argparse.ArgumentParser, require_mode: bool) -> None:
     p.add_argument("--bins", type=int, default=256)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--pair-mode", choices=("all", "oob"), default="all")
-    p.add_argument("--threads", type=int, default=_default_threads())
 
 
 def _forest_config(args) -> ForestConfig:
@@ -104,8 +103,7 @@ def cmd_train(args) -> int:
     elapsed = time.perf_counter() - t0
     artifact = ModelArtifact(
         forest=forest, schema=schema,
-        fingerprint=dataset_fingerprint(ds, config.seed),
-        has_index=args.with_index)
+        fingerprint=dataset_fingerprint(ds, config.seed))
     save_model(args.output, artifact)
     kind = "mse" if config.mode == "regression" else "error"
     print(f"oob_{kind}={forest.oob_error:.6f} skipped={forest.oob_skipped} "
@@ -155,10 +153,6 @@ def cmd_predict(args) -> int:
 def cmd_similar(args) -> int:
     artifact = load_model(args.model)
     forest = artifact.forest
-    if not artifact.has_index and not args.build_index:
-        raise ConfigError(
-            "model was saved without a leaf index; pass --build-index to "
-            "construct one for this query")
     index = build_leaf_index(forest)
     queries = load_dense_csv(args.query, artifact.schema)
     if not (0 <= args.query_row < queries.n_rows):
@@ -332,10 +326,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("schema")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--target", default=None)
-    p.add_argument("--with-index", action="store_true",
-                   help="mark the model as carrying a leaf index")
     p.add_argument("--importance-out", default=None,
                    help="prefix for importance reports computed at train time")
+    p.add_argument("--threads", type=int, default=_default_threads())
     _add_forest_flags(p, require_mode=True)
     p.set_defaults(func=cmd_train)
 
@@ -353,7 +346,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--query-row", type=int, default=0)
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--explain", action="store_true")
-    p.add_argument("--build-index", action="store_true")
+    p.add_argument("--build-index", action="store_true",
+                   help="accepted and ignored: the leaf index is always "
+                        "built from the model")
     p.add_argument("--data", default=None,
                    help="training CSV (required with --explain)")
     p.add_argument("--target", default=None)

@@ -47,4 +47,4 @@ class ProvenanceError(ForestFuseError):
 
 
 class ModelFormatError(ForestFuseError):
-    """A model file has an unknown magic number or format version."""
+    """A model file is truncated, corrupt, or of an unknown format."""

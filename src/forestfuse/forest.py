@@ -628,13 +628,18 @@ def leaf_of(forest: Forest, tree_id: int, query) -> int:
     """Leaf id reached by a single complete feature vector in one tree."""
     if not (0 <= tree_id < forest.n_trees):
         raise IndexError(f"tree {tree_id} out of range")
+    return int(_query_leaves(forest, query)[tree_id])
+
+
+def _query_leaves(forest: Forest, query) -> np.ndarray:
+    """(T,) leaf ids a single complete feature vector reaches, per tree."""
     vec = np.asarray(query, dtype=np.float64)
     if vec.ndim != 1 or vec.shape[0] != forest.n_features:
         raise ArgumentError("query must be a vector of n_features values")
     if not np.all(np.isfinite(vec)):
         raise ArgumentError("query contains non-finite values")
-    tree = forest.trees[tree_id]
-    return int(tree.apply(vec[None, :], np.array([0]))[0])
+    return np.array([tree.apply(vec[None, :], np.array([0]))[0]
+                     for tree in forest.trees])
 
 
 def _train_labels(forest: Forest, ds: Dataset) -> np.ndarray:

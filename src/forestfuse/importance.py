@@ -48,16 +48,6 @@ class ImportanceReport:
         return self.n_effective == 0
 
 
-def _scored_labels(forest: Forest, ds: Dataset) -> np.ndarray:
-    if forest.mode == "unsupervised":
-        return np.zeros(forest.n_scored_rows, dtype=np.int64)
-    if ds.target is None:
-        raise ConfigError("dataset has no target")
-    if forest.mode == "classification":
-        return ds.target.astype(np.int64)
-    return ds.target.astype(np.float64)
-
-
 def counted_trees(forest: Forest, ds: Dataset) -> np.ndarray:
     """(n, T) mask of trees counted per sample.
 
@@ -70,7 +60,7 @@ def counted_trees(forest: Forest, ds: Dataset) -> np.ndarray:
     mask = forest.oob_mask()[:n].copy()
     if forest.mode == "regression":
         return mask
-    y = _scored_labels(forest, ds)
+    y = _train_labels(forest, ds)[:n]
     for t, tree in enumerate(forest.trees):
         rows = np.flatnonzero(mask[:, t])
         if rows.size == 0:
@@ -78,18 +68,6 @@ def counted_trees(forest: Forest, ds: Dataset) -> np.ndarray:
         pred = tree.predicted_class(forest.leaf_of_train[rows, t])
         mask[rows, t] = pred == y[rows]
     return mask
-
-
-def training_matrix(forest: Forest, ds: Dataset):
-    """Rebuild the matrix the trees were grown on, plus its labels.
-
-    For unsupervised forests the synthetic block is regenerated from the
-    training seed, bit-identical to the one used at train time.
-    """
-    if ds.n_rows != forest.n_scored_rows:
-        raise ArgumentError("dataset row count does not match the forest")
-    return (_training_data(ds, forest.mode, forest.config.seed),
-            _train_labels(forest, ds))
 
 
 def _used_features(tree) -> np.ndarray:
@@ -114,7 +92,7 @@ def _local_perturbation(forest: Forest, ds: Dataset, *, n_repeats: int,
     m = forest.n_features
     counted = counted_trees(forest, ds)
     n_eff = counted.sum(axis=1)
-    y = _scored_labels(forest, ds)
+    y = _train_labels(forest, ds)[:n]
     regression = forest.mode == "regression"
     data = ds.values if not ds.is_sparse else ds
 
@@ -216,7 +194,10 @@ def overall_variable_importance(forest: Forest, ds: Dataset,
 
     if seed is None:
         seed = forest.config.seed
-    data, y = training_matrix(forest, ds)
+    if ds.n_rows != forest.n_scored_rows:
+        raise ArgumentError("dataset row count does not match the forest")
+    data = _training_data(ds, forest.mode, forest.config.seed)
+    y = _train_labels(forest, ds)
     oob = forest.oob_mask()
     regression = forest.mode == "regression"
     deltas = np.zeros(forest.n_features, dtype=np.float64)

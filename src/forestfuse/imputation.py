@@ -1,20 +1,20 @@
 """Missing-value imputation and ground-truth-free validation.
 
-Two iterative fillers share the same outer loop (train a forest, re-impute
-every originally-missing cell, repeat until the fills stop moving or
-max_iters passes run):
+Two iterative fillers share the same outer loop (re-impute every
+originally-missing cell, repeat until the fills stop moving or max_iters
+passes run):
 
 * breiman_cutler — proximity-weighted mean (continuous) or
   proximity-weighted mode (categorical) over rows whose cell is observed.
   Its forest never reads an originally-missing cell (see
-  `forest.train_held_out`), so a pass depends on the observed cells alone:
-  pass 2 reproduces pass 1 and the loop reaches its fixed point there.
+  `forest.train_held_out`), so it is trained once for all passes: pass 2
+  reproduces pass 1 and the loop reaches its fixed point there.
   Letting the filled values steer the forest that re-imputes them locks
   in the seed fill and keeps the loop from settling (the proximity
   imputation bias of Tang & Ishwaran, Stat. Anal. Data Min. 2017).
 * young — per tree where the sample is out-of-bag, the mean/mode of
   observed leaf co-members, averaged (majority-voted) over those trees.
-  Its forest trains on the current fill, imputed cells included.
+  It trains a new forest on each pass's fill, imputed cells included.
 
 The validator ranks candidate imputations without ground truth: an
 unsupervised forest trained on complete reference data scores each
@@ -107,9 +107,7 @@ def young_cell_estimates(forest: Forest, index: LeafIndex, values: np.ndarray,
     oob_trees = np.flatnonzero(forest.oob_mask()[row])
     estimates: list[float] = []
     for t in oob_trees:
-        post = index.postings.get((int(t), int(forest.leaf_of_train[row, t])))
-        if post is None:
-            continue
+        post = index.members(t, forest.leaf_of_train[row, t])
         donors = post[(post != row) & observed_col[post]]
         if donors.size == 0:
             continue
@@ -233,8 +231,8 @@ def initial_impute(ds: Dataset) -> Dataset:
 def _inner_train(ds: Dataset, forest_config: ForestConfig,
                  held_out: np.ndarray | None = None):
     # every iteration reuses the same seed, so bootstraps and feature draws
-    # are fixed. With held_out the forest reads observed cells only and is
-    # the same on every pass; without it, the forest trains on the current
+    # are fixed. With held_out the forest reads observed cells only, so one
+    # training serves every pass; without it, the forest trains on the current
     # fill and moves with it, so leaf memberships need not settle
     cfg = replace(forest_config)
     complete = ds.as_complete()
@@ -296,20 +294,24 @@ def _run_iterations(ds: Dataset, cfg: ImputationConfig, reimpute):
 def impute_breiman_cutler(ds: Dataset, cfg: ImputationConfig) -> ImputationResult:
     """Iterative proximity-weighted imputation.
 
-    Each iteration trains a forest that never reads an originally-missing
-    cell (`forest.train_held_out`) and replaces every such cell per
-    `bc_reimpute`. The forest and the donor values are then the same on
-    every pass, so pass 2 repeats pass 1 exactly and the loop converges
-    there (with max_iters >= 2). The iteration trace and final-pass
-    fallback cells come back in the result; observed cells are never
-    modified.
+    The first pass trains a forest that never reads an originally-missing
+    cell (`forest.train_held_out`) and computes its proximity matrix. That
+    forest does not depend on the fill and the donors are observed cells,
+    so every pass reuses the matrix in `bc_reimpute`, pass 2 repeats pass 1
+    exactly and the loop converges there (with max_iters >= 2). The
+    iteration trace and final-pass fallback cells come back in the result;
+    observed cells are never modified.
     """
     fills = _column_fills(ds) if ds.has_missing else None
+    prox = None
 
     def step(current: Dataset, iteration: int):
-        forest = _inner_train(current, cfg.forest_config, held_out=ds.missing)
-        prox = compute_proximity(forest, current.without_target(),
-                                 pair_mode="all").values
+        nonlocal prox
+        if prox is None:
+            forest = _inner_train(current, cfg.forest_config,
+                                  held_out=ds.missing)
+            prox = compute_proximity(forest, current.without_target(),
+                                     pair_mode="all").values
         return bc_reimpute(current, ds.missing, prox, fills)
 
     return _run_iterations(ds, cfg, step)

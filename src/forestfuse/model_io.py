@@ -5,6 +5,10 @@ length-prefixed named sections (JSON metadata, packed tree arrays, in-bag
 counts, leaf assignments). Serialization is canonical — sorted JSON keys,
 fixed dtypes — so identical forests produce byte-identical files, and a
 save/load round trip reproduces predictions and top-K results exactly.
+
+Loading checks every length, count, shape and node link against the
+metadata, so a truncated or corrupted file raises ModelFormatError rather
+than a low-level error or a forest whose walks never end.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .dataset import Dataset, Feature, FeatureSchema
-from .errors import ModelFormatError, ProvenanceError
+from .errors import ForestFuseError, ModelFormatError, ProvenanceError
 from .forest import Forest, ForestConfig, Tree
 
 MAGIC = b"FFMD"
@@ -29,7 +33,6 @@ class ModelArtifact:
     forest: Forest
     schema: FeatureSchema
     fingerprint: dict
-    has_index: bool = False
 
 
 def dataset_fingerprint(ds: Dataset, seed: int) -> dict:
@@ -63,49 +66,47 @@ def check_fingerprint(artifact: ModelArtifact, ds: Dataset) -> None:
             "dataset does not match the model's training fingerprint")
 
 
-def _pack_tree(tree: Tree, n_classes) -> bytes:
-    parts = [struct.pack("<q", tree.n_nodes)]
-    parts.append(np.ascontiguousarray(tree.feature, dtype="<i4").tobytes())
-    parts.append(np.ascontiguousarray(tree.threshold, dtype="<f8").tobytes())
-    parts.append(np.ascontiguousarray(tree.left, dtype="<i4").tobytes())
-    parts.append(np.ascontiguousarray(tree.right, dtype="<i4").tobytes())
-    parts.append(np.ascontiguousarray(tree.leaf_id, dtype="<i4").tobytes())
-    parts.append(np.ascontiguousarray(tree.n_node, dtype="<i8").tobytes())
-    parts.append(np.ascontiguousarray(tree.value, dtype="<f8").tobytes())
-    parts.append(np.ascontiguousarray(tree.split_gain, dtype="<f8").tobytes())
-    return b"".join(parts)
+# packed tree arrays in file order, after the node count
+_TREE_FIELDS = (("feature", "<i4"), ("threshold", "<f8"), ("left", "<i4"),
+                ("right", "<i4"), ("leaf_id", "<i4"), ("n_node", "<i8"),
+                ("value", "<f8"), ("split_gain", "<f8"))
+
+
+def _pack_tree(tree: Tree) -> bytes:
+    return struct.pack("<q", tree.n_nodes) + b"".join(
+        np.ascontiguousarray(getattr(tree, name), dtype=dtype).tobytes()
+        for name, dtype in _TREE_FIELDS)
+
+
+def _take(buf, offset: int, dtype: str, count: int):
+    """`count` items of `dtype` at `offset`, and the offset after them."""
+    end = offset + np.dtype(dtype).itemsize * count
+    if count < 0 or end > len(buf):
+        raise ModelFormatError("file is truncated")
+    return np.frombuffer(buf, dtype=dtype, count=count, offset=offset), end
 
 
 def _unpack_tree(buf: memoryview, offset: int, n_classes, n_features):
-    (n_nodes,) = struct.unpack_from("<q", buf, offset)
-    offset += 8
-
-    def take(dtype, count):
-        nonlocal offset
-        arr = np.frombuffer(buf, dtype=dtype, count=count, offset=offset).copy()
-        offset += arr.nbytes
-        return arr
-
-    feature = take("<i4", n_nodes)
-    threshold = take("<f8", n_nodes)
-    left = take("<i4", n_nodes)
-    right = take("<i4", n_nodes)
-    leaf_id = take("<i4", n_nodes)
-    n_node = take("<i8", n_nodes)
+    (n,), offset = _take(buf, offset, "<i8", 1)
+    n = int(n)
+    counts = {"value": n * (n_classes or 1), "split_gain": n_features}
+    fields = {}
+    for name, dtype in _TREE_FIELDS:
+        arr, offset = _take(buf, offset, dtype, counts.get(name, n))
+        fields[name] = arr.astype(dtype[1:])
+    feature, leaf_id = fields["feature"], fields["leaf_id"]
+    inner = np.flatnonzero(feature >= 0)
+    kids = np.concatenate([fields["left"][inner], fields["right"][inner]])
+    leaf_ids = np.sort(leaf_id[feature < 0])
+    # children after their parent: every walk ends at a leaf
+    if not (n >= 1 and feature.min() >= -1 and feature.max() < n_features
+            and (leaf_id[inner] == -1).all()
+            and (leaf_ids == np.arange(len(leaf_ids))).all()
+            and ((kids > np.tile(inner, 2)) & (kids < n)).all()):
+        raise ModelFormatError("tree nodes are inconsistent")
     if n_classes:
-        value = take("<f8", n_nodes * n_classes).reshape(n_nodes, n_classes)
-    else:
-        value = take("<f8", n_nodes)
-    split_gain = take("<f8", n_features)
-    tree = Tree(feature=feature.astype(np.int32),
-                threshold=threshold,
-                left=left.astype(np.int32),
-                right=right.astype(np.int32),
-                leaf_id=leaf_id.astype(np.int32),
-                n_node=n_node,
-                value=value,
-                split_gain=split_gain)
-    return tree, offset
+        fields["value"] = fields["value"].reshape(n, n_classes)
+    return Tree(**fields), offset
 
 
 def _schema_to_json(schema: FeatureSchema):
@@ -131,13 +132,11 @@ def save_model(path, artifact: ModelArtifact) -> None:
         "oob_error": None if np.isnan(forest.oob_error) else forest.oob_error,
         "oob_skipped": forest.oob_skipped,
         "fingerprint": artifact.fingerprint,
-        "has_index": artifact.has_index,
     }
     sections = [
         ("meta", json.dumps(meta, sort_keys=True,
                             separators=(",", ":")).encode("utf-8")),
-        ("trees", b"".join(_pack_tree(t, forest.n_classes)
-                           for t in forest.trees)),
+        ("trees", b"".join(_pack_tree(t) for t in forest.trees)),
         ("inbag", np.ascontiguousarray(
             forest.inbag_counts, dtype="<u2").tobytes()),
         ("leaf_train", np.ascontiguousarray(
@@ -154,61 +153,93 @@ def save_model(path, artifact: ModelArtifact) -> None:
 
 
 def load_model(path) -> ModelArtifact:
+    """Read a model file; any fault in its structure raises ModelFormatError."""
     with open(path, "rb") as fh:
         blob = fh.read()
+    try:
+        return _parse_model(blob)
+    except ModelFormatError as exc:
+        raise ModelFormatError(f"{path}: {exc}") from None
+
+
+def _count(value, low: int) -> int:
+    if type(value) is not int or value < low:
+        raise ModelFormatError(f"expected an integer >= {low}, got {value!r}")
+    return value
+
+
+def _parse_model(blob: bytes) -> ModelArtifact:
     if len(blob) < 12 or blob[:4] != MAGIC:
-        raise ModelFormatError(f"{path}: not a forestfuse model file")
+        raise ModelFormatError("not a forestfuse model file")
     magic, version, n_sections = struct.unpack_from("<4sII", blob, 0)
     if version != FORMAT_VERSION:
         raise ModelFormatError(
-            f"{path}: format version {version} is not supported "
+            f"format version {version} is not supported "
             f"(expected {FORMAT_VERSION})")
     offset = 12
     sections = {}
     for _ in range(n_sections):
-        (name_len,) = struct.unpack_from("<H", blob, offset)
-        offset += 2
-        name = blob[offset:offset + name_len].decode("ascii")
-        offset += name_len
-        (size,) = struct.unpack_from("<Q", blob, offset)
-        offset += 8
-        sections[name] = memoryview(blob)[offset:offset + size]
-        offset += size
+        (name_len,), offset = _take(blob, offset, "<u2", 1)
+        name, offset = _take(blob, offset, "u1", int(name_len))
+        (size,), offset = _take(blob, offset, "<u8", 1)
+        payload, end = _take(blob, offset, "u1", int(size))
+        sections[name.tobytes().decode("latin-1")] = payload.data
+        offset = end
+    if offset != len(blob):
+        raise ModelFormatError(f"{len(blob) - offset} bytes after the sections")
     for required in ("meta", "trees", "inbag", "leaf_train"):
         if required not in sections:
-            raise ModelFormatError(f"{path}: missing section {required!r}")
+            raise ModelFormatError(f"missing section {required!r}")
 
-    meta = json.loads(bytes(sections["meta"]).decode("utf-8"))
-    config = ForestConfig(**meta["config"])
-    schema = _schema_from_json(meta["schema"])
-    n_classes = meta["n_classes"]
-    n_features = meta["n_features"]
-    n_train = meta["n_train_rows"]
+    try:
+        meta = json.loads(bytes(sections["meta"]).decode("utf-8"))
+        config = ForestConfig(**meta["config"])
+        config.validate()
+        schema = _schema_from_json(meta["schema"])
+        n_features = _count(meta["n_features"], 1)
+        n_train = _count(meta["n_train_rows"], 1)
+        n_trees = _count(config.n_trees, 1)
+        n_classes, synthetic_offset = (
+            None if meta[k] is None else _count(meta[k], 1)
+            for k in ("n_classes", "synthetic_offset"))
+        oob = meta["oob_error"]
+        oob_error = float("nan") if oob is None else float(oob)
+        oob_skipped = _count(meta["oob_skipped"], 0)
+        fingerprint = {k: meta["fingerprint"][k]
+                       for k in ("n_rows", "n_features", "seed", "sha256")}
+    except (KeyError, TypeError, ValueError, ForestFuseError) as exc:
+        raise ModelFormatError(f"bad metadata: {exc}") from None
+    if synthetic_offset is not None and 2 * synthetic_offset != n_train:
+        raise ModelFormatError("synthetic_offset is not half the rows")
 
-    trees = []
-    buf = sections["trees"]
-    off = 0
-    for _ in range(config.n_trees):
-        tree, off = _unpack_tree(buf, off, n_classes, n_features)
+    trees, end = [], 0
+    for _ in range(n_trees):
+        tree, end = _unpack_tree(sections["trees"], end, n_classes, n_features)
         trees.append(tree)
+    if end != len(sections["trees"]):
+        raise ModelFormatError(f"{len(sections['trees']) - end} bytes "
+                               "after the trees")
+    per_row = {}
+    for name, dtype in (("inbag", "<u2"), ("leaf_train", "<i4")):
+        arr, end = _take(sections[name], 0, dtype, n_train * n_trees)
+        if end != len(sections[name]):
+            raise ModelFormatError(f"section {name!r} does not hold "
+                                   f"{n_train} x {n_trees} values")
+        per_row[name] = arr.reshape(n_train, n_trees).astype(dtype[1:])
+    leaf_train = per_row["leaf_train"]
+    if np.any(leaf_train < 0) or np.any(
+            leaf_train >= [tree.n_leaves for tree in trees]):
+        raise ModelFormatError("leaf assignment beyond its tree's leaves")
 
-    inbag = np.frombuffer(bytes(sections["inbag"]), dtype="<u2")
-    inbag = inbag.reshape(n_train, config.n_trees).astype(np.uint16)
-    leaf_train = np.frombuffer(bytes(sections["leaf_train"]), dtype="<i4")
-    leaf_train = leaf_train.reshape(n_train, config.n_trees).astype(np.int32)
-
-    oob = meta["oob_error"]
     forest = Forest(
         config=config,
         trees=trees,
-        inbag_counts=inbag,
+        inbag_counts=per_row["inbag"],
         leaf_of_train=leaf_train,
         n_features=n_features,
         n_classes=n_classes,
-        synthetic_offset=meta["synthetic_offset"],
-        oob_error=float("nan") if oob is None else float(oob),
-        oob_skipped=meta["oob_skipped"],
+        synthetic_offset=synthetic_offset,
+        oob_error=oob_error,
+        oob_skipped=oob_skipped,
     )
-    return ModelArtifact(forest=forest, schema=schema,
-                         fingerprint=meta["fingerprint"],
-                         has_index=meta["has_index"])
+    return ModelArtifact(forest=forest, schema=schema, fingerprint=fingerprint)

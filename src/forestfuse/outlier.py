@@ -15,7 +15,7 @@ are all equal, or whose median is infinite, scores 0 throughout; it is
 flagged too.
 
 Exact mode consumes a full proximity matrix; greedy mode approximates the
-squared-proximity mass from the inverted index using only each sample's
+squared-proximity mass from the leaf index using only each sample's
 top co-occurring classmates, trading a controlled underestimate of the
 mass for never touching anything quadratic.
 """
@@ -113,13 +113,12 @@ def outlier_exact(prox: ProximityMatrix | np.ndarray, classes) -> OutlierReport:
         raise ArgumentError("proximity matrix must be square")
     classes = _check_classes(classes, n)
 
-    sq = values ** 2
     raw = np.empty(n, dtype=np.float64)
     for c in np.unique(classes):
         members = np.flatnonzero(classes == c)
         nj = len(members)
         for i in members:
-            mass = float(sq[i, members[members != i]].sum())
+            mass = float((values[i, members[members != i]] ** 2).sum())
             raw[i] = nj / mass if mass > 0 else np.inf
     score, class_ids, medians, mads, flags = _normalize(raw, classes)
     return OutlierReport(raw, score, classes, class_ids, medians, mads,
@@ -130,7 +129,7 @@ def outlier_greedy(index: LeafIndex, forest: Forest, classes,
                    m_cap: int = DEFAULT_GREEDY_CAP) -> OutlierReport:
     """Greedy approximation: keep only each sample's strongest classmates.
 
-    Co-occurrence counts come from the posting lists; only the m_cap
+    Co-occurrence counts come from the leaf index; only the m_cap
     classmates with the highest counts contribute to the squared-
     proximity mass. m_cap >= N_j - 1 reproduces the exact measures.
     """
@@ -139,16 +138,11 @@ def outlier_greedy(index: LeafIndex, forest: Forest, classes,
     n = index.n_rows
     classes = _check_classes(classes, n)
     T = forest.n_trees
-    leaf_of = forest.leaf_of_train
 
     raw = np.empty(n, dtype=np.float64)
     members_of = {c: np.flatnonzero(classes == c) for c in np.unique(classes)}
     for i in range(n):
-        counts = np.zeros(n, dtype=np.int64)
-        for t in range(T):
-            post = index.postings.get((t, int(leaf_of[i, t])))
-            if post is not None:
-                counts[post] += 1
+        counts = index.counts(forest.leaf_of_train[i])
         members = members_of[int(classes[i])]
         mates = members[members != i]
         if len(mates) > m_cap:

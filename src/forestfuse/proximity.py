@@ -1,13 +1,11 @@
-"""Forest proximities and the leaf-assignment inverted index.
+"""Forest proximities and the leaf-membership index.
 
 prox(i, j) is the fraction of trees in which rows i and j land in the
-same terminal node. The full matrix is quadratic in row count, so it is
-capped; the inverted index answers top-K similarity queries from posting
-lists in O(trees x leaf size) without materializing anything quadratic.
-
-For unsupervised forests all structures cover the real rows only; the
-synthetic half of the training matrix never appears in postings or
-matrices.
+same terminal node. Every reader of that co-membership goes through
+`LeafIndex`, the rows grouped by (tree, leaf). The full matrix is
+quadratic in row count, so it is capped; top-K queries, greedy outliers
+and Young imputation read single groups or one (n,) count vector. The
+index covers the real rows only, never an unsupervised synthetic half.
 """
 
 from __future__ import annotations
@@ -18,7 +16,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import ArgumentError, CapacityError
-from .forest import Forest
+from .forest import Forest, _query_leaves
 from .rng import query_donor_rng
 
 DEFAULT_MATRIX_CAP = 20_000
@@ -39,21 +37,49 @@ class Neighbor:
 
 @dataclass
 class LeafIndex:
-    """Inverted index: (tree_id, leaf_id) -> sorted training row ids."""
+    """Rows grouped by leaf, for all trees at once.
 
-    postings: dict
-    n_trees: int
+    Leaf `leaf` of tree `t` has the global id ``leaf_offset[t] + leaf``.
+    `order` holds row ids grouped by global id, ascending within each
+    group, and group g is ``order[start[g]:start[g + 1]]``. A leaf that
+    holds no indexed row has an empty group.
+    """
+
+    order: np.ndarray
+    start: np.ndarray
+    leaf_offset: np.ndarray
     n_rows: int
 
+    def members(self, t: int, leaf: int) -> np.ndarray:
+        """Ascending row ids in leaf `leaf` of tree `t` (a read-only view)."""
+        g = self.leaf_offset[t] + leaf
+        return self.order[self.start[g]:self.start[g + 1]]
 
-def _leaf_groups(leaves: np.ndarray):
-    """Yield (leaf_id, sorted row ids) groups of one tree's assignments."""
-    order = np.argsort(leaves, kind="stable")
-    sorted_leaves = leaves[order]
-    starts = np.flatnonzero(np.diff(sorted_leaves)) + 1
-    bounds = np.concatenate([[0], starts, [len(leaves)]])
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        yield int(sorted_leaves[a]), order[a:b]
+    def counts(self, leaves) -> np.ndarray:
+        """(n_rows,) number of trees t in which a row is in leaf leaves[t]."""
+        g = self.leaf_offset + np.asarray(leaves)
+        bounds = zip(self.start[g].tolist(), self.start[g + 1].tolist())
+        picked = np.concatenate([self.order[a:b] for a, b in bounds])
+        return np.bincount(picked, minlength=self.n_rows)
+
+
+def build_leaf_index(forest: Forest, cells: np.ndarray | None = None
+                     ) -> LeafIndex:
+    """Group the scored rows by (tree, leaf).
+
+    `cells`, an (n_scored_rows, T) bool mask, keeps only the (row, tree)
+    cells it marks; by default every cell is indexed.
+    """
+    n = forest.n_scored_rows
+    T = forest.n_trees
+    leaf_offset = np.cumsum([0] + [t.n_leaves for t in forest.trees])
+    cell = np.arange(n * T) if cells is None else np.flatnonzero(cells)
+    gid = (forest.leaf_of_train[:n] + leaf_offset[:-1]).ravel()[cell]
+    # a group holds one tree's cells, so ascending cells are ascending rows
+    order = cell[np.argsort(gid, kind="stable")] // T
+    start = np.zeros(leaf_offset[-1] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(gid, minlength=leaf_offset[-1]), out=start[1:])
+    return LeafIndex(order, start, leaf_offset[:-1], n)
 
 
 def compute_proximity(forest: Forest, ds: Dataset, pair_mode: str | None = None,
@@ -77,50 +103,22 @@ def compute_proximity(forest: Forest, ds: Dataset, pair_mode: str | None = None,
             f"{n} rows exceed the {matrix_cap}-row proximity matrix cap; "
             "use build_leaf_index / top_k_similar instead")
 
-    T = forest.n_trees
+    oob = forest.oob_mask()[:n] if pair_mode == "oob" else None
+    index = build_leaf_index(forest, cells=oob)
     counts = np.zeros((n, n), dtype=np.int32)
-    if pair_mode == "all":
-        for t in range(T):
-            for _, rows in _leaf_groups(forest.leaf_of_train[:n, t]):
-                counts[np.ix_(rows, rows)] += 1
-        values = counts.astype(np.float64) / T
-        return ProximityMatrix(n, values, "all")
-
-    oob = forest.oob_mask()[:n]
-    denom = np.zeros((n, n), dtype=np.int32)
-    for t in range(T):
-        rows_oob = np.flatnonzero(oob[:, t])
-        if rows_oob.size == 0:
-            continue
-        denom[np.ix_(rows_oob, rows_oob)] += 1
-        leaves = forest.leaf_of_train[rows_oob, t]
-        for _, sub in _leaf_groups(leaves):
-            grp = rows_oob[sub]
-            counts[np.ix_(grp, grp)] += 1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        values = np.where(denom > 0, counts / np.maximum(denom, 1), 0.0)
+    bounds = index.start.tolist()
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        if b > a:
+            rows = index.order[a:b]
+            counts[np.ix_(rows, rows)] += 1
+    if oob is None:
+        return ProximityMatrix(n, counts.astype(np.float64) / forest.n_trees,
+                               "all")
+    # trees in which both rows are out-of-bag; float32 sums of 0/1 are exact
+    both = oob.astype(np.float32)
+    denom = both @ both.T
+    values = np.where(denom > 0, counts / np.maximum(denom, 1), 0.0)
     return ProximityMatrix(n, values, "oob")
-
-
-def build_leaf_index(forest: Forest) -> LeafIndex:
-    """Invert leaf assignments into per-(tree, leaf) posting lists."""
-    n = forest.n_scored_rows
-    postings = {}
-    for t in range(forest.n_trees):
-        for leaf, rows in _leaf_groups(forest.leaf_of_train[:n, t]):
-            postings[(t, leaf)] = np.sort(rows).astype(np.int64)
-    return LeafIndex(postings, forest.n_trees, n)
-
-
-def _cooccurrence_counts(index: LeafIndex, forest: Forest, query) -> np.ndarray:
-    from .forest import leaf_of
-
-    counts = np.zeros(index.n_rows, dtype=np.int64)
-    for t in range(forest.n_trees):
-        post = index.postings.get((t, leaf_of(forest, t, query)))
-        if post is not None:
-            counts[post] += 1
-    return counts
 
 
 def top_k_similar(index: LeafIndex, forest: Forest, query, k: int) -> list[Neighbor]:
@@ -132,7 +130,7 @@ def top_k_similar(index: LeafIndex, forest: Forest, query, k: int) -> list[Neigh
     """
     if k < 1:
         raise ArgumentError("k must be >= 1")
-    counts = _cooccurrence_counts(index, forest, query)
+    counts = index.counts(_query_leaves(forest, query))
     k = min(k, index.n_rows)
     order = np.lexsort((np.arange(index.n_rows), -counts))[:k]
     T = forest.n_trees
@@ -150,30 +148,22 @@ def query_proximity_importance(forest: Forest, ds: Dataset, query, *,
     """
     if seed is None:
         seed = forest.config.seed
+    leaves = _query_leaves(forest, query)
     vec = np.asarray(query, dtype=np.float64)
-    if vec.ndim != 1 or vec.shape[0] != forest.n_features:
-        raise ArgumentError("query must be a vector of n_features values")
     m = forest.n_features
-    n = ds.n_rows
-    donor_rows = np.empty((m, n_repeats), dtype=np.int64)
+    # row k * n_repeats + r is the query with feature k from donor draw r
+    mods = np.repeat(vec[None, :], m * n_repeats, axis=0)
     for k in range(m):
-        donor_rows[k] = query_donor_rng(seed, k).integers(0, n, size=n_repeats)
-
-    changed = np.zeros(m, dtype=np.float64)
-    base = vec[None, :]
-    for tree in forest.trees:
-        orig = tree.apply(base, np.array([0]))[0]
-        for k in range(m):
-            donors = ds.gather_column(donor_rows[k], k)
-            for v in donors:
-                if v == vec[k]:
-                    changed_leaf = False
-                else:
-                    mod = vec.copy()
-                    mod[k] = v
-                    changed_leaf = tree.apply(mod[None, :], np.array([0]))[0] != orig
-                changed[k] += changed_leaf
-    return changed / (forest.n_trees * n_repeats)
+        donor_rows = query_donor_rng(seed, k).integers(0, ds.n_rows,
+                                                       size=n_repeats)
+        mods[k * n_repeats:(k + 1) * n_repeats, k] = \
+            ds.gather_column(donor_rows, k)
+    rows = np.arange(len(mods))
+    changed = np.zeros(len(mods))
+    for tree, leaf in zip(forest.trees, leaves):
+        changed += tree.apply(mods, rows) != leaf
+    return changed.reshape(m, n_repeats).sum(axis=1) / (
+        forest.n_trees * n_repeats)
 
 
 def top_k_similar_explained(index: LeafIndex, forest: Forest, ds: Dataset,

@@ -74,3 +74,16 @@ def test_predict_ignores_target_column(trained, tmp_path):
                  "-o", str(without)]) == 0
     assert read_csv(with_target) == read_csv(without)
     assert len(read_csv(without)) == 41
+
+
+def test_similar_needs_no_build_index_flag(trained, tmp_path):
+    paths, _, _ = trained
+    runs = {}
+    for extra in ([], ["--build-index"]):
+        out = tmp_path / f"similar{len(extra)}.csv"
+        assert main(["similar", str(paths["model.ffm"]),
+                     str(paths["features.csv"]), "--query-row", "2",
+                     "--k", "5", "-o", str(out)] + extra) == 0
+        runs[len(extra)] = read_csv(out)
+    assert len(runs[0]) == 6
+    assert runs[0] == runs[1]

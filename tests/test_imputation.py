@@ -5,6 +5,8 @@ import pytest
 from helpers import assemble_forest, correlated_data, leaf_tree, mcar_mask, stump
 
 import forestfuse as ff
+from forestfuse import imputation
+from forestfuse.forest import train_held_out
 
 
 def cat_schema():
@@ -193,6 +195,36 @@ class TestIterativeMethods:
         assert result.converged
         assert len(result.trace) <= 6
         assert result.trace[-1].max_rel_change < 1e-3
+
+    def test_bc_trains_its_forest_once(self, monkeypatch):
+        truth, mask, ds = self.make_mcar(seed=11)
+        cfg = small_config(trees=10, max_iters=3)
+        calls = []
+
+        def counting_train_held_out(*args, **kwargs):
+            calls.append(1)
+            return train_held_out(*args, **kwargs)
+
+        def retraining_step(current, iteration):
+            forest = imputation._inner_train(current, cfg.forest_config,
+                                             held_out=ds.missing)
+            prox = ff.compute_proximity(forest, current.without_target(),
+                                        pair_mode="all").values
+            return ff.bc_reimpute(current, ds.missing, prox,
+                                  imputation._column_fills(ds))
+
+        monkeypatch.setattr(imputation, "train_held_out",
+                            counting_train_held_out)
+        result = ff.impute_breiman_cutler(ds, cfg)
+        assert len(calls) == 1
+        retrained = imputation._run_iterations(ds, cfg, retraining_step)
+        assert len(calls) == 1 + len(retrained.trace) == 3
+        np.testing.assert_array_equal(result.dataset.values,
+                                      retrained.dataset.values)
+        assert result.trace == retrained.trace
+        assert result.trace[-1].max_rel_change == 0.0
+        assert result.converged and retrained.converged
+        assert result.fallback_cells == retrained.fallback_cells
 
     def test_trace_shape(self):
         truth, mask, ds = self.make_mcar(seed=13)

@@ -1,0 +1,101 @@
+"""Model files: exact round trips, and corrupt files rejected cleanly."""
+
+import numpy as np
+import pytest
+from helpers import assemble_forest, blobs, stump
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import forestfuse as ff
+from forestfuse.cli import main
+
+
+def save(forest, ds, path):
+    ff.save_model(path, ff.ModelArtifact(
+        forest=forest, schema=ds.schema,
+        fingerprint=ff.dataset_fingerprint(ds, forest.config.seed)))
+
+
+@pytest.fixture(scope="module")
+def model_file(tmp_path_factory):
+    """A small classification model file, its forest and its data."""
+    X, y = blobs(12, seed=2, sep=2.0)
+    ds = ff.Dataset.from_dense(X, target=y)
+    forest = ff.train(ds, ff.ForestConfig(mode="classification", n_trees=3,
+                                          seed=4))
+    path = tmp_path_factory.mktemp("model") / "model.ffm"
+    save(forest, ds, path)
+    return path, forest, ds
+
+
+@pytest.mark.parametrize("mode", ["classification", "unsupervised"])
+def test_round_trip_keeps_predictions_and_neighbours(mode, tmp_path):
+    X, y = blobs(15, seed=6, sep=3.0)
+    ds = ff.Dataset.from_dense(X, target=y if mode == "classification"
+                               else None)
+    forest = ff.train(ds, ff.ForestConfig(mode=mode, n_trees=6, seed=1))
+    save(forest, ds, tmp_path / "m.ffm")
+    loaded = ff.load_model(tmp_path / "m.ffm").forest
+    np.testing.assert_array_equal(ff.predict_proba(loaded, X),
+                                  ff.predict_proba(forest, X))
+    index, loaded_index = ff.build_leaf_index(forest), ff.build_leaf_index(loaded)
+    for q in X[::4]:
+        assert ff.top_k_similar(loaded_index, loaded, q, k=7) == \
+            ff.top_k_similar(index, forest, q, k=7)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_truncated_or_flipped_files_raise_model_format_error(model_file, data):
+    path, _, ds = model_file
+    blob = path.read_bytes()
+    corrupt = path.with_name("corrupt.ffm")
+    cut = data.draw(st.integers(0, len(blob) - 1), label="cut")
+    corrupt.write_bytes(blob[:cut])
+    with pytest.raises(ff.ModelFormatError):
+        ff.load_model(corrupt)
+
+    at = data.draw(st.integers(0, len(blob) - 1), label="at")
+    flipped = bytearray(blob)
+    flipped[at] ^= data.draw(st.integers(1, 255), label="mask")
+    corrupt.write_bytes(bytes(flipped))
+    try:
+        forest = ff.load_model(corrupt).forest
+    except ff.ModelFormatError:
+        return
+    # a file that loads holds walkable trees and in-range leaf assignments
+    X = ds.without_target().values
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert ff.predict_proba(forest, X).shape == (len(X), 2)
+    ff.top_k_similar(ff.build_leaf_index(forest), forest, X[0], k=3)
+
+
+@pytest.mark.parametrize("field, node, value", [
+    ("right", 0, 0),     # a walk that never ends
+    ("left", 0, 3),      # past the last node
+    ("feature", 0, 1),   # past the last feature
+])
+def test_inconsistent_tree_rejected(field, node, value, tmp_path):
+    ds = ff.Dataset.from_dense([[0.0], [1.0]], target=[0.0, 1.0])
+    tree = stump(0, 0.5, [1.0, 0.0], [0.0, 1.0])
+    forest = assemble_forest([tree], ds, n_classes=2)
+    getattr(tree, field)[node] = value
+    save(forest, ds, tmp_path / "m.ffm")
+    with pytest.raises(ff.ModelFormatError, match="tree nodes"):
+        ff.load_model(tmp_path / "m.ffm")
+
+
+def test_predict_on_truncated_model_is_a_one_line_error(model_file, tmp_path,
+                                                        capsys):
+    path, _, ds = model_file
+    blob = path.read_bytes()
+    model = tmp_path / "truncated.ffm"
+    model.write_bytes(blob[:len(blob) // 2])
+    data = tmp_path / "rows.csv"
+    ff.write_dense_csv(ds.without_target(), data)
+    capsys.readouterr()
+    assert main(["predict", str(model), str(data)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")

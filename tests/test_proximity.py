@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from helpers import assemble_forest, blobs_dataset, leaf_tree, stump
+from helpers import assemble_forest, blobs, blobs_dataset, leaf_tree, stump
 
 import forestfuse as ff
 
@@ -14,6 +14,18 @@ def brute_force_proximity(leaf_of_train, n):
     for i in range(n):
         for j in range(n):
             prox[i, j] = np.mean(leaf_of_train[i] == leaf_of_train[j])
+    return prox
+
+
+def brute_force_oob_proximity(leaf_of_train, oob, n):
+    """Double loop over the trees in which both rows are out-of-bag."""
+    prox = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            both = oob[i] & oob[j]
+            if both.any():
+                prox[i, j] = np.mean(leaf_of_train[i, both]
+                                     == leaf_of_train[j, both])
     return prox
 
 
@@ -79,6 +91,18 @@ class TestComputeProximity:
                     assert prox.values[i, j] == pytest.approx(
                         same.mean(), abs=1e-15)
 
+    @pytest.mark.parametrize("mode", ["classification", "unsupervised"])
+    def test_oob_pair_mode_matches_all_pairs_oracle(self, mode):
+        X, y = blobs(20, seed=4, sep=2.0)
+        ds = ff.Dataset.from_dense(
+            X, target=y if mode == "classification" else None)
+        forest = ff.train(ds, ff.ForestConfig(mode=mode, n_trees=9, seed=5))
+        prox = ff.compute_proximity(forest, ds, pair_mode="oob")
+        expected = brute_force_oob_proximity(
+            forest.leaf_of_train, forest.oob_mask(), ds.n_rows)
+        assert (expected == 0).any() and (expected == 1).any()
+        np.testing.assert_array_equal(prox.values, expected)
+
     def test_unsupervised_matrix_covers_real_rows_only(self):
         rng = np.random.default_rng(5)
         ds = ff.Dataset.from_dense(rng.normal(size=(20, 2)))
@@ -88,6 +112,13 @@ class TestComputeProximity:
         assert prox.values.shape == (20, 20)
 
 
+def leaf_groups(index, forest):
+    """Every (tree, leaf, rows) group of the index."""
+    for t, tree in enumerate(forest.trees):
+        for leaf in range(tree.n_leaves):
+            yield t, leaf, index.members(t, leaf)
+
+
 class TestLeafIndex:
     def test_root_leaf_single_posting(self):
         ds = ff.Dataset.from_dense([[0.0], [1.0], [2.0]],
@@ -95,23 +126,23 @@ class TestLeafIndex:
         forest = assemble_forest([leaf_tree(class_counts=[3.0], n=3)], ds,
                                  n_classes=1)
         index = ff.build_leaf_index(forest)
-        assert len(index.postings) == 1
-        np.testing.assert_array_equal(index.postings[(0, 0)], [0, 1, 2])
+        assert len(index.start) == 2
+        np.testing.assert_array_equal(index.members(0, 0), [0, 1, 2])
 
     def test_partition_property(self, small_forest):
         ds, forest = small_forest
         index = ff.build_leaf_index(forest)
-        appearances = np.zeros(ds.n_rows, dtype=int)
-        for (t, leaf), rows in index.postings.items():
-            appearances[rows] += 1
-        np.testing.assert_array_equal(appearances, forest.n_trees)
+        for t, tree in enumerate(forest.trees):
+            rows = np.concatenate([index.members(t, leaf)
+                                   for leaf in range(tree.n_leaves)])
+            np.testing.assert_array_equal(np.sort(rows), np.arange(ds.n_rows))
 
     def test_reconstructed_proximity_equals_matrix(self, small_forest):
         ds, forest = small_forest
         index = ff.build_leaf_index(forest)
         n = ds.n_rows
         counts = np.zeros((n, n), dtype=int)
-        for (t, leaf), rows in index.postings.items():
+        for _, _, rows in leaf_groups(index, forest):
             counts[np.ix_(rows, rows)] += 1
         prox = ff.compute_proximity(forest, ds)
         np.testing.assert_array_equal(counts / forest.n_trees, prox.values)
@@ -119,8 +150,26 @@ class TestLeafIndex:
     def test_postings_sorted(self, small_forest):
         _, forest = small_forest
         index = ff.build_leaf_index(forest)
-        for rows in index.postings.values():
+        for _, _, rows in leaf_groups(index, forest):
             assert np.all(np.diff(rows) > 0)
+
+    def test_counts_equal_leaf_comparison(self, small_forest):
+        _, forest = small_forest
+        index = ff.build_leaf_index(forest)
+        for leaves in forest.leaf_of_train:
+            np.testing.assert_array_equal(
+                index.counts(leaves),
+                (forest.leaf_of_train == leaves).sum(axis=1))
+
+    def test_unsupervised_index_covers_real_rows_only(self):
+        rng = np.random.default_rng(5)
+        ds = ff.Dataset.from_dense(rng.normal(size=(20, 2)))
+        forest = ff.train(ds, ff.ForestConfig(mode="unsupervised", n_trees=4,
+                                              seed=2))
+        index = ff.build_leaf_index(forest)
+        for t, leaf, rows in leaf_groups(index, forest):
+            np.testing.assert_array_equal(
+                rows, np.flatnonzero(forest.leaf_of_train[:20, t] == leaf))
 
 
 class TestTopK:

@@ -1,29 +1,31 @@
-"""Random forest training and evaluation.
+"""Random forest training and evaluation over one flat set of trees.
 
 Three modes share one engine: classification, regression, and
-unsupervised. Unsupervised training builds a two-class problem from the
-input: the original rows are class 0 ("real") and an equally sized block
-of synthetic rows — each column independently permuted, which preserves
-every univariate marginal while destroying cross-feature dependencies —
-is class 1. A low OOB error on that problem means the forest found real
-dependency structure to exploit.
+unsupervised, which trains real rows (class 0) against as many synthetic
+rows (class 1) whose columns are permuted independently: every marginal
+is kept, every cross-feature dependency destroyed. Trees grow on
+n-out-of-n bootstrap samples from streams keyed by (seed, tree_id), so
+results are bit-identical at any thread count.
 
-Trees are grown on n-out-of-n bootstrap samples; each tree's random
-stream is keyed by (seed, tree_id), so results are bit-identical at any
-thread count.
+A Forest stores all its trees as one set of concatenated node arrays.
+Every reader that routes rows through the trees (leaf assignment,
+prediction, query leaves, importance perturbations) uses one walk,
+`_walk`, which moves all (row, tree) cells down a level per numpy step.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .dataset import Dataset
 from .errors import ArgumentError, ConfigError
-from .rng import ROOT_ROUTE, child_route, node_rng, synthetic_rng, tree_rng
+from .rng import (ROOT_ROUTE, STREAM_LIMIT, child_route, node_rng,
+                  synthetic_rng, tree_rng)
 from .splitfind import find_node_split
 
 MODES = ("classification", "regression", "unsupervised")
@@ -56,8 +58,9 @@ class ForestConfig:
     def validate(self) -> None:
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}")
-        if self.n_trees < 1:
-            raise ConfigError("n_trees must be >= 1")
+        if not 1 <= self.n_trees <= STREAM_LIMIT:
+            raise ConfigError(f"n_trees must be in 1..{STREAM_LIMIT}: random "
+                              "streams are keyed by tree id")
         if self.split_strategy not in STRATEGIES:
             raise ConfigError(f"unknown split strategy {self.split_strategy!r}")
         if self.n_bins < 2:
@@ -75,8 +78,7 @@ class ForestConfig:
         if self.mtry is not None:
             if self.mtry > n_features:
                 raise ConfigError(
-                    f"mtry {self.mtry} exceeds n_features {n_features}"
-                )
+                    f"mtry {self.mtry} exceeds n_features {n_features}")
             return self.mtry
         if self.mode == "regression":
             return max(1, n_features // 3)
@@ -90,17 +92,18 @@ class ForestConfig:
 
 @dataclass
 class Tree:
-    """One grown tree as parallel node arrays.
+    """One tree as parallel node arrays.
 
-    Internal nodes have feature >= 0 and children; leaves have
-    feature == -1 and a dense leaf_id in 0..n_leaves-1. value holds the
-    in-bag class counts (n_nodes, K) for classification or the in-bag
-    target mean (n_nodes,) for regression. Traversal sends a sample left
-    iff value <= threshold.
+    Internal nodes have feature >= 0 and children (node indices local to
+    the tree); leaves have feature == -1 and a dense leaf_id in
+    0..n_leaves-1. value holds the in-bag class counts (n_nodes, K) or,
+    for regression, the in-bag target mean. A sample goes left iff its
+    value <= threshold. split_gain is the gain credited to each feature.
+    held_out_left, set only by `train_held_out` and never saved, says per
+    node whether a row whose split feature is held out goes left.
 
-    held_out_left is set only on trees grown with held-out cells (see
-    `train_held_out`): per node, True when a row whose split feature is
-    held out goes left. It is never saved; other trees leave it None.
+    A Forest built from Trees copies their arrays into its flat storage
+    and rebinds each field to a view of it, so writes show in both.
     """
 
     feature: np.ndarray
@@ -111,14 +114,7 @@ class Tree:
     n_node: np.ndarray
     value: np.ndarray
     split_gain: np.ndarray
-    leaf_nodes: np.ndarray = field(default=None)
     held_out_left: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.leaf_nodes is None:
-            leaves = np.flatnonzero(self.leaf_id >= 0)
-            order = np.argsort(self.leaf_id[leaves])
-            self.leaf_nodes = leaves[order].astype(np.int32)
 
     @property
     def n_nodes(self) -> int:
@@ -126,56 +122,40 @@ class Tree:
 
     @property
     def n_leaves(self) -> int:
-        return len(self.leaf_nodes)
+        return int(np.count_nonzero(self.feature < 0))
 
     def apply_nodes(self, data, rows, override=None, held_out=None) -> np.ndarray:
-        """Terminal node index for each row; override replaces one feature.
-
-        held_out, a bool mask over data's cells, routes a row whose split
-        feature is held out to the node's held_out_left side unread.
-        """
+        """Terminal node of each row by `_walk`; override = (feature, values)."""
         rows = np.asarray(rows, dtype=np.int64)
-        out = np.empty(len(rows), dtype=np.int32)
-        if len(rows) == 0:
-            return out
-        stack = [(0, np.arange(len(rows)))]
-        while stack:
-            node, pos = stack.pop()
-            f = self.feature[node]
-            if f < 0:
-                out[pos] = node
-                continue
-            if override is not None and override[0] == f:
-                v = override[1][pos]
-            else:
-                v = _gather(data, rows[pos], int(f))
-            go_left = v <= self.threshold[node]
-            if held_out is not None:
-                go_left = np.where(held_out[rows[pos], f],
-                                   self.held_out_left[node], go_left)
-            left_pos = pos[go_left]
-            right_pos = pos[~go_left]
-            if len(left_pos):
-                stack.append((int(self.left[node]), left_pos))
-            if len(right_pos):
-                stack.append((int(self.right[node]), right_pos))
-        return out
+        if override is not None:
+            override = (np.full(len(rows), override[0]), np.asarray(override[1]))
+        return _walk(self, data, rows, np.zeros_like(rows), override,
+                     held_out).astype(np.int32)
 
     def apply(self, data, rows, override=None, held_out=None) -> np.ndarray:
         """Leaf id for each row."""
         return self.leaf_id[self.apply_nodes(data, rows, override, held_out)]
 
     def leaf_value(self, leaf_ids) -> np.ndarray:
-        return self.value[self.leaf_nodes[np.asarray(leaf_ids)]]
+        leaves = np.flatnonzero(self.feature < 0)
+        return self.value[leaves[np.argsort(self.leaf_id[leaves])][leaf_ids]]
 
-    def predicted_class(self, leaf_ids) -> np.ndarray:
-        """Per-leaf majority class (ties resolve to the lower class id)."""
-        return np.argmax(self.leaf_value(leaf_ids), axis=-1)
+
+# per-node fields, stored concatenated over a forest's trees
+_NODE_FIELDS = ("feature", "threshold", "left", "right", "leaf_id", "n_node",
+                "value", "held_out_left")
 
 
 @dataclass
 class Forest:
-    """A trained forest plus the per-row training bookkeeping.
+    """A trained forest in one set of node arrays, plus per-row bookkeeping.
+
+    The forest concatenates its Trees' node fields (_NODE_FIELDS) tree
+    after tree; tree t owns nodes node_offset[t]:node_offset[t + 1], and
+    its children and leaf ids stay local, as in a model file. Leaf `leaf`
+    of tree t has the global id leaf_offset[t] + leaf; leaf_nodes maps
+    global leaf ids to nodes. split_gain is (T, n_features). `trees`
+    keeps the Tree objects, each field now a view of the tree's slice.
 
     inbag_counts[i, t] is row i's multiplicity in tree t's bootstrap;
     a zero marks the row out-of-bag. leaf_of_train[i, t] is the leaf id
@@ -193,6 +173,25 @@ class Forest:
     synthetic_offset: int | None
     oob_error: float
     oob_skipped: int
+
+    def __post_init__(self):
+        trees = self.trees
+        self.node_offset = np.cumsum([0] + [tree.n_nodes for tree in trees])
+        for name in _NODE_FIELDS:
+            parts = [getattr(tree, name) for tree in trees]
+            setattr(self, name, None if parts[0] is None else np.concatenate(parts))
+        self.split_gain = np.stack([tree.split_gain for tree in trees])
+        leaves = np.flatnonzero(self.feature < 0)
+        self.leaf_offset = np.searchsorted(leaves, self.node_offset)
+        # each tree's leaves in leaf-id order
+        owner = self.node_tree()[leaves]
+        self.leaf_nodes = leaves[np.lexsort((self.leaf_id[leaves], owner))]
+        for t, tree in enumerate(trees):
+            a, b = self.node_offset[t:t + 2]
+            for name in _NODE_FIELDS:
+                flat = getattr(self, name)
+                setattr(tree, name, None if flat is None else flat[a:b])
+            tree.split_gain = self.split_gain[t]
 
     @property
     def mode(self) -> str:
@@ -216,6 +215,14 @@ class Forest:
     def oob_mask(self) -> np.ndarray:
         return self.inbag_counts == 0
 
+    def node_tree(self) -> np.ndarray:
+        """The tree that owns each node."""
+        return np.repeat(np.arange(self.n_trees), np.diff(self.node_offset))
+
+    def node_of_leaf(self, leaves) -> np.ndarray:
+        """Global node of each leaf id in an (..., T) array of per-tree leaves."""
+        return self.leaf_nodes[self.leaf_offset[:-1] + leaves]
+
 
 @dataclass
 class OOBResult:
@@ -224,18 +231,69 @@ class OOBResult:
     n_evaluated: int
 
 
-# -- column access over dense arrays and Datasets --------------------------
+# -- column access and the walk ---------------------------------------------
 
-def _gather(data, rows, feature):
+def _read(data, rows, feats):
+    """data's value at each (rows[c], feats[c]); one gather per CSR column."""
     if isinstance(data, np.ndarray):
-        return data[rows, feature]
-    return data.gather_column(rows, feature)
+        return data[rows, feats]
+    out = np.empty(len(rows), dtype=np.float64)
+    for k in np.unique(feats).tolist():
+        sel = feats == k
+        out[sel] = data.gather_column(rows[sel], k)
+    return out
 
 
-def _data_rows(data):
-    if isinstance(data, np.ndarray):
-        return data.shape[0]
-    return data.n_rows
+def _walk(nodes, data, rows, start, override=None, held_out=None) -> np.ndarray:
+    """Terminal node of every cell; all cells move down one level per step.
+
+    `nodes` is a Forest or a Tree (children local to their tree). Cell c
+    walks row rows[c] of data (dense array or CSR Dataset) from the root
+    at node start[c]. override = (feature, value), arrays over the cells,
+    replaces cell c's value of feature[c] with value[c]. held_out, a bool
+    mask over data's cells, sends a cell whose split feature is held out
+    to the node's held_out_left side unread. Returns global node ids.
+    """
+    node = start.copy()
+    live = np.arange(len(node))
+    while live.size:
+        at = node[live]
+        feat = nodes.feature[at]
+        inner = feat >= 0
+        live, at, feat = live[inner], at[inner], feat[inner]
+        r = rows[live]
+        v = _read(data, r, feat)
+        if override is not None:
+            v = np.where(override[0][live] == feat, override[1][live], v)
+        go_left = v <= nodes.threshold[at]
+        if held_out is not None:
+            go_left = np.where(held_out[r, feat], nodes.held_out_left[at],
+                               go_left)
+        node[live] = start[live] + np.where(go_left, nodes.left[at],
+                                            nodes.right[at])
+    return node
+
+
+def _node_grid(forest: Forest, data, n_rows: int, held_out=None) -> np.ndarray:
+    """(n_rows, T) global terminal node of every row of data in every tree."""
+    T = forest.n_trees
+    step = max(1, (1 << 16) // T)  # rows per walk: bounds its temporaries
+    blocks = [np.arange(a, min(a + step, n_rows))
+              for a in range(0, max(n_rows, 1), step)]
+    return np.concatenate([_walk(
+        forest, data, np.repeat(b, T), np.tile(forest.node_offset[:-1], len(b)),
+        held_out=held_out) for b in blocks]).reshape(n_rows, T)
+
+
+def _tree_sum(per_node, nodes, keep=None) -> np.ndarray:
+    """Sum of per_node[nodes[:, t]] over trees in order, cells in keep only."""
+    acc = np.zeros(nodes.shape[:1] + per_node.shape[1:], dtype=np.float64)
+    for t in range(nodes.shape[1]):
+        col = per_node[nodes[:, t]]
+        if keep is not None:
+            col[~keep[:, t]] = 0.0
+        acc += col
+    return acc
 
 
 # -- synthetic rows --------------------------------------------------------
@@ -282,22 +340,49 @@ def generate_synthetic(ds: Dataset, seed: int) -> Dataset:
                             np.concatenate(vals)[order], m, schema=ds.schema)
 
 
-def _training_data(ds: Dataset, mode: str, seed: int):
-    """The matrix trees are grown on: a dense array, or ds itself for CSR.
+class _TrainingView:
+    """The rows a forest is grown on: labels, real-row count and columns.
 
-    Unsupervised forests grow on ds's rows followed by its synthetic
-    rows; for CSR the two are joined into one CSR Dataset.
+    Labels are checked against the mode. An unsupervised forest grows on
+    ds's rows (label 0) and a column-permuted synthetic copy (label 1);
+    `columns` joins the two on first use, into one CSR Dataset for CSR.
     """
-    if mode != "unsupervised":
-        return ds.values if not ds.is_sparse else ds
-    synthetic = generate_synthetic(ds, seed)
-    if not ds.is_sparse:
-        return np.vstack([ds.values, synthetic.values])
-    return Dataset.from_csr(
-        np.concatenate([ds.indptr, synthetic.indptr[1:] + ds.indptr[-1]]),
-        np.concatenate([ds.indices, synthetic.indices]),
-        np.concatenate([ds.data, synthetic.data]),
-        ds.n_features, schema=ds.schema)
+
+    def __init__(self, ds: Dataset, mode: str, seed: int):
+        self.ds, self.seed, self.n_real = ds, seed, ds.n_rows
+        self.unsupervised, target = mode == "unsupervised", ds.target
+        self.n_classes = None
+        if self.unsupervised:
+            if target is not None:
+                raise ConfigError("unsupervised mode takes no target")
+            self.y, self.n_classes = np.repeat(np.arange(2), ds.n_rows), 2
+        elif target is None:
+            raise ConfigError(f"{mode} requires a target")
+        elif not np.all(np.isfinite(target)):
+            raise ConfigError(f"{mode} target must be finite")
+        elif mode == "regression":
+            self.y = target.astype(np.float64)
+        elif np.any(target != np.floor(target)) or target.min() < 0:
+            raise ConfigError(
+                "classification target must be integer labels >= 0")
+        else:
+            self.y = target.astype(np.int64)
+            self.n_classes = int(self.y.max()) + 1
+
+    @cached_property
+    def columns(self):
+        """The matrix trees are grown on: a dense array, or a CSR Dataset."""
+        ds = self.ds
+        if not self.unsupervised:
+            return ds if ds.is_sparse else ds.values
+        synthetic = generate_synthetic(ds, self.seed)
+        if not ds.is_sparse:
+            return np.vstack([ds.values, synthetic.values])
+        return Dataset.from_csr(
+            np.concatenate([ds.indptr, synthetic.indptr[1:] + ds.indptr[-1]]),
+            np.concatenate([ds.indices, synthetic.indices]),
+            np.concatenate([ds.data, synthetic.data]),
+            ds.n_features, schema=ds.schema)
 
 
 # -- growth ----------------------------------------------------------------
@@ -329,46 +414,32 @@ def _observed_split(cols, feats, y, held, categorical, **kw):
 def _grow_tree(data, y, tree_id, *, task, n_classes, n_features, mtry,
                min_node_size, max_depth, strategy, n_bins, seed,
                categorical, held_out=None):
-    n_rows = _data_rows(data)
+    n_rows = len(y)
     rng = tree_rng(seed, tree_id)
     draw = rng.integers(0, n_rows, size=n_rows)
     inbag = np.bincount(draw, minlength=n_rows).astype(np.uint16)
 
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    leaf_id: list[int] = []
-    n_node: list[int] = []
-    values: list[np.ndarray | float] = []
-    held_left: list[bool] = []
+    # a sample of n_rows rows fills at most n_rows leaves
+    cap = 2 * n_rows - 1
+    feature, left, right, leaf_id = (np.full(cap, _LEAF, dtype=np.int32)
+                                     for _ in range(4))
+    threshold = np.full(cap, np.nan)
+    n_node = np.zeros(cap, dtype=np.int64)
+    value = np.zeros((cap, n_classes) if task == "classification" else cap)
+    held_left = np.zeros(cap, dtype=bool)
     split_gain = np.zeros(n_features, dtype=np.float64)
-
-    def new_node():
-        feature.append(_LEAF)
-        threshold.append(np.nan)
-        left.append(_LEAF)
-        right.append(_LEAF)
-        leaf_id.append(_LEAF)
-        n_node.append(0)
-        values.append(None)
-        held_left.append(False)
-        return len(feature) - 1
-
-    next_leaf = 0
-    root = new_node()
-    stack = [(root, draw, 0, ROOT_ROUTE)]
+    n_made, next_leaf = 1, 0
+    stack = [(0, draw, 0, ROOT_ROUTE)]
     while stack:
         node, rows, depth, route = stack.pop()
         yv = y[rows]
         n = len(rows)
         n_node[node] = n
         if task == "classification":
-            counts = np.bincount(yv, minlength=n_classes).astype(np.float64)
-            values[node] = counts
-            pure = counts.max() == n
+            value[node] = np.bincount(yv, minlength=n_classes)
+            pure = value[node].max() == n
         else:
-            values[node] = float(yv.mean())
+            value[node] = yv.mean()
             pure = bool(np.all(yv == yv[0]))
 
         split = None
@@ -377,9 +448,10 @@ def _grow_tree(data, y, tree_id, *, task, n_classes, n_features, mtry,
             feats = node_rng(seed, tree_id, route).choice(
                 n_features, size=mtry, replace=False)
             feats.sort()
-            cols = np.empty((n, mtry), dtype=np.float64)
-            for j, f in enumerate(feats):
-                cols[:, j] = _gather(data, rows, int(f))
+            if isinstance(data, np.ndarray):
+                cols = data[rows[:, None], feats]
+            else:
+                cols = np.column_stack([data.gather_column(rows, f) for f in feats])
             cat = categorical[feats] if categorical is not None else None
             held = held_out[np.ix_(rows, feats)] if held_out is not None else None
             if held is not None and held.any():
@@ -412,37 +484,18 @@ def _grow_tree(data, y, tree_id, *, task, n_classes, n_features, mtry,
         feature[node] = split.feature
         threshold[node] = split.threshold
         split_gain[split.feature] += split.gain * n
-        left[node] = new_node()
-        right[node] = new_node()
+        left[node], right[node] = n_made, n_made + 1
+        n_made += 2
         stack.append((right[node], rows[~go_left], depth + 1,
                       child_route(route, True)))
         stack.append((left[node], rows[go_left], depth + 1,
                       child_route(route, False)))
 
-    if task == "classification":
-        value_arr = np.vstack(values)
-    else:
-        value_arr = np.asarray(values, dtype=np.float64)
-    tree = Tree(
-        feature=np.array(feature, dtype=np.int32),
-        threshold=np.array(threshold, dtype=np.float64),
-        left=np.array(left, dtype=np.int32),
-        right=np.array(right, dtype=np.int32),
-        leaf_id=np.array(leaf_id, dtype=np.int32),
-        n_node=np.array(n_node, dtype=np.int64),
-        value=value_arr,
+    return Tree(*(a[:n_made].copy() for a in (
+        feature, threshold, left, right, leaf_id, n_node, value)),
         split_gain=split_gain,
-        held_out_left=np.array(held_left) if held_out is not None else None,
-    )
-    return tree, inbag
-
-
-def _class_labels(ds: Dataset) -> tuple[np.ndarray, int]:
-    t = ds.target
-    if not np.all(np.isfinite(t)) or np.any(t != np.floor(t)) or t.min() < 0:
-        raise ConfigError("classification target must be integer labels >= 0")
-    y = t.astype(np.int64)
-    return y, int(y.max()) + 1
+        held_out_left=held_left[:n_made].copy() if held_out is not None
+        else None), inbag
 
 
 def train(ds: Dataset, config: ForestConfig, *, n_threads: int = 1) -> Forest:
@@ -485,41 +538,18 @@ def _train(ds: Dataset, config: ForestConfig, n_threads: int,
     config.validate()
     if ds.n_rows == 0 or ds.n_features == 0:
         raise ArgumentError("cannot train on an empty dataset")
+    if ds.n_features > STREAM_LIMIT:
+        raise ConfigError(f"n_features must be <= {STREAM_LIMIT}: random "
+                          "streams are keyed by feature id")
     if ds.has_missing:
         raise ArgumentError(
             "dataset contains missing values; run imputation first")
 
-    mode = config.mode
-    synthetic_offset = None
-    if mode == "classification":
-        if ds.target is None:
-            raise ConfigError("classification requires a target")
-        y, n_classes = _class_labels(ds)
-        task = "classification"
-    elif mode == "regression":
-        if ds.target is None:
-            raise ConfigError("regression requires a target")
-        if not np.all(np.isfinite(ds.target)):
-            raise ConfigError("regression target must be finite")
-        y = ds.target.astype(np.float64)
-        n_classes = 0
-        task = "regression"
-    else:
-        if ds.target is not None:
-            raise ConfigError("unsupervised mode takes no target")
-        if held_out is not None:
-            held_out = np.vstack(
-                [held_out, _permute_columns(held_out, config.seed)])
-        y = np.concatenate([
-            np.zeros(ds.n_rows, dtype=np.int64),
-            np.ones(ds.n_rows, dtype=np.int64),
-        ])
-        n_classes = 2
-        task = "classification"
-        synthetic_offset = ds.n_rows
-
-    data = _training_data(ds, mode, config.seed)
-    n_train = _data_rows(data)
+    view = _TrainingView(ds, config.mode, config.seed)
+    if held_out is not None and view.unsupervised:
+        held_out = np.vstack([held_out, _permute_columns(held_out, config.seed)])
+    data = view.columns
+    task = "regression" if config.mode == "regression" else "classification"
     mtry = config.resolved_mtry(ds.n_features)
     min_node = config.resolved_min_node_size()
     categorical = ds.schema.is_categorical()
@@ -528,7 +558,7 @@ def _train(ds: Dataset, config: ForestConfig, n_threads: int,
 
     def grow(t):
         return _grow_tree(
-            data, y, t, task=task, n_classes=n_classes,
+            data, view.y, t, task=task, n_classes=view.n_classes or 0,
             n_features=ds.n_features, mtry=mtry, min_node_size=min_node,
             max_depth=config.max_depth, strategy=config.split_strategy,
             n_bins=config.n_bins, seed=config.seed, categorical=categorical,
@@ -543,24 +573,19 @@ def _train(ds: Dataset, config: ForestConfig, n_threads: int,
     else:
         grown = [grow(t) for t in range(config.n_trees)]
 
-    trees = [g[0] for g in grown]
-    inbag = np.column_stack([g[1] for g in grown])
-    all_rows = np.arange(n_train)
-    leaf_of_train = np.column_stack(
-        [tree.apply(data, all_rows, held_out=held_out) for tree in trees]
-    ).astype(np.int32)
-
     forest = Forest(
         config=replace(config),
-        trees=trees,
-        inbag_counts=inbag,
-        leaf_of_train=leaf_of_train,
+        trees=[g[0] for g in grown],
+        inbag_counts=np.column_stack([g[1] for g in grown]),
+        leaf_of_train=None,
         n_features=ds.n_features,
-        n_classes=n_classes if task == "classification" else None,
-        synthetic_offset=synthetic_offset,
+        n_classes=view.n_classes,
+        synthetic_offset=view.n_real if view.unsupervised else None,
         oob_error=np.nan,
         oob_skipped=0,
     )
+    forest.leaf_of_train = forest.leaf_id[
+        _node_grid(forest, data, len(view.y), held_out)]
     oob = oob_error(forest, ds)
     forest.oob_error = oob.value
     forest.oob_skipped = oob.n_skipped
@@ -578,8 +603,7 @@ def _query_matrix(forest: Forest, query) -> tuple:
                 f"model expects {forest.n_features}")
         if not query.is_filled:
             raise ArgumentError("query contains missing values")
-        data = query.values if not query.is_sparse else query
-        return data, query.n_rows
+        return (query if query.is_sparse else query.values), query.n_rows
     arr = np.asarray(query, dtype=np.float64)
     if arr.ndim == 1:
         arr = arr[None, :]
@@ -597,23 +621,15 @@ def predict_proba(forest: Forest, query) -> np.ndarray:
     if forest.n_classes is None:
         raise ConfigError("predict_proba requires a classification-style forest")
     data, nq = _query_matrix(forest, query)
-    rows = np.arange(nq)
-    acc = np.zeros((nq, forest.n_classes), dtype=np.float64)
-    for tree in forest.trees:
-        counts = tree.value[tree.apply_nodes(data, rows)]
-        acc += counts / counts.sum(axis=1, keepdims=True)
-    return acc / forest.n_trees
+    votes = forest.value / forest.value.sum(axis=1, keepdims=True)
+    return _tree_sum(votes, _node_grid(forest, data, nq)) / forest.n_trees
 
 
 def predict(forest: Forest, query) -> np.ndarray:
     """Predicted class labels (ties to the lower id) or regression means."""
     if forest.mode == "regression":
         data, nq = _query_matrix(forest, query)
-        rows = np.arange(nq)
-        acc = np.zeros(nq, dtype=np.float64)
-        for tree in forest.trees:
-            acc += tree.value[tree.apply_nodes(data, rows)]
-        return acc / forest.n_trees
+        return _tree_sum(forest.value, _node_grid(forest, data, nq)) / forest.n_trees
     return np.argmax(predict_proba(forest, query), axis=1)
 
 
@@ -633,27 +649,10 @@ def leaf_of(forest: Forest, tree_id: int, query) -> int:
 
 def _query_leaves(forest: Forest, query) -> np.ndarray:
     """(T,) leaf ids a single complete feature vector reaches, per tree."""
-    vec = np.asarray(query, dtype=np.float64)
-    if vec.ndim != 1 or vec.shape[0] != forest.n_features:
+    if np.ndim(query) != 1:
         raise ArgumentError("query must be a vector of n_features values")
-    if not np.all(np.isfinite(vec)):
-        raise ArgumentError("query contains non-finite values")
-    return np.array([tree.apply(vec[None, :], np.array([0]))[0]
-                     for tree in forest.trees])
-
-
-def _train_labels(forest: Forest, ds: Dataset) -> np.ndarray:
-    """Labels for the forest's training matrix, rebuilt from ds."""
-    if forest.mode == "unsupervised":
-        n = forest.synthetic_offset
-        return np.concatenate([
-            np.zeros(n, dtype=np.int64),
-            np.ones(forest.n_train_rows - n, dtype=np.int64)])
-    if ds.target is None:
-        raise ConfigError("dataset has no target")
-    if forest.mode == "classification":
-        return ds.target.astype(np.int64)
-    return ds.target.astype(np.float64)
+    data, _ = _query_matrix(forest, query)
+    return forest.leaf_id[_node_grid(forest, data, 1)[0]]
 
 
 def oob_error(forest: Forest, ds: Dataset) -> OOBResult:
@@ -664,32 +663,18 @@ def oob_error(forest: Forest, ds: Dataset) -> OOBResult:
     """
     if ds.n_rows != forest.n_scored_rows:
         raise ArgumentError("dataset row count does not match the forest")
-    y = _train_labels(forest, ds)
-    n_train = forest.n_train_rows
+    y = _TrainingView(ds, forest.mode, forest.config.seed).y
     oob = forest.oob_mask()
-    n_oob = oob.sum(axis=1)
-
+    seen = oob.any(axis=1)
+    n_seen = int(seen.sum())
+    if n_seen == 0:
+        return OOBResult(float("nan"), forest.n_train_rows, 0)
+    nodes = forest.node_of_leaf(forest.leaf_of_train)
     if forest.mode == "regression":
-        acc = np.zeros(n_train, dtype=np.float64)
-        for t, tree in enumerate(forest.trees):
-            rows = np.flatnonzero(oob[:, t])
-            acc[rows] += tree.leaf_value(forest.leaf_of_train[rows, t])
-        evaluated = n_oob > 0
-        if not evaluated.any():
-            return OOBResult(float("nan"), n_train, 0)
-        pred = acc[evaluated] / n_oob[evaluated]
-        mse = float(np.mean((pred - y[evaluated]) ** 2))
-        return OOBResult(mse, int(n_train - evaluated.sum()),
-                         int(evaluated.sum()))
-
-    prob = np.zeros((n_train, forest.n_classes), dtype=np.float64)
-    for t, tree in enumerate(forest.trees):
-        rows = np.flatnonzero(oob[:, t])
-        counts = tree.leaf_value(forest.leaf_of_train[rows, t])
-        prob[rows] += counts / counts.sum(axis=1, keepdims=True)
-    evaluated = n_oob > 0
-    if not evaluated.any():
-        return OOBResult(float("nan"), n_train, 0)
-    pred = np.argmax(prob[evaluated], axis=1)
-    err = float(np.mean(pred != y[evaluated]))
-    return OOBResult(err, int(n_train - evaluated.sum()), int(evaluated.sum()))
+        pred = _tree_sum(forest.value, nodes, oob)[seen] / oob.sum(axis=1)[seen]
+        value = float(np.mean((pred - y[seen]) ** 2))
+    else:
+        votes = forest.value / forest.value.sum(axis=1, keepdims=True)
+        votes = _tree_sum(votes, nodes, oob)[seen]
+        value = float(np.mean(np.argmax(votes, axis=1) != y[seen]))
+    return OOBResult(value, forest.n_train_rows - n_seen, n_seen)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import ArgumentError, ConfigError
-from .forest import Forest, _gather, _train_labels, _training_data
+from .forest import Forest, _read, _TrainingView, _walk
 from .rng import donor_rng, permute_rng
 
 
@@ -57,21 +57,34 @@ def counted_trees(forest: Forest, ds: Dataset) -> np.ndarray:
     n = forest.n_scored_rows
     if ds.n_rows != n:
         raise ArgumentError("dataset row count does not match the forest")
-    mask = forest.oob_mask()[:n].copy()
+    mask = forest.oob_mask()[:n]
     if forest.mode == "regression":
         return mask
-    y = _train_labels(forest, ds)[:n]
-    for t, tree in enumerate(forest.trees):
-        rows = np.flatnonzero(mask[:, t])
-        if rows.size == 0:
-            continue
-        pred = tree.predicted_class(forest.leaf_of_train[rows, t])
-        mask[rows, t] = pred == y[rows]
-    return mask
+    y = _TrainingView(ds, forest.mode, forest.config.seed).y[:n]
+    nodes = forest.node_of_leaf(forest.leaf_of_train[:n])
+    return mask & (np.argmax(forest.value, axis=1)[nodes] == y[:, None])
 
 
-def _used_features(tree) -> np.ndarray:
-    return np.unique(tree.feature[tree.feature >= 0])
+def _cells(forest: Forest, marked: np.ndarray):
+    """One cell per (tree t, feature k that t splits on, row marked in t).
+
+    Cells run by tree, then feature, then row. Returns the cells' rows,
+    trees and features, and each non-empty run as (t, k, start, end).
+    """
+    inner = forest.feature >= 0
+    used = np.zeros((forest.n_trees, forest.n_features), dtype=bool)
+    used[forest.node_tree()[inner], forest.feature[inner]] = True
+    pair_tree, pair_feat = np.nonzero(used)
+    owner, marked_rows = np.nonzero(marked.T)
+    first = np.searchsorted(owner, np.arange(forest.n_trees + 1))
+    size = np.diff(first)[pair_tree]
+    bounds = np.cumsum(np.concatenate([[0], size]))
+    rows = marked_rows[np.repeat(first[pair_tree] - bounds[:-1], size)
+                       + np.arange(bounds[-1])]
+    runs = [run for run in zip(pair_tree.tolist(), pair_feat.tolist(),
+                               bounds[:-1].tolist(), bounds[1:].tolist())
+            if run[2] < run[3]]
+    return rows, np.repeat(pair_tree, size), np.repeat(pair_feat, size), runs
 
 
 def _local_perturbation(forest: Forest, ds: Dataset, *, n_repeats: int,
@@ -80,7 +93,7 @@ def _local_perturbation(forest: Forest, ds: Dataset, *, n_repeats: int,
 
     Returns (local_prox, local_var, n_effective). Donor draws are keyed
     by (seed, tree, feature), so computing the measures separately or
-    together yields identical matrices.
+    together yields identical matrices. One walk per donor draw.
     """
     if donors not in ("sample", "exhaustive"):
         raise ArgumentError(f"unknown donor mode {donors!r}")
@@ -88,50 +101,44 @@ def _local_perturbation(forest: Forest, ds: Dataset, *, n_repeats: int,
         raise ArgumentError("n_repeats must be >= 1")
     if seed is None:
         seed = forest.config.seed
-    n = forest.n_scored_rows
-    m = forest.n_features
+    n, m = forest.n_scored_rows, forest.n_features
     counted = counted_trees(forest, ds)
     n_eff = counted.sum(axis=1)
-    y = _train_labels(forest, ds)[:n]
+    y = _TrainingView(ds, forest.mode, forest.config.seed).y[:n]
     regression = forest.mode == "regression"
-    data = ds.values if not ds.is_sparse else ds
+    data = ds if ds.is_sparse else ds.values
 
-    prox_hits = np.zeros((n, m), dtype=np.float64)
-    var_hits = np.zeros((n, m), dtype=np.float64)
-    draws = n_repeats if donors == "sample" else n
+    rows, trees, feats, runs = _cells(forest, counted)
+    start = forest.node_offset[trees]
+    orig = forest.node_of_leaf(forest.leaf_of_train[:n])[rows, trees]
+    if regression:
+        orig_sqerr = (forest.value[orig] - y[rows]) ** 2
+    else:
+        predicted = np.argmax(forest.value, axis=1)
+    if donors == "sample":
+        ids = np.concatenate([np.empty((0, n_repeats), dtype=np.int64)] + [
+            donor_rng(seed, t, k).integers(0, n, size=(b - a, n_repeats))
+            for t, k, a, b in runs])
+        draws = ids.T
+    else:
+        draws = (np.full(len(rows), d) for d in range(n))
 
-    for t, tree in enumerate(forest.trees):
-        rows = np.flatnonzero(counted[:, t])
-        if rows.size == 0:
-            continue
-        orig_leaf = forest.leaf_of_train[rows, t]
+    slot = rows * m + feats
+    prox_hits = np.zeros(n * m, dtype=np.float64)
+    var_hits = np.zeros(n * m, dtype=np.float64)
+    for donor in draws:
+        new = _walk(forest, data, rows, start, (feats, _read(data, donor, feats)))
+        prox_hits += np.bincount(slot, weights=new != orig, minlength=n * m)
         if regression:
-            orig_sqerr = (tree.leaf_value(orig_leaf) - y[rows]) ** 2
-        for k in _used_features(tree):
-            k = int(k)
-            if donors == "sample":
-                donor_ids = donor_rng(seed, t, k).integers(
-                    0, n, size=(rows.size, n_repeats))
-                reps = [ds.gather_column(donor_ids[:, r], k)
-                        for r in range(n_repeats)]
-            else:
-                column = ds.gather_column(np.arange(n), k)
-                reps = [np.full(rows.size, v) for v in column]
-            for vals in reps:
-                new_leaf = tree.apply(data, rows, override=(k, vals))
-                moved = new_leaf != orig_leaf
-                prox_hits[rows, k] += moved
-                if regression:
-                    new_sqerr = (tree.leaf_value(new_leaf) - y[rows]) ** 2
-                    var_hits[rows, k] += new_sqerr > orig_sqerr
-                else:
-                    wrong = tree.predicted_class(new_leaf) != y[rows]
-                    var_hits[rows, k] += wrong
+            worse = (forest.value[new] - y[rows]) ** 2 > orig_sqerr
+        else:
+            worse = predicted[new] != y[rows]
+        var_hits += np.bincount(slot, weights=worse, minlength=n * m)
 
-    scale = np.where(n_eff > 0, n_eff * draws, 1).astype(np.float64)
-    local_prox = prox_hits / scale[:, None]
-    local_var = var_hits / scale[:, None]
-    return local_prox, local_var, n_eff
+    n_draws = n_repeats if donors == "sample" else n
+    scale = np.where(n_eff > 0, n_eff * n_draws, 1).astype(np.float64)
+    return (prox_hits.reshape(n, m) / scale[:, None],
+            var_hits.reshape(n, m) / scale[:, None], n_eff)
 
 
 def local_proximity_importance(forest: Forest, ds: Dataset, *,
@@ -184,9 +191,7 @@ def overall_variable_importance(forest: Forest, ds: Dataset,
     splits, normalized to sum 1.
     """
     if method == "split_gain":
-        totals = np.zeros(forest.n_features, dtype=np.float64)
-        for tree in forest.trees:
-            totals += tree.split_gain
+        totals = forest.split_gain.sum(axis=0)  # tree by tree, in order
         s = totals.sum()
         return totals / s if s > 0 else totals
     if method != "permutation":
@@ -196,33 +201,28 @@ def overall_variable_importance(forest: Forest, ds: Dataset,
         seed = forest.config.seed
     if ds.n_rows != forest.n_scored_rows:
         raise ArgumentError("dataset row count does not match the forest")
-    data = _training_data(ds, forest.mode, forest.config.seed)
-    y = _train_labels(forest, ds)
-    oob = forest.oob_mask()
+    view = _TrainingView(ds, forest.mode, forest.config.seed)
+    data, y = view.columns, view.y
     regression = forest.mode == "regression"
-    deltas = np.zeros(forest.n_features, dtype=np.float64)
-    for t, tree in enumerate(forest.trees):
-        rows = np.flatnonzero(oob[:, t])
-        if rows.size == 0:
-            continue
-        orig_leaf = forest.leaf_of_train[rows, t]
+    predicted = None if regression else np.argmax(forest.value, axis=1)
+
+    def score(nodes, rows):
         if regression:
-            base = float(np.mean((tree.leaf_value(orig_leaf) - y[rows]) ** 2))
-        else:
-            base = float(np.mean(
-                tree.predicted_class(orig_leaf) == y[rows]))
-        for k in _used_features(tree):
-            k = int(k)
-            perm = permute_rng(seed, t, k).permutation(rows.size)
-            vals = _gather(data, rows, k)[perm]
-            new_leaf = tree.apply(data, rows, override=(k, vals))
-            if regression:
-                mse = float(np.mean((tree.leaf_value(new_leaf) - y[rows]) ** 2))
-                deltas[k] += mse - base
-            else:
-                acc = float(np.mean(
-                    tree.predicted_class(new_leaf) == y[rows]))
-                deltas[k] += base - acc
+            return (forest.value[nodes] - y[rows]) ** 2
+        return predicted[nodes] == y[rows]
+
+    # every used feature of every tree, permuted within the tree's OOB rows
+    rows, trees, feats, runs = _cells(forest, forest.oob_mask())
+    perm = np.concatenate([np.empty(0, dtype=np.int64)] + [
+        a + permute_rng(seed, t, k).permutation(b - a) for t, k, a, b in runs])
+    new = _walk(forest, data, rows, forest.node_offset[trees],
+                (feats, _read(data, rows, feats)[perm]))
+    before = score(forest.node_of_leaf(forest.leaf_of_train)[rows, trees], rows)
+    after = score(new, rows)
+    deltas = np.zeros(forest.n_features, dtype=np.float64)
+    for _, k, a, b in runs:
+        base, moved = float(np.mean(before[a:b])), float(np.mean(after[a:b]))
+        deltas[k] += moved - base if regression else base - moved
     return deltas / forest.n_trees
 
 

@@ -6,8 +6,9 @@ counts, leaf assignments). Serialization is canonical — sorted JSON keys,
 fixed dtypes — so identical forests produce byte-identical files, and a
 save/load round trip reproduces predictions and top-K results exactly.
 
-Loading checks every length, count, shape and node link against the
-metadata, so a truncated or corrupted file raises ModelFormatError rather
+Loading checks every length, count and shape against the metadata, then
+every tree's node links and leaf ids in one pass over the forest's node
+arrays, so a truncated or corrupted file raises ModelFormatError rather
 than a low-level error or a forest whose walks never end.
 """
 
@@ -92,21 +93,32 @@ def _unpack_tree(buf: memoryview, offset: int, n_classes, n_features):
     counts = {"value": n * (n_classes or 1), "split_gain": n_features}
     fields = {}
     for name, dtype in _TREE_FIELDS:
-        arr, offset = _take(buf, offset, dtype, counts.get(name, n))
-        fields[name] = arr.astype(dtype[1:])
-    feature, leaf_id = fields["feature"], fields["leaf_id"]
-    inner = np.flatnonzero(feature >= 0)
-    kids = np.concatenate([fields["left"][inner], fields["right"][inner]])
-    leaf_ids = np.sort(leaf_id[feature < 0])
-    # children after their parent: every walk ends at a leaf
-    if not (n >= 1 and feature.min() >= -1 and feature.max() < n_features
-            and (leaf_id[inner] == -1).all()
-            and (leaf_ids == np.arange(len(leaf_ids))).all()
-            and ((kids > np.tile(inner, 2)) & (kids < n)).all()):
-        raise ModelFormatError("tree nodes are inconsistent")
+        fields[name], offset = _take(buf, offset, dtype, counts.get(name, n))
     if n_classes:
         fields["value"] = fields["value"].reshape(n, n_classes)
     return Tree(**fields), offset
+
+
+def _check_forest(forest: Forest) -> None:
+    """One pass over the concatenated node arrays, each node in its tree."""
+    sizes, owner = np.diff(forest.node_offset), forest.node_tree()
+    feature, inner = forest.feature, forest.feature >= 0
+    local = np.arange(len(feature)) - forest.node_offset[owner]
+    kids = np.concatenate([forest.left[inner], forest.right[inner]])
+    rank = (np.arange(len(forest.leaf_nodes))
+            - forest.leaf_offset[owner[forest.leaf_nodes]])
+    # children after their parent and inside its tree, so every walk ends
+    # at a leaf; each tree's leaf ids are exactly 0..n_leaves-1
+    if not ((sizes >= 1).all() and feature.min() >= -1
+            and feature.max() < forest.n_features
+            and (forest.leaf_id[inner] == -1).all()
+            and (forest.leaf_id[forest.leaf_nodes] == rank).all()
+            and ((kids > np.tile(local[inner], 2))
+                 & (kids < np.tile(sizes[owner[inner]], 2))).all()):
+        raise ModelFormatError("tree nodes are inconsistent")
+    leaves = forest.leaf_of_train
+    if np.any(leaves < 0) or np.any(leaves >= np.diff(forest.leaf_offset)):
+        raise ModelFormatError("leaf assignment beyond its tree's leaves")
 
 
 def _schema_to_json(schema: FeatureSchema):
@@ -226,20 +238,16 @@ def _parse_model(blob: bytes) -> ModelArtifact:
             raise ModelFormatError(f"section {name!r} does not hold "
                                    f"{n_train} x {n_trees} values")
         per_row[name] = arr.reshape(n_train, n_trees).astype(dtype[1:])
-    leaf_train = per_row["leaf_train"]
-    if np.any(leaf_train < 0) or np.any(
-            leaf_train >= [tree.n_leaves for tree in trees]):
-        raise ModelFormatError("leaf assignment beyond its tree's leaves")
-
     forest = Forest(
         config=config,
         trees=trees,
         inbag_counts=per_row["inbag"],
-        leaf_of_train=leaf_train,
+        leaf_of_train=per_row["leaf_train"],
         n_features=n_features,
         n_classes=n_classes,
         synthetic_offset=synthetic_offset,
         oob_error=oob_error,
         oob_skipped=oob_skipped,
     )
+    _check_forest(forest)
     return ModelArtifact(forest=forest, schema=schema, fingerprint=fingerprint)

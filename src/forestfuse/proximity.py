@@ -16,7 +16,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import ArgumentError, CapacityError
-from .forest import Forest, _query_leaves
+from .forest import Forest, _query_leaves, _walk
 from .rng import query_donor_rng
 
 DEFAULT_MATRIX_CAP = 20_000
@@ -72,14 +72,20 @@ def build_leaf_index(forest: Forest, cells: np.ndarray | None = None
     """
     n = forest.n_scored_rows
     T = forest.n_trees
-    leaf_offset = np.cumsum([0] + [t.n_leaves for t in forest.trees])
-    cell = np.arange(n * T) if cells is None else np.flatnonzero(cells)
-    gid = (forest.leaf_of_train[:n] + leaf_offset[:-1]).ravel()[cell]
-    # a group holds one tree's cells, so ascending cells are ascending rows
-    order = cell[np.argsort(gid, kind="stable")] // T
-    start = np.zeros(leaf_offset[-1] + 1, dtype=np.int64)
-    np.cumsum(np.bincount(gid, minlength=leaf_offset[-1]), out=start[1:])
-    return LeafIndex(order, start, leaf_offset[:-1], n)
+    n_groups = int(forest.leaf_offset[-1])
+    gid = forest.leaf_of_train[:n] + forest.leaf_offset[:-1].astype(np.int32)
+    if cells is None:
+        gid = gid.ravel()
+        # a group holds one tree's cells, so ascending cells are ascending rows
+        order = np.argsort(gid, kind="stable")
+    else:
+        order = np.flatnonzero(cells)
+        gid = gid.ravel()[order]
+        order = order[np.argsort(gid, kind="stable")]
+    order //= T
+    start = np.zeros(n_groups + 1, dtype=np.int64)
+    np.cumsum(np.bincount(gid, minlength=n_groups), out=start[1:])
+    return LeafIndex(order.astype(np.int32), start, forest.leaf_offset[:-1], n)
 
 
 def compute_proximity(forest: Forest, ds: Dataset, pair_mode: str | None = None,
@@ -149,21 +155,18 @@ def query_proximity_importance(forest: Forest, ds: Dataset, query, *,
     if seed is None:
         seed = forest.config.seed
     leaves = _query_leaves(forest, query)
-    vec = np.asarray(query, dtype=np.float64)
-    m = forest.n_features
-    # row k * n_repeats + r is the query with feature k from donor draw r
-    mods = np.repeat(vec[None, :], m * n_repeats, axis=0)
-    for k in range(m):
-        donor_rows = query_donor_rng(seed, k).integers(0, ds.n_rows,
-                                                       size=n_repeats)
-        mods[k * n_repeats:(k + 1) * n_repeats, k] = \
-            ds.gather_column(donor_rows, k)
-    rows = np.arange(len(mods))
-    changed = np.zeros(len(mods))
-    for tree, leaf in zip(forest.trees, leaves):
-        changed += tree.apply(mods, rows) != leaf
-    return changed.reshape(m, n_repeats).sum(axis=1) / (
-        forest.n_trees * n_repeats)
+    m, T = forest.n_features, forest.n_trees
+    # cell (k, r, t): tree t walks the query with feature k from donor draw r
+    donors = np.concatenate([ds.gather_column(
+        query_donor_rng(seed, k).integers(0, ds.n_rows, size=n_repeats), k)
+        for k in range(m)])
+    nodes = _walk(forest, np.asarray(query, dtype=np.float64)[None, :],
+                  np.zeros(m * n_repeats * T, dtype=np.int64),
+                  np.tile(forest.node_offset[:-1], m * n_repeats),
+                  (np.repeat(np.arange(m), n_repeats * T),
+                   np.repeat(donors, T)))
+    moved = forest.leaf_id[nodes].reshape(m, n_repeats, T) != leaves
+    return moved.sum(axis=(1, 2)) / (T * n_repeats)
 
 
 def top_k_similar_explained(index: LeafIndex, forest: Forest, ds: Dataset,

@@ -21,7 +21,9 @@ _TAG_QUERY_DONOR = 5
 _TAG_NODE = 6
 
 _INDEX_BITS = 28
-_INDEX_MASK = (1 << _INDEX_BITS) - 1
+# how many tree ids, and how many feature ids, a stream key can tell apart
+STREAM_LIMIT = 1 << _INDEX_BITS
+_INDEX_MASK = STREAM_LIMIT - 1
 
 _GOLDEN = 0x9E3779B97F4A7C15
 

@@ -1,5 +1,7 @@
 """Training, prediction, OOB estimation, and the synthetic-row generator."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from helpers import (assemble_forest, blobs_dataset, dense_to_csr, leaf_tree,
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import forestfuse as ff
-from forestfuse.forest import train_held_out
+from forestfuse.forest import _node_grid, _walk, train_held_out
 from forestfuse.rng import permute_rng, tree_rng
 
 
@@ -101,6 +103,16 @@ class TestTrainValidation:
             tree_rng(0, 2 ** 28)
         with pytest.raises(ff.ConfigError, match="out of range"):
             permute_rng(0, 0, 2 ** 28)
+
+    def test_stream_limit_checked_before_growing(self):
+        # validation only compares numbers: nothing of this size is built
+        ff.ForestConfig(mode="classification", n_trees=2 ** 28).validate()
+        with pytest.raises(ff.ConfigError, match="n_trees"):
+            ff.ForestConfig(mode="classification",
+                            n_trees=2 ** 28 + 1).validate()
+        wide = SimpleNamespace(n_rows=1, n_features=2 ** 28 + 1)
+        with pytest.raises(ff.ConfigError, match="n_features"):
+            ff.train(wide, ff.ForestConfig(mode="unsupervised", n_trees=1))
 
 
 class TestTraining:
@@ -371,3 +383,93 @@ class TestOOB:
         test = blobs_dataset(1500, seed=97)
         holdout = np.mean(ff.predict(forest, test) != test.target)
         assert abs(forest.oob_error - holdout) <= 0.03
+
+
+def walk_held_out(tree, x, held_row):
+    """Reference walk that sends a held-out split feature to held_out_left."""
+    node = 0
+    while tree.feature[node] >= 0:
+        f = tree.feature[node]
+        go_left = tree.held_out_left[node] if held_row[f] \
+            else x[f] <= tree.threshold[node]
+        node = int(tree.left[node] if go_left else tree.right[node])
+    return int(tree.leaf_id[node])
+
+
+class TestForestWalk:
+    """The one level-synchronous walk against the per-row reference walk."""
+
+    @staticmethod
+    def target(mode, n, rng):
+        if mode == "classification":
+            return rng.integers(0, 3, size=n).astype(float)
+        if mode == "regression":
+            return rng.normal(size=n)
+        return None
+
+    @settings(max_examples=40, deadline=None)
+    @given(sparse_matrices(),
+           st.sampled_from(["classification", "regression", "unsupervised"]),
+           st.integers(0, 2 ** 16))
+    def test_walk_matches_reference_on_dense_and_csr(self, matrix, mode, seed):
+        dense, stored_zero = matrix
+        n, m = dense.shape
+        rng = np.random.default_rng(seed)
+        csr = ff.Dataset.from_csr(*dense_to_csr(dense, stored_zero), m,
+                                  target=self.target(mode, n, rng))
+        forest = ff.train(csr, ff.ForestConfig(mode=mode, n_trees=4, seed=seed,
+                                               min_node_size=1))
+        T = forest.n_trees
+        want = np.array([[walk_tree(tree, dense[r]) for tree in forest.trees]
+                         for r in range(n)])
+        assert np.array_equal(forest.leaf_of_train[:n], want)
+        for data in (dense, csr):
+            got = forest.leaf_id[_node_grid(forest, data, n)]
+            assert np.array_equal(got, want)
+
+        # a per-cell override reads like a copy whose cell was replaced
+        rows = np.repeat(np.arange(n), T)
+        start = np.tile(forest.node_offset[:-1], n)
+        cols = rng.integers(0, m, size=n * T)
+        vals = np.round(rng.normal(size=n * T), 1)
+        for data in (dense, csr):
+            got = forest.leaf_id[_walk(forest, data, rows, start,
+                                       (cols, vals))]
+            for c in range(n * T):
+                x = dense[rows[c]].copy()
+                x[cols[c]] = vals[c]
+                assert got[c] == walk_tree(forest.trees[c % T], x)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(3, 30), st.integers(1, 4),
+           st.sampled_from(["classification", "unsupervised"]),
+           st.integers(0, 2 ** 16))
+    def test_held_out_routing_follows_held_out_left(self, n, m, mode, seed):
+        rng = np.random.default_rng(seed)
+        X = np.round(rng.normal(size=(n, m)), 1)
+        held = rng.uniform(size=(n, m)) < 0.3
+        ds = ff.Dataset.from_dense(np.where(held, 0.0, X),
+                                   target=self.target(mode, n, rng))
+        forest = train_held_out(ds, held, ff.ForestConfig(
+            mode=mode, n_trees=3, seed=seed, min_node_size=1))
+        if not held.any():
+            assert forest.held_out_left is None
+            return
+        want = np.array([[walk_held_out(tree, X[r], held[r])
+                          for tree in forest.trees] for r in range(n)])
+        assert np.array_equal(forest.leaf_of_train[:n], want)
+        got = forest.leaf_id[_node_grid(forest, X, n, held_out=held)]
+        assert np.array_equal(got, want)
+
+    def test_grid_walk_spans_blocks(self):
+        # 40 trees x 5000 rows is more cells than one block of the grid walk
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(200, 3))
+        ds = ff.Dataset.from_dense(X, target=(X[:, 0] > 0).astype(float))
+        forest = ff.train(ds, ff.ForestConfig(mode="classification",
+                                              n_trees=40, seed=3))
+        Q = rng.normal(size=(5000, 3))
+        want = np.column_stack([tree.apply(Q, np.arange(len(Q)))
+                                for tree in forest.trees])
+        got = forest.leaf_id[_node_grid(forest, Q, len(Q))]
+        assert np.array_equal(got, want)

@@ -72,14 +72,22 @@ def test_truncated_or_flipped_files_raise_model_format_error(model_file, data):
 
 @pytest.mark.parametrize("field, node, value", [
     ("right", 0, 0),     # a walk that never ends
-    ("left", 0, 3),      # past the last node
+    ("left", 0, 3),      # past tree 0's last node, onto tree 1's root
     ("feature", 0, 1),   # past the last feature
+    ("right", 0, 5),     # past tree 0's last node, inside tree 1
+    # leaf ids 0, 2 and 3, 1: all of 0..3 across the trees, but neither
+    # tree holds exactly its own 0..1
+    pytest.param("leaf_id", [2, 4], [2, 3], id="leaf_id-split-across-trees"),
 ])
 def test_inconsistent_tree_rejected(field, node, value, tmp_path):
     ds = ff.Dataset.from_dense([[0.0], [1.0]], target=[0.0, 1.0])
-    tree = stump(0, 0.5, [1.0, 0.0], [0.0, 1.0])
-    forest = assemble_forest([tree], ds, n_classes=2)
-    getattr(tree, field)[node] = value
+    trees = [stump(0, 0.5, [1.0, 0.0], [0.0, 1.0]),
+             stump(0, 0.7, [1.0, 0.0], [0.0, 1.0])]
+    forest = assemble_forest(trees, ds, n_classes=2)
+    # node counts across the two 3-node trees; the trees write through to
+    # the forest's storage
+    for at, v in zip(np.atleast_1d(node), np.atleast_1d(value)):
+        getattr(trees[at // 3], field)[at % 3] = v
     save(forest, ds, tmp_path / "m.ffm")
     with pytest.raises(ff.ModelFormatError, match="tree nodes"):
         ff.load_model(tmp_path / "m.ffm")

@@ -35,16 +35,6 @@ from .proximity import (build_leaf_index, compute_proximity, top_k_similar,
                         top_k_similar_explained)
 
 
-def _default_threads() -> int:
-    env = os.environ.get("FORESTFUSE_THREADS")
-    if env is None:
-        return 1
-    try:
-        return int(env)
-    except ValueError:
-        return 1
-
-
 def _add_forest_flags(p: argparse.ArgumentParser, require_mode: bool) -> None:
     p.add_argument("--mode", choices=("classification", "regression",
                                       "unsupervised"),
@@ -99,7 +89,7 @@ def cmd_train(args) -> int:
     ds = load_dense_csv(args.data, schema, target_column=args.target)
     config = _forest_config(args)
     t0 = time.perf_counter()
-    forest = train(ds, config, n_threads=args.threads)
+    forest = train(ds, config)
     elapsed = time.perf_counter() - t0
     artifact = ModelArtifact(
         forest=forest, schema=schema,
@@ -328,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", default=None)
     p.add_argument("--importance-out", default=None,
                    help="prefix for importance reports computed at train time")
-    p.add_argument("--threads", type=int, default=_default_threads())
     _add_forest_flags(p, require_mode=True)
     p.set_defaults(func=cmd_train)
 

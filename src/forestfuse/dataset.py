@@ -211,13 +211,13 @@ class Dataset:
                 raise ArgumentError(f"missing pair ({i}, {k}) out of bounds")
         ds.missing_set = pairs
         ds._set_target(target)
-        # stable, so row ids stay ascending within each column
+        # one ascending (column, row) key per stored cell, so any set of
+        # cells is read with one searchsorted; stable keeps rows ascending
+        # within each column
         order = np.argsort(ds.indices, kind="stable")
-        ds._col_ptr = np.zeros(ds.n_features + 1, dtype=np.int64)
-        np.cumsum(np.bincount(ds.indices, minlength=ds.n_features),
-                  out=ds._col_ptr[1:])
-        ds._col_rows = row_of[order]
-        ds._col_vals = ds.data[order]
+        col_of = ds.indices[order].astype(np.int64)
+        ds._cell_key = col_of * ds.n_rows + row_of[order]
+        ds._cell_vals = ds.data[order]
         return ds
 
     def _set_target(self, target):
@@ -274,19 +274,27 @@ class Dataset:
         Missingness is ignored here; callers operating on incomplete data
         must consult the mask themselves.
         """
+        return self.read_cells(rows, feature)
+
+    def read_cells(self, rows, features) -> np.ndarray:
+        """Values at the cells (rows, features), broadcast against each other.
+
+        CSR absents read 0.0; features must be valid feature ids. Like
+        gather_column, this ignores missingness.
+        """
         rows = np.asarray(rows, dtype=np.int64)
         if not self.is_sparse:
-            return self.values[rows, feature]
-        if rows.size and rows.max() >= self.n_rows:
-            raise IndexError(f"row {rows.max()} out of bounds")
-        s, e = self._col_ptr[feature], self._col_ptr[feature + 1]
-        if s == e:
-            return np.zeros(len(rows), dtype=np.float64)
-        col_rows = self._col_rows[s:e]
-        # searching all but the last entry keeps every position in range; a
-        # row past the column's last entry lands on it and misses
-        pos = np.searchsorted(col_rows[:-1], rows)
-        return np.where(col_rows[pos] == rows, self._col_vals[s:e][pos], 0.0)
+            return self.values[rows, features]
+        if rows.size and not 0 <= rows.min() <= rows.max() < self.n_rows:
+            raise IndexError(f"rows {rows.min()}..{rows.max()} out of bounds "
+                             f"for {self.n_rows} rows")
+        key = np.asarray(features, dtype=np.int64) * self.n_rows + rows
+        if self._cell_key.size == 0:
+            return np.zeros(key.shape, dtype=np.float64)
+        # searching all but the last key keeps every position in range; a
+        # cell past the last stored one lands on it and misses
+        pos = np.searchsorted(self._cell_key[:-1], key)
+        return np.where(self._cell_key[pos] == key, self._cell_vals[pos], 0.0)
 
     def row_dense(self, row: int) -> np.ndarray:
         """One row as a dense vector (missing cells read NaN)."""

@@ -4,8 +4,10 @@ Three modes share one engine: classification, regression, and
 unsupervised, which trains real rows (class 0) against as many synthetic
 rows (class 1) whose columns are permuted independently: every marginal
 is kept, every cross-feature dependency destroyed. Trees grow on
-n-out-of-n bootstrap samples from streams keyed by (seed, tree_id), so
-results are bit-identical at any thread count.
+n-out-of-n bootstrap samples from streams keyed by (seed, tree_id), and
+each node draws its candidate features from a stream keyed by its path
+from the root, so a forest is a bit-identical function of the data and
+the config.
 
 A Forest stores all its trees as one set of concatenated node arrays.
 Every reader that routes rows through the trees (leaf assignment,
@@ -16,7 +18,6 @@ prediction, query leaves, importance perturbations) uses one walk,
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -24,7 +25,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import ArgumentError, ConfigError
-from .rng import (ROOT_ROUTE, STREAM_LIMIT, child_route, node_rng,
+from .rng import (ROOT_ROUTE, STREAM_LIMIT, NodeStreams, child_route,
                   synthetic_rng, tree_rng)
 from .splitfind import find_node_split
 
@@ -234,14 +235,10 @@ class OOBResult:
 # -- column access and the walk ---------------------------------------------
 
 def _read(data, rows, feats):
-    """data's value at each (rows[c], feats[c]); one gather per CSR column."""
+    """data's value at each (rows, feats) cell, the two broadcast together."""
     if isinstance(data, np.ndarray):
         return data[rows, feats]
-    out = np.empty(len(rows), dtype=np.float64)
-    for k in np.unique(feats).tolist():
-        sel = feats == k
-        out[sel] = data.gather_column(rows[sel], k)
-    return out
+    return data.read_cells(rows, feats)
 
 
 def _walk(nodes, data, rows, start, override=None, held_out=None) -> np.ndarray:
@@ -274,15 +271,26 @@ def _walk(nodes, data, rows, start, override=None, held_out=None) -> np.ndarray:
     return node
 
 
-def _node_grid(forest: Forest, data, n_rows: int, held_out=None) -> np.ndarray:
-    """(n_rows, T) global terminal node of every row of data in every tree."""
+def _node_blocks(forest: Forest, data, n_rows: int, held_out=None):
+    """(b, T) global terminal nodes of each successive block of data's rows."""
     T = forest.n_trees
     step = max(1, (1 << 16) // T)  # rows per walk: bounds its temporaries
-    blocks = [np.arange(a, min(a + step, n_rows))
-              for a in range(0, max(n_rows, 1), step)]
-    return np.concatenate([_walk(
-        forest, data, np.repeat(b, T), np.tile(forest.node_offset[:-1], len(b)),
-        held_out=held_out) for b in blocks]).reshape(n_rows, T)
+    for a in range(0, max(n_rows, 1), step):
+        b = np.arange(a, min(a + step, n_rows))
+        yield _walk(forest, data, np.repeat(b, T),
+                    np.tile(forest.node_offset[:-1], len(b)),
+                    held_out=held_out).reshape(len(b), T)
+
+
+def _node_grid(forest: Forest, data, n_rows: int, held_out=None) -> np.ndarray:
+    """(n_rows, T) global terminal node of every row of data in every tree."""
+    return np.concatenate(list(_node_blocks(forest, data, n_rows, held_out)))
+
+
+def _block_sum(per_node, forest: Forest, data, n_rows: int) -> np.ndarray:
+    """_tree_sum of per_node over data's rows, one walked block at a time."""
+    return np.concatenate([_tree_sum(per_node, nodes) for nodes in
+                           _node_blocks(forest, data, n_rows)])
 
 
 def _tree_sum(per_node, nodes, keep=None) -> np.ndarray:
@@ -415,8 +423,8 @@ def _grow_tree(data, y, tree_id, *, task, n_classes, n_features, mtry,
                min_node_size, max_depth, strategy, n_bins, seed,
                categorical, held_out=None):
     n_rows = len(y)
-    rng = tree_rng(seed, tree_id)
-    draw = rng.integers(0, n_rows, size=n_rows)
+    draw = tree_rng(seed, tree_id).integers(0, n_rows, size=n_rows)
+    node_rng = NodeStreams(seed, tree_id)
     inbag = np.bincount(draw, minlength=n_rows).astype(np.uint16)
 
     # a sample of n_rows rows fills at most n_rows leaves
@@ -445,15 +453,12 @@ def _grow_tree(data, y, tree_id, *, task, n_classes, n_features, mtry,
         split = None
         at_depth = max_depth is not None and depth >= max_depth
         if not (pure or at_depth or n <= min_node_size):
-            feats = node_rng(seed, tree_id, route).choice(
-                n_features, size=mtry, replace=False)
+            feats = node_rng(route).choice(n_features, size=mtry,
+                                           replace=False)
             feats.sort()
-            if isinstance(data, np.ndarray):
-                cols = data[rows[:, None], feats]
-            else:
-                cols = np.column_stack([data.gather_column(rows, f) for f in feats])
+            cols = _read(data, rows[:, None], feats)
             cat = categorical[feats] if categorical is not None else None
-            held = held_out[np.ix_(rows, feats)] if held_out is not None else None
+            held = None if held_out is None else held_out[rows[:, None], feats]
             if held is not None and held.any():
                 split = _observed_split(
                     cols, feats, yv, held, cat, task=task,
@@ -498,18 +503,16 @@ def _grow_tree(data, y, tree_id, *, task, n_classes, n_features, mtry,
         else None), inbag
 
 
-def train(ds: Dataset, config: ForestConfig, *, n_threads: int = 1) -> Forest:
+def train(ds: Dataset, config: ForestConfig) -> Forest:
     """Grow a forest on a complete Dataset.
 
     Classification and regression require a target; unsupervised mode
     requires the target to be absent and trains real-vs-synthetic on the
     column-permuted augmentation. Returns a Forest with per-tree in-bag
     counts, per-row leaf assignments, and the OOB error filled in.
-
-    Deterministic for a fixed (data, config) at any n_threads
-    (0 = one thread per CPU).
+    Deterministic for a fixed (data, config).
     """
-    return _train(ds, config, n_threads, held_out=None)
+    return _train(ds, config, held_out=None)
 
 
 def train_held_out(ds: Dataset, held_out, config: ForestConfig) -> Forest:
@@ -530,10 +533,10 @@ def train_held_out(ds: Dataset, held_out, config: ForestConfig) -> Forest:
         raise ArgumentError("held-out mask shape must match the dataset")
     if ds.is_sparse:
         raise ArgumentError("held-out training requires dense storage")
-    return _train(ds, config, 1, held_out if held_out.any() else None)
+    return _train(ds, config, held_out if held_out.any() else None)
 
 
-def _train(ds: Dataset, config: ForestConfig, n_threads: int,
+def _train(ds: Dataset, config: ForestConfig,
            held_out: np.ndarray | None) -> Forest:
     config.validate()
     if ds.n_rows == 0 or ds.n_features == 0:
@@ -556,22 +559,12 @@ def _train(ds: Dataset, config: ForestConfig, n_threads: int,
     if not categorical.any():
         categorical = None
 
-    def grow(t):
-        return _grow_tree(
-            data, view.y, t, task=task, n_classes=view.n_classes or 0,
-            n_features=ds.n_features, mtry=mtry, min_node_size=min_node,
-            max_depth=config.max_depth, strategy=config.split_strategy,
-            n_bins=config.n_bins, seed=config.seed, categorical=categorical,
-            held_out=held_out)
-
-    if n_threads == 0:
-        import os
-        n_threads = os.cpu_count() or 1
-    if n_threads > 1 and config.n_trees > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            grown = list(pool.map(grow, range(config.n_trees)))
-    else:
-        grown = [grow(t) for t in range(config.n_trees)]
+    grown = [_grow_tree(
+        data, view.y, t, task=task, n_classes=view.n_classes or 0,
+        n_features=ds.n_features, mtry=mtry, min_node_size=min_node,
+        max_depth=config.max_depth, strategy=config.split_strategy,
+        n_bins=config.n_bins, seed=config.seed, categorical=categorical,
+        held_out=held_out) for t in range(config.n_trees)]
 
     forest = Forest(
         config=replace(config),
@@ -622,14 +615,14 @@ def predict_proba(forest: Forest, query) -> np.ndarray:
         raise ConfigError("predict_proba requires a classification-style forest")
     data, nq = _query_matrix(forest, query)
     votes = forest.value / forest.value.sum(axis=1, keepdims=True)
-    return _tree_sum(votes, _node_grid(forest, data, nq)) / forest.n_trees
+    return _block_sum(votes, forest, data, nq) / forest.n_trees
 
 
 def predict(forest: Forest, query) -> np.ndarray:
     """Predicted class labels (ties to the lower id) or regression means."""
     if forest.mode == "regression":
         data, nq = _query_matrix(forest, query)
-        return _tree_sum(forest.value, _node_grid(forest, data, nq)) / forest.n_trees
+        return _block_sum(forest.value, forest, data, nq) / forest.n_trees
     return np.argmax(predict_proba(forest, query), axis=1)
 
 

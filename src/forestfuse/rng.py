@@ -2,8 +2,10 @@
 
 Every stochastic step in the package draws from a Philox counter-based
 generator keyed by (seed, purpose tag, indices). Streams are independent
-of each other and of execution order, so training and the permutation
-analyses produce bit-identical results at any thread count.
+of each other and of execution order: a tree's growth does not depend on
+which trees grew before it, and a node's draw does not depend on the
+order its tree visits nodes, so training and the permutation analyses
+are bit-identical functions of the data and the seed.
 """
 
 import numpy as np
@@ -58,6 +60,11 @@ def tree_rng(seed: int, tree_id: int) -> np.random.Generator:
     return _stream(seed, _TAG_TREE, tree_id)
 
 
+def _node_key(seed: int, tree_id: int, route: int) -> np.ndarray:
+    sub = mix64((_TAG_NODE << 56) ^ (tree_id * _GOLDEN) ^ route)
+    return np.array([seed & _MASK64, sub], dtype=np.uint64)
+
+
 def node_rng(seed: int, tree_id: int, route: int) -> np.random.Generator:
     """Stream for one node's candidate-feature draw.
 
@@ -65,9 +72,29 @@ def node_rng(seed: int, tree_id: int, route: int) -> np.random.Generator:
     structural change in one subtree leaves every other node's draw
     untouched — tree growth is a locally stable function of the data.
     """
-    sub = mix64((_TAG_NODE << 56) ^ (tree_id * _GOLDEN) ^ route)
-    key = np.array([seed & _MASK64, sub], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_node_key(seed, tree_id,
+                                                              route)))
+
+
+class NodeStreams:
+    """node_rng(seed, tree_id, route) for one tree, from one generator.
+
+    Each call re-keys the same Philox generator to the node's key with a
+    zero counter, an empty buffer and no saved 32-bit half, so it draws
+    exactly what a fresh node_rng would, at a fraction of the cost of
+    building one. The returned generator is valid until the next call.
+    """
+
+    def __init__(self, seed: int, tree_id: int):
+        self.seed, self.tree_id = seed, tree_id
+        bits = np.random.Philox(key=_node_key(seed, tree_id, ROOT_ROUTE))
+        self._bits, self._fresh = bits, bits.state
+        self._gen = np.random.Generator(bits)
+
+    def __call__(self, route: int) -> np.random.Generator:
+        self._fresh["state"]["key"] = _node_key(self.seed, self.tree_id, route)
+        self._bits.state = self._fresh
+        return self._gen
 
 
 def synthetic_rng(seed: int, column: int) -> np.random.Generator:

@@ -1,17 +1,36 @@
 """Split finding for tree growth.
 
-Two strategies over the candidate features of a node:
+One sorted scan per node serves both strategies. The node turns its
+candidate columns into one (n, f) matrix of sort keys, sorts every column
+with one stable argsort and runs one class-count (classification) or
+target (regression) cumulative sum down the sorted rows. A split may fall
+only between two sorted rows whose keys differ. Keys come in two kinds:
 
-* presort: sort the node's values and score every midpoint between
-  consecutive distinct values; exact argmax of the criterion gain.
-* histogram: bin values into equal-width bins over the node's min/max and
-  score bin edges only; O(bins) candidates per feature.
+* value keys, the raw values: every candidate under `presort`, and the
+  categorical candidates (ordered codes) under `histogram`. A split's
+  threshold is the midpoint of the two values it falls between.
+* bin keys, for continuous candidates under `histogram`: each value's
+  equal-width bin code over the node's min/max, n_bins bins. A split
+  after bin b has the bin edge lo + width * (b + 1) as its threshold.
+
+Only occupied bins are scored. An empty bin adds no row to the running
+counts, so the edges of a run of empty bins all give the partition, and
+the score, of the edge right after the occupied bin below them; that edge
+is the run's lowest threshold, the one the tie rule picks.
 
 The criterion is Gini impurity decrease for classification and variance
 reduction for regression, both normalized per sample in the node, so a
 perfect two-way split of a balanced binary node scores gain 0.5.
 
-Ties resolve to the lowest feature id, then the lowest threshold.
+The tie rule: maximum gain, then the lowest feature id, then the lowest
+threshold (the lowest midpoint, or the lowest edge). Regression compares
+float gains. Class counts are integers, so every classification score is
+a rational, and float rounding can order equal gains either way. The
+candidates within a small band of the float maximum are therefore ranked
+by the gain each reports. A value key reports its exact gain, correctly
+rounded, and two value keys that report equal gains compare their exact
+scores by integer cross-multiplication. A bin key reports the float gain
+of its edge, whose threshold is an approximation already.
 """
 
 from __future__ import annotations
@@ -25,6 +44,9 @@ from .errors import ArgumentError
 # gains at or below this are treated as "no improvement"
 GAIN_EPS = 1e-12
 
+# float gains this close to the max are re-compared exactly (classification)
+_TIE_BAND = 1e-9
+
 
 @dataclass(frozen=True)
 class Split:
@@ -33,154 +55,54 @@ class Split:
     gain: float
 
 
-def _scan_presorted_class(sv, sy, n_classes):
-    """Score all boundaries of presorted columns for classification.
-
-    sv, sy: (n, f) sorted values and co-sorted labels. Returns
-    (scores, positions valid mask) where scores[p, j] is
-    sum_c left^2/nL + sum_c right^2/nR after position p.
-    """
-    n = sv.shape[0]
-    onehot = sy[:, :, None] == np.arange(n_classes)
-    left = np.cumsum(onehot, axis=0, dtype=np.float64)
-    total = left[-1]
-    left = left[:-1]
-    right = total[None, :, :] - left
-    n_left = np.arange(1, n, dtype=np.float64)[:, None]
-    n_right = n - n_left
-    scores = (left ** 2).sum(axis=2) / n_left + (right ** 2).sum(axis=2) / n_right
-    parent = (total ** 2).sum(axis=1) / n
-    boundary = sv[:-1] < sv[1:]
-    return scores, parent, boundary, left, total
-
-
-def _scan_presorted_reg(sv, sy):
-    """Score boundaries for regression: sum_side n_side * mean_side^2."""
-    n = sv.shape[0]
-    cum = np.cumsum(sy, axis=0, dtype=np.float64)
-    total = cum[-1]
-    cum = cum[:-1]
-    n_left = np.arange(1, n, dtype=np.float64)[:, None]
-    n_right = n - n_left
-    scores = cum ** 2 / n_left + (total[None, :] - cum) ** 2 / n_right
-    parent = total ** 2 / n
-    boundary = sv[:-1] < sv[1:]
-    return scores, parent, boundary
-
-
-# float gains this close to the max are re-compared exactly (classification)
-_TIE_BAND = 1e-9
-
-
-def _refine_class_ties(gains, left, total, sv, feat_ids, n):
-    """Resolve near-tied classification splits with exact integer arithmetic.
-
-    Class counts are integers, so candidate criteria are rationals; float
-    rounding can break mathematically equal gains either way. Candidates
-    within a small band of the float max are re-scored as fractions and
-    the tie rule (max gain, lowest feature id, lowest threshold) applied
-    exactly.
-    """
-    from fractions import Fraction
-
-    gmax = gains.max()
-    cand = np.argwhere(gains >= gmax - _TIE_BAND)
-    parent = Fraction(int(sum(int(c) ** 2 for c in total[0])), n)
-    best_key = None
-    best = None
-    for p, j in cand:
-        n_left = int(p) + 1
-        n_right = n - n_left
-        a = sum(int(c) ** 2 for c in left[p, j])
-        b = sum((int(tc) - int(lc)) ** 2
-                for tc, lc in zip(total[j], left[p, j]))
-        score = Fraction(a, n_left) + Fraction(b, n_right)
-        thr = 0.5 * (sv[p, j] + sv[p + 1, j])
-        key = (score, -int(feat_ids[j]), -thr)
-        if best_key is None or key > best_key:
-            best_key = key
-            gain = Fraction(score - parent, n)
-            best = Split(int(feat_ids[j]), float(thr), float(gain))
-    return best
-
-
-def _best_presort(cols, feat_ids, y, task, n_classes):
-    n = cols.shape[0]
-    order = np.argsort(cols, axis=0, kind="stable")
-    sv = np.take_along_axis(cols, order, axis=0)
-    sy = y[order]
-    if task == "classification":
-        scores, parent, boundary, left, total = _scan_presorted_class(
-            sv, sy, n_classes)
-    else:
-        scores, parent, boundary = _scan_presorted_reg(sv, sy)
-    gains = (scores - parent[None, :]) / n
-    gains[~boundary] = -np.inf
-    if not np.isfinite(gains.max()) or gains.max() <= GAIN_EPS:
-        return None
-    if task == "classification":
-        return _refine_class_ties(gains, left, total, sv, feat_ids, n)
-    best_pos = np.argmax(gains, axis=0)  # first max = lowest threshold
-    best_gain = gains[best_pos, np.arange(cols.shape[1])]
-    j = int(np.argmax(best_gain))  # first max = lowest feature id
-    p = best_pos[j]
-    thr = 0.5 * (sv[p, j] + sv[p + 1, j])
-    return Split(int(feat_ids[j]), float(thr), float(best_gain[j]))
-
-
-def _best_histogram(cols, feat_ids, y, task, n_classes, n_bins):
-    n, f = cols.shape
+def _sort_keys(cols, binned, n_bins):
+    """(keys, lo, width): bin codes replace the binned columns' values."""
+    if not binned.any():
+        return cols, None, None
     lo = cols.min(axis=0)
-    hi = cols.max(axis=0)
-    width = (hi - lo) / n_bins
-    live = width > 0
-    if not live.any():
-        return None
-    safe_width = np.where(live, width, 1.0)
-    bins = np.floor((cols - lo[None, :]) / safe_width[None, :]).astype(np.int64)
-    np.clip(bins, 0, n_bins - 1, out=bins)
+    width = (cols.max(axis=0) - lo) / n_bins
+    # values are >= lo, so codes start at 0; a constant column is all 0
+    codes = np.minimum(
+        np.floor((cols - lo) / np.where(width > 0, width, 1.0)), n_bins - 1)
+    return np.where(binned, codes, cols), lo, width
 
-    if task == "classification":
-        flat = (np.arange(f)[None, :] * (n_bins * n_classes)
-                + bins * n_classes + y[:, None])
-        counts = np.bincount(flat.ravel(),
-                             minlength=f * n_bins * n_classes).astype(np.float64)
-        counts = counts.reshape(f, n_bins, n_classes)
-        cum = counts.cumsum(axis=1)
-        total = cum[:, -1, :]
-        left = cum[:, :-1, :]
-        right = total[:, None, :] - left
-        n_left = left.sum(axis=2)
-        n_right = right.sum(axis=2)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            scores = ((left ** 2).sum(axis=2) / n_left
-                      + (right ** 2).sum(axis=2) / n_right)
-        parent = (total ** 2).sum(axis=1) / n
-    else:
-        flat = np.arange(f)[None, :] * n_bins + bins
-        cnt = np.bincount(flat.ravel(), minlength=f * n_bins).astype(np.float64)
-        sums = np.bincount(flat.ravel(), weights=np.broadcast_to(
-            y[:, None], bins.shape).ravel(), minlength=f * n_bins)
-        cnt = cnt.reshape(f, n_bins).cumsum(axis=1)
-        sums = sums.reshape(f, n_bins).cumsum(axis=1)
-        total = sums[:, -1]
-        n_left = cnt[:, :-1]
-        n_right = n - n_left
-        left = sums[:, :-1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            scores = left ** 2 / n_left + (total[:, None] - left) ** 2 / n_right
-        parent = total ** 2 / n
 
-    valid = (n_left > 0) & (n_right > 0) & live[:, None]
-    gains = (scores - parent[:, None]) / n
-    gains[~valid] = -np.inf
-    best_b = np.argmax(gains, axis=1)
-    best_gain = gains[np.arange(f), best_b]
-    j = int(np.argmax(best_gain))
-    if not np.isfinite(best_gain[j]) or best_gain[j] <= GAIN_EPS:
-        return None
-    thr = lo[j] + width[j] * (best_b[j] + 1)
-    return Split(int(feat_ids[j]), float(thr), float(best_gain[j]))
+def _refine_class_ties(gains, gmax, left, total, binned, n):
+    """(p, j, gain) of the best classification candidate.
+
+    left[p, j] holds the class counts left of boundary p in column j and
+    total[j] the node's. Candidates within _TIE_BAND of the float max are
+    ranked by the gain they report. A value key reports its exact gain,
+    correctly rounded: with a, b the sums of squared left and right
+    counts, its score a / nL + b / nR is the integer ratio num / den. A
+    bin key reports its float gain. Equal reported gains of two value
+    keys go to the higher exact score, compared by integer
+    cross-multiplication. Candidates are visited column by column,
+    boundary by boundary, and only a strictly better one replaces the
+    best, which applies the rest of the tie rule.
+    """
+    j, p = np.nonzero(gains.T >= gmax - _TIE_BAND)
+    lc = left[p, j]
+    a = (lc ** 2).sum(axis=1).tolist()
+    b = ((total[j] - lc) ** 2).sum(axis=1).tolist()
+    parent = int((total[0] ** 2).sum())
+    binned = binned.tolist()
+    best = None
+    for jj, pp, aa, bb, gain in zip(j.tolist(), p.tolist(), a, b,
+                                    gains[p, j].tolist()):
+        exact = None
+        if not binned[jj]:
+            n_left = pp + 1
+            n_right = n - n_left
+            num, den = int(aa) * n_right + int(bb) * n_left, n_left * n_right
+            exact = (num, den)
+            gain = (num * n - parent * den) / (den * n * n)
+        if best is None or gain > best[0] or (
+                gain == best[0] and exact and best[1]
+                and exact[0] * best[1][1] > best[1][0] * exact[1]):
+            best = (gain, exact, pp, jj)
+    gain, _, p, j = best
+    return p, j, gain
 
 
 def find_node_split(cols, feat_ids, y, *, task, n_classes=0,
@@ -198,41 +120,56 @@ def find_node_split(cols, feat_ids, y, *, task, n_classes=0,
         Integer class labels or float targets for the node's samples.
     task : {"classification", "regression"}
     categorical : optional (f,) bool array
-        Categorical candidates are always scanned presort-style (ordered
-        codes); histogram binning applies to continuous features only.
+        Categorical candidates keep value keys (ordered codes) under
+        histogram; only continuous candidates are binned.
     """
-    n = cols.shape[0]
+    n, f = cols.shape
     if n < 2:
         return None
     if task == "classification" and n_classes < 2:
         raise ArgumentError("classification split needs n_classes >= 2")
 
-    if strategy == "presort" or categorical is None:
-        groups = [(strategy, slice(None))]
+    binned = np.full(f, strategy == "histogram")
+    if categorical is not None:
+        binned &= ~np.asarray(categorical, dtype=bool)
+    keys, lo, width = _sort_keys(cols, binned, n_bins)
+    order = np.argsort(keys, axis=0, kind="stable")
+    sk = keys[order, np.arange(f)]
+    sy = y[order]
+    n_left = np.arange(1, n, dtype=np.float64)[:, None]
+    n_right = n - n_left
+    if task == "classification":
+        left = np.cumsum(sy[:, :, None] == np.arange(n_classes), axis=0,
+                         dtype=np.float64)
+        total = left[-1]
+        left = left[:-1]
+        scores = ((left ** 2).sum(axis=2) / n_left
+                  + ((total - left) ** 2).sum(axis=2) / n_right)
+        parent = (total ** 2).sum(axis=1) / n
     else:
-        categorical = np.asarray(categorical, dtype=bool)
-        groups = []
-        if (~categorical).any():
-            groups.append(("histogram", ~categorical))
-        if categorical.any():
-            groups.append(("presort", categorical))
+        cum = np.cumsum(sy, axis=0, dtype=np.float64)
+        total = cum[-1]
+        cum = cum[:-1]
+        scores = cum ** 2 / n_left + (total - cum) ** 2 / n_right
+        parent = total ** 2 / n
+    gains = (scores - parent) / n
+    gains[sk[:-1] == sk[1:]] = -np.inf
+    gmax = gains.max()
+    if not np.isfinite(gmax) or gmax <= GAIN_EPS:
+        return None
 
-    best: Split | None = None
-    for strat, sel in groups:
-        sub_cols = cols[:, sel]
-        sub_ids = np.asarray(feat_ids)[sel]
-        if sub_cols.shape[1] == 0:
-            continue
-        if strat == "presort":
-            cand = _best_presort(sub_cols, sub_ids, y, task, n_classes)
-        else:
-            cand = _best_histogram(sub_cols, sub_ids, y, task, n_classes, n_bins)
-        if cand is None:
-            continue
-        if best is None or (cand.gain, -cand.feature, -cand.threshold) > \
-                (best.gain, -best.feature, -best.threshold):
-            best = cand
-    return best
+    if task == "classification":
+        p, j, gain = _refine_class_ties(gains, gmax, left, total, binned, n)
+    else:
+        best_pos = np.argmax(gains, axis=0)  # first max = lowest threshold
+        j = int(np.argmax(gains[best_pos, np.arange(f)]))  # lowest feature id
+        p = best_pos[j]
+        gain = gains[p, j]
+    if binned[j]:
+        threshold = lo[j] + width[j] * (sk[p, j] + 1)
+    else:
+        threshold = 0.5 * (sk[p, j] + sk[p + 1, j])
+    return Split(int(feat_ids[j]), float(threshold), float(gain))
 
 
 def best_split(values, y, *, task="classification", n_classes=None,

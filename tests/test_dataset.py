@@ -238,6 +238,9 @@ class TestCsrColumnIndex:
             assert np.array_equal(csr.gather_column(rows, k),
                                   dd.gather_column(rows, k))
         assert csr.gather_column(np.array([], dtype=np.int64), 0).shape == (0,)
+        # any cells at once: every row against every feature
+        assert np.array_equal(csr.read_cells(rows[:, None], np.arange(m)),
+                              dense[rows])
 
     @settings(max_examples=60, deadline=None)
     @given(sparse_matrices())
@@ -276,6 +279,9 @@ class TestCsrColumnIndex:
         ds = ff.Dataset.from_csr([0, 1, 1], [0], [3.0], n_features=2)
         with pytest.raises(IndexError):
             ds.gather_column(np.array([0, 2]), 1)
+        # a negative row would alias a cell of the previous column
+        with pytest.raises(IndexError):
+            ds.gather_column(np.array([-1]), 1)
 
 
 class TestSchemaFile:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import forestfuse as ff
 from forestfuse.forest import _node_grid, _walk, train_held_out
-from forestfuse.rng import permute_rng, tree_rng
+from forestfuse.rng import NodeStreams, node_rng, permute_rng, tree_rng
 
 
 class TestGenerateSynthetic:
@@ -146,17 +146,26 @@ class TestTraining:
                                            min_node_size=5, seed=0))
         assert f2.oob_error < 0.40
 
-    def test_determinism_across_threads(self):
-        ds = blobs_dataset(60, seed=7)
-        cfg = ff.ForestConfig(mode="classification", n_trees=8, seed=42)
-        f1 = ff.train(ds, cfg, n_threads=1)
-        f4 = ff.train(ds, cfg, n_threads=4)
-        assert np.array_equal(f1.inbag_counts, f4.inbag_counts)
-        assert np.array_equal(f1.leaf_of_train, f4.leaf_of_train)
-        for t1, t4 in zip(f1.trees, f4.trees):
-            assert np.array_equal(t1.feature, t4.feature)
-            assert np.array_equal(t1.threshold, t4.threshold, equal_nan=True)
-            assert np.array_equal(t1.value, t4.value)
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 64 - 1),
+           st.lists(st.integers(0, 2 ** 28 - 1), min_size=2, max_size=2,
+                    unique=True),
+           st.lists(st.tuples(st.integers(0, 1), st.integers(0, 2 ** 64 - 1),
+                              st.integers(1, 12), st.integers(0, 5)),
+                    min_size=1, max_size=25))
+    def test_rekeyed_node_draws_match_fresh_streams(self, seed, trees, visits):
+        # two trees' streams visited interleaved, with varying mtry and
+        # extra draws that leave part of Philox's buffer unread: a stale
+        # buffer, counter or 32-bit half would show in the next draw
+        streams = [NodeStreams(seed, t) for t in trees]
+        for which, route, mtry, extra in visits:
+            got = streams[which](route)
+            want = node_rng(seed, trees[which], route)
+            assert np.array_equal(got.choice(12, size=mtry, replace=False),
+                                  want.choice(12, size=mtry, replace=False))
+            assert np.array_equal(
+                got.integers(0, 1000, size=extra, dtype=np.int32),
+                want.integers(0, 1000, size=extra, dtype=np.int32))
 
     def test_probabilities_sum_to_one(self):
         ds = blobs_dataset(50, seed=9)
@@ -473,3 +482,8 @@ class TestForestWalk:
                                 for tree in forest.trees])
         got = forest.leaf_id[_node_grid(forest, Q, len(Q))]
         assert np.array_equal(got, want)
+        # predict sums each walked block's votes over trees 0..T-1 in order
+        votes = sum(tree.leaf_value(want[:, t]) / tree.leaf_value(
+            want[:, t]).sum(axis=1, keepdims=True)
+            for t, tree in enumerate(forest.trees))
+        assert np.array_equal(ff.predict_proba(forest, Q), votes / 40)

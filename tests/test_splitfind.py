@@ -1,7 +1,11 @@
 """Split finding against brute-force oracles."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import forestfuse as ff
 
@@ -157,3 +161,129 @@ class TestNodeSplit:
                                    strategy="histogram", n_bins=64,
                                    categorical=np.array([False, True]))
         assert split.feature == 1
+
+
+# -- one scan against an oracle that enumerates every candidate ---------------
+
+def oracle_candidates(cols, strategy, n_bins, categorical):
+    """(position, threshold, left mask, binned) of every candidate split.
+
+    Binned columns (continuous under histogram) offer every node-local bin
+    edge, empty bins included, with the bin arithmetic of the module
+    docstring; the rest offer every midpoint between distinct values.
+    Only the lowest threshold of each distinct partition is kept.
+    """
+    out = []
+    for j in range(cols.shape[1]):
+        col = cols[:, j]
+        seen = set()
+        if strategy == "histogram" and not categorical[j]:
+            lo = col.min()
+            width = (col.max() - lo) / n_bins
+            if width == 0:
+                continue
+            codes = np.clip(np.floor((col - lo) / width), 0, n_bins - 1)
+            cuts = [(lo + width * (b + 1), codes <= b)
+                    for b in range(n_bins - 1)]
+        else:
+            vals = np.unique(col)
+            cuts = [(0.5 * (a + c), col <= a)
+                    for a, c in zip(vals[:-1], vals[1:])]
+        for thr, go_left in cuts:
+            key = go_left.tobytes()
+            if go_left.any() and not go_left.all() and key not in seen:
+                seen.add(key)
+                out.append((j, thr, go_left, strategy == "histogram"
+                            and not categorical[j]))
+    return out
+
+
+def exact_gain(y, go_left, task, n_classes):
+    """(exact gain as a Fraction, the float gain the scan computes)."""
+    n, n_left = len(y), int(go_left.sum())
+    n_right = n - n_left
+    if task == "classification":
+        def sq(part):
+            return int((np.bincount(part, minlength=n_classes) ** 2).sum())
+    else:
+        def sq(part):
+            return int(part.sum()) ** 2  # integer-valued targets
+    a, b, parent = sq(y[go_left]), sq(y[~go_left]), sq(y)
+    exact = (Fraction(a, n_left) + Fraction(b, n_right) - Fraction(parent, n)) / n
+    return exact, (a / n_left + b / n_right - parent / n) / n
+
+
+@st.composite
+def tied_nodes(draw):
+    n = draw(st.integers(2, 40))
+    f = draw(st.integers(1, 4))
+    top = draw(st.integers(1, 5))
+    cols = np.array(draw(st.lists(st.integers(0, top), min_size=n * f,
+                                  max_size=n * f)), dtype=np.float64)
+    task = draw(st.sampled_from(["classification", "regression"]))
+    n_classes = draw(st.integers(2, 4))
+    if task == "classification":
+        y = np.array(draw(st.lists(st.integers(0, n_classes - 1),
+                                   min_size=n, max_size=n)))
+    else:
+        y = np.array(draw(st.lists(st.integers(-3, 3), min_size=n,
+                                   max_size=n)), dtype=np.float64)
+    feat_ids = np.array(sorted(draw(st.sets(st.integers(0, 20), min_size=f,
+                                            max_size=f))))
+    categorical = np.array(draw(st.lists(st.booleans(), min_size=f,
+                                         max_size=f)))
+    return dict(cols=cols.reshape(n, f), y=y, task=task, n_classes=n_classes,
+                feat_ids=feat_ids, categorical=categorical,
+                strategy=draw(st.sampled_from(["presort", "histogram"])),
+                n_bins=draw(st.integers(2, 8)))
+
+
+class TestOneScanOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(tied_nodes())
+    # the splits at 0.5 and 1.5 have equal exact gains, and the float
+    # gain at 1.5 rounds higher
+    @example(dict(cols=np.array([[1.0, 1, 3, 2, 1, 0, 0, 0, 3]]).T,
+                  y=np.array([1, 1, 1, 1, 0, 0, 2, 1, 1]),
+                  task="classification", n_classes=3, feat_ids=np.array([0]),
+                  categorical=np.array([False]), strategy="presort",
+                  n_bins=2))
+    def test_split_matches_enumerated_candidates(self, node):
+        cols, y, task = node["cols"], node["y"], node["task"]
+        K, strategy = node["n_classes"], node["strategy"]
+        got = ff.find_node_split(
+            cols, node["feat_ids"], y, task=task,
+            n_classes=K if task == "classification" else 0,
+            strategy=strategy, n_bins=node["n_bins"],
+            categorical=node["categorical"])
+        cands = []
+        for j, thr, go_left, binned in oracle_candidates(
+                cols, strategy, node["n_bins"], node["categorical"]):
+            exact, fl = exact_gain(y, go_left, task, K)
+            cands.append((j, thr, binned, exact, fl))
+        top = max((c[3] for c in cands), default=0)
+        if top <= 0:
+            assert got is None
+            return
+        assert got is not None
+        pos = int(np.searchsorted(node["feat_ids"], got.feature))
+        chosen = [c for c in cands if c[0] == pos and c[1] == got.threshold]
+        assert len(chosen) == 1  # a candidate, and a node-local one
+        exact = chosen[0][3]
+        if task == "regression":
+            assert float(exact) == pytest.approx(float(top), rel=1e-9)
+            return
+        # the tie rule, visiting candidates by feature, then threshold: a
+        # value key ranks by its exact gain, a bin key by its float gain
+        best = None
+        for j, thr, binned, exact, fl in cands:
+            rank = fl if binned else float(exact)
+            if best is None or rank > best[2]:
+                best = (j, thr, rank, exact)
+        j, thr, rank, exact = best
+        assert (got.feature, got.threshold, got.gain) == \
+            (int(node["feat_ids"][j]), thr, rank)
+        assert exact == top or float(exact) == pytest.approx(float(top),
+                                                             abs=1e-12)
+        if strategy == "presort":
+            assert exact == top and got.gain == float(top)

@@ -48,15 +48,13 @@ def _add_forest_flags(p: argparse.ArgumentParser, require_mode: bool) -> None:
                    default="presort")
     p.add_argument("--bins", type=int, default=256)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--pair-mode", choices=("all", "oob"), default="all")
 
 
 def _forest_config(args) -> ForestConfig:
     return ForestConfig(
         mode=args.mode, n_trees=args.trees, mtry=args.mtry,
         min_node_size=args.min_node_size, max_depth=args.max_depth,
-        split_strategy=args.split, n_bins=args.bins, seed=args.seed,
-        proximity_pairs=args.pair_mode)
+        split_strategy=args.split, n_bins=args.bins, seed=args.seed)
 
 
 def _open_out(path):
@@ -106,10 +104,10 @@ def cmd_train(args) -> int:
 
 def _write_importance_files(prefix, report, schema):
     names = schema.names
-    _write_rows(f"{prefix}.overall_var.csv", ["feature", "score"],
-                [(n, repr(float(s))) for n, s in zip(names, report.overall_var)])
-    _write_rows(f"{prefix}.overall_prox.csv", ["feature", "score"],
-                [(n, repr(float(s))) for n, s in zip(names, report.overall_prox)])
+    for label, scores in (("overall_var", report.overall_var),
+                          ("overall_prox", report.overall_prox)):
+        _write_rows(f"{prefix}.{label}.csv", ["feature", "score"],
+                    [(n, repr(float(s))) for n, s in zip(names, scores)])
     for label, matrix in (("local_var", report.local_var),
                           ("local_prox", report.local_prox)):
         rows = [[r] + [repr(float(v)) for v in matrix[r]]
@@ -159,22 +157,14 @@ def cmd_similar(args) -> int:
             n_repeats=args.repeats)
     else:
         neighbors = top_k_similar(index, forest, vec, args.k)
-        importance = None
-
-    fh, close = _open_out(args.output)
-    try:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["rank", "row_id", "score"])
-        for rank, nb in enumerate(neighbors, start=1):
-            writer.writerow([rank, nb.row_id, repr(nb.score)])
-        if importance is not None:
-            writer.writerow([])
-            writer.writerow(["feature", "importance"])
-            for name, v in zip(artifact.schema.names, importance):
-                writer.writerow([name, repr(float(v))])
-    finally:
-        if close:
-            fh.close()
+    rows = [[rank, nb.row_id, repr(nb.score)]
+            for rank, nb in enumerate(neighbors, start=1)]
+    if args.explain:
+        # a blank line, then the explanation as a second table
+        rows += [[], ["feature", "importance"]] + [
+            [name, repr(float(v))]
+            for name, v in zip(artifact.schema.names, importance)]
+    _write_rows(args.output, ["rank", "row_id", "score"], rows)
     return 0
 
 
@@ -183,14 +173,11 @@ def cmd_importance(args) -> int:
     forest = artifact.forest
     ds = _load_data_for_model(artifact, args.data, args.target)
     names = artifact.schema.names
-    if args.type == "overall-var":
-        scores = overall_variable_importance(forest, ds, args.method)
-        _write_rows(args.output, ["feature", "score"],
-                    [(n, repr(float(s))) for n, s in zip(names, scores)])
-        return 0
-    if args.type == "overall-prox":
-        scores = overall_proximity_importance(forest, ds,
-                                              n_repeats=args.repeats)
+    if args.type.startswith("overall"):
+        scores = (overall_variable_importance(forest, ds, args.method)
+                  if args.type == "overall-var" else
+                  overall_proximity_importance(forest, ds,
+                                               n_repeats=args.repeats))
         _write_rows(args.output, ["feature", "score"],
                     [(n, repr(float(s))) for n, s in zip(names, scores)])
         return 0
@@ -225,7 +212,7 @@ def cmd_outliers(args) -> int:
     ds = _load_data_for_model(artifact, args.data, args.target)
     classes = _outlier_classes(forest, ds)
     if args.score_mode == "exact":
-        prox = compute_proximity(forest, ds.without_target(), pair_mode="all")
+        prox = compute_proximity(forest, ds.without_target())
         report = outlier_exact(prox, classes)
     else:
         index = build_leaf_index(forest)
@@ -242,7 +229,7 @@ def cmd_prototypes(args) -> int:
     forest = artifact.forest
     ds = _load_data_for_model(artifact, args.data, args.target)
     classes = _outlier_classes(forest, ds)
-    prox = compute_proximity(forest, ds.without_target(), pair_mode="all")
+    prox = compute_proximity(forest, ds.without_target())
     protos = find_prototypes(prox, ds.without_target(), classes,
                              k=args.k, n_protos=args.n_protos)
     rows = []

@@ -2,19 +2,19 @@
 
 A Dataset is an immutable table of float64 cells stored either dense
 row-major or CSR. CSR zeros are structural zeros, never missing values:
-only cells marked in the missing mask are treated as absent. Categorical
-features are integer-coded at load time and split as ordered codes.
+only cells marked in the missing mask are treated as absent. Every
+other cell is finite. Categorical features are integer-coded at load
+time and split as ordered codes.
 
 The CSR arrays are a CSR dataset's canonical content: they are what the
-model fingerprint hashes. Tree growth reads columns, so `from_csr` also
-builds a private column-major index once (CSC: per column, the row ids
-in ascending order and their values), and every column read goes
-through it without a pass over the rows.
+model fingerprint hashes. `from_csr` also keeps the stored cells sorted
+by (column, row), so any set of cells is read with one searchsorted.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,6 +166,10 @@ class Dataset:
             missing_mask = np.array(missing_mask, dtype=bool)
             if missing_mask.shape != values.shape:
                 raise ArgumentError("missing mask shape must match values")
+        bad = _non_finite_cell(values, missing_mask)
+        if bad is not None:
+            raise ArgumentError(f"cell {tuple(bad)} is not finite and not "
+                                "marked missing")
         ds.missing = missing_mask
         ds.values[missing_mask] = np.nan
         ds._set_target(target)
@@ -198,6 +202,11 @@ class Dataset:
         if bad.any():
             r = row_of[np.argmax(bad)]
             raise FormatError(f"row {r}: CSR columns must be strictly increasing")
+        bad = ~np.isfinite(ds.data)
+        if bad.any():
+            i = np.argmax(bad)
+            raise FormatError(f"row {row_of[i]}, column {ds.indices[i]}: "
+                              "CSR value is not finite")
         if schema is None:
             schema = continuous_schema([f"f{j + 1}" for j in range(ds.n_features)])
         if schema.n_features != ds.n_features:
@@ -320,28 +329,23 @@ class Dataset:
             out[i, k] = np.nan
         return out
 
+    def _replace(self, **fields) -> "Dataset":
+        """Copy of this Dataset, sharing its arrays, with `fields` replaced."""
+        ds = Dataset._blank()
+        ds.__dict__.update(self.__dict__, **fields)
+        return ds
+
     def with_values(self, values) -> "Dataset":
         """Dense Dataset with the same schema/mask/target and new values."""
         if self.is_sparse:
             raise ArgumentError("with_values requires dense storage")
-        ds = Dataset._blank()
-        ds.is_sparse = False
-        ds.values = np.array(values, dtype=np.float64, order="C")
-        if ds.values.shape != (self.n_rows, self.n_features):
+        values = np.array(values, dtype=np.float64, order="C")
+        if values.shape != (self.n_rows, self.n_features):
             raise ArgumentError("replacement values must keep the shape")
-        ds.n_rows, ds.n_features = self.n_rows, self.n_features
-        ds.schema = self.schema
-        ds.missing = self.missing
-        ds.target = self.target
-        return ds
+        return self._replace(values=values)
 
     def without_target(self) -> "Dataset":
-        if self.target is None:
-            return self
-        ds = Dataset._blank()
-        ds.__dict__.update(self.__dict__)
-        ds.target = None
-        return ds
+        return self if self.target is None else self._replace(target=None)
 
     @property
     def is_filled(self) -> bool:
@@ -361,10 +365,13 @@ class Dataset:
         if not self.is_filled:
             raise ArgumentError(
                 "cannot treat a dataset with unfilled cells as complete")
-        ds = Dataset._blank()
-        ds.__dict__.update(self.__dict__)
-        ds.missing = np.zeros_like(self.missing)
-        return ds
+        return self._replace(missing=np.zeros_like(self.missing))
+
+
+def _non_finite_cell(values, missing):
+    """[row, column] of the first non-finite cell outside `missing`, or None."""
+    bad = ~(np.isfinite(values) | missing)
+    return np.argwhere(bad)[0].tolist() if bad.any() else None
 
 
 def get_value(ds: Dataset, row: int, feature: int):
@@ -372,8 +379,7 @@ def get_value(ds: Dataset, row: int, feature: int):
 
     CSR columns absent from a row read as 0.0 (structural zero).
     """
-    ds._bounds(row, feature)
-    if ds.is_missing(row, feature):
+    if ds.is_missing(row, feature):  # checks the bounds
         return None
     if ds.is_sparse:
         return float(ds.gather_column(np.array([row]), feature)[0])
@@ -389,7 +395,8 @@ def load_dense_csv(path, schema: FeatureSchema, target_column=None,
     The header must list the schema's feature names in order; a target
     column named `target_column` may appear at any position. Cells equal
     to `missing_token` populate the missing mask; categorical labels are
-    mapped to their schema codes.
+    mapped to their schema codes. Any other continuous cell must parse as
+    a finite number.
     """
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -457,6 +464,11 @@ def load_dense_csv(path, schema: FeatureSchema, target_column=None,
 
     values = np.array(rows) if rows else np.empty((0, schema.n_features))
     mask = np.array(mask_rows) if rows else np.empty((0, schema.n_features), bool)
+    bad = _non_finite_cell(values, mask)
+    if bad is not None:
+        r, k = bad
+        raise ParseError(f"{path}:{r + 2}: column {schema.names[k]!r}: cell "
+                         f"{float(values[r, k])!r} is not finite")
     target = np.array(targets) if target_pos is not None else None
     return Dataset.from_dense(values, schema, mask, target)
 
@@ -502,8 +514,8 @@ def load_sparse_svmlight(path, n_features: int) -> Dataset:
     """Load SVMLight/libsvm text into a CSR Dataset.
 
     Lines read ``<target> <col>:<value> ...`` with 1-based strictly
-    increasing columns. Absent entries are structural zeros, not missing
-    values, and every feature is continuous.
+    increasing columns and finite values. Absent entries are structural
+    zeros, not missing values, and every feature is continuous.
     """
     if n_features < 1:
         raise ArgumentError("n_features must be >= 1")
@@ -546,6 +558,9 @@ def load_sparse_svmlight(path, n_features: int) -> Dataset:
                     raise ParseError(
                         f"{path}:{lineno}: cannot parse value in {tok!r}"
                     ) from None
+                if not math.isfinite(val):
+                    raise ParseError(f"{path}:{lineno}: column {col}: "
+                                     f"value {val_s!r} is not finite")
                 indices.append(col - 1)
                 data.append(val)
                 prev = col

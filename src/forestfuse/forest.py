@@ -54,7 +54,6 @@ class ForestConfig:
     split_strategy: str = "presort"
     n_bins: int = 256
     seed: int = 0
-    proximity_pairs: str = "all"
 
     def validate(self) -> None:
         if self.mode not in MODES:
@@ -72,8 +71,6 @@ class ForestConfig:
             raise ConfigError("min_node_size must be >= 1")
         if self.max_depth is not None and self.max_depth < 0:
             raise ConfigError("max_depth must be >= 0")
-        if self.proximity_pairs not in ("all", "oob"):
-            raise ConfigError(f"unknown proximity_pairs {self.proximity_pairs!r}")
 
     def resolved_mtry(self, n_features: int) -> int:
         if self.mtry is not None:
@@ -395,30 +392,6 @@ class _TrainingView:
 
 # -- growth ----------------------------------------------------------------
 
-def _observed_split(cols, feats, y, held, categorical, **kw):
-    """Best split when some of the node's candidate cells are held out.
-
-    Each feature is scored only on the rows where its cell is observed,
-    and its gain is scaled by that observed share of the node. Ties
-    resolve as in find_node_split: lowest feature id, then threshold.
-    """
-    n = len(y)
-    best = None
-    for j in range(len(feats)):
-        obs = ~held[:, j]
-        cand = find_node_split(
-            cols[obs, j:j + 1], feats[j:j + 1], y[obs],
-            categorical=categorical[j:j + 1] if categorical is not None else None,
-            **kw)
-        if cand is None:
-            continue
-        cand = replace(cand, gain=cand.gain * np.count_nonzero(obs) / n)
-        if best is None or (cand.gain, -cand.feature, -cand.threshold) > \
-                (best.gain, -best.feature, -best.threshold):
-            best = cand
-    return best
-
-
 def _grow_tree(data, y, tree_id, *, task, n_classes, n_features, mtry,
                min_node_size, max_depth, strategy, n_bins, seed,
                categorical, held_out=None):
@@ -459,14 +432,9 @@ def _grow_tree(data, y, tree_id, *, task, n_classes, n_features, mtry,
             cols = _read(data, rows[:, None], feats)
             cat = categorical[feats] if categorical is not None else None
             held = None if held_out is None else held_out[rows[:, None], feats]
-            if held is not None and held.any():
-                split = _observed_split(
-                    cols, feats, yv, held, cat, task=task,
-                    n_classes=n_classes, strategy=strategy, n_bins=n_bins)
-            else:
-                split = find_node_split(
-                    cols, feats, yv, task=task, n_classes=n_classes,
-                    strategy=strategy, n_bins=n_bins, categorical=cat)
+            split = find_node_split(
+                cols, feats, yv, task=task, n_classes=n_classes,
+                strategy=strategy, n_bins=n_bins, categorical=cat, held=held)
             if split is not None:
                 j = int(np.searchsorted(feats, split.feature))
                 go_left = cols[:, j] <= split.threshold
@@ -519,8 +487,11 @@ def train_held_out(ds: Dataset, held_out, config: ForestConfig) -> Forest:
     """Grow a forest that never reads the cells marked in held_out.
 
     ds must be dense and complete; its held-out cells hold placeholder
-    fills. Split search scores each candidate feature on the node's rows
-    where that cell is observed and scales the gain by the observed share.
+    fills. Every node makes the one sorted scan of `find_node_split`,
+    with the node's held-out cells as its held mask: each candidate
+    feature is scored on the node's rows where that cell is observed, its
+    gain scaled by the observed share, and the exact tie rule of every
+    other node picks among features.
     A row whose split feature is held out goes to the child holding more
     of the node's observed in-bag rows, both during growth and in
     leaf_of_train. In unsupervised mode the synthetic half carries the

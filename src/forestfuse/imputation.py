@@ -220,12 +220,8 @@ def initial_impute(ds: Dataset) -> Dataset:
     """Column-median / column-mode fill; the iterative methods' seed fill."""
     if not ds.has_missing:
         return ds
-    fills = _column_fills(ds)
-    values = ds.values.copy()
-    for k in range(ds.n_features):
-        rows = np.flatnonzero(ds.missing[:, k])
-        values[rows, k] = fills[k]
-    return ds.with_values(values)
+    fills = _column_fills(ds)  # rejects CSR storage
+    return ds.with_values(np.where(ds.missing, fills, ds.values))
 
 
 def _inner_train(ds: Dataset, forest_config: ForestConfig,
@@ -310,8 +306,7 @@ def impute_breiman_cutler(ds: Dataset, cfg: ImputationConfig) -> ImputationResul
         if prox is None:
             forest = _inner_train(current, cfg.forest_config,
                                   held_out=ds.missing)
-            prox = compute_proximity(forest, current.without_target(),
-                                     pair_mode="all").values
+            prox = compute_proximity(forest, current.without_target()).values
         return bc_reimpute(current, ds.missing, prox, fills)
 
     return _run_iterations(ds, cfg, step)

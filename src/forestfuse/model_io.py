@@ -205,7 +205,9 @@ def _parse_model(blob: bytes) -> ModelArtifact:
 
     try:
         meta = json.loads(bytes(sections["meta"]).decode("utf-8"))
-        config = ForestConfig(**meta["config"])
+        stored = dict(meta["config"])
+        stored.pop("proximity_pairs", None)  # older files; no longer a setting
+        config = ForestConfig(**stored)
         config.validate()
         schema = _schema_from_json(meta["schema"])
         n_features = _count(meta["n_features"], 1)

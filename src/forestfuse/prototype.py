@@ -31,7 +31,6 @@ class Prototype:
 
 def _nearest(prox_row: np.ndarray, exclude: np.ndarray, k: int) -> np.ndarray:
     """Ids of the k largest proximities, ties to the lower row id."""
-    n = len(prox_row)
     eligible = np.flatnonzero(~exclude)
     if eligible.size == 0:
         return eligible

@@ -88,7 +88,7 @@ def build_leaf_index(forest: Forest, cells: np.ndarray | None = None
     return LeafIndex(order.astype(np.int32), start, forest.leaf_offset[:-1], n)
 
 
-def compute_proximity(forest: Forest, ds: Dataset, pair_mode: str | None = None,
+def compute_proximity(forest: Forest, ds: Dataset, pair_mode: str = "all",
                       *, matrix_cap: int = DEFAULT_MATRIX_CAP) -> ProximityMatrix:
     """Full proximity matrix over the training rows.
 
@@ -97,8 +97,6 @@ def compute_proximity(forest: Forest, ds: Dataset, pair_mode: str | None = None,
     such tree exists). Raises CapacityError above `matrix_cap` rows; use
     the LeafIndex path for large data.
     """
-    if pair_mode is None:
-        pair_mode = forest.config.proximity_pairs
     if pair_mode not in ("all", "oob"):
         raise ArgumentError(f"unknown pair_mode {pair_mode!r}")
     n = forest.n_scored_rows
@@ -152,6 +150,8 @@ def query_proximity_importance(forest: Forest, ds: Dataset, query, *,
     point the forest never saw, so every tree counts. Donor values come
     from fixed-seed uniform draws over the training rows.
     """
+    if n_repeats < 1:
+        raise ArgumentError("n_repeats must be >= 1")
     if seed is None:
         seed = forest.config.seed
     leaves = _query_leaves(forest, query)

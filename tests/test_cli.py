@@ -87,3 +87,34 @@ def test_similar_needs_no_build_index_flag(trained, tmp_path):
         runs[len(extra)] = read_csv(out)
     assert len(runs[0]) == 6
     assert runs[0] == runs[1]
+
+
+def assert_one_line_error(capsys, expected):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert expected in lines[0]
+
+
+@pytest.mark.parametrize("repeats", ["0", "-1"])
+def test_similar_rejects_repeats_below_one(trained, capsys, repeats):
+    paths, _, _ = trained
+    capsys.readouterr()
+    assert main(["similar", str(paths["model.ffm"]), str(paths["features.csv"]),
+                 "--explain", "--data", str(paths["train.csv"]),
+                 "--target", "label", "--repeats", repeats]) == 1
+    assert_one_line_error(capsys, "n_repeats must be >= 1")
+
+
+def test_train_rejects_a_non_finite_cell(trained, tmp_path, capsys):
+    paths, _, _ = trained
+    data = tmp_path / "nan.csv"
+    data.write_text("a,b,c\n0.1,0.2,0.3\n0.4,nan,0.6\n1.0,2.0,3.0\n"
+                    "-1.0,-2.0,-3.0\n")
+    capsys.readouterr()
+    assert main(["train", str(data), str(paths["schema.txt"]),
+                 "-o", str(tmp_path / "m.ffm"), "--mode", "unsupervised",
+                 "--trees", "2"]) == 1
+    assert_one_line_error(capsys, "nan.csv:3: column 'b'")
+    assert not (tmp_path / "m.ffm").exists()

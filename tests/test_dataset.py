@@ -66,6 +66,13 @@ class TestDenseCsv:
         with pytest.raises(ff.ParseError, match="zap"):
             ff.load_dense_csv(path, two_continuous())
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "NaN"])
+    def test_non_finite_continuous_names_line_and_column(self, tmp_path,
+                                                         cell):
+        path = write(tmp_path, "d.csv", f"a,b\n1.0,2.0\n3.0,{cell}\n")
+        with pytest.raises(ff.ParseError, match=r"d\.csv:3: column 'b'"):
+            ff.load_dense_csv(path, two_continuous())
+
     def test_header_mismatch(self, tmp_path):
         path = write(tmp_path, "d.csv", "a,c\n1.0,2.0\n")
         with pytest.raises(ff.SchemaError):
@@ -154,6 +161,12 @@ class TestSvmlight:
         with pytest.raises(ff.FormatError):
             ff.load_sparse_svmlight(path, n_features=3)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_names_line_and_column(self, tmp_path, value):
+        path = write(tmp_path, "s.txt", f"1 1:2.0\n0 1:1.0 3:{value}\n")
+        with pytest.raises(ff.ParseError, match=r"s\.txt:2: column 3"):
+            ff.load_sparse_svmlight(path, n_features=3)
+
     def test_non_increasing_columns_rejected(self, tmp_path):
         path = write(tmp_path, "s.txt", "1 2:1.0 2:2.0\n")
         with pytest.raises(ff.FormatError, match="strictly increasing"):
@@ -213,6 +226,19 @@ class TestCellSemantics:
             ff.Dataset.from_csr([0, 2], [1, 0], [1.0, 2.0], n_features=2)
         with pytest.raises(ff.FormatError):
             ff.Dataset.from_csr([0, 1], [5], [1.0], n_features=2)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_cells_rejected(self, value):
+        values = [[1.0, 2.0], [3.0, value]]
+        with pytest.raises(ff.ArgumentError, match=r"\(1, 1\)"):
+            ff.Dataset.from_dense(values)
+        # a missing cell may hold anything: the mask makes it NaN
+        ds = ff.Dataset.from_dense(values, missing_mask=[[False, False],
+                                                         [False, True]])
+        assert ds.n_missing == 1 and ff.get_value(ds, 1, 1) is None
+        with pytest.raises(ff.FormatError, match="row 1, column 1"):
+            ff.Dataset.from_csr([0, 1, 3], [0, 0, 1], [1.0, 3.0, value],
+                                n_features=2)
 
     def test_bad_categorical_codes_rejected(self):
         schema = ff.FeatureSchema([ff.Feature("c", ff.CATEGORICAL, ("x", "y"))])

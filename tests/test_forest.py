@@ -243,19 +243,25 @@ class TestTraining:
 
 class TestTrainHeldOut:
     @staticmethod
-    def masked(seed, mode):
+    def masked(seed, mode, strategy="presort"):
         rng = np.random.default_rng(seed)
         X = rng.normal(size=(80, 4))
         X[:, 1] = X[:, 0] + rng.normal(scale=0.1, size=80)
         held = rng.uniform(size=X.shape) < 0.2
-        target = (X[:, 0] > 0).astype(float) if mode == "classification" \
-            else None
-        cfg = ff.ForestConfig(mode=mode, n_trees=6, min_node_size=3, seed=4)
+        target = {"classification": (X[:, 0] > 0).astype(float),
+                  "regression": 2 * X[:, 0] - X[:, 2],
+                  "unsupervised": None}[mode]
+        cfg = ff.ForestConfig(mode=mode, n_trees=6, min_node_size=3, seed=4,
+                              split_strategy=strategy, n_bins=8)
         return X, held, target, cfg
 
-    @pytest.mark.parametrize("mode", ["classification", "unsupervised"])
-    def test_forest_never_reads_held_out_cells(self, mode):
-        X, held, target, cfg = self.masked(31, mode)
+    @pytest.mark.parametrize("mode, strategy", [
+        pytest.param(mode, strategy, id=mode if strategy == "presort"
+                     else f"{mode}-{strategy}")
+        for strategy in ("presort", "histogram")
+        for mode in ("classification", "regression", "unsupervised")])
+    def test_forest_never_reads_held_out_cells(self, mode, strategy):
+        X, held, target, cfg = self.masked(31, mode, strategy)
         forests = []
         for fill in (0.0, 50.0):
             filled = np.where(held, fill, X)

@@ -1,5 +1,8 @@
 """Model files: exact round trips, and corrupt files rejected cleanly."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 from helpers import assemble_forest, blobs, stump
@@ -42,6 +45,29 @@ def test_round_trip_keeps_predictions_and_neighbours(mode, tmp_path):
     for q in X[::4]:
         assert ff.top_k_similar(loaded_index, loaded, q, k=7) == \
             ff.top_k_similar(index, forest, q, k=7)
+
+
+def test_stored_proximity_pairs_key_is_ignored(model_file, tmp_path):
+    """Files written while the config held `proximity_pairs` still load."""
+    path, forest, ds = model_file
+    blob = path.read_bytes()
+    # the first section, after the 12-byte header: "meta", then its size
+    assert blob[12:18] == b"\x04\x00meta"
+    (size,) = struct.unpack_from("<Q", blob, 18)
+    meta = json.loads(blob[26:26 + size])
+    assert "proximity_pairs" not in meta["config"]
+    meta["config"]["proximity_pairs"] = "oob"
+    raw = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
+    old = tmp_path / "old.ffm"
+    old.write_bytes(blob[:18] + struct.pack("<Q", len(raw)) + raw
+                    + blob[26 + size:])
+    artifact = ff.load_model(old)
+    assert artifact.forest.config == forest.config
+    X = ds.without_target().values
+    np.testing.assert_array_equal(ff.predict_proba(artifact.forest, X),
+                                  ff.predict_proba(forest, X))
+    ff.save_model(tmp_path / "resaved.ffm", artifact)
+    assert (tmp_path / "resaved.ffm").read_bytes() == blob
 
 
 @settings(max_examples=300, deadline=None)

@@ -5,6 +5,7 @@ import pytest
 from helpers import assemble_forest, blobs, blobs_dataset, leaf_tree, stump
 
 import forestfuse as ff
+from forestfuse.proximity import query_proximity_importance
 
 
 def brute_force_proximity(leaf_of_train, n):
@@ -255,6 +256,13 @@ class TestExplainedQuery:
                                             n_repeats=8)
         assert imp.shape == (1,)
         assert imp[0] > 0.0
+
+    @pytest.mark.parametrize("n_repeats", [0, -1])
+    def test_repeats_below_one_rejected(self, small_forest, n_repeats):
+        ds, forest = small_forest
+        with pytest.raises(ff.ArgumentError, match="n_repeats"):
+            query_proximity_importance(forest, ds, ds.values[0],
+                                       n_repeats=n_repeats)
 
     def test_matches_direct_per_tree_counting(self):
         ds = ff.Dataset.from_dense([[0.0, 5.0], [1.0, 6.0], [2.0, 7.0]],

@@ -150,6 +150,23 @@ class TestNodeSplit:
         assert split.threshold == 0.5
         assert split.gain == pytest.approx(0.5, abs=1e-15)
 
+    def test_boundary_into_held_rows_is_never_a_candidate(self):
+        # the only split of the 1290 observed rows gains less than the tie
+        # band, so the boundary between the last observed row and the
+        # held ones, which gains exactly 0, lies in the band as well
+        n, m = 1300, 1290
+        col = np.ones((n, 1))
+        col[0] = 0.0
+        y = np.zeros(n, dtype=np.int64)
+        y[1] = 1
+        held = np.zeros((n, 1), dtype=bool)
+        held[m:] = True
+        split = ff.find_node_split(col, np.array([0]), y,
+                                   task="classification", n_classes=2,
+                                   held=held)
+        assert split.threshold == 0.5
+        assert split.gain == 2 / (m * (m - 1) * n) < 1e-9
+
     def test_mixed_groups_pick_global_best(self):
         rng = np.random.default_rng(11)
         noise = rng.normal(size=40)
@@ -165,19 +182,25 @@ class TestNodeSplit:
 
 # -- one scan against an oracle that enumerates every candidate ---------------
 
-def oracle_candidates(cols, strategy, n_bins, categorical):
-    """(position, threshold, left mask, binned) of every candidate split.
+def oracle_candidates(cols, strategy, n_bins, categorical, held):
+    """(position, threshold, observed rows, left mask, binned) of every
+    candidate split.
 
-    Binned columns (continuous under histogram) offer every node-local bin
-    edge, empty bins included, with the bin arithmetic of the module
-    docstring; the rest offer every midpoint between distinct values.
-    Only the lowest threshold of each distinct partition is kept.
+    Each column offers splits of its observed rows only (held cells are
+    not read). Binned columns (continuous under histogram) offer every
+    bin edge over the observed min/max, empty bins included, with the bin
+    arithmetic of the module docstring; the rest offer every midpoint
+    between distinct observed values. Only the lowest threshold of each
+    distinct partition is kept.
     """
     out = []
     for j in range(cols.shape[1]):
-        col = cols[:, j]
-        seen = set()
-        if strategy == "histogram" and not categorical[j]:
+        obs = ~held[:, j]
+        col = cols[obs, j]
+        binned = strategy == "histogram" and not categorical[j]
+        if len(col) < 2:
+            continue
+        if binned:
             lo = col.min()
             width = (col.max() - lo) / n_bins
             if width == 0:
@@ -189,19 +212,21 @@ def oracle_candidates(cols, strategy, n_bins, categorical):
             vals = np.unique(col)
             cuts = [(0.5 * (a + c), col <= a)
                     for a, c in zip(vals[:-1], vals[1:])]
+        seen = set()
         for thr, go_left in cuts:
             key = go_left.tobytes()
             if go_left.any() and not go_left.all() and key not in seen:
                 seen.add(key)
-                out.append((j, thr, go_left, strategy == "histogram"
-                            and not categorical[j]))
+                out.append((j, thr, obs, go_left, binned))
     return out
 
 
-def exact_gain(y, go_left, task, n_classes):
-    """(exact gain as a Fraction, the float gain the scan computes)."""
-    n, n_left = len(y), int(go_left.sum())
-    n_right = n - n_left
+def exact_gain(y, go_left, task, n_classes, n):
+    """(exact gain as a Fraction, the float gain the scan computes) of a
+    split of the observed rows y in a node of n rows: the gain on those
+    rows, scaled by their share of the node."""
+    m, n_left = len(y), int(go_left.sum())
+    n_right = m - n_left
     if task == "classification":
         def sq(part):
             return int((np.bincount(part, minlength=n_classes) ** 2).sum())
@@ -209,8 +234,9 @@ def exact_gain(y, go_left, task, n_classes):
         def sq(part):
             return int(part.sum()) ** 2  # integer-valued targets
     a, b, parent = sq(y[go_left]), sq(y[~go_left]), sq(y)
-    exact = (Fraction(a, n_left) + Fraction(b, n_right) - Fraction(parent, n)) / n
-    return exact, (a / n_left + b / n_right - parent / n) / n
+    exact = (Fraction(a, n_left) + Fraction(b, n_right)
+             - Fraction(parent, m)) / m
+    return exact * Fraction(m, n), (a / n_left + b / n_right - parent / m) / n
 
 
 @st.composite
@@ -232,8 +258,19 @@ def tied_nodes(draw):
                                             max_size=f))))
     categorical = np.array(draw(st.lists(st.booleans(), min_size=f,
                                          max_size=f)))
+    held = None
+    kind = draw(st.sampled_from(["none", "scattered", "whole column",
+                                 "one observed row"]))
+    if kind != "none":
+        held = np.array(draw(st.lists(st.booleans(), min_size=n * f,
+                                      max_size=n * f))).reshape(n, f)
+        if kind != "scattered":
+            j = draw(st.integers(0, f - 1))
+            held[:, j] = True
+            if kind == "one observed row":
+                held[draw(st.integers(0, n - 1)), j] = False
     return dict(cols=cols.reshape(n, f), y=y, task=task, n_classes=n_classes,
-                feat_ids=feat_ids, categorical=categorical,
+                feat_ids=feat_ids, categorical=categorical, held=held,
                 strategy=draw(st.sampled_from(["presort", "histogram"])),
                 n_bins=draw(st.integers(2, 8)))
 
@@ -246,20 +283,33 @@ class TestOneScanOracle:
     @example(dict(cols=np.array([[1.0, 1, 3, 2, 1, 0, 0, 0, 3]]).T,
                   y=np.array([1, 1, 1, 1, 0, 0, 2, 1, 1]),
                   task="classification", n_classes=3, feat_ids=np.array([0]),
-                  categorical=np.array([False]), strategy="presort",
-                  n_bins=2))
+                  categorical=np.array([False]), held=None,
+                  strategy="presort", n_bins=2))
+    # with row 1 of feature 0 held, the best splits of the two features
+    # have equal exact gains (1/5), and a float gain taken on the observed
+    # rows, then scaled by n_obs / n, rounds higher for feature 1
+    @example(dict(cols=np.array([[6.0, 5, 4, 1, 3, 0, 2],
+                                 [1.0, 0, 2, 3, 6, 4, 5]]).T,
+                  y=np.array([0, 1, 2, 2, 2, 2, 1]),
+                  task="classification", n_classes=3,
+                  feat_ids=np.array([0, 1]),
+                  categorical=np.array([False, False]),
+                  held=np.array([[0, 1, 0, 0, 0, 0, 0],
+                                 [0, 0, 0, 0, 0, 0, 0]], dtype=bool).T,
+                  strategy="presort", n_bins=2))
     def test_split_matches_enumerated_candidates(self, node):
         cols, y, task = node["cols"], node["y"], node["task"]
-        K, strategy = node["n_classes"], node["strategy"]
+        K, strategy, held = node["n_classes"], node["strategy"], node["held"]
         got = ff.find_node_split(
             cols, node["feat_ids"], y, task=task,
             n_classes=K if task == "classification" else 0,
             strategy=strategy, n_bins=node["n_bins"],
-            categorical=node["categorical"])
+            categorical=node["categorical"], held=held)
         cands = []
-        for j, thr, go_left, binned in oracle_candidates(
-                cols, strategy, node["n_bins"], node["categorical"]):
-            exact, fl = exact_gain(y, go_left, task, K)
+        for j, thr, obs, go_left, binned in oracle_candidates(
+                cols, strategy, node["n_bins"], node["categorical"],
+                np.zeros(cols.shape, bool) if held is None else held):
+            exact, fl = exact_gain(y[obs], go_left, task, K, len(y))
             cands.append((j, thr, binned, exact, fl))
         top = max((c[3] for c in cands), default=0)
         if top <= 0:

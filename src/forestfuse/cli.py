@@ -31,8 +31,7 @@ from .model_io import (ModelArtifact, check_fingerprint, dataset_fingerprint,
                        load_model, save_model)
 from .outlier import outlier_exact, outlier_greedy
 from .prototype import find_prototypes
-from .proximity import (build_leaf_index, compute_proximity, top_k_similar,
-                        top_k_similar_explained)
+from .proximity import build_leaf_index, top_k_similar, top_k_similar_explained
 
 
 def _add_forest_flags(p: argparse.ArgumentParser, require_mode: bool) -> None:
@@ -212,8 +211,7 @@ def cmd_outliers(args) -> int:
     ds = _load_data_for_model(artifact, args.data, args.target)
     classes = _outlier_classes(forest, ds)
     if args.score_mode == "exact":
-        prox = compute_proximity(forest, ds.without_target())
-        report = outlier_exact(prox, classes)
+        report = outlier_exact(forest, classes)
     else:
         index = build_leaf_index(forest)
         report = outlier_greedy(index, forest, classes, m_cap=args.m_cap)
@@ -229,8 +227,7 @@ def cmd_prototypes(args) -> int:
     forest = artifact.forest
     ds = _load_data_for_model(artifact, args.data, args.target)
     classes = _outlier_classes(forest, ds)
-    prox = compute_proximity(forest, ds.without_target())
-    protos = find_prototypes(prox, ds.without_target(), classes,
+    protos = find_prototypes(forest, ds.without_target(), classes,
                              k=args.k, n_protos=args.n_protos)
     rows = []
     for c in sorted(protos):

@@ -14,6 +14,7 @@ by (column, row), so any set of cells is read with one searchsorted.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -25,6 +26,8 @@ CONTINUOUS = "continuous"
 CATEGORICAL = "categorical"
 
 DEFAULT_MISSING_TOKEN = "NA"
+# CSV records parsed column-wise at once; bounds the strings held in memory
+_CSV_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -419,58 +422,96 @@ def load_dense_csv(path, schema: FeatureSchema, target_column=None,
                 f"{schema.names}"
             )
         col_map = [i for i in range(len(header)) if i != target_pos]
+        m = schema.n_features
+        # blocks of (values, mask, target); a fault raises in its block
+        parts = [(np.empty((0, m)), np.zeros((0, m), dtype=bool), np.empty(0))]
+        line = 2  # the file line of the next record
+        while records := list(itertools.islice(reader, _CSV_BLOCK_ROWS)):
+            parts.append(_parse_records(records, line, path, len(header),
+                                        col_map, target_pos, schema,
+                                        missing_token))
+            line += len(records)
 
-        rows, mask_rows, targets = [], [], []
-        for lineno, rec in enumerate(reader, start=2):
-            if len(rec) != len(header):
-                raise FormatError(
-                    f"{path}:{lineno}: expected {len(header)} fields, "
-                    f"got {len(rec)}"
-                )
-            vals = np.empty(schema.n_features, dtype=np.float64)
-            miss = np.zeros(schema.n_features, dtype=bool)
-            for k, src in enumerate(col_map):
-                cell = rec[src].strip()
-                feat = schema.features[k]
-                if cell == missing_token:
-                    vals[k] = np.nan
-                    miss[k] = True
-                elif feat.kind == CATEGORICAL:
-                    try:
-                        vals[k] = feat.categories.index(cell)
-                    except ValueError:
-                        raise SchemaError(
-                            f"{path}:{lineno}: column {feat.name!r}: "
-                            f"unknown category label {cell!r}"
-                        ) from None
-                else:
-                    try:
-                        vals[k] = float(cell)
-                    except ValueError:
-                        raise ParseError(
-                            f"{path}:{lineno}: column {feat.name!r}: "
-                            f"cannot parse {cell!r} as a number"
-                        ) from None
-            if target_pos is not None:
-                cell = rec[target_pos].strip()
-                try:
-                    targets.append(float(cell))
-                except ValueError:
-                    raise ParseError(
-                        f"{path}:{lineno}: cannot parse target {cell!r}"
-                    ) from None
-            rows.append(vals)
-            mask_rows.append(miss)
-
-    values = np.array(rows) if rows else np.empty((0, schema.n_features))
-    mask = np.array(mask_rows) if rows else np.empty((0, schema.n_features), bool)
+    values, mask, target = (np.concatenate(p) for p in zip(*parts))
     bad = _non_finite_cell(values, mask)
     if bad is not None:
         r, k = bad
         raise ParseError(f"{path}:{r + 2}: column {schema.names[k]!r}: cell "
                          f"{float(values[r, k])!r} is not finite")
-    target = np.array(targets) if target_pos is not None else None
-    return Dataset.from_dense(values, schema, mask, target)
+    return Dataset.from_dense(values, schema, mask,
+                              None if target_pos is None else target)
+
+
+def _parse_records(records, line, path, n_fields, col_map, target_pos,
+                   schema, missing_token):
+    """Parse CSV records column-wise into (values, mask, target).
+
+    Raises the first fault in row-major order, `line` being the file line
+    of records[0]: a bad cell, or else a record with the wrong field
+    count. A cell's finiteness is checked later, over the whole table.
+    """
+    # a record with the wrong field count ends the parsed table; a bad
+    # cell on an earlier line is still the first fault
+    cut = next((i for i, rec in enumerate(records) if len(rec) != n_fields),
+               len(records))
+    table = records[:cut]
+    n, m = len(table), schema.n_features
+    values = np.empty((n, m))
+    mask = np.zeros((n, m), dtype=bool)
+    faults = []  # each column's first bad cell: (row, position, error)
+    for k, (src, feat) in enumerate(zip(col_map, schema.features)):
+        cells = [rec[src].strip() for rec in table]
+        if feat.kind == CATEGORICAL:
+            # the first code of a repeated label; the missing token wins
+            codes = {label: float(code) for code, label
+                     in reversed(list(enumerate(feat.categories)))}
+            codes[missing_token] = np.nan
+            picked = [codes.get(cell) for cell in cells]
+            if None in picked:
+                r = picked.index(None)
+                faults.append((r, k, SchemaError(
+                    f"{path}:{line + r}: column {feat.name!r}: "
+                    f"unknown category label {cells[r]!r}")))
+                continue
+            values[:, k] = picked
+            mask[:, k] = np.isnan(values[:, k])
+            continue
+        if missing_token in cells:
+            mask[:, k] = [cell == missing_token for cell in cells]
+            cells = ["nan" if miss else cell
+                     for cell, miss in zip(cells, mask[:, k])]
+        r = _parse_floats(cells, values[:, k])
+        if r is not None:
+            faults.append((r, k, ParseError(
+                f"{path}:{line + r}: column {feat.name!r}: "
+                f"cannot parse {cells[r]!r} as a number")))
+    target = np.empty(n)
+    if target_pos is not None:
+        cells = [rec[target_pos].strip() for rec in table]
+        r = _parse_floats(cells, target)
+        if r is not None:
+            faults.append((r, m, ParseError(
+                f"{path}:{line + r}: cannot parse target {cells[r]!r}")))
+    if faults:
+        raise min(faults, key=lambda fault: fault[:2])[2]
+    if cut < len(records):
+        raise FormatError(f"{path}:{line + cut}: expected {n_fields} fields, "
+                          f"got {len(records[cut])}")
+    return values, mask, target
+
+
+def _parse_floats(cells, out) -> int | None:
+    """Parse `cells` as Python floats into `out`; the first bad index or None."""
+    try:
+        out[:] = np.array(cells, dtype=np.float64)
+    except ValueError:
+        for r, cell in enumerate(cells):
+            try:
+                float(cell)
+            except ValueError:
+                return r
+        raise
+    return None
 
 
 def _format_cell(ds: Dataset, row: int, k: int, missing_token: str) -> str:

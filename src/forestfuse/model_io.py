@@ -7,9 +7,10 @@ fixed dtypes — so identical forests produce byte-identical files, and a
 save/load round trip reproduces predictions and top-K results exactly.
 
 Loading checks every length, count and shape against the metadata, then
-every tree's node links and leaf ids in one pass over the forest's node
-arrays, so a truncated or corrupted file raises ModelFormatError rather
-than a low-level error or a forest whose walks never end.
+every tree's node links, leaf ids and node values in one pass over the
+forest's node arrays, so a truncated or corrupted file raises
+ModelFormatError rather than a low-level error, a forest whose walks
+never end, or a leaf whose class counts give NaN probabilities.
 """
 
 from __future__ import annotations
@@ -116,6 +117,15 @@ def _check_forest(forest: Forest) -> None:
             and ((kids > np.tile(local[inner], 2))
                  & (kids < np.tile(sizes[owner[inner]], 2))).all()):
         raise ModelFormatError("tree nodes are inconsistent")
+    value, n_node = forest.value, forest.n_node
+    if not np.isfinite(value).all():
+        raise ModelFormatError("node values are not finite")
+    # class counts are whole, non-negative and sum to the node's rows
+    if forest.n_classes and not (
+            (n_node >= 1).all() and (value >= 0).all()
+            and (value == np.round(value)).all()
+            and (value.sum(axis=1) == n_node).all()):
+        raise ModelFormatError("node class counts do not sum to the node size")
     leaves = forest.leaf_of_train
     if np.any(leaves < 0) or np.any(leaves >= np.diff(forest.leaf_offset)):
         raise ModelFormatError("leaf assignment beyond its tree's leaves")

@@ -14,10 +14,13 @@ over its finite raws. Its members carry the ``degenerate_mad`` flag, and
 are all equal, or whose median is infinite, scores 0 throughout; it is
 flagged too.
 
-Exact mode consumes a full proximity matrix; greedy mode approximates the
-squared-proximity mass from the leaf index using only each sample's
-top co-occurring classmates, trading a controlled underestimate of the
-mass for never touching anything quadratic.
+Both modes read each class's proximities to its own members a block of
+rows at a time: from a Forest's co-occurrence counts, with every block's
+temporaries under a byte budget, or from a given matrix; neither holds an
+n x n array. Exact mode sums each row's squared proximities to all its
+classmates; greedy mode keeps only each sample's m_cap strongest
+classmates (Breiman and Cutler's nrnn rule), trading a controlled
+underestimate of the mass for a sum of at most m_cap terms.
 """
 
 from __future__ import annotations
@@ -28,12 +31,19 @@ import numpy as np
 
 from .errors import ArgumentError, ClassSizeError
 from .forest import Forest
-from .proximity import LeafIndex, ProximityMatrix
+from .proximity import (DEFAULT_BLOCK_BYTES, LeafIndex, ProximityMatrix,
+                        matrix_rows, nearness_key, proximity_rows)
 
 FLAG_INF_RAW = "inf_raw"
 FLAG_DEGENERATE_MAD = "degenerate_mad"
 
 DEFAULT_GREEDY_CAP = 256
+
+# per-cell bytes built from a block of classmate proximities: the self
+# mask, the block without self, and its float64 squares
+_EXACT_CELL_BYTES = 1 + 8 + 8
+# greedy adds a ranking key and argpartition's int64 positions
+_GREEDY_CELL_BYTES = _EXACT_CELL_BYTES + 8 + 8
 
 
 @dataclass
@@ -100,26 +110,50 @@ def _normalize(raw: np.ndarray, classes: np.ndarray):
     return score, class_ids, medians, mads, [tuple(sorted(f)) for f in flags]
 
 
-def outlier_exact(prox: ProximityMatrix | np.ndarray, classes) -> OutlierReport:
-    """Exact per-sample outlier measures from a full proximity matrix.
+def _classmate_rows(prox, classes, cell_bytes):
+    """Yield (rows, mates, scale) per class and block of its rows.
+
+    mates[r] / scale are the proximities of rows[r] to each of its
+    classmates except itself, in ascending row id.
+    """
+    for c in np.unique(classes):
+        members = np.flatnonzero(classes == c)
+        for block, values, scale in proximity_rows(
+                prox, members, members, max_bytes=DEFAULT_BLOCK_BYTES,
+                cell_bytes=cell_bytes):
+            keep = members != block[:, None]
+            yield block, values[keep].reshape(len(block), -1), scale
+
+
+def _raw_from_mass(raw, rows, nj, mates, scale):
+    """raw[rows] = N_j / sum of squared proximities, +inf at zero mass.
+
+    The squares are summed along each row in ascending id order, the same
+    pairwise summation as one row at a time.
+    """
+    sq = np.divide(mates, scale)
+    np.square(sq, out=sq)
+    mass = sq.sum(axis=1)
+    raw[rows] = np.inf
+    found = mass > 0
+    raw[rows[found]] = nj / mass[found]
+
+
+def outlier_exact(prox: ProximityMatrix | np.ndarray | Forest, classes
+                  ) -> OutlierReport:
+    """Exact per-sample outlier measures.
 
     raw_n = N_j / sum over same-class m != n of prox(n, m)^2; a sample
     with zero within-class proximity mass gets +inf and an ``inf_raw``
-    flag. Every class must have at least 2 members.
+    flag. Every class must have at least 2 members. `prox` is a Forest,
+    read by co-occurrence blocks, or a proximity matrix.
     """
-    values = prox.values if isinstance(prox, ProximityMatrix) else np.asarray(prox)
-    n = values.shape[0]
-    if values.shape != (n, n):
-        raise ArgumentError("proximity matrix must be square")
+    n = matrix_rows(prox)
     classes = _check_classes(classes, n)
-
     raw = np.empty(n, dtype=np.float64)
-    for c in np.unique(classes):
-        members = np.flatnonzero(classes == c)
-        nj = len(members)
-        for i in members:
-            mass = float((values[i, members[members != i]] ** 2).sum())
-            raw[i] = nj / mass if mass > 0 else np.inf
+    for rows, mates, scale in _classmate_rows(prox, classes,
+                                              _EXACT_CELL_BYTES):
+        _raw_from_mass(raw, rows, mates.shape[1] + 1, mates, scale)
     score, class_ids, medians, mads, flags = _normalize(raw, classes)
     return OutlierReport(raw, score, classes, class_ids, medians, mads,
                          flags, mode="exact")
@@ -129,27 +163,26 @@ def outlier_greedy(index: LeafIndex, forest: Forest, classes,
                    m_cap: int = DEFAULT_GREEDY_CAP) -> OutlierReport:
     """Greedy approximation: keep only each sample's strongest classmates.
 
-    Co-occurrence counts come from the leaf index; only the m_cap
-    classmates with the highest counts contribute to the squared-
-    proximity mass. m_cap >= N_j - 1 reproduces the exact measures.
+    Only the m_cap classmates with the highest co-occurrence counts (ties
+    to the lower id) contribute to the squared-proximity mass, summed in
+    ascending id order. m_cap >= N_j - 1 reproduces the exact measures.
     """
     if m_cap < 1:
         raise ArgumentError("m_cap must be >= 1")
     n = index.n_rows
+    if forest.n_scored_rows != n:
+        raise ArgumentError("leaf index row count does not match the forest")
     classes = _check_classes(classes, n)
-    T = forest.n_trees
-
     raw = np.empty(n, dtype=np.float64)
-    members_of = {c: np.flatnonzero(classes == c) for c in np.unique(classes)}
-    for i in range(n):
-        counts = index.counts(forest.leaf_of_train[i])
-        members = members_of[int(classes[i])]
-        mates = members[members != i]
-        if len(mates) > m_cap:
-            order = np.lexsort((mates, -counts[mates]))[:m_cap]
-            mates = np.sort(mates[order])
-        mass = float((((counts[mates]) / T) ** 2).sum())
-        raw[i] = len(members) / mass if mass > 0 else np.inf
+    for rows, mates, scale in _classmate_rows(forest, classes,
+                                              _GREEDY_CELL_BYTES):
+        nj = mates.shape[1] + 1
+        if nj - 1 > m_cap:
+            top = np.argpartition(nearness_key(mates), m_cap - 1,
+                                  axis=1)[:, :m_cap]
+            top.sort(axis=1)
+            mates = np.take_along_axis(mates, top, axis=1)
+        _raw_from_mass(raw, rows, nj, mates, scale)
     score, class_ids, medians, mads, flags = _normalize(raw, classes)
     return OutlierReport(raw, score, classes, class_ids, medians, mads,
                          flags, mode="greedy", greedy_m=m_cap)

@@ -1,11 +1,15 @@
 """Forest proximities and the leaf-membership index.
 
 prox(i, j) is the fraction of trees in which rows i and j land in the
-same terminal node. Every reader of that co-membership goes through
-`LeafIndex`, the rows grouped by (tree, leaf). The full matrix is
-quadratic in row count, so it is capped; top-K queries, greedy outliers
-and Young imputation read single groups or one (n,) count vector. The
-index covers the real rows only, never an unsupervised synthetic half.
+same terminal node. Two structures read that co-membership. `LeafIndex`
+groups the rows by (tree, leaf) for top-K queries and Young imputation,
+which need one (n,) count vector at a time. `cooccurrence_blocks` counts
+a block of rows against all rows, one equality pass per tree; its block
+height keeps every per-cell temporary under a byte budget, so exact and
+greedy outliers and prototypes never hold an n x n array. The full
+matrix of `compute_proximity` stacks those blocks under its own byte
+budget. Both cover the real rows only, never an unsupervised synthetic
+half.
 """
 
 from __future__ import annotations
@@ -19,7 +23,10 @@ from .errors import ArgumentError, CapacityError
 from .forest import Forest, _query_leaves, _walk
 from .rng import query_donor_rng
 
-DEFAULT_MATRIX_CAP = 20_000
+# bytes of the float64 matrix `compute_proximity` may return (20,000 rows)
+DEFAULT_MAX_BYTES = 8 * 20_000 ** 2
+# bytes of one block's per-cell temporaries
+DEFAULT_BLOCK_BYTES = 8 << 20
 
 
 @dataclass
@@ -88,41 +95,144 @@ def build_leaf_index(forest: Forest, cells: np.ndarray | None = None
     return LeafIndex(order.astype(np.int32), start, forest.leaf_offset[:-1], n)
 
 
+def _ids(ids, n: int) -> np.ndarray:
+    return np.arange(n) if ids is None else np.asarray(ids, dtype=np.int64)
+
+
+def cooccurrence_blocks(forest: Forest, rows=None, cols=None, *,
+                        pair_mode: str = "all",
+                        max_bytes: int = DEFAULT_BLOCK_BYTES,
+                        cell_bytes: int = 0):
+    """Co-occurrence counts of blocks of `rows` against the rows `cols`.
+
+    Yields (block, counts, denom) for consecutive slices `block` of
+    `rows`; both default to every scored row, ascending. counts[r, j] is
+    the number of trees in which rows block[r] and cols[j] share a leaf.
+    In "oob" mode a tree counts only when both rows are out-of-bag in
+    it, and denom[r, j] is the number of such trees; in "all" mode denom
+    is None. Both are uint8 up to 255 trees, else uint16 (uint32 beyond
+    65,535). Each block holds as many rows as fit b x len(cols) cells of
+    the kernel's temporaries plus `cell_bytes` (what the caller builds
+    per cell) into `max_bytes`, and at least one.
+    """
+    if pair_mode not in ("all", "oob"):
+        raise ArgumentError(f"unknown pair_mode {pair_mode!r}")
+    n, T = forest.n_scored_rows, forest.n_trees
+    rows, cols = _ids(rows, n), _ids(cols, n)
+    dtype = np.min_scalar_type(T)
+    oob = pair_mode == "oob"
+    # accumulator and equality buffer, twice over in "oob" mode
+    per_cell = (np.dtype(dtype).itemsize + 1) * (2 if oob else 1) + cell_bytes
+    height = max(1, max_bytes // (max(1, len(cols)) * per_cell))
+    # (T, n) leaf ids in the narrowest type: equality passes run on it
+    leaves = forest.leaf_of_train[:n].T
+    leaves = np.ascontiguousarray(leaves, np.min_scalar_type(leaves.max()))
+    theirs = leaves.take(cols, axis=1)
+    if oob:
+        out_of_bag = np.ascontiguousarray(forest.oob_mask()[:n].T)
+        oob_theirs = out_of_bag.take(cols, axis=1)
+    for a in range(0, len(rows), height):
+        block = rows[a:a + height]
+        counts = np.zeros((len(block), len(cols)), dtype=dtype)
+        same = np.empty(counts.shape, dtype=bool)
+        denom = np.zeros_like(counts) if oob else None
+        both = np.empty_like(same) if oob else None
+        mine = leaves[:, block, None]
+        for t in range(T):
+            np.equal(mine[t], theirs[t], out=same)
+            if oob:
+                np.logical_and(out_of_bag[t, block, None], oob_theirs[t],
+                               out=both)
+                np.add(denom, both.view(np.uint8), out=denom)
+                same &= both
+            np.add(counts, same.view(np.uint8), out=counts)
+        yield block, counts, denom
+
+
+def _square(prox) -> np.ndarray:
+    values = prox.values if isinstance(prox, ProximityMatrix) else np.asarray(prox)
+    if values.ndim != 2 or values.shape[0] != values.shape[1]:
+        raise ArgumentError("proximity matrix must be square")
+    return values
+
+
+def matrix_rows(prox) -> int:
+    """Row count of a Forest's scored rows or of a proximity matrix."""
+    return prox.n_scored_rows if isinstance(prox, Forest) else len(_square(prox))
+
+
+def proximity_rows(prox, rows=None, cols=None, *,
+                   max_bytes: int = DEFAULT_BLOCK_BYTES, cell_bytes: int = 0):
+    """Blocks of proximities of `rows` to `cols`, from a Forest or a matrix.
+
+    Yields (block, values, scale): prox(block[r], cols[j]) is
+    values[r, j] / scale. A Forest gives co-occurrence counts in "all"
+    mode and its tree count; a square matrix gives its cells and 1.0, so
+    both sources read through the same consumers. Blocks keep
+    b x len(cols) cells of the values plus `cell_bytes` under `max_bytes`.
+    """
+    if isinstance(prox, Forest):
+        for block, counts, _ in cooccurrence_blocks(
+                prox, rows, cols, max_bytes=max_bytes, cell_bytes=cell_bytes):
+            yield block, counts, prox.n_trees
+        return
+    values = _square(prox)
+    rows = _ids(rows, len(values))
+    width = len(values) if cols is None else len(cols)
+    height = max(1, max_bytes // (max(1, width) * (values.itemsize + cell_bytes)))
+    for a in range(0, len(rows), height):
+        block = rows[a:a + height]
+        yield block, (values[block] if cols is None
+                      else values[np.ix_(block, cols)]), 1.0
+
+
+def nearness_key(values) -> np.ndarray:
+    """A unique integer key per cell of a (b, m) array of integers >= 0.
+
+    Along each row a smaller key means a larger value, then a lower
+    column, so argpartition on the key picks the strongest cells with
+    ties to the lower id. Keys are int32 when they fit, with room above
+    them for a caller's exclusion mark at the type's maximum.
+    """
+    m = values.shape[1]
+    itype = np.int32 if (int(values.max()) + 1) * m < 2 ** 31 else np.int64
+    key = np.multiply(values, -m, dtype=itype)
+    key += np.arange(m, dtype=itype)
+    return key
+
+
 def compute_proximity(forest: Forest, ds: Dataset, pair_mode: str = "all",
-                      *, matrix_cap: int = DEFAULT_MATRIX_CAP) -> ProximityMatrix:
+                      *, max_bytes: int = DEFAULT_MAX_BYTES) -> ProximityMatrix:
     """Full proximity matrix over the training rows.
 
     pair_mode "all" counts every tree; "oob" restricts both the numerator
     and denominator to trees where both rows are out-of-bag (0 when no
-    such tree exists). Raises CapacityError above `matrix_cap` rows; use
-    the LeafIndex path for large data.
+    such tree exists). Raises CapacityError when the float64 matrix
+    needs more than `max_bytes`; outliers and prototypes read a Forest
+    block by block instead, and top-K queries use the LeafIndex.
     """
     if pair_mode not in ("all", "oob"):
         raise ArgumentError(f"unknown pair_mode {pair_mode!r}")
     n = forest.n_scored_rows
     if ds.n_rows != n:
         raise ArgumentError("dataset row count does not match the forest")
-    if n > matrix_cap:
+    need = 8 * n * n
+    if need > max_bytes:
         raise CapacityError(
-            f"{n} rows exceed the {matrix_cap}-row proximity matrix cap; "
-            "use build_leaf_index / top_k_similar instead")
-
-    oob = forest.oob_mask()[:n] if pair_mode == "oob" else None
-    index = build_leaf_index(forest, cells=oob)
-    counts = np.zeros((n, n), dtype=np.int32)
-    bounds = index.start.tolist()
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        if b > a:
-            rows = index.order[a:b]
-            counts[np.ix_(rows, rows)] += 1
-    if oob is None:
-        return ProximityMatrix(n, counts.astype(np.float64) / forest.n_trees,
-                               "all")
-    # trees in which both rows are out-of-bag; float32 sums of 0/1 are exact
-    both = oob.astype(np.float32)
-    denom = both @ both.T
-    values = np.where(denom > 0, counts / np.maximum(denom, 1), 0.0)
-    return ProximityMatrix(n, values, "oob")
+            f"the {n} x {n} proximity matrix needs {need} bytes, over the "
+            f"{max_bytes}-byte budget; read a Forest by blocks or use the "
+            "LeafIndex instead")
+    values = np.empty((n, n))
+    # per cell: the float64 quotient, and in "oob" mode the mask, the
+    # clipped denominator and np.where's result
+    for block, counts, denom in cooccurrence_blocks(
+            forest, pair_mode=pair_mode, cell_bytes=8 + 1 + 2 + 8):
+        if denom is None:
+            values[block] = counts / forest.n_trees
+        else:
+            values[block] = np.where(denom > 0, counts / np.maximum(denom, 1),
+                                     0.0)
+    return ProximityMatrix(n, values, pair_mode)
 
 
 def top_k_similar(index: LeafIndex, forest: Forest, query, k: int) -> list[Neighbor]:

@@ -118,3 +118,17 @@ def test_train_rejects_a_non_finite_cell(trained, tmp_path, capsys):
                  "--trees", "2"]) == 1
     assert_one_line_error(capsys, "nan.csv:3: column 'b'")
     assert not (tmp_path / "m.ffm").exists()
+
+
+def test_predict_rejects_a_leaf_with_zeroed_class_counts(trained, capsys):
+    paths, _, _ = trained
+    artifact = ff.load_model(paths["model.ffm"])
+    # the trees are views of the forest's node arrays, so this is saved
+    artifact.forest.value[artifact.forest.leaf_nodes[3]] = 0.0
+    ff.save_model(paths["model.ffm"], artifact)
+    with pytest.raises(ff.ModelFormatError, match="class counts"):
+        ff.load_model(paths["model.ffm"])
+    capsys.readouterr()
+    assert main(["predict", str(paths["model.ffm"]),
+                 str(paths["features.csv"])]) == 1
+    assert_one_line_error(capsys, "class counts")

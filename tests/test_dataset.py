@@ -73,6 +73,61 @@ class TestDenseCsv:
         with pytest.raises(ff.ParseError, match=r"d\.csv:3: column 'b'"):
             ff.load_dense_csv(path, two_continuous())
 
+    @pytest.mark.parametrize("text, error, match", [
+        # different lines: a later column's fault on an earlier line wins
+        ("a,c,b,y\n1,red,zap,0\n2,green,3,0\n", ff.ParseError,
+         r"d\.csv:2: column 'b': cannot parse 'zap' as a number"),
+        ("a,c,b,y\n1,red,2,0\n2,red,zap,0\n1,green,3,0\n", ff.ParseError,
+         r"d\.csv:3: column 'b': cannot parse 'zap'"),
+        # one line: the earlier column wins, the target comes last
+        ("a,c,b,y\n1,red,2,0\n2,green,zap,0\n", ff.SchemaError,
+         r"d\.csv:3: column 'c'"),
+        ("a,c,b,y\nzap,green,2,0\n", ff.ParseError, r"d\.csv:2: column 'a'"),
+        ("a,c,b,y\n1,red,zap,?\n", ff.ParseError, r"d\.csv:2: column 'b'"),
+        ("a,c,b,y\n1,red,2,?\n1,red,zap,0\n", ff.ParseError,
+         r"d\.csv:2: cannot parse target '\?'"),
+        # a bad cell before a short line is named first, and after it not
+        ("a,c,b,y\n1,red,zap,0\n1,red\n", ff.ParseError,
+         r"d\.csv:2: column 'b'"),
+        ("a,c,b,y\n1,red\n1,red,zap,0\n", ff.FormatError,
+         r"d\.csv:2: expected 4 fields, got 2"),
+        # a parse fault anywhere comes before a non-finite cell
+        ("a,c,b,y\nnan,red,2,0\n1,red,zap,0\n", ff.ParseError,
+         r"d\.csv:3: column 'b': cannot parse"),
+    ])
+    @pytest.mark.parametrize("block_rows", [1, 2, 256])
+    def test_first_bad_cell_in_row_major_order(self, tmp_path, monkeypatch,
+                                               block_rows, text, error, match):
+        # records are parsed a block at a time; a fault names its file line
+        monkeypatch.setattr(ff.dataset, "_CSV_BLOCK_ROWS", block_rows)
+        schema = ff.FeatureSchema([
+            ff.Feature("a", ff.CONTINUOUS),
+            ff.Feature("c", ff.CATEGORICAL, ("red", "blue")),
+            ff.Feature("b", ff.CONTINUOUS),
+        ])
+        path = write(tmp_path, "d.csv", text)
+        with pytest.raises(error, match=match):
+            ff.load_dense_csv(path, schema, target_column="y")
+
+    @pytest.mark.parametrize("block_rows", [1, 7])
+    def test_blocks_of_records_parse_as_one_table(self, tmp_path, monkeypatch,
+                                                  block_rows):
+        schema = ff.FeatureSchema([
+            ff.Feature("a", ff.CONTINUOUS),
+            ff.Feature("c", ff.CATEGORICAL, ("red", "blue")),
+        ])
+        rng = np.random.default_rng(3)
+        lines = [f"{'NA' if rng.uniform() < 0.2 else repr(rng.normal())},"
+                 f"{rng.choice(['red', 'blue', 'NA'])},{r}" for r in range(40)]
+        path = write(tmp_path, "d.csv", "a,c,y\n" + "\n".join(lines) + "\n")
+        whole = ff.load_dense_csv(path, schema, target_column="y")
+        monkeypatch.setattr(ff.dataset, "_CSV_BLOCK_ROWS", block_rows)
+        parts = ff.load_dense_csv(path, schema, target_column="y")
+        np.testing.assert_array_equal(parts.values, whole.values)
+        np.testing.assert_array_equal(parts.missing, whole.missing)
+        np.testing.assert_array_equal(parts.target, np.arange(40.0))
+        assert whole.n_missing > 0
+
     def test_header_mismatch(self, tmp_path):
         path = write(tmp_path, "d.csv", "a,c\n1.0,2.0\n")
         with pytest.raises(ff.SchemaError):

@@ -133,3 +133,31 @@ def test_predict_on_truncated_model_is_a_one_line_error(model_file, tmp_path,
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("left, match", [
+    ([-1.0, 2.0], "class counts"),  # sums to the node size, one negative
+    ([0.5, 0.5], "class counts"),   # not whole
+    ([1.0, 1.0], "class counts"),   # two rows in a one-row leaf
+    ([0.0, 0.0], "class counts"),   # no rows: NaN votes
+    ([np.inf, 0.0], "not finite"),
+    ([np.nan, 1.0], "not finite"),
+])
+def test_bad_class_counts_rejected(left, match, tmp_path):
+    ds = ff.Dataset.from_dense([[0.0], [1.0]], target=[0.0, 1.0])
+    tree = stump(0, 0.5, left, [0.0, 1.0])
+    tree.value[0] = [1.0, 1.0]  # the root stays consistent
+    save(assemble_forest([tree], ds, n_classes=2), ds, tmp_path / "m.ffm")
+    with pytest.raises(ff.ModelFormatError, match=match):
+        ff.load_model(tmp_path / "m.ffm")
+
+
+def test_non_finite_regression_value_rejected(tmp_path):
+    ds = ff.Dataset.from_dense([[0.0], [1.0]], target=[0.0, 1.0])
+    forest = assemble_forest([stump(0, 0.5, 0.0, 1.0)], ds, mode="regression")
+    save(forest, ds, tmp_path / "ok.ffm")
+    ff.load_model(tmp_path / "ok.ffm")
+    forest.value[2] = np.inf
+    save(forest, ds, tmp_path / "m.ffm")
+    with pytest.raises(ff.ModelFormatError, match="not finite"):
+        ff.load_model(tmp_path / "m.ffm")

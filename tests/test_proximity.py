@@ -73,8 +73,11 @@ class TestComputeProximity:
 
     def test_matrix_cap(self, small_forest):
         ds, forest = small_forest
-        with pytest.raises(ff.CapacityError, match="LeafIndex|top_k|index"):
-            ff.compute_proximity(forest, ds, matrix_cap=10)
+        need = 8 * ds.n_rows ** 2  # the float64 matrix
+        with pytest.raises(ff.CapacityError, match=f"{need} bytes.*LeafIndex"):
+            ff.compute_proximity(forest, ds, max_bytes=need - 1)
+        prox = ff.compute_proximity(forest, ds, max_bytes=need)
+        assert prox.values.nbytes == need
 
     def test_oob_pair_mode_matches_oracle(self, small_forest):
         ds, forest = small_forest

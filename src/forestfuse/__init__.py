@@ -28,15 +28,13 @@ from .imputation import (ImputationConfig, ImputationResult, IterationStats,
                          ValidationReport, bc_reimpute, impute,
                          impute_breiman_cutler, impute_young, initial_impute,
                          proximity_weighted_mean, proximity_weighted_mode,
-                         validate_imputations, young_cell_estimates,
-                         young_reimpute)
+                         validate_imputations, young_reimpute)
 from .model_io import (ModelArtifact, check_fingerprint, dataset_fingerprint,
                        load_model, save_model)
 from .outlier import OutlierReport, outlier_exact, outlier_greedy
 from .prototype import Prototype, find_prototypes
-from .proximity import (LeafIndex, Neighbor, ProximityMatrix,
-                        build_leaf_index, compute_proximity, top_k_similar,
-                        top_k_similar_explained)
+from .proximity import (Neighbor, ProximityMatrix, compute_proximity,
+                        top_k_similar, top_k_similar_explained)
 from .splitfind import Split, best_split, find_node_split
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -31,7 +31,7 @@ from .model_io import (ModelArtifact, check_fingerprint, dataset_fingerprint,
                        load_model, save_model)
 from .outlier import outlier_exact, outlier_greedy
 from .prototype import find_prototypes
-from .proximity import build_leaf_index, top_k_similar, top_k_similar_explained
+from .proximity import top_k_similar, top_k_similar_explained
 
 
 def _add_forest_flags(p: argparse.ArgumentParser, require_mode: bool) -> None:
@@ -140,7 +140,6 @@ def cmd_predict(args) -> int:
 def cmd_similar(args) -> int:
     artifact = load_model(args.model)
     forest = artifact.forest
-    index = build_leaf_index(forest)
     queries = load_dense_csv(args.query, artifact.schema)
     if not (0 <= args.query_row < queries.n_rows):
         raise ConfigError(f"query row {args.query_row} out of range")
@@ -152,10 +151,10 @@ def cmd_similar(args) -> int:
                               "for donor draws")
         ds = _load_data_for_model(artifact, args.data, args.target)
         neighbors, importance = top_k_similar_explained(
-            index, forest, ds.without_target(), vec, args.k,
+            forest, ds.without_target(), vec, args.k,
             n_repeats=args.repeats)
     else:
-        neighbors = top_k_similar(index, forest, vec, args.k)
+        neighbors = top_k_similar(forest, vec, args.k)
     rows = [[rank, nb.row_id, repr(nb.score)]
             for rank, nb in enumerate(neighbors, start=1)]
     if args.explain:
@@ -213,8 +212,7 @@ def cmd_outliers(args) -> int:
     if args.score_mode == "exact":
         report = outlier_exact(forest, classes)
     else:
-        index = build_leaf_index(forest)
-        report = outlier_greedy(index, forest, classes, m_cap=args.m_cap)
+        report = outlier_greedy(forest, classes, m_cap=args.m_cap)
     rows = [(r, int(report.class_of[r]), repr(float(report.raw[r])),
              repr(float(report.score[r])), ";".join(report.flags[r]))
             for r in range(len(report.raw))]
@@ -320,8 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--explain", action="store_true")
     p.add_argument("--build-index", action="store_true",
-                   help="accepted and ignored: the leaf index is always "
-                        "built from the model")
+                   help="accepted and ignored: queries read the model's "
+                        "leaf assignments directly")
     p.add_argument("--data", default=None,
                    help="training CSV (required with --explain)")
     p.add_argument("--target", default=None)

@@ -12,9 +12,13 @@ passes run):
   Letting the filled values steer the forest that re-imputes them locks
   in the seed fill and keeps the loop from settling (the proximity
   imputation bias of Tang & Ishwaran, Stat. Anal. Data Min. 2017).
-* young — per tree where the sample is out-of-bag, the mean/mode of
-  observed leaf co-members, averaged (majority-voted) over those trees.
-  It trains a new forest on each pass's fill, imputed cells included.
+  Proximities are read a block of rows at a time, and only for the rows
+  that hold a missing cell.
+* young — each leaf's estimate of a feature is the mean (mode) of its
+  rows whose cell is observed. A missing cell averages (majority-votes)
+  the estimates of its leaves over the trees where its row is
+  out-of-bag and the leaf holds such a row. It trains a new forest on
+  each pass's fill, imputed cells included.
 
 The validator ranks candidate imputations without ground truth: an
 unsupervised forest trained on complete reference data scores each
@@ -31,7 +35,7 @@ import numpy as np
 from .dataset import CATEGORICAL, Dataset
 from .errors import ArgumentError, ConfigError, ImputationError
 from .forest import Forest, ForestConfig, p_synthetic, train, train_held_out
-from .proximity import LeafIndex, build_leaf_index, compute_proximity
+from .proximity import ProximityMatrix, proximity_rows
 
 
 @dataclass
@@ -94,99 +98,104 @@ def proximity_weighted_mode(weights, codes, n_categories: int) -> int | None:
     return int(np.argmax(totals))
 
 
-def young_cell_estimates(forest: Forest, index: LeafIndex, values: np.ndarray,
-                         observed_col: np.ndarray, row: int, feature: int,
-                         categorical: bool) -> list[float]:
-    """Per-OOB-tree estimates for one missing cell.
-
-    For each tree where `row` is out-of-bag, the estimate is the mean
-    (mode for categoricals, ties to the lower code) of the feature over
-    the observed leaf co-members, the row itself excluded. Trees whose
-    leaf holds no observed donor contribute nothing.
-    """
-    oob_trees = np.flatnonzero(forest.oob_mask()[row])
-    estimates: list[float] = []
-    for t in oob_trees:
-        post = index.members(t, forest.leaf_of_train[row, t])
-        donors = post[(post != row) & observed_col[post]]
-        if donors.size == 0:
-            continue
-        vals = values[donors, feature]
-        if categorical:
-            estimates.append(float(np.argmax(
-                np.bincount(vals.astype(np.int64)))))
-        else:
-            estimates.append(float(vals.mean()))
-    return estimates
-
-
-def _aggregate_young(estimates: list[float], categorical: bool) -> float:
-    if categorical:
-        return float(np.argmax(np.bincount(
-            np.asarray(estimates, dtype=np.int64))))
-    return float(np.mean(estimates))
-
-
 # -- single re-imputation passes ---------------------------------------------
 
-def bc_reimpute(current: Dataset, missing: np.ndarray, prox: np.ndarray,
-                fills: np.ndarray):
+def bc_reimpute(current: Dataset, missing: np.ndarray,
+                prox: Forest | ProximityMatrix | np.ndarray, fills: np.ndarray):
     """One Breiman-Cutler pass: proximity-weighted fills of masked cells.
 
-    `missing` is the original mask; weights come from `prox` rows against
-    rows whose cell is observed. Cells with zero total weight fall back
-    to `fills`. Returns (new values, fallback cells).
+    `missing` is the original mask. `prox` is a Forest, read by blocks of
+    the rows that hold a missing cell, or a proximity matrix; each cell's
+    weights are its row's proximities to the rows whose cell is observed.
+    Cells with zero total weight fall back to `fills`. Returns (new
+    values, fallback cells in (feature, row) order).
     """
-    observed = ~missing
     is_cat = current.schema.is_categorical()
     new_values = current.values.copy()
+    donors = [np.flatnonzero(~missing[:, k]) for k in range(current.n_features)]
+    donor_vals = [current.values[rows, k] for k, rows in enumerate(donors)]
     fallbacks: list[tuple[int, int]] = []
-    for k in range(current.n_features):
-        miss_rows = np.flatnonzero(missing[:, k])
-        if miss_rows.size == 0:
-            continue
-        obs_rows = np.flatnonzero(observed[:, k])
-        donor_vals = current.values[obs_rows, k]
-        n_codes = current.schema.n_categories(k) if is_cat[k] else 0
-        for i in miss_rows:
-            weights = prox[i, obs_rows]
-            if is_cat[k]:
-                pick = proximity_weighted_mode(weights, donor_vals.astype(np.int64),
-                                               n_codes)
-            else:
-                pick = proximity_weighted_mean(weights, donor_vals)
-            if pick is None:
-                new_values[i, k] = fills[k]
-                fallbacks.append((int(i), int(k)))
-            else:
-                new_values[i, k] = pick
+    for block, values, scale in proximity_rows(
+            prox, np.flatnonzero(missing.any(axis=1))):
+        for r, i in enumerate(block.tolist()):
+            for k in np.flatnonzero(missing[i]).tolist():
+                weights = values[r, donors[k]] / scale
+                if is_cat[k]:
+                    pick = proximity_weighted_mode(
+                        weights, donor_vals[k], current.schema.n_categories(k))
+                else:
+                    pick = proximity_weighted_mean(weights, donor_vals[k])
+                if pick is None:
+                    new_values[i, k] = fills[k]
+                    fallbacks.append((i, k))
+                else:
+                    new_values[i, k] = pick
+    fallbacks.sort(key=lambda cell: (cell[1], cell[0]))
     return new_values, fallbacks
 
 
-def young_reimpute(current: Dataset, missing: np.ndarray, forest: Forest,
-                   index: LeafIndex):
+def _group_modes(groups, codes, n_groups: int) -> np.ndarray:
+    """Most frequent code of each group id, ties to the lower code.
+
+    Counts only the (group, code) pairs that occur, so memory follows the
+    input and not groups x categories. An empty group gets 0.
+    """
+    c = int(codes.max(initial=0)) + 1
+    pairs, counts = np.unique(groups * c + codes, return_counts=True)
+    group = pairs // c
+    # pairs ascend by (group, code): a stable sort on (group, -count)
+    # puts each group's lowest most frequent code first
+    ranked = np.lexsort((-counts, group))
+    first = ranked[np.unique(group[ranked], return_index=True)[1]]
+    modes = np.zeros(n_groups, dtype=np.int64)
+    modes[group[first]] = pairs[first] % c
+    return modes
+
+
+def young_reimpute(current: Dataset, missing: np.ndarray, forest: Forest):
     """One Young pass: OOB leaf-member fills of masked cells.
 
-    Cells with no OOB tree, or whose OOB leaves hold no observed donor,
-    keep their current value. Returns (new values, fallback cells).
+    Per feature, bincounts over the global leaf ids of the observed rows
+    give every leaf's donor count and value sum (continuous); categorical
+    leaves take their donors' mode, ties to the lower code. A missing
+    cell takes the mean (majority vote, ties to the lower code) of its
+    leaves' estimates over its OOB trees whose leaf holds a donor; cells
+    with no such tree keep their current value. Returns (new values,
+    fallback cells).
     """
-    observed = ~missing
+    n, T = forest.n_scored_rows, forest.n_trees
+    n_leaves = int(forest.leaf_offset[-1])
+    leaf_ids = forest.leaf_of_train[:n] + forest.leaf_offset[:-1]
+    oob = forest.oob_mask()[:n]
     is_cat = current.schema.is_categorical()
     new_values = current.values.copy()
     fallbacks: list[tuple[int, int]] = []
     for k in range(current.n_features):
-        miss_rows = np.flatnonzero(missing[:, k])
-        if miss_rows.size == 0:
+        rows = np.flatnonzero(missing[:, k])
+        if rows.size == 0:
             continue
-        obs_col = observed[:, k]
-        for i in miss_rows:
-            estimates = young_cell_estimates(
-                forest, index, current.values, obs_col, int(i), k,
-                bool(is_cat[k]))
-            if not estimates:
-                fallbacks.append((int(i), int(k)))
-                continue
-            new_values[i, k] = _aggregate_young(estimates, bool(is_cat[k]))
+        observed = ~missing[:, k]
+        # row by row, so each leaf sums its donors in ascending row order
+        donor_leaves = leaf_ids[observed].ravel()
+        donor_vals = np.repeat(current.values[observed, k], T)
+        n_donors = np.bincount(donor_leaves, minlength=n_leaves)
+        leaves = leaf_ids[rows]
+        used = oob[rows] & (n_donors[leaves] > 0)
+        if is_cat[k]:
+            leaf_mode = _group_modes(donor_leaves, donor_vals.astype(np.int64),
+                                     n_leaves)
+            # one vote per used (cell, tree) pair
+            fill = _group_modes(np.nonzero(used)[0], leaf_mode[leaves][used],
+                                len(rows))
+        else:
+            sums = np.bincount(donor_leaves, weights=donor_vals,
+                               minlength=n_leaves)
+            means = np.divide(sums[leaves], n_donors[leaves],
+                              out=np.zeros(leaves.shape), where=used)
+            fill = means.sum(axis=1) / np.maximum(used.sum(axis=1), 1)
+        found = used.any(axis=1)
+        new_values[rows[found], k] = fill[found]
+        fallbacks += [(i, k) for i in rows[~found].tolist()]
     return new_values, fallbacks
 
 
@@ -291,23 +300,22 @@ def impute_breiman_cutler(ds: Dataset, cfg: ImputationConfig) -> ImputationResul
     """Iterative proximity-weighted imputation.
 
     The first pass trains a forest that never reads an originally-missing
-    cell (`forest.train_held_out`) and computes its proximity matrix. That
-    forest does not depend on the fill and the donors are observed cells,
-    so every pass reuses the matrix in `bc_reimpute`, pass 2 repeats pass 1
-    exactly and the loop converges there (with max_iters >= 2). The
+    cell (`forest.train_held_out`). That forest does not depend on the
+    fill and the donors are observed cells, so every pass reuses it in
+    `bc_reimpute`, pass 2 repeats pass 1 exactly and the loop converges
+    there (with max_iters >= 2). The
     iteration trace and final-pass fallback cells come back in the result;
     observed cells are never modified.
     """
     fills = _column_fills(ds) if ds.has_missing else None
-    prox = None
+    forest = None
 
     def step(current: Dataset, iteration: int):
-        nonlocal prox
-        if prox is None:
+        nonlocal forest
+        if forest is None:
             forest = _inner_train(current, cfg.forest_config,
                                   held_out=ds.missing)
-            prox = compute_proximity(forest, current.without_target()).values
-        return bc_reimpute(current, ds.missing, prox, fills)
+        return bc_reimpute(current, ds.missing, forest, fills)
 
     return _run_iterations(ds, cfg, step)
 
@@ -324,8 +332,7 @@ def impute_young(ds: Dataset, cfg: ImputationConfig) -> ImputationResult:
 
     def step(current: Dataset, iteration: int):
         forest = _inner_train(current, cfg.forest_config)
-        index = build_leaf_index(forest)
-        return young_reimpute(current, ds.missing, forest, index)
+        return young_reimpute(current, ds.missing, forest)
 
     return _run_iterations(ds, cfg, step)
 

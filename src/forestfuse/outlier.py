@@ -31,8 +31,8 @@ import numpy as np
 
 from .errors import ArgumentError, ClassSizeError
 from .forest import Forest
-from .proximity import (DEFAULT_BLOCK_BYTES, LeafIndex, ProximityMatrix,
-                        matrix_rows, nearness_key, proximity_rows)
+from .proximity import (DEFAULT_BLOCK_BYTES, ProximityMatrix, matrix_rows,
+                        nearness_key, proximity_rows)
 
 FLAG_INF_RAW = "inf_raw"
 FLAG_DEGENERATE_MAD = "degenerate_mad"
@@ -159,7 +159,7 @@ def outlier_exact(prox: ProximityMatrix | np.ndarray | Forest, classes
                          flags, mode="exact")
 
 
-def outlier_greedy(index: LeafIndex, forest: Forest, classes,
+def outlier_greedy(forest: Forest, classes,
                    m_cap: int = DEFAULT_GREEDY_CAP) -> OutlierReport:
     """Greedy approximation: keep only each sample's strongest classmates.
 
@@ -169,11 +169,8 @@ def outlier_greedy(index: LeafIndex, forest: Forest, classes,
     """
     if m_cap < 1:
         raise ArgumentError("m_cap must be >= 1")
-    n = index.n_rows
-    if forest.n_scored_rows != n:
-        raise ArgumentError("leaf index row count does not match the forest")
-    classes = _check_classes(classes, n)
-    raw = np.empty(n, dtype=np.float64)
+    classes = _check_classes(classes, forest.n_scored_rows)
+    raw = np.empty(len(classes), dtype=np.float64)
     for rows, mates, scale in _classmate_rows(forest, classes,
                                               _GREEDY_CELL_BYTES):
         nj = mates.shape[1] + 1

@@ -1,15 +1,14 @@
-"""Forest proximities and the leaf-membership index.
+"""Forest proximities.
 
 prox(i, j) is the fraction of trees in which rows i and j land in the
-same terminal node. Two structures read that co-membership. `LeafIndex`
-groups the rows by (tree, leaf) for top-K queries and Young imputation,
-which need one (n,) count vector at a time. `cooccurrence_blocks` counts
-a block of rows against all rows, one equality pass per tree; its block
-height keeps every per-cell temporary under a byte budget, so exact and
-greedy outliers and prototypes never hold an n x n array. The full
-matrix of `compute_proximity` stacks those blocks under its own byte
-budget. Both cover the real rows only, never an unsupervised synthetic
-half.
+same terminal node. One structure holds that co-membership: the forest's
+(n, T) `leaf_of_train`, read by equality passes. `cooccurrence_blocks`
+compares a block of rows against all rows, one pass per tree; its block
+height keeps every per-cell temporary under a byte budget, so outliers,
+prototypes and Breiman-Cutler imputation never hold an n x n array. A
+top-K query is the same comparison for one leaf vector. The full matrix
+of `compute_proximity` stacks the blocks under its own byte budget. All
+of them cover the real rows only, never an unsupervised synthetic half.
 """
 
 from __future__ import annotations
@@ -40,59 +39,6 @@ class ProximityMatrix:
 class Neighbor:
     row_id: int
     score: float
-
-
-@dataclass
-class LeafIndex:
-    """Rows grouped by leaf, for all trees at once.
-
-    Leaf `leaf` of tree `t` has the global id ``leaf_offset[t] + leaf``.
-    `order` holds row ids grouped by global id, ascending within each
-    group, and group g is ``order[start[g]:start[g + 1]]``. A leaf that
-    holds no indexed row has an empty group.
-    """
-
-    order: np.ndarray
-    start: np.ndarray
-    leaf_offset: np.ndarray
-    n_rows: int
-
-    def members(self, t: int, leaf: int) -> np.ndarray:
-        """Ascending row ids in leaf `leaf` of tree `t` (a read-only view)."""
-        g = self.leaf_offset[t] + leaf
-        return self.order[self.start[g]:self.start[g + 1]]
-
-    def counts(self, leaves) -> np.ndarray:
-        """(n_rows,) number of trees t in which a row is in leaf leaves[t]."""
-        g = self.leaf_offset + np.asarray(leaves)
-        bounds = zip(self.start[g].tolist(), self.start[g + 1].tolist())
-        picked = np.concatenate([self.order[a:b] for a, b in bounds])
-        return np.bincount(picked, minlength=self.n_rows)
-
-
-def build_leaf_index(forest: Forest, cells: np.ndarray | None = None
-                     ) -> LeafIndex:
-    """Group the scored rows by (tree, leaf).
-
-    `cells`, an (n_scored_rows, T) bool mask, keeps only the (row, tree)
-    cells it marks; by default every cell is indexed.
-    """
-    n = forest.n_scored_rows
-    T = forest.n_trees
-    n_groups = int(forest.leaf_offset[-1])
-    gid = forest.leaf_of_train[:n] + forest.leaf_offset[:-1].astype(np.int32)
-    if cells is None:
-        gid = gid.ravel()
-        # a group holds one tree's cells, so ascending cells are ascending rows
-        order = np.argsort(gid, kind="stable")
-    else:
-        order = np.flatnonzero(cells)
-        gid = gid.ravel()[order]
-        order = order[np.argsort(gid, kind="stable")]
-    order //= T
-    start = np.zeros(n_groups + 1, dtype=np.int64)
-    np.cumsum(np.bincount(gid, minlength=n_groups), out=start[1:])
-    return LeafIndex(order.astype(np.int32), start, forest.leaf_offset[:-1], n)
 
 
 def _ids(ids, n: int) -> np.ndarray:
@@ -208,8 +154,8 @@ def compute_proximity(forest: Forest, ds: Dataset, pair_mode: str = "all",
     pair_mode "all" counts every tree; "oob" restricts both the numerator
     and denominator to trees where both rows are out-of-bag (0 when no
     such tree exists). Raises CapacityError when the float64 matrix
-    needs more than `max_bytes`; outliers and prototypes read a Forest
-    block by block instead, and top-K queries use the LeafIndex.
+    needs more than `max_bytes`; outliers, prototypes and imputation
+    read a Forest block by block instead.
     """
     if pair_mode not in ("all", "oob"):
         raise ArgumentError(f"unknown pair_mode {pair_mode!r}")
@@ -220,8 +166,8 @@ def compute_proximity(forest: Forest, ds: Dataset, pair_mode: str = "all",
     if need > max_bytes:
         raise CapacityError(
             f"the {n} x {n} proximity matrix needs {need} bytes, over the "
-            f"{max_bytes}-byte budget; read a Forest by blocks or use the "
-            "LeafIndex instead")
+            f"{max_bytes}-byte budget; read the Forest by row blocks "
+            "instead")
     values = np.empty((n, n))
     # per cell: the float64 quotient, and in "oob" mode the mask, the
     # clipped denominator and np.where's result
@@ -235,7 +181,7 @@ def compute_proximity(forest: Forest, ds: Dataset, pair_mode: str = "all",
     return ProximityMatrix(n, values, pair_mode)
 
 
-def top_k_similar(index: LeafIndex, forest: Forest, query, k: int) -> list[Neighbor]:
+def top_k_similar(forest: Forest, query, k: int) -> list[Neighbor]:
     """K most similar training rows to a complete query vector.
 
     Scores are co-occurrence counts divided by the tree count; ties break
@@ -244,11 +190,12 @@ def top_k_similar(index: LeafIndex, forest: Forest, query, k: int) -> list[Neigh
     """
     if k < 1:
         raise ArgumentError("k must be >= 1")
-    counts = index.counts(_query_leaves(forest, query))
-    k = min(k, index.n_rows)
-    order = np.lexsort((np.arange(index.n_rows), -counts))[:k]
-    T = forest.n_trees
-    return [Neighbor(int(r), counts[r] / T) for r in order]
+    n = forest.n_scored_rows
+    # int64 counts, so negating them cannot wrap
+    counts = np.count_nonzero(
+        forest.leaf_of_train[:n] == _query_leaves(forest, query), axis=1)
+    order = np.lexsort((np.arange(n), -counts))[:k]
+    return [Neighbor(int(r), counts[r] / forest.n_trees) for r in order]
 
 
 def query_proximity_importance(forest: Forest, ds: Dataset, query, *,
@@ -279,12 +226,11 @@ def query_proximity_importance(forest: Forest, ds: Dataset, query, *,
     return moved.sum(axis=(1, 2)) / (T * n_repeats)
 
 
-def top_k_similar_explained(index: LeafIndex, forest: Forest, ds: Dataset,
-                            query, k: int, *, n_repeats: int = 1,
-                            seed: int | None = None
+def top_k_similar_explained(forest: Forest, ds: Dataset, query, k: int, *,
+                            n_repeats: int = 1, seed: int | None = None
                             ) -> tuple[list[Neighbor], np.ndarray]:
     """Neighbors plus the per-feature explanation of the query's placement."""
-    neighbors = top_k_similar(index, forest, query, k)
+    neighbors = top_k_similar(forest, query, k)
     importance = query_proximity_importance(
         forest, ds, query, n_repeats=n_repeats, seed=seed)
     return neighbors, importance

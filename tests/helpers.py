@@ -155,3 +155,37 @@ def sparse_matrices(draw, max_rows=12, max_cols=7):
     dense[:, draw(st.lists(st.integers(0, m - 1), max_size=m))] = 0.0
     stored_zero = rng.uniform(size=(n, m)) < 0.1
     return dense, stored_zero
+
+
+def young_oracle(forest, values, missing, categorical):
+    """Young's fill rule one cell and one out-of-bag tree at a time.
+
+    Per OOB tree of a missing cell, the mean (mode, ties to the lower
+    code) of the feature over the observed rows sharing its leaf; the
+    cell takes the mean (majority vote, ties to the lower code) of those
+    estimates. Cells with none keep their value and are listed.
+    """
+    n = forest.n_scored_rows
+    leaves = forest.leaf_of_train[:n]
+    oob = forest.inbag_counts[:n] == 0
+    out = values.copy()
+    fallbacks = []
+    for k in range(values.shape[1]):
+        for i in np.flatnonzero(missing[:, k]):
+            estimates = []
+            for t in np.flatnonzero(oob[i]):
+                donors = (leaves[:, t] == leaves[i, t]) & ~missing[:, k]
+                vals = values[donors, k]
+                if vals.size == 0:
+                    continue
+                if categorical[k]:
+                    estimates.append(np.argmax(np.bincount(vals.astype(int))))
+                else:
+                    estimates.append(vals.mean())
+            if not estimates:
+                fallbacks.append((int(i), k))
+            elif categorical[k]:
+                out[i, k] = np.argmax(np.bincount(estimates))
+            else:
+                out[i, k] = np.mean(estimates)
+    return out, fallbacks

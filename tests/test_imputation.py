@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
-from helpers import assemble_forest, correlated_data, leaf_tree, mcar_mask, stump
+from helpers import (assemble_forest, correlated_data, leaf_tree, mcar_mask,
+                     stump, young_oracle)
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import forestfuse as ff
 from forestfuse import imputation
@@ -94,11 +97,9 @@ class TestYoungEstimates:
         inbag = np.array([[0], [1], [1], [1]], dtype=np.uint16)
         forest = assemble_forest([tree], ff.Dataset.from_dense(filled.values),
                                  mode="regression", inbag_counts=inbag)
-        index = ff.build_leaf_index(forest)
-        ests = ff.young_cell_estimates(forest, index, filled.values,
-                                       ~ds.missing[:, 0], row=0, feature=0,
-                                       categorical=False)
-        assert ests == [3.0]  # mean of {2, 4}
+        new_values, fallbacks = ff.young_reimpute(filled, ds.missing, forest)
+        assert new_values[0, 0] == 3.0  # mean of {2, 4}
+        assert fallbacks == []
 
     def test_two_trees_average(self):
         ds, filled = self.make_setup()
@@ -107,20 +108,20 @@ class TestYoungEstimates:
         # f1 values: 0.0, 0.2, 0.4, 0.9 -> t2 left = {0,1}, donors {2.0} -> 2
         t3 = leaf_tree(mean=0.0, n=4, n_features=2)      # all rows: mean of
         # {2,4,5} = 11/3
-        inbag = np.zeros((4, 3), dtype=np.uint16)
-        inbag[1:, :] = 1
-        forest = assemble_forest([t1, t2, t3],
-                                 ff.Dataset.from_dense(filled.values),
-                                 mode="regression", inbag_counts=inbag)
-        index = ff.build_leaf_index(forest)
-        ests = ff.young_cell_estimates(forest, index, filled.values,
-                                       ~ds.missing[:, 0], row=0, feature=0,
-                                       categorical=False)
-        assert ests == [3.0, 2.0, pytest.approx(11 / 3)]
-        new_values, fallbacks = ff.young_reimpute(filled, ds.missing,
-                                                  forest, index)
-        assert new_values[0, 0] == pytest.approx((3.0 + 2.0 + 11 / 3) / 3)
-        assert fallbacks == []
+        train = ff.Dataset.from_dense(filled.values)
+        # each tree alone fills its own leaf mean, all three their average
+        for trees, want in (([t1], 3.0), ([t2], 2.0),
+                            ([t3], pytest.approx(11 / 3)),
+                            ([t1, t2, t3],
+                             pytest.approx((3.0 + 2.0 + 11 / 3) / 3))):
+            inbag = np.zeros((4, len(trees)), dtype=np.uint16)
+            inbag[1:, :] = 1
+            forest = assemble_forest(trees, train, mode="regression",
+                                     inbag_counts=inbag)
+            new_values, fallbacks = ff.young_reimpute(filled, ds.missing,
+                                                      forest)
+            assert new_values[0, 0] == want
+            assert fallbacks == []
 
     def test_no_oob_tree_falls_back(self):
         ds, filled = self.make_setup()
@@ -128,11 +129,72 @@ class TestYoungEstimates:
         inbag = np.ones((4, 1), dtype=np.uint16)
         forest = assemble_forest([tree], ff.Dataset.from_dense(filled.values),
                                  mode="regression", inbag_counts=inbag)
-        index = ff.build_leaf_index(forest)
-        new_values, fallbacks = ff.young_reimpute(filled, ds.missing,
-                                                  forest, index)
+        new_values, fallbacks = ff.young_reimpute(filled, ds.missing, forest)
         assert fallbacks == [(0, 0)]
         assert new_values[0, 0] == filled.values[0, 0]
+
+    def test_categorical_ties_and_fallbacks(self):
+        # f0 is categorical: rows 0 and 1 missing, donors 2-5 hold codes
+        # 2, 1, 1, 2; f1 drives the trees
+        f1 = [0.0, 0.9, 0.1, 0.2, 0.8, 0.7]
+        values = np.column_stack([[0, 0, 2, 1, 1, 2], f1]).astype(float)
+        schema = ff.FeatureSchema([
+            ff.Feature("c", ff.CATEGORICAL, ("a", "b", "z")),
+            ff.Feature("x", ff.CONTINUOUS)])
+        ds = ff.Dataset.from_dense(values, schema=schema, missing_mask=[
+            [True, False], [True, False]] + [[False, False]] * 4)
+        filled = ff.initial_impute(ds)
+        trees = [leaf_tree(mean=0.0, n=6, n_features=2),  # codes tie 1:1 -> 1
+                 stump(1, 0.5, [0.0], [0.0], n_features=2),
+                 stump(1, 0.15, [0.0], [0.0], n_features=2),  # {0, 2} -> 2
+                 stump(1, 0.05, [0.0], [0.0], n_features=2)]  # {0}: no donor
+        inbag = np.ones((6, 4), dtype=np.uint16)
+        inbag[0] = [0, 1, 0, 0]  # row 1 is in-bag in every tree
+        forest = assemble_forest(trees, ff.Dataset.from_dense(filled.values),
+                                 mode="regression", inbag_counts=inbag)
+        new_values, fallbacks = ff.young_reimpute(filled, ds.missing, forest)
+        # row 0: tree 0 votes 1, tree 2 votes 2, tree 3 has no donor; the
+        # 1:1 vote goes to the lower code
+        assert new_values[0, 0] == 1.0
+        assert fallbacks == [(1, 0)]
+        assert new_values[1, 0] == filled.values[1, 0]
+        oracle = young_oracle(forest, filled.values, ds.missing, [True, False])
+        np.testing.assert_array_equal(new_values, oracle[0])
+        assert fallbacks == oracle[1]
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(3, 25), n_cont=st.integers(0, 2),
+           n_cat=st.integers(0, 2), n_trees=st.integers(1, 12),
+           frac=st.floats(0.05, 0.8), mode=st.sampled_from(
+               ["unsupervised", "regression"]), seed=st.integers(0, 2 ** 16))
+    def test_matches_per_cell_oracle(self, n, n_cont, n_cat, n_trees, frac,
+                                     mode, seed):
+        assume(n_cont + n_cat > 0)
+        rng = np.random.default_rng(seed)
+        schema = ff.FeatureSchema(
+            [ff.Feature(f"x{k}", ff.CONTINUOUS) for k in range(n_cont)]
+            + [ff.Feature(f"c{k}", ff.CATEGORICAL, ("a", "b", "z"))
+               for k in range(n_cat)])
+        # three codes over small leaves, so per-leaf modes and votes tie
+        values = np.column_stack(
+            [np.round(rng.normal(size=(n, n_cont)), 3),
+             rng.integers(0, 3, size=(n, n_cat))]).astype(float)
+        missing = hide_cells(values, frac, seed)
+        ds = ff.Dataset.from_dense(
+            values, schema=schema, missing_mask=missing,
+            target=rng.normal(size=n) if mode == "regression" else None)
+        filled = ff.initial_impute(ds)
+        forest = imputation._inner_train(filled, ff.ForestConfig(
+            mode=mode, n_trees=n_trees, min_node_size=1, seed=seed))
+        categorical = schema.is_categorical()
+        got, fallbacks = ff.young_reimpute(filled, missing, forest)
+        want, want_fallbacks = young_oracle(forest, filled.values, missing,
+                                            categorical)
+        assert fallbacks == want_fallbacks
+        np.testing.assert_array_equal(got[:, categorical],
+                                      want[:, categorical])
+        np.testing.assert_allclose(got[:, ~categorical], want[:, ~categorical],
+                                   rtol=1e-12, atol=1e-14)
 
 
 def hide_cells(values, frac, seed):

@@ -41,10 +41,9 @@ def test_round_trip_keeps_predictions_and_neighbours(mode, tmp_path):
     loaded = ff.load_model(tmp_path / "m.ffm").forest
     np.testing.assert_array_equal(ff.predict_proba(loaded, X),
                                   ff.predict_proba(forest, X))
-    index, loaded_index = ff.build_leaf_index(forest), ff.build_leaf_index(loaded)
     for q in X[::4]:
-        assert ff.top_k_similar(loaded_index, loaded, q, k=7) == \
-            ff.top_k_similar(index, forest, q, k=7)
+        assert ff.top_k_similar(loaded, q, k=7) == \
+            ff.top_k_similar(forest, q, k=7)
 
 
 def test_stored_proximity_pairs_key_is_ignored(model_file, tmp_path):
@@ -93,7 +92,7 @@ def test_truncated_or_flipped_files_raise_model_format_error(model_file, data):
     X = ds.without_target().values
     with np.errstate(divide="ignore", invalid="ignore"):
         assert ff.predict_proba(forest, X).shape == (len(X), 2)
-    ff.top_k_similar(ff.build_leaf_index(forest), forest, X[0], k=3)
+    ff.top_k_similar(forest, X[0], k=3)
 
 
 @pytest.mark.parametrize("field, node, value", [

@@ -175,8 +175,7 @@ class TestOutlierGreedy:
         classes = ds.target.astype(int)
         prox = ff.compute_proximity(forest, ds)
         exact = ff.outlier_exact(prox, classes)
-        greedy = ff.outlier_greedy(ff.build_leaf_index(forest), forest,
-                                   classes, m_cap=ds.n_rows)
+        greedy = ff.outlier_greedy(forest, classes, m_cap=ds.n_rows)
         np.testing.assert_array_equal(greedy.raw, exact.raw)
         np.testing.assert_array_equal(greedy.score, exact.score)
         assert greedy.mode == "greedy"
@@ -185,18 +184,16 @@ class TestOutlierGreedy:
     def test_cap_one_stays_positive_finite(self, trained_two_class):
         ds, forest = trained_two_class
         classes = ds.target.astype(int)
-        greedy = ff.outlier_greedy(ff.build_leaf_index(forest), forest,
-                                   classes, m_cap=1)
+        greedy = ff.outlier_greedy(forest, classes, m_cap=1)
         assert np.all(greedy.raw > 0)
         assert np.all(np.isfinite(greedy.raw))
 
     def test_truncation_monotonicity(self, trained_two_class):
         ds, forest = trained_two_class
         classes = ds.target.astype(int)
-        index = ff.build_leaf_index(forest)
         prev_raw = None
         for cap in (1, 2, 4, 16, 64, ds.n_rows):
-            raw = ff.outlier_greedy(index, forest, classes, m_cap=cap).raw
+            raw = ff.outlier_greedy(forest, classes, m_cap=cap).raw
             if prev_raw is not None:
                 assert np.all(raw <= prev_raw + 1e-12)
             prev_raw = raw
@@ -212,13 +209,11 @@ class TestOutlierGreedy:
         classes = ds.target.astype(int)
         prox = ff.compute_proximity(forest, ds)
         exact = ff.outlier_exact(prox, classes)
-        greedy = ff.outlier_greedy(ff.build_leaf_index(forest), forest,
-                                   classes, m_cap=64)
+        greedy = ff.outlier_greedy(forest, classes, m_cap=64)
         rho = spearmanr(greedy.score, exact.score).statistic
         assert rho >= 0.95
 
     def test_bad_cap(self, trained_two_class):
         ds, forest = trained_two_class
         with pytest.raises(ff.ArgumentError):
-            ff.outlier_greedy(ff.build_leaf_index(forest), forest,
-                              ds.target.astype(int), m_cap=0)
+            ff.outlier_greedy(forest, ds.target.astype(int), m_cap=0)

@@ -1,8 +1,11 @@
-"""Proximity matrix, leaf index, and top-K queries against oracles."""
+"""Proximity matrix and top-K queries against oracles."""
 
 import numpy as np
 import pytest
-from helpers import assemble_forest, blobs, blobs_dataset, leaf_tree, stump
+from helpers import (assemble_forest, blobs, blobs_dataset, dense_to_csr,
+                     leaf_tree, stump, walk_tree)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import forestfuse as ff
 from forestfuse.proximity import query_proximity_importance
@@ -74,7 +77,7 @@ class TestComputeProximity:
     def test_matrix_cap(self, small_forest):
         ds, forest = small_forest
         need = 8 * ds.n_rows ** 2  # the float64 matrix
-        with pytest.raises(ff.CapacityError, match=f"{need} bytes.*LeafIndex"):
+        with pytest.raises(ff.CapacityError, match=f"{need} bytes.*row blocks"):
             ff.compute_proximity(forest, ds, max_bytes=need - 1)
         prox = ff.compute_proximity(forest, ds, max_bytes=need)
         assert prox.values.nbytes == need
@@ -116,64 +119,17 @@ class TestComputeProximity:
         assert prox.values.shape == (20, 20)
 
 
-def leaf_groups(index, forest):
-    """Every (tree, leaf, rows) group of the index."""
-    for t, tree in enumerate(forest.trees):
-        for leaf in range(tree.n_leaves):
-            yield t, leaf, index.members(t, leaf)
-
-
-class TestLeafIndex:
-    def test_root_leaf_single_posting(self):
-        ds = ff.Dataset.from_dense([[0.0], [1.0], [2.0]],
-                                   target=[0.0, 0.0, 0.0])
-        forest = assemble_forest([leaf_tree(class_counts=[3.0], n=3)], ds,
-                                 n_classes=1)
-        index = ff.build_leaf_index(forest)
-        assert len(index.start) == 2
-        np.testing.assert_array_equal(index.members(0, 0), [0, 1, 2])
-
-    def test_partition_property(self, small_forest):
-        ds, forest = small_forest
-        index = ff.build_leaf_index(forest)
-        for t, tree in enumerate(forest.trees):
-            rows = np.concatenate([index.members(t, leaf)
-                                   for leaf in range(tree.n_leaves)])
-            np.testing.assert_array_equal(np.sort(rows), np.arange(ds.n_rows))
-
-    def test_reconstructed_proximity_equals_matrix(self, small_forest):
-        ds, forest = small_forest
-        index = ff.build_leaf_index(forest)
-        n = ds.n_rows
-        counts = np.zeros((n, n), dtype=int)
-        for _, _, rows in leaf_groups(index, forest):
-            counts[np.ix_(rows, rows)] += 1
-        prox = ff.compute_proximity(forest, ds)
-        np.testing.assert_array_equal(counts / forest.n_trees, prox.values)
-
-    def test_postings_sorted(self, small_forest):
-        _, forest = small_forest
-        index = ff.build_leaf_index(forest)
-        for _, _, rows in leaf_groups(index, forest):
-            assert np.all(np.diff(rows) > 0)
-
-    def test_counts_equal_leaf_comparison(self, small_forest):
-        _, forest = small_forest
-        index = ff.build_leaf_index(forest)
-        for leaves in forest.leaf_of_train:
-            np.testing.assert_array_equal(
-                index.counts(leaves),
-                (forest.leaf_of_train == leaves).sum(axis=1))
-
-    def test_unsupervised_index_covers_real_rows_only(self):
-        rng = np.random.default_rng(5)
-        ds = ff.Dataset.from_dense(rng.normal(size=(20, 2)))
-        forest = ff.train(ds, ff.ForestConfig(mode="unsupervised", n_trees=4,
-                                              seed=2))
-        index = ff.build_leaf_index(forest)
-        for t, leaf, rows in leaf_groups(index, forest):
-            np.testing.assert_array_equal(
-                rows, np.flatnonzero(forest.leaf_of_train[:20, t] == leaf))
+def assert_top_k_brute_force(forest, query, k):
+    """top_k_similar equals a lexsort of direct leaf comparisons."""
+    n, T = forest.n_scored_rows, forest.n_trees
+    leaves = [walk_tree(tree, query) for tree in forest.trees]
+    counts = (forest.leaf_of_train[:n] == leaves).sum(axis=1)
+    order = np.lexsort((np.arange(n), -counts))[:k]
+    got = ff.top_k_similar(forest, query, k)
+    assert [nb.row_id for nb in got] == order.tolist()
+    for nb in got:
+        assert type(nb.score) is np.float64
+        assert nb.score == counts[nb.row_id] / T
 
 
 class TestTopK:
@@ -186,15 +142,23 @@ class TestTopK:
 
     def test_query_identical_to_unique_training_row(self):
         ds, forest = self.isolated_row_forest()
-        index = ff.build_leaf_index(forest)
-        got = ff.top_k_similar(index, forest, [0.0], k=1)
+        got = ff.top_k_similar(forest, [0.0], k=1)
         assert got[0].row_id == 0
         assert got[0].score == 1.0
 
+    def test_root_leaf_ties_to_lower_ids(self):
+        # one leaf holds every row, so all tie at the full count
+        ds = ff.Dataset.from_dense([[0.0], [1.0], [2.0]],
+                                   target=[0.0, 0.0, 0.0])
+        forest = assemble_forest([leaf_tree(class_counts=[3.0], n=3)], ds,
+                                 n_classes=1)
+        got = ff.top_k_similar(forest, [5.0], k=3)
+        assert [(nb.row_id, nb.score) for nb in got] == [
+            (0, 1.0), (1, 1.0), (2, 1.0)]
+
     def test_k_beyond_n_truncates(self):
         ds, forest = self.isolated_row_forest()
-        index = ff.build_leaf_index(forest)
-        got = ff.top_k_similar(index, forest, [0.0], k=100)
+        got = ff.top_k_similar(forest, [0.0], k=100)
         assert len(got) == 4
 
     def test_hand_computed_counts(self):
@@ -205,21 +169,19 @@ class TestTopK:
                  stump(0, 1.5, [2.0, 0.0], [0.0, 1.0]),
                  stump(0, 2.5, [2.0, 1.0], [0.0, 0.0])]
         forest = assemble_forest(trees, ds, n_classes=2)
-        index = ff.build_leaf_index(forest)
         # query 0.9: leaves = right(of 0.5), left(of 1.5), left(of 2.5)
         # co-occurrences: row0 -> 0 + 1 + 1 = 2; row1 -> 1 + 1 + 1 = 3;
         # row2 -> 1 + 0 + 1 = 2
-        got = ff.top_k_similar(index, forest, [0.9], k=3)
+        got = ff.top_k_similar(forest, [0.9], k=3)
         assert [(nb.row_id, nb.score) for nb in got] == [
             (1, 3 / 3), (0, 2 / 3), (2, 2 / 3)]
 
     def test_full_k_matches_proximity_ordering(self, small_forest):
         ds, forest = small_forest
-        index = ff.build_leaf_index(forest)
         prox = ff.compute_proximity(forest, ds)
         n = ds.n_rows
         for r in range(n):
-            neighbors = ff.top_k_similar(index, forest, ds.values[r], k=n)
+            neighbors = ff.top_k_similar(forest, ds.values[r], k=n)
             expected = np.lexsort((np.arange(n), -prox.values[r]))
             assert [nb.row_id for nb in neighbors] == list(expected)
             for nb in neighbors:
@@ -227,16 +189,59 @@ class TestTopK:
 
     def test_scores_quantized(self, small_forest):
         ds, forest = small_forest
-        index = ff.build_leaf_index(forest)
-        neighbors = ff.top_k_similar(index, forest, ds.values[3], k=10)
+        neighbors = ff.top_k_similar(forest, ds.values[3], k=10)
         for nb in neighbors:
             assert (nb.score * forest.n_trees) == int(nb.score * forest.n_trees)
 
+    @settings(max_examples=60, deadline=None)
+    @given(mode=st.sampled_from(["classification", "regression",
+                                 "unsupervised"]),
+           sparse=st.booleans(), n=st.integers(2, 30),
+           n_trees=st.integers(1, 7), seed=st.integers(0, 2 ** 16),
+           data=st.data())
+    def test_matches_brute_force_lexsort(self, mode, sparse, n, n_trees,
+                                         seed, data):
+        rng = np.random.default_rng(seed)
+        # few distinct values, so rows share leaves and counts tie
+        X = np.where(rng.uniform(size=(n, 3)) < 0.4, 0.0,
+                     rng.integers(-2, 3, size=(n, 3)).astype(float))
+        y = None if mode == "unsupervised" else (
+            rng.integers(0, 3, size=n).astype(float)
+            if mode == "classification" else rng.normal(size=n))
+        ds = (ff.Dataset.from_csr(*dense_to_csr(X), 3, target=y) if sparse
+              else ff.Dataset.from_dense(X, target=y))
+        forest = ff.train(ds, ff.ForestConfig(mode=mode, n_trees=n_trees,
+                                              seed=seed))
+        if data.draw(st.booleans(), label="training row"):
+            query = X[data.draw(st.integers(0, n - 1), label="row")]
+        else:
+            query = rng.integers(-3, 4, size=3).astype(float)
+        k = data.draw(st.integers(1, n + 2), label="k")
+        assert_top_k_brute_force(forest, query, k)
+
+    def test_more_than_255_trees(self):
+        X = np.arange(12.0)[:, None]
+        ds = ff.Dataset.from_dense(X, target=(X[:, 0] % 3 == 0).astype(float))
+        forest = ff.train(ds, ff.ForestConfig(mode="classification",
+                                              n_trees=300, seed=4))
+        # a training row shares all 300 leaves with itself
+        for query in X[:4]:
+            assert_top_k_brute_force(forest, query, 12)
+        assert ff.top_k_similar(forest, X[0], 1)[0].score == 1.0
+
+    def test_unsupervised_returns_real_rows_only(self):
+        rng = np.random.default_rng(5)
+        ds = ff.Dataset.from_dense(rng.normal(size=(20, 2)))
+        forest = ff.train(ds, ff.ForestConfig(mode="unsupervised", n_trees=4,
+                                              seed=2))
+        got = ff.top_k_similar(forest, ds.values[0], k=100)
+        assert sorted(nb.row_id for nb in got) == list(range(20))
+        assert_top_k_brute_force(forest, ds.values[0], 100)
+
     def test_k_zero_rejected(self, small_forest):
         ds, forest = small_forest
-        index = ff.build_leaf_index(forest)
         with pytest.raises(ff.ArgumentError):
-            ff.top_k_similar(index, forest, ds.values[0], k=0)
+            ff.top_k_similar(forest, ds.values[0], k=0)
 
 
 class TestExplainedQuery:
@@ -245,8 +250,7 @@ class TestExplainedQuery:
         ds = ff.Dataset.from_dense(X, target=(np.arange(10) >= 5).astype(float))
         forest = ff.train(ds, ff.ForestConfig(mode="classification",
                                               n_trees=5, seed=3))
-        index = ff.build_leaf_index(forest)
-        _, imp = ff.top_k_similar_explained(index, forest, ds, X[2], k=3)
+        _, imp = ff.top_k_similar_explained(forest, ds, X[2], k=3)
         assert imp[1] == 0.0
 
     def test_single_feature_carries_mass(self):
@@ -254,8 +258,7 @@ class TestExplainedQuery:
         ds = ff.Dataset.from_dense(X, target=(X[:, 0] >= 10).astype(float))
         forest = ff.train(ds, ff.ForestConfig(mode="classification",
                                               n_trees=10, seed=1))
-        index = ff.build_leaf_index(forest)
-        _, imp = ff.top_k_similar_explained(index, forest, ds, [9.5], k=3,
+        _, imp = ff.top_k_similar_explained(forest, ds, [9.5], k=3,
                                             n_repeats=8)
         assert imp.shape == (1,)
         assert imp[0] > 0.0
@@ -273,11 +276,10 @@ class TestExplainedQuery:
         trees = [stump(0, 0.5, [1.0, 0.0], [0.0, 2.0], n_features=2),
                  stump(1, 6.5, [1.0, 1.0], [0.0, 1.0], n_features=2)]
         forest = assemble_forest(trees, ds, n_classes=2)
-        index = ff.build_leaf_index(forest)
         query = np.array([0.2, 5.5])
         seed = forest.config.seed
         neighbors, imp = ff.top_k_similar_explained(
-            index, forest, ds, query, k=2, n_repeats=4)
+            forest, ds, query, k=2, n_repeats=4)
         # oracle: same donor streams, manual traversal over both trees
         from forestfuse.rng import query_donor_rng
         from helpers import walk_tree

@@ -164,8 +164,7 @@ def test_greedy_outliers_match_the_matrix(three_class, monkeypatch,
     ds, forest, y = three_class
     monkeypatch.setattr(outlier, "DEFAULT_BLOCK_BYTES", max_bytes)
     counts, _ = brute_force_counts(forest, "all")
-    report = ff.outlier_greedy(ff.build_leaf_index(forest), forest, y,
-                               m_cap=m_cap)
+    report = ff.outlier_greedy(forest, y, m_cap=m_cap)
     assert report.raw.tobytes() == \
         greedy_oracle(counts, y, forest.n_trees, m_cap).tobytes()
     if m_cap >= 19:

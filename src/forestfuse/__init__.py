@@ -9,16 +9,15 @@ ground-truth-free quality validator.
 __version__ = "0.1.0"
 
 from .dataset import (CATEGORICAL, CONTINUOUS, Dataset, Feature,
-                      FeatureSchema, continuous_schema, get_value,
-                      load_dense_csv, load_schema, load_sparse_svmlight,
-                      write_dense_csv)
+                      FeatureSchema, continuous_schema, load_dense_csv,
+                      load_schema, load_sparse_svmlight, write_dense_csv)
 from .errors import (ArgumentError, CapacityError, ClassSizeError,
                      ConfigError, ForestFuseError, FormatError,
                      ImputationError, ModelFormatError, ParseError,
                      ProvenanceError, SchemaError)
 from .forest import (Forest, ForestConfig, OOBResult, Tree,
-                     generate_synthetic, leaf_of, oob_error, p_synthetic,
-                     predict, predict_proba, train)
+                     generate_synthetic, oob_error, p_synthetic, predict,
+                     predict_proba, train)
 from .importance import (ImportanceReport, compute_importance_report,
                          counted_trees, local_proximity_importance,
                          local_variable_importance,
@@ -35,6 +34,6 @@ from .outlier import OutlierReport, outlier_exact, outlier_greedy
 from .prototype import Prototype, find_prototypes
 from .proximity import (Neighbor, ProximityMatrix, compute_proximity,
                         top_k_similar, top_k_similar_explained)
-from .splitfind import Split, best_split, find_node_split
+from .splitfind import Split, find_node_split
 
 __all__ = [name for name in dir() if not name.startswith("_")]

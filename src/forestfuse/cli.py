@@ -143,7 +143,7 @@ def cmd_similar(args) -> int:
     queries = load_dense_csv(args.query, artifact.schema)
     if not (0 <= args.query_row < queries.n_rows):
         raise ConfigError(f"query row {args.query_row} out of range")
-    vec = queries.row_dense(args.query_row)
+    vec = queries.values[args.query_row]
 
     if args.explain:
         if args.data is None:

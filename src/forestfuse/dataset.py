@@ -1,14 +1,16 @@
 """Tabular data containers with explicit missingness.
 
 A Dataset is an immutable table of float64 cells stored either dense
-row-major or CSR. CSR zeros are structural zeros, never missing values:
-only cells marked in the missing mask are treated as absent. Every
-other cell is finite. Categorical features are integer-coded at load
-time and split as ordered codes.
+row-major or CSR. Missingness lives only in the dense missing mask:
+only cells marked there are absent, and every other cell is finite.
+A CSR dataset carries no missingness; its zeros are structural zeros
+and its mask reads all False. Categorical features are integer-coded
+at load time and split as ordered codes.
 
-The CSR arrays are a CSR dataset's canonical content: they are what the
-model fingerprint hashes. `from_csr` also keeps the stored cells sorted
-by (column, row), so any set of cells is read with one searchsorted.
+`Dataset.read_cells` is the one cell reader for both storages. The CSR
+arrays are a CSR dataset's canonical content: they are what the model
+fingerprint hashes. `from_csr` also keeps the stored cells sorted by
+(column, row), so any set of cells is read with one searchsorted.
 """
 
 from __future__ import annotations
@@ -73,7 +75,6 @@ class FeatureSchema:
         if len(set(names)) != len(names):
             raise SchemaError("feature names must be unique")
         self.features: list[Feature] = features
-        self._index = {f.name: i for i, f in enumerate(features)}
 
     @property
     def n_features(self) -> int:
@@ -82,12 +83,6 @@ class FeatureSchema:
     @property
     def names(self) -> list[str]:
         return [f.name for f in self.features]
-
-    def index_of(self, name: str) -> int:
-        try:
-            return self._index[name]
-        except KeyError:
-            raise SchemaError(f"unknown feature {name!r}") from None
 
     def is_categorical(self) -> np.ndarray:
         """Boolean mask, True where the feature is categorical."""
@@ -136,9 +131,9 @@ class Dataset:
     """Immutable n_rows x n_features table.
 
     Construct through :meth:`from_dense`, :meth:`from_csr`, or the file
-    loaders. Missing cells are tracked in a separate mask; for dense
-    storage the underlying cell value of a missing entry is NaN, which
-    keeps accidental reads loud.
+    loaders. Missing cells are tracked in a separate mask, and the
+    underlying value of a missing cell is NaN, which keeps accidental
+    reads loud. A CSR dataset has no missing cells.
     """
 
     def __init__(self):
@@ -153,6 +148,8 @@ class Dataset:
         """Wrap a dense (n, m) float array; copies its inputs."""
         ds = cls._blank()
         values = np.array(values, dtype=np.float64, order="C", ndmin=2)
+        if values.ndim != 2:
+            raise ArgumentError(f"dense values must be 2-D, not {values.ndim}-D")
         ds.is_sparse = False
         ds.values = values
         ds.n_rows, ds.n_features = values.shape
@@ -180,14 +177,16 @@ class Dataset:
         return ds
 
     @classmethod
-    def from_csr(cls, indptr, indices, data, n_features, schema=None, target=None,
-                 missing_pairs=()):
+    def from_csr(cls, indptr, indices, data, n_features, schema=None, target=None):
         """Wrap CSR arrays; validates offsets and column ordering."""
         ds = cls._blank()
         ds.is_sparse = True
         ds.indptr = np.asarray(indptr, dtype=np.int64)
         ds.indices = np.asarray(indices, dtype=np.int32)
         ds.data = np.asarray(data, dtype=np.float64)
+        if ds.indptr.size == 0 or {ds.indptr.ndim, ds.indices.ndim,
+                                   ds.data.ndim} != {1}:
+            raise FormatError("CSR arrays must be 1-D with at least one offset")
         ds.n_rows = len(ds.indptr) - 1
         ds.n_features = int(n_features)
         if np.any(np.diff(ds.indptr) < 0):
@@ -217,11 +216,8 @@ class Dataset:
                 f"schema has {schema.n_features} features, data has {ds.n_features}"
             )
         ds.schema = schema
-        pairs = frozenset((int(i), int(k)) for i, k in missing_pairs)
-        for i, k in pairs:
-            if not (0 <= i < ds.n_rows and 0 <= k < ds.n_features):
-                raise ArgumentError(f"missing pair ({i}, {k}) out of bounds")
-        ds.missing_set = pairs
+        # complete by construction: an all-False mask that holds no memory
+        ds.missing = np.broadcast_to(False, (ds.n_rows, ds.n_features))
         ds._set_target(target)
         # one ascending (column, row) key per stored cell, so any set of
         # cells is read with one searchsorted; stable keeps rows ascending
@@ -262,44 +258,30 @@ class Dataset:
 
     @property
     def n_missing(self) -> int:
-        if self.is_sparse:
-            return len(self.missing_set)
         return int(self.missing.sum())
 
     @property
     def has_missing(self) -> bool:
         return self.n_missing > 0
 
-    def is_missing(self, row: int, feature: int) -> bool:
-        self._bounds(row, feature)
-        if self.is_sparse:
-            return (row, feature) in self.missing_set
-        return bool(self.missing[row, feature])
-
-    def _bounds(self, row, feature):
-        if not (0 <= row < self.n_rows and 0 <= feature < self.n_features):
-            raise IndexError(f"cell ({row}, {feature}) out of bounds")
-
     def gather_column(self, rows, feature: int) -> np.ndarray:
-        """Values of one feature at the given rows (CSR absents read 0.0).
-
-        Missingness is ignored here; callers operating on incomplete data
-        must consult the mask themselves.
-        """
+        """`read_cells(rows, feature)`; kept for the benchmark's tracer."""
         return self.read_cells(rows, feature)
 
     def read_cells(self, rows, features) -> np.ndarray:
         """Values at the cells (rows, features), broadcast against each other.
 
-        CSR absents read 0.0; features must be valid feature ids. Like
-        gather_column, this ignores missingness.
+        Cells read as stored: an unfilled missing cell reads NaN and a CSR
+        absent reads 0.0; the missing mask says which cells are missing.
+        Rows outside the table raise IndexError; features must be valid
+        feature ids.
         """
         rows = np.asarray(rows, dtype=np.int64)
-        if not self.is_sparse:
-            return self.values[rows, features]
         if rows.size and not 0 <= rows.min() <= rows.max() < self.n_rows:
             raise IndexError(f"rows {rows.min()}..{rows.max()} out of bounds "
                              f"for {self.n_rows} rows")
+        if not self.is_sparse:
+            return self.values[rows, features]
         key = np.asarray(features, dtype=np.int64) * self.n_rows + rows
         if self._cell_key.size == 0:
             return np.zeros(key.shape, dtype=np.float64)
@@ -307,30 +289,6 @@ class Dataset:
         # cell past the last stored one lands on it and misses
         pos = np.searchsorted(self._cell_key[:-1], key)
         return np.where(self._cell_key[pos] == key, self._cell_vals[pos], 0.0)
-
-    def row_dense(self, row: int) -> np.ndarray:
-        """One row as a dense vector (missing cells read NaN)."""
-        self._bounds(row, 0)
-        if not self.is_sparse:
-            return self.values[row].copy()
-        out = np.zeros(self.n_features, dtype=np.float64)
-        s, e = self.indptr[row], self.indptr[row + 1]
-        out[self.indices[s:e]] = self.data[s:e]
-        for i, k in self.missing_set:
-            if i == row:
-                out[k] = np.nan
-        return out
-
-    def to_dense(self) -> np.ndarray:
-        """Full dense copy of the table (missing cells read NaN)."""
-        if not self.is_sparse:
-            return self.values.copy()
-        out = np.zeros((self.n_rows, self.n_features), dtype=np.float64)
-        rows = np.repeat(np.arange(self.n_rows), np.diff(self.indptr))
-        out[rows, self.indices] = self.data
-        for i, k in self.missing_set:
-            out[i, k] = np.nan
-        return out
 
     def _replace(self, **fields) -> "Dataset":
         """Copy of this Dataset, sharing its arrays, with `fields` replaced."""
@@ -357,9 +315,7 @@ class Dataset:
         An imputed dataset keeps its original mask for bookkeeping but is
         filled; a freshly loaded dataset with missing cells is not.
         """
-        if self.is_sparse:
-            return len(self.missing_set) == 0
-        return not np.isnan(self.values).any()
+        return not self.has_missing or not np.isnan(self.values).any()
 
     def as_complete(self) -> "Dataset":
         """View with the missing mask cleared; requires filled values."""
@@ -375,18 +331,6 @@ def _non_finite_cell(values, missing):
     """[row, column] of the first non-finite cell outside `missing`, or None."""
     bad = ~(np.isfinite(values) | missing)
     return np.argwhere(bad)[0].tolist() if bad.any() else None
-
-
-def get_value(ds: Dataset, row: int, feature: int):
-    """Read one cell: a float, or None when the cell is missing.
-
-    CSR columns absent from a row read as 0.0 (structural zero).
-    """
-    if ds.is_missing(row, feature):  # checks the bounds
-        return None
-    if ds.is_sparse:
-        return float(ds.gather_column(np.array([row]), feature)[0])
-    return float(ds.values[row, feature])
 
 
 # -- dense CSV ------------------------------------------------------------

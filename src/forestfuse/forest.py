@@ -331,7 +331,7 @@ def generate_synthetic(ds: Dataset, seed: int) -> Dataset:
     all_rows = np.arange(n)
     rows, cols, vals = [], [], []
     for c in range(m):
-        col = ds.gather_column(all_rows, c)[synthetic_rng(seed, c).permutation(n)]
+        col = ds.read_cells(all_rows, c)[synthetic_rng(seed, c).permutation(n)]
         nz = np.flatnonzero(col != 0.0)
         rows.append(nz)
         cols.append(np.full(nz.size, c, dtype=np.int32))
@@ -558,15 +558,19 @@ def _train(ds: Dataset, config: ForestConfig,
 
 # -- prediction --------------------------------------------------------------
 
+def _check_dataset(forest: Forest, ds: Dataset, role: str) -> None:
+    """Reject a Dataset the forest cannot walk: another width, unfilled cells."""
+    if ds.n_features != forest.n_features:
+        raise ArgumentError(f"{role} has {ds.n_features} features, "
+                            f"model expects {forest.n_features}")
+    if not ds.is_filled:
+        raise ArgumentError(f"{role} contains missing values")
+
+
 def _query_matrix(forest: Forest, query) -> tuple:
     """Normalize a query to (data, n_rows); validates width and missingness."""
     if isinstance(query, Dataset):
-        if query.n_features != forest.n_features:
-            raise ArgumentError(
-                f"query has {query.n_features} features, "
-                f"model expects {forest.n_features}")
-        if not query.is_filled:
-            raise ArgumentError("query contains missing values")
+        _check_dataset(forest, query, "query")
         return (query if query.is_sparse else query.values), query.n_rows
     arr = np.asarray(query, dtype=np.float64)
     if arr.ndim == 1:
@@ -602,13 +606,6 @@ def p_synthetic(forest: Forest, query) -> np.ndarray:
     if forest.mode != "unsupervised":
         raise ConfigError("p_synthetic requires an unsupervised forest")
     return predict_proba(forest, query)[:, 1]
-
-
-def leaf_of(forest: Forest, tree_id: int, query) -> int:
-    """Leaf id reached by a single complete feature vector in one tree."""
-    if not (0 <= tree_id < forest.n_trees):
-        raise IndexError(f"tree {tree_id} out of range")
-    return int(_query_leaves(forest, query)[tree_id])
 
 
 def _query_leaves(forest: Forest, query) -> np.ndarray:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import ArgumentError, ConfigError
-from .forest import Forest, _read, _TrainingView, _walk
+from .forest import Forest, _check_dataset, _read, _TrainingView, _walk
 from .rng import donor_rng, permute_rng
 
 
@@ -57,6 +57,7 @@ def counted_trees(forest: Forest, ds: Dataset) -> np.ndarray:
     n = forest.n_scored_rows
     if ds.n_rows != n:
         raise ArgumentError("dataset row count does not match the forest")
+    _check_dataset(forest, ds, "dataset")
     mask = forest.oob_mask()[:n]
     if forest.mode == "regression":
         return mask
@@ -201,6 +202,7 @@ def overall_variable_importance(forest: Forest, ds: Dataset,
         seed = forest.config.seed
     if ds.n_rows != forest.n_scored_rows:
         raise ArgumentError("dataset row count does not match the forest")
+    _check_dataset(forest, ds, "dataset")
     view = _TrainingView(ds, forest.mode, forest.config.seed)
     data, y = view.columns, view.y
     regression = forest.mode == "regression"

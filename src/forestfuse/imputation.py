@@ -7,8 +7,9 @@ passes run):
 * breiman_cutler — proximity-weighted mean (continuous) or
   proximity-weighted mode (categorical) over rows whose cell is observed.
   Its forest never reads an originally-missing cell (see
-  `forest.train_held_out`), so it is trained once for all passes: pass 2
-  reproduces pass 1 and the loop reaches its fixed point there.
+  `forest.train_held_out`), so the forest and its fills are computed
+  once, on pass 1: pass 2 returns the same fills and the loop reaches
+  its fixed point there.
   Letting the filled values steer the forest that re-imputes them locks
   in the seed fill and keeps the loop from settling (the proximity
   imputation bias of Tang & Ishwaran, Stat. Anal. Data Min. 2017).
@@ -201,17 +202,9 @@ def young_reimpute(current: Dataset, missing: np.ndarray, forest: Forest):
 
 # -- iterative drivers --------------------------------------------------------
 
-def _observed_mask(ds: Dataset) -> np.ndarray:
-    if ds.is_sparse:
-        raise ConfigError(
-            "imputation requires dense storage; CSR zeros are structural, "
-            "densify explicitly if the mask is real")
-    return ~ds.missing
-
-
 def _column_fills(ds: Dataset) -> np.ndarray:
     """Median (continuous) or lowest-tie mode (categorical) per column."""
-    observed = _observed_mask(ds)
+    observed = ~ds.missing
     fills = np.empty(ds.n_features, dtype=np.float64)
     for k, feat in enumerate(ds.schema.features):
         obs = ds.values[observed[:, k], k]
@@ -229,7 +222,7 @@ def initial_impute(ds: Dataset) -> Dataset:
     """Column-median / column-mode fill; the iterative methods' seed fill."""
     if not ds.has_missing:
         return ds
-    fills = _column_fills(ds)  # rejects CSR storage
+    fills = _column_fills(ds)
     return ds.with_values(np.where(ds.missing, fills, ds.values))
 
 
@@ -249,7 +242,7 @@ def _inner_train(ds: Dataset, forest_config: ForestConfig,
 
 
 def _column_iqr(ds: Dataset) -> np.ndarray:
-    observed = _observed_mask(ds)
+    observed = ~ds.missing
     iqr = np.zeros(ds.n_features)
     for k in range(ds.n_features):
         obs = ds.values[observed[:, k], k]
@@ -300,22 +293,23 @@ def impute_breiman_cutler(ds: Dataset, cfg: ImputationConfig) -> ImputationResul
     """Iterative proximity-weighted imputation.
 
     The first pass trains a forest that never reads an originally-missing
-    cell (`forest.train_held_out`). That forest does not depend on the
-    fill and the donors are observed cells, so every pass reuses it in
-    `bc_reimpute`, pass 2 repeats pass 1 exactly and the loop converges
-    there (with max_iters >= 2). The
-    iteration trace and final-pass fallback cells come back in the result;
-    observed cells are never modified.
+    cell (`forest.train_held_out`) and fills with it in `bc_reimpute`.
+    Neither that forest nor the donors (observed cells) depend on the
+    fill, so later passes return pass 1's fills unchanged and the loop
+    converges at pass 2 (with max_iters >= 2). The iteration trace and
+    fallback cells come back in the result; observed cells are never
+    modified.
     """
     fills = _column_fills(ds) if ds.has_missing else None
-    forest = None
+    first = None  # pass 1's (values, fallbacks)
 
     def step(current: Dataset, iteration: int):
-        nonlocal forest
-        if forest is None:
+        nonlocal first
+        if first is None:
             forest = _inner_train(current, cfg.forest_config,
                                   held_out=ds.missing)
-        return bc_reimpute(current, ds.missing, forest, fills)
+            first = bc_reimpute(current, ds.missing, forest, fills)
+        return first
 
     return _run_iterations(ds, cfg, step)
 

@@ -105,8 +105,7 @@ def find_prototypes(prox: ProximityMatrix | np.ndarray | Forest, ds: Dataset,
         for c, (_, center, nn) in best.items():
             nn = nn[nn >= 0]
             support = np.unique(np.concatenate([[center], nn[classes[nn] == c]]))
-            rows = ds.values[support] if not ds.is_sparse else np.vstack(
-                [ds.row_dense(int(r)) for r in support])
+            rows = ds.read_cells(support[:, None], np.arange(ds.n_features))
             q25, med, q75 = np.percentile(rows, [25, 50, 75], axis=0)
             out[int(c)].append(Prototype(
                 class_id=int(c), rank=rank, center_row=int(center),

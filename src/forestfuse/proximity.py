@@ -19,7 +19,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import ArgumentError, CapacityError
-from .forest import Forest, _query_leaves, _walk
+from .forest import Forest, _check_dataset, _query_leaves, _walk
 from .rng import query_donor_rng
 
 # bytes of the float64 matrix `compute_proximity` may return (20,000 rows)
@@ -209,12 +209,15 @@ def query_proximity_importance(forest: Forest, ds: Dataset, query, *,
     """
     if n_repeats < 1:
         raise ArgumentError("n_repeats must be >= 1")
+    _check_dataset(forest, ds, "donor dataset")
+    if ds.n_rows == 0:
+        raise ArgumentError("donor dataset has no rows")
     if seed is None:
         seed = forest.config.seed
     leaves = _query_leaves(forest, query)
     m, T = forest.n_features, forest.n_trees
     # cell (k, r, t): tree t walks the query with feature k from donor draw r
-    donors = np.concatenate([ds.gather_column(
+    donors = np.concatenate([ds.read_cells(
         query_donor_rng(seed, k).integers(0, ds.n_rows, size=n_repeats), k)
         for k in range(m)])
     nodes = _walk(forest, np.asarray(query, dtype=np.float64)[None, :],

@@ -201,25 +201,3 @@ def find_node_split(cols, feat_ids, y, *, task, n_classes=0,
         threshold = 0.5 * (sk[p, j] + sk[p + 1, j])
     return Split(int(feat_ids[j]), float(threshold), float(gain))
 
-
-def best_split(values, y, *, task="classification", n_classes=None,
-               strategy="presort", n_bins=256):
-    """Best threshold for a single feature column at a node.
-
-    Returns ``(threshold, gain)`` or None when no split improves the
-    criterion (constant feature, pure node, degenerate input).
-    """
-    values = np.asarray(values, dtype=np.float64)
-    if task == "classification":
-        y = np.asarray(y, dtype=np.int64)
-        if n_classes is None:
-            n_classes = int(y.max()) + 1 if y.size else 0
-    else:
-        y = np.asarray(y, dtype=np.float64)
-        n_classes = 0
-    split = find_node_split(values[:, None], np.array([0]), y, task=task,
-                            n_classes=n_classes, strategy=strategy,
-                            n_bins=n_bins)
-    if split is None:
-        return None
-    return split.threshold, split.gain

@@ -7,6 +7,7 @@ import pytest
 
 import forestfuse as ff
 from forestfuse.cli import main
+from forestfuse.forest import _query_leaves
 
 
 def read_csv(path):
@@ -58,7 +59,7 @@ def test_similar_scores_are_cooccurrence_fractions(trained, tmp_path):
     assert len(rows) == 6
     # oracle: trees in which the training row shares the query's leaf
     forest = ff.load_model(paths["model.ffm"]).forest
-    query_leaves = [ff.leaf_of(forest, t, X[4]) for t in range(forest.n_trees)]
+    query_leaves = _query_leaves(forest, X[4])
     counts = (forest.leaf_of_train == query_leaves).sum(axis=1)
     for _, row_id, score in rows:
         assert float(score) == counts[int(row_id)] / forest.n_trees

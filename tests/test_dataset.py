@@ -26,9 +26,9 @@ class TestDenseCsv:
         assert ds.n_rows == 2
         assert ds.n_features == 2
         assert ds.n_missing == 1
-        assert ds.is_missing(1, 1)
-        assert ff.get_value(ds, 0, 1) == 2.0
-        assert ff.get_value(ds, 1, 1) is None
+        assert ds.missing[1, 1]
+        assert ds.read_cells(0, 1) == 2.0
+        assert np.isnan(ds.read_cells(1, 1))
 
     def test_unknown_category_label(self, tmp_path):
         schema = ff.FeatureSchema([
@@ -137,7 +137,7 @@ class TestDenseCsv:
         path = write(tmp_path, "d.csv", "a,y,b\n1.0,0,2.0\n3.0,1,4.0\n")
         ds = ff.load_dense_csv(path, two_continuous(), target_column="y")
         assert list(ds.target) == [0.0, 1.0]
-        assert ff.get_value(ds, 1, 1) == 4.0
+        assert ds.read_cells(1, 1) == 4.0
 
     def test_missing_target_column(self, tmp_path):
         path = write(tmp_path, "d.csv", "a,b\n1.0,2.0\n")
@@ -151,7 +151,7 @@ class TestDenseCsv:
         ])
         path = write(tmp_path, "d.csv", "x,color\n1.0,blue\n2.0,red\n3.0,green\n")
         ds = ff.load_dense_csv(path, schema)
-        assert [ff.get_value(ds, r, 1) for r in range(3)] == [1.0, 0.0, 2.0]
+        assert ds.read_cells(np.arange(3), 1).tolist() == [1.0, 0.0, 2.0]
 
     def test_roundtrip_matches_raw_text(self, tmp_path):
         # oracle: parse the file contents with a plain text scan
@@ -163,7 +163,7 @@ class TestDenseCsv:
         ds = ff.load_dense_csv(path, ff.continuous_schema(list("abc")))
         for r in range(20):
             for k in range(3):
-                assert ff.get_value(ds, r, k) == float(lines[r + 1].split(",")[k])
+                assert ds.read_cells(r, k) == float(lines[r + 1].split(",")[k])
 
     def test_write_then_load_idempotent(self, tmp_path):
         path = write(tmp_path, "d.csv",
@@ -183,14 +183,14 @@ class TestSvmlight:
         path = write(tmp_path, "s.txt", "1 3:0.5\n")
         ds = ff.load_sparse_svmlight(path, n_features=4)
         assert ds.is_sparse
-        assert [ff.get_value(ds, 0, k) for k in range(4)] == [0.0, 0.0, 0.5, 0.0]
+        assert ds.read_cells(0, np.arange(4)).tolist() == [0.0, 0.0, 0.5, 0.0]
         assert ds.target[0] == 1.0
         assert ds.n_missing == 0
 
     def test_empty_feature_list(self, tmp_path):
         path = write(tmp_path, "s.txt", "0\n1 1:2.0\n")
         ds = ff.load_sparse_svmlight(path, n_features=2)
-        assert [ff.get_value(ds, 0, k) for k in range(2)] == [0.0, 0.0]
+        assert ds.read_cells(0, np.arange(2)).tolist() == [0.0, 0.0]
 
     def test_nnz_matches_token_count(self, tmp_path):
         # oracle: number of ':' tokens in the raw text
@@ -232,27 +232,31 @@ class TestCellSemantics:
     def test_dense_missing_cell(self):
         ds = ff.Dataset.from_dense([[1.0, 2.0]],
                                    missing_mask=[[False, True]])
-        assert ff.get_value(ds, 0, 0) == 1.0
-        assert ff.get_value(ds, 0, 1) is None
+        assert ds.read_cells(0, 0) == 1.0
+        assert ds.missing[0, 1] and np.isnan(ds.read_cells(0, 1))
 
     def test_csr_absent_column_is_zero(self):
         ds = ff.Dataset.from_csr([0, 1], [0], [3.0], n_features=3)
-        assert ff.get_value(ds, 0, 2) == 0.0
+        assert ds.read_cells(0, 2) == 0.0
+        assert not ds.missing[0, 2] and ds.n_missing == 0 and ds.is_filled
 
     def test_out_of_bounds(self):
-        ds = ff.Dataset.from_dense([[1.0]])
+        dense = ff.Dataset.from_dense([[1.0]])
         with pytest.raises(IndexError):
-            ff.get_value(ds, 0, 1)
-        with pytest.raises(IndexError):
-            ff.get_value(ds, 1, 0)
+            dense.read_cells(0, 1)  # CSR reads take feature ids unchecked
+        for ds in (dense, ff.Dataset.from_csr([0, 1], [0], [1.0], 1)):
+            for row in (1, -1):
+                with pytest.raises(IndexError):
+                    ds.read_cells(row, 0)
 
     def test_iteration_covers_every_cell(self):
         ds = ff.Dataset.from_dense(np.arange(12.0).reshape(3, 4),
                                    missing_mask=np.eye(3, 4, dtype=bool))
-        results = [ff.get_value(ds, r, k)
-                   for r in range(ds.n_rows) for k in range(ds.n_features)]
-        assert len(results) == 12
-        assert sum(v is None for v in results) == 3
+        results = ds.read_cells(np.arange(ds.n_rows)[:, None],
+                                np.arange(ds.n_features))
+        assert results.shape == (3, 4)
+        assert np.array_equal(np.isnan(results), ds.missing)
+        assert ds.n_missing == 3
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(1, 8), st.integers(1, 6), st.integers(0, 2 ** 31 - 1))
@@ -272,7 +276,19 @@ class TestCellSemantics:
         dd = ff.Dataset.from_dense(dense)
         for r in range(n):
             for k in range(m):
-                assert ff.get_value(csr, r, k) == ff.get_value(dd, r, k)
+                assert csr.read_cells(r, k) == dd.read_cells(r, k)
+
+    @pytest.mark.parametrize("indptr, indices, data", [
+        ([], [], []), ([[0, 1]], [0], [1.0]), ([0, 1], [[0]], [1.0])],
+        ids=["no offsets", "2-D offsets", "2-D indices"])
+    def test_csr_arrays_must_be_vectors_with_an_offset(self, indptr, indices,
+                                                       data):
+        with pytest.raises(ff.FormatError, match="at least one offset"):
+            ff.Dataset.from_csr(indptr, indices, data, 3)
+
+    def test_dense_values_must_be_a_table(self):
+        with pytest.raises(ff.ArgumentError, match="2-D"):
+            ff.Dataset.from_dense(np.zeros((2, 2, 2)))
 
     def test_csr_validation(self):
         with pytest.raises(ff.FormatError):
@@ -290,7 +306,7 @@ class TestCellSemantics:
         # a missing cell may hold anything: the mask makes it NaN
         ds = ff.Dataset.from_dense(values, missing_mask=[[False, False],
                                                          [False, True]])
-        assert ds.n_missing == 1 and ff.get_value(ds, 1, 1) is None
+        assert ds.n_missing == 1 and np.isnan(ds.read_cells(1, 1))
         with pytest.raises(ff.FormatError, match="row 1, column 1"):
             ff.Dataset.from_csr([0, 1, 3], [0, 0, 1], [1.0, 3.0, value],
                                 n_features=2)
@@ -330,11 +346,14 @@ class TestCsrColumnIndex:
         n, m = dense.shape
         csr = ff.Dataset.from_csr(*dense_to_csr(dense, stored_zero), m)
         dd = ff.Dataset.from_dense(dense)
-        assert np.array_equal(csr.to_dense(), dense)
+        every = np.arange(m)
+        assert np.array_equal(csr.read_cells(np.arange(n)[:, None], every),
+                              dense)
         for r in range(n):
-            assert np.array_equal(csr.row_dense(r), dd.row_dense(r))
+            assert np.array_equal(csr.read_cells(r, every),
+                                  dd.read_cells(r, every))
             for k in range(m):
-                assert ff.get_value(csr, r, k) == ff.get_value(dd, r, k)
+                assert csr.read_cells(r, k) == dd.read_cells(r, k)
 
     @settings(max_examples=60, deadline=None)
     @given(sparse_matrices(), st.data())
@@ -357,12 +376,15 @@ class TestCsrColumnIndex:
             ff.Dataset.from_csr(indptr, indices, values, m)
 
     def test_rows_beyond_the_table_rejected(self):
-        ds = ff.Dataset.from_csr([0, 1, 1], [0], [3.0], n_features=2)
-        with pytest.raises(IndexError):
-            ds.gather_column(np.array([0, 2]), 1)
-        # a negative row would alias a cell of the previous column
-        with pytest.raises(IndexError):
-            ds.gather_column(np.array([-1]), 1)
+        csr = ff.Dataset.from_csr([0, 1, 1], [0], [3.0], n_features=2)
+        dense = ff.Dataset.from_dense([[3.0, 0.0], [0.0, 0.0]])
+        for ds in (csr, dense):
+            with pytest.raises(IndexError):
+                ds.read_cells(np.array([0, 2]), 1)
+            # a negative row would alias a cell of the previous column in
+            # CSR, and would read the last row in dense storage
+            with pytest.raises(IndexError):
+                ds.read_cells(np.array([-1]), 1)
 
 
 class TestSchemaFile:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import forestfuse as ff
-from forestfuse.forest import _node_grid, _walk, train_held_out
+from forestfuse.forest import _node_grid, _query_leaves, _walk, train_held_out
 from forestfuse.rng import NodeStreams, node_rng, permute_rng, tree_rng
 
 
@@ -52,8 +52,9 @@ class TestGenerateSynthetic:
                                  [1.0, 2.0, 3.0, 4.0], n_features=2)
         syn = ff.generate_synthetic(ds, seed=3)
         assert syn.is_sparse
-        dense = ds.to_dense()
-        sdense = syn.to_dense()
+        cells = np.arange(4)[:, None], np.arange(2)
+        dense = ds.read_cells(*cells)
+        sdense = syn.read_cells(*cells)
         for k in range(2):
             assert np.array_equal(np.sort(sdense[:, k]), np.sort(dense[:, k]))
 
@@ -215,7 +216,9 @@ class TestTraining:
         dense, stored_zero = matrix
         ds_csr = ff.Dataset.from_csr(*dense_to_csr(dense, stored_zero),
                                      dense.shape[1])
-        ds_dense = ff.Dataset.from_dense(ds_csr.to_dense(), ds_csr.schema)
+        ds_dense = ff.Dataset.from_dense(
+            ds_csr.read_cells(np.arange(ds_csr.n_rows)[:, None],
+                              np.arange(ds_csr.n_features)), ds_csr.schema)
         cfg = ff.ForestConfig(mode="unsupervised", n_trees=3, seed=seed)
         f_dense = ff.train(ds_dense, cfg)
         f_csr = ff.train(ds_csr, cfg)
@@ -341,23 +344,22 @@ class TestLeafOf:
         ds = ff.Dataset.from_dense([[0.0]], target=[0.0])
         forest = assemble_forest([leaf_tree(class_counts=[1.0])], ds,
                                  n_classes=1)
-        assert ff.leaf_of(forest, 0, [12345.0]) == 0
+        assert _query_leaves(forest, [12345.0])[0] == 0
 
     def test_tie_goes_left(self):
         tree = stump(0, 5.0, [1.0, 0.0], [0.0, 1.0])
         ds = ff.Dataset.from_dense([[0.0]], target=[0.0])
         forest = assemble_forest([tree], ds, n_classes=2)
-        assert ff.leaf_of(forest, 0, [5.0]) == 0
-        assert ff.leaf_of(forest, 0, [5.0001]) == 1
+        assert _query_leaves(forest, [5.0])[0] == 0
+        assert _query_leaves(forest, [5.0001])[0] == 1
 
     def test_matches_stored_leaf_assignments(self):
         ds = blobs_dataset(30, seed=19)
         forest = ff.train(ds, ff.ForestConfig(mode="classification",
                                               n_trees=7, seed=3))
-        for t in range(forest.n_trees):
-            for r in range(ds.n_rows):
-                assert ff.leaf_of(forest, t, ds.values[r]) == \
-                    forest.leaf_of_train[r, t]
+        for r in range(ds.n_rows):
+            assert np.array_equal(_query_leaves(forest, ds.values[r]),
+                                  forest.leaf_of_train[r])
 
     def test_apply_matches_reference_walk(self):
         ds = blobs_dataset(25, seed=23)
@@ -493,3 +495,30 @@ class TestForestWalk:
             want[:, t]).sum(axis=1, keepdims=True)
             for t, tree in enumerate(forest.trees))
         assert np.array_equal(ff.predict_proba(forest, Q), votes / 40)
+
+
+def test_public_surface_is_pinned():
+    # adding or removing a public name must show up as a diff here
+    assert sorted(ff.__all__) == [
+        "ArgumentError", "CATEGORICAL", "CONTINUOUS", "CapacityError",
+        "ClassSizeError", "ConfigError", "Dataset", "Feature", "FeatureSchema",
+        "Forest", "ForestConfig", "ForestFuseError", "FormatError",
+        "ImportanceReport", "ImputationConfig", "ImputationError",
+        "ImputationResult", "IterationStats", "ModelArtifact",
+        "ModelFormatError", "Neighbor", "OOBResult", "OutlierReport",
+        "ParseError", "Prototype", "ProvenanceError", "ProximityMatrix",
+        "SchemaError", "Split", "Tree", "ValidationReport", "bc_reimpute",
+        "check_fingerprint", "compute_importance_report", "compute_proximity",
+        "continuous_schema", "counted_trees", "dataset", "dataset_fingerprint",
+        "errors", "find_node_split", "find_prototypes", "forest",
+        "generate_synthetic", "importance", "imputation", "impute",
+        "impute_breiman_cutler", "impute_young", "initial_impute",
+        "load_dense_csv", "load_model", "load_schema", "load_sparse_svmlight",
+        "local_proximity_importance", "local_variable_importance", "model_io",
+        "oob_error", "outlier", "outlier_exact", "outlier_greedy",
+        "overall_proximity_importance", "overall_variable_importance",
+        "p_synthetic", "predict", "predict_proba", "prototype", "proximity",
+        "proximity_weighted_mean", "proximity_weighted_mode", "rng",
+        "save_model", "splitfind", "top_k_similar", "top_k_similar_explained",
+        "train", "validate_imputations", "write_dense_csv", "young_reimpute",
+    ]

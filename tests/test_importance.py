@@ -236,3 +236,24 @@ class TestOverallVariableImportance:
         assert perm.shape == (3,)
         # dependency features should carry the real-vs-synthetic signal
         assert max(perm[0], perm[1]) > perm[2]
+
+
+def mismatched_datasets(ds):
+    """ds's rows one feature wider, one narrower, and with a missing cell."""
+    X, y = ds.values, ds.target
+    mask = np.zeros(X.shape, dtype=bool)
+    mask[3, 1] = True
+    return [ff.Dataset.from_dense(np.column_stack([X, X[:, :1]]), target=y),
+            ff.Dataset.from_dense(X[:, :1], target=y),
+            ff.Dataset.from_dense(X, missing_mask=mask, target=y)]
+
+
+@pytest.mark.parametrize("measure", [ff.local_proximity_importance,
+                                     ff.local_variable_importance,
+                                     ff.overall_variable_importance])
+def test_wrong_width_or_unfilled_dataset_rejected(measure):
+    ds, forest = toy_setup()
+    for bad, match in zip(mismatched_datasets(ds),
+                          ["3 features", "1 features", "missing values"]):
+        with pytest.raises(ff.ArgumentError, match=match):
+            measure(forest, bad)

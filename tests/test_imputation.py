@@ -288,6 +288,21 @@ class TestIterativeMethods:
         assert result.converged and retrained.converged
         assert result.fallback_cells == retrained.fallback_cells
 
+    def test_bc_computes_its_fills_once(self, monkeypatch):
+        _, _, ds = self.make_mcar(seed=11)
+        calls = []
+
+        def counting_bc_reimpute(*args):
+            calls.append(1)
+            return ff.bc_reimpute(*args)
+
+        monkeypatch.setattr(imputation, "bc_reimpute", counting_bc_reimpute)
+        result = ff.impute_breiman_cutler(ds, small_config(trees=10,
+                                                           max_iters=3))
+        assert len(calls) == 1
+        assert len(result.trace) == 2 and result.converged
+        assert result.trace[1].max_rel_change == 0.0
+
     def test_trace_shape(self):
         truth, mask, ds = self.make_mcar(seed=13)
         result = ff.impute_breiman_cutler(
@@ -315,12 +330,6 @@ class TestIterativeMethods:
             ff.impute(ds, small_config(method="nope"))
         with pytest.raises(ff.ConfigError):
             ff.impute(ds, small_config(max_iters=0))
-
-    def test_csr_with_mask_rejected(self):
-        ds = ff.Dataset.from_csr([0, 1], [0], [1.0], n_features=2,
-                                 missing_pairs=[(0, 1)])
-        with pytest.raises(ff.ConfigError):
-            ff.initial_impute(ds)
 
 
 class TestValidator:

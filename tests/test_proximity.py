@@ -270,6 +270,21 @@ class TestExplainedQuery:
             query_proximity_importance(forest, ds, ds.values[0],
                                        n_repeats=n_repeats)
 
+    def test_wrong_width_unfilled_or_empty_donors_rejected(self,
+                                                           small_forest):
+        ds, forest = small_forest
+        X = ds.values
+        mask = np.zeros(X.shape, dtype=bool)
+        mask[:, 1] = True
+        for bad in (ff.Dataset.from_dense(np.column_stack([X, X])),
+                    ff.Dataset.from_dense(X[:, :1]),
+                    ff.Dataset.from_dense(X, missing_mask=mask),
+                    ff.Dataset.from_dense(X[:0])):
+            with pytest.raises(ff.ArgumentError, match="donor dataset"):
+                query_proximity_importance(forest, bad, X[0])
+            with pytest.raises(ff.ArgumentError, match="donor dataset"):
+                ff.top_k_similar_explained(forest, bad, X[0], k=3)
+
     def test_matches_direct_per_tree_counting(self):
         ds = ff.Dataset.from_dense([[0.0, 5.0], [1.0, 6.0], [2.0, 7.0]],
                                    target=[0.0, 1.0, 1.0])

@@ -50,18 +50,24 @@ def brute_force_reg(values, y):
 
 
 class TestBestSplit:
+    # one candidate column, feature id 0
     def test_perfect_split(self):
-        got = ff.best_split([1, 1, 2, 2], [0, 0, 1, 1])
+        got = ff.find_node_split(np.c_[[1.0, 1.0, 2.0, 2.0]], np.array([0]),
+                                 np.array([0, 0, 1, 1]), task="classification",
+                                 n_classes=2)
         assert got is not None
-        thr, gain = got
-        assert thr == 1.5
-        assert gain == pytest.approx(0.5, abs=1e-15)  # full Gini removed
+        assert got.threshold == 1.5
+        assert got.gain == pytest.approx(0.5, abs=1e-15)  # full Gini removed
 
     def test_constant_feature(self):
-        assert ff.best_split([3, 3, 3, 3], [0, 0, 1, 1]) is None
+        assert ff.find_node_split(np.c_[[3.0, 3.0, 3.0, 3.0]], np.array([0]),
+                                  np.array([0, 0, 1, 1]),
+                                  task="classification", n_classes=2) is None
 
     def test_pure_node(self):
-        assert ff.best_split([1, 2, 3, 4], [1, 1, 1, 1]) is None
+        assert ff.find_node_split(np.c_[[1.0, 2.0, 3.0, 4.0]], np.array([0]),
+                                  np.array([1, 1, 1, 1]),
+                                  task="classification", n_classes=2) is None
 
     def test_presort_matches_brute_force_classification(self):
         rng = np.random.default_rng(17)
@@ -71,13 +77,14 @@ class TestBestSplit:
             if len(np.unique(y)) < 2:
                 continue
             expected = brute_force_class(values, y, 2)
-            got = ff.best_split(values, y)
+            got = ff.find_node_split(values[:, None], np.array([0]), y,
+                                     task="classification", n_classes=2)
             if expected[1] <= 1e-12:
                 assert got is None
                 continue
             assert got is not None
-            assert got[0] == pytest.approx(expected[0], abs=0)
-            assert got[1] == pytest.approx(expected[1], abs=1e-12)
+            assert got.threshold == pytest.approx(expected[0], abs=0)
+            assert got.gain == pytest.approx(expected[1], abs=1e-12)
 
     def test_presort_matches_brute_force_regression(self):
         rng = np.random.default_rng(23)
@@ -85,49 +92,58 @@ class TestBestSplit:
             values = rng.normal(size=48)
             y = values * 2 + rng.normal(scale=0.3, size=48)
             expected = brute_force_reg(values, y)
-            got = ff.best_split(values, y, task="regression")
+            got = ff.find_node_split(values[:, None], np.array([0]), y,
+                                     task="regression")
             assert got is not None
-            assert got[0] == pytest.approx(expected[0], abs=0)
-            assert got[1] == pytest.approx(expected[1], rel=1e-10)
+            assert got.threshold == pytest.approx(expected[0], abs=0)
+            assert got.gain == pytest.approx(expected[1], rel=1e-10)
 
     def test_multiclass_matches_brute_force(self):
         rng = np.random.default_rng(31)
         values = rng.normal(size=60)
         y = rng.integers(0, 4, size=60)
         expected = brute_force_class(values, y, 4)
-        got = ff.best_split(values, y, n_classes=4)
-        assert got[0] == expected[0]
-        assert got[1] == pytest.approx(expected[1], abs=1e-12)
+        got = ff.find_node_split(values[:, None], np.array([0]), y,
+                                 task="classification", n_classes=4)
+        assert got.threshold == expected[0]
+        assert got.gain == pytest.approx(expected[1], abs=1e-12)
 
 
 class TestHistogram:
     def test_separable_data(self):
-        got = ff.best_split([0.0, 0.1, 0.9, 1.0], [0, 0, 1, 1],
-                            strategy="histogram", n_bins=4)
+        got = ff.find_node_split(np.c_[[0.0, 0.1, 0.9, 1.0]], np.array([0]),
+                                 np.array([0, 0, 1, 1]), task="classification",
+                                 n_classes=2, strategy="histogram", n_bins=4)
         assert got is not None
-        thr, gain = got
-        assert 0.1 < thr < 0.9
-        assert gain == pytest.approx(0.5, abs=1e-12)
+        assert 0.1 < got.threshold < 0.9
+        assert got.gain == pytest.approx(0.5, abs=1e-12)
 
     def test_threshold_is_a_bin_edge(self):
         # node range [0, 8], 4 bins -> edges at 2, 4, 6 only
         values = np.array([0.0, 1.1, 2.9, 3.3, 5.2, 8.0])
         y = np.array([0, 0, 0, 1, 1, 1])
-        got = ff.best_split(values, y, strategy="histogram", n_bins=4)
+        got = ff.find_node_split(values[:, None], np.array([0]), y,
+                                 task="classification", n_classes=2,
+                                 strategy="histogram", n_bins=4)
         assert got is not None
-        assert got[0] in (2.0, 4.0, 6.0)
+        assert got.threshold in (2.0, 4.0, 6.0)
 
     def test_constant_feature(self):
-        assert ff.best_split([2, 2, 2], [0, 1, 0], strategy="histogram") is None
+        assert ff.find_node_split(np.c_[[2.0, 2.0, 2.0]], np.array([0]),
+                                  np.array([0, 1, 0]), task="classification",
+                                  n_classes=2, strategy="histogram") is None
 
     def test_many_bins_matches_presort_on_spread_data(self):
         rng = np.random.default_rng(5)
         values = rng.uniform(0, 1, size=200)
         y = (values > 0.37).astype(int)
-        exact = ff.best_split(values, y)
-        binned = ff.best_split(values, y, strategy="histogram", n_bins=4096)
-        assert abs(binned[0] - exact[0]) < 1e-2
-        assert binned[1] == pytest.approx(exact[1], abs=1e-3)
+        exact = ff.find_node_split(values[:, None], np.array([0]), y,
+                                   task="classification", n_classes=2)
+        binned = ff.find_node_split(values[:, None], np.array([0]), y,
+                                    task="classification", n_classes=2,
+                                    strategy="histogram", n_bins=4096)
+        assert abs(binned.threshold - exact.threshold) < 1e-2
+        assert binned.gain == pytest.approx(exact.gain, abs=1e-3)
 
 
 class TestNodeSplit:

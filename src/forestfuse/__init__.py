@@ -8,6 +8,8 @@ ground-truth-free quality validator.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .dataset import (CATEGORICAL, CONTINUOUS, Dataset, Feature,
                       FeatureSchema, continuous_schema, load_dense_csv,
                       load_schema, load_sparse_svmlight, write_dense_csv)
@@ -26,7 +28,6 @@ from .importance import (ImportanceReport, compute_importance_report,
 from .imputation import (ImputationConfig, ImputationResult, IterationStats,
                          ValidationReport, bc_reimpute, impute,
                          impute_breiman_cutler, impute_young, initial_impute,
-                         proximity_weighted_mean, proximity_weighted_mode,
                          validate_imputations, young_reimpute)
 from .model_io import (ModelArtifact, check_fingerprint, dataset_fingerprint,
                        load_model, save_model)
@@ -36,4 +37,5 @@ from .proximity import (Neighbor, ProximityMatrix, compute_proximity,
                         top_k_similar, top_k_similar_explained)
 from .splitfind import Split, find_node_split
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name in dir() if not name.startswith("_")
+           and not isinstance(globals()[name], _ModuleType)]

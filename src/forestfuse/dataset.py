@@ -147,7 +147,10 @@ class Dataset:
     def from_dense(cls, values, schema=None, missing_mask=None, target=None):
         """Wrap a dense (n, m) float array; copies its inputs."""
         ds = cls._blank()
-        values = np.array(values, dtype=np.float64, order="C", ndmin=2)
+        try:
+            values = np.array(values, dtype=np.float64, order="C", ndmin=2)
+        except (TypeError, ValueError) as exc:
+            raise ArgumentError(f"dense values must be numbers: {exc}") from None
         if values.ndim != 2:
             raise ArgumentError(f"dense values must be 2-D, not {values.ndim}-D")
         ds.is_sparse = False
@@ -181,6 +184,11 @@ class Dataset:
         """Wrap CSR arrays; validates offsets and column ordering."""
         ds = cls._blank()
         ds.is_sparse = True
+        for what, ids in (("offsets", indptr), ("indices", indices)):
+            ids = np.asarray(ids)
+            if ids.dtype.kind == "f" and not np.all(np.isfinite(ids)
+                                                    & (ids == np.trunc(ids))):
+                raise FormatError(f"CSR {what} must be whole numbers")
         ds.indptr = np.asarray(indptr, dtype=np.int64)
         ds.indices = np.asarray(indices, dtype=np.int32)
         ds.data = np.asarray(data, dtype=np.float64)
@@ -273,16 +281,19 @@ class Dataset:
 
         Cells read as stored: an unfilled missing cell reads NaN and a CSR
         absent reads 0.0; the missing mask says which cells are missing.
-        Rows outside the table raise IndexError; features must be valid
-        feature ids.
+        Rows or features outside the table raise IndexError.
         """
         rows = np.asarray(rows, dtype=np.int64)
-        if rows.size and not 0 <= rows.min() <= rows.max() < self.n_rows:
-            raise IndexError(f"rows {rows.min()}..{rows.max()} out of bounds "
-                             f"for {self.n_rows} rows")
+        features = np.asarray(features, dtype=np.int64)
+        for ids, size, what in ((rows, self.n_rows, "rows"),
+                                (features, self.n_features, "features")):
+            # one pass: a negative id views as a huge unsigned one
+            if ids.size and ids.view(np.uint64).max() >= size:
+                raise IndexError(f"{what} {ids.min()}..{ids.max()} out of "
+                                 f"bounds for {size} {what}")
         if not self.is_sparse:
             return self.values[rows, features]
-        key = np.asarray(features, dtype=np.int64) * self.n_rows + rows
+        key = features * self.n_rows + rows
         if self._cell_key.size == 0:
             return np.zeros(key.shape, dtype=np.float64)
         # searching all but the last key keeps every position in range; a

@@ -5,7 +5,10 @@ originally-missing cell, repeat until the fills stop moving or max_iters
 passes run):
 
 * breiman_cutler — proximity-weighted mean (continuous) or
-  proximity-weighted mode (categorical) over rows whose cell is observed.
+  proximity-weighted mode (categorical) over rows whose cell is observed,
+  one matrix product per block of rows and feature: the block's weights
+  times the donors' values (a mean) or one-hot codes (a mode, from a
+  Forest's integer counts, so ties are exact and go to the lower code).
   Its forest never reads an originally-missing cell (see
   `forest.train_held_out`), so the forest and its fills are computed
   once, on pass 1: pass 2 returns the same fills and the loop reaches
@@ -36,7 +39,7 @@ import numpy as np
 from .dataset import CATEGORICAL, Dataset
 from .errors import ArgumentError, ConfigError, ImputationError
 from .forest import Forest, ForestConfig, p_synthetic, train, train_held_out
-from .proximity import ProximityMatrix, proximity_rows
+from .proximity import ProximityMatrix, matrix_rows, proximity_rows
 
 
 @dataclass
@@ -51,7 +54,7 @@ class ImputationConfig:
             raise ConfigError(f"unknown imputation method {self.method!r}")
         if self.max_iters < 1:
             raise ConfigError("max_iters must be >= 1")
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise ConfigError("tol must be > 0")
 
 
@@ -77,29 +80,17 @@ class ValidationReport:
     reference_oob: float
 
 
-# -- per-cell fill rules ----------------------------------------------------
-
-def proximity_weighted_mean(weights, values) -> float | None:
-    """Weighted average of donor values; None when all weights are zero."""
-    weights = np.asarray(weights, dtype=np.float64)
-    values = np.asarray(values, dtype=np.float64)
-    total = weights.sum()
-    if total <= 0:
-        return None
-    return float(weights @ values / total)
-
-
-def proximity_weighted_mode(weights, codes, n_categories: int) -> int | None:
-    """Category with the largest total donor weight (ties to lower code)."""
-    weights = np.asarray(weights, dtype=np.float64)
-    codes = np.asarray(codes, dtype=np.int64)
-    if weights.sum() <= 0:
-        return None
-    totals = np.bincount(codes, weights=weights, minlength=n_categories)
-    return int(np.argmax(totals))
-
-
 # -- single re-imputation passes ---------------------------------------------
+
+def _check_pass(current: Dataset, missing, source_rows: int) -> np.ndarray:
+    """`missing` as a bool mask, once it and the proximity source fit `current`."""
+    missing = np.asarray(missing, dtype=bool)
+    if missing.shape != (current.n_rows, current.n_features):
+        raise ArgumentError("missing mask shape must match the dataset")
+    if source_rows != current.n_rows:
+        raise ArgumentError("proximity source rows must match the dataset")
+    return missing
+
 
 def bc_reimpute(current: Dataset, missing: np.ndarray,
                 prox: Forest | ProximityMatrix | np.ndarray, fills: np.ndarray):
@@ -107,32 +98,42 @@ def bc_reimpute(current: Dataset, missing: np.ndarray,
 
     `missing` is the original mask. `prox` is a Forest, read by blocks of
     the rows that hold a missing cell, or a proximity matrix; each cell's
-    weights are its row's proximities to the rows whose cell is observed.
-    Cells with zero total weight fall back to `fills`. Returns (new
-    values, fallback cells in (feature, row) order).
+    weights are its row's proximities to the rows whose cell is observed;
+    one product per block and feature fills all its cells (see the module
+    docstring). Cells with zero total weight fall back to `fills`. Returns
+    (new values, fallback cells in (feature, row) order).
     """
+    missing = _check_pass(current, missing, matrix_rows(prox))
+    if np.shape(fills) != (current.n_features,):
+        raise ArgumentError("fills must hold one value per feature")
     is_cat = current.schema.is_categorical()
     new_values = current.values.copy()
-    donors = [np.flatnonzero(~missing[:, k]) for k in range(current.n_features)]
-    donor_vals = [current.values[rows, k] for k, rows in enumerate(donors)]
-    fallbacks: list[tuple[int, int]] = []
+    fallback = np.zeros_like(missing)
+    # per feature, the columns a row's weights multiply, zero at the rows
+    # missing it: the value or one-hot codes, then a 1 (the total weight)
+    donors = {}
+    for k in np.flatnonzero(missing.any(axis=0)).tolist():
+        col = current.values[:, k, None]
+        if is_cat[k]:
+            col = col == np.arange(current.schema.n_categories(k))
+        donors[k] = np.where(missing[:, k, None], 0.0,
+                             np.hstack([col, np.ones((len(col), 1))]))
+    # per cell: a feature's rows of the block and their float64 weights
     for block, values, scale in proximity_rows(
-            prox, np.flatnonzero(missing.any(axis=1))):
-        for r, i in enumerate(block.tolist()):
-            for k in np.flatnonzero(missing[i]).tolist():
-                weights = values[r, donors[k]] / scale
-                if is_cat[k]:
-                    pick = proximity_weighted_mode(
-                        weights, donor_vals[k], current.schema.n_categories(k))
-                else:
-                    pick = proximity_weighted_mean(weights, donor_vals[k])
-                if pick is None:
-                    new_values[i, k] = fills[k]
-                    fallbacks.append((i, k))
-                else:
-                    new_values[i, k] = pick
-    fallbacks.sort(key=lambda cell: (cell[1], cell[0]))
-    return new_values, fallbacks
+            prox, np.flatnonzero(missing.any(axis=1)), cell_bytes=10):
+        held = missing[block]
+        for k in np.flatnonzero(held.any(axis=0)).tolist():
+            r = np.flatnonzero(held[:, k])
+            weights = values[r].astype(np.float64, copy=False)
+            if not is_cat[k]:  # a mode reads the raw weights, exact counts
+                weights /= scale
+            sums = weights @ donors[k]
+            found = sums[:, -1] > 0
+            pick = (sums[:, :-1].argmax(axis=1) if is_cat[k]
+                    else sums[:, 0] / np.where(found, sums[:, -1], 1.0))
+            new_values[block[r], k] = np.where(found, pick, fills[k])
+            fallback[block[r], k] = ~found
+    return new_values, [(i, k) for k, i in np.argwhere(fallback.T).tolist()]
 
 
 def _group_modes(groups, codes, n_groups: int) -> np.ndarray:
@@ -164,6 +165,7 @@ def young_reimpute(current: Dataset, missing: np.ndarray, forest: Forest):
     with no such tree keep their current value. Returns (new values,
     fallback cells).
     """
+    missing = _check_pass(current, missing, forest.n_scored_rows)
     n, T = forest.n_scored_rows, forest.n_trees
     n_leaves = int(forest.leaf_offset[-1])
     leaf_ids = forest.leaf_of_train[:n] + forest.leaf_offset[:-1]
@@ -232,24 +234,19 @@ def _inner_train(ds: Dataset, forest_config: ForestConfig,
     # are fixed. With held_out the forest reads observed cells only, so one
     # training serves every pass; without it, the forest trains on the current
     # fill and moves with it, so leaf memberships need not settle
-    cfg = replace(forest_config)
     complete = ds.as_complete()
-    if cfg.mode == "unsupervised":
+    if forest_config.mode == "unsupervised":
         complete = complete.without_target()
     if held_out is None:
-        return train(complete, cfg)
-    return train_held_out(complete, held_out, cfg)
+        return train(complete, forest_config)
+    return train_held_out(complete, held_out, forest_config)
 
 
 def _column_iqr(ds: Dataset) -> np.ndarray:
-    observed = ~ds.missing
-    iqr = np.zeros(ds.n_features)
-    for k in range(ds.n_features):
-        obs = ds.values[observed[:, k], k]
-        if obs.size:
-            q75, q25 = np.percentile(obs, [75, 25])
-            iqr[k] = q75 - q25
-    return iqr
+    """Interquartile range of each column's observed cells."""
+    q75, q25 = np.nanpercentile(np.where(ds.missing, np.nan, ds.values),
+                                [75, 25], axis=0)
+    return q75 - q25
 
 
 _REL_EPS = 1e-9
@@ -260,31 +257,20 @@ def _run_iterations(ds: Dataset, cfg: ImputationConfig, reimpute):
     if not ds.has_missing:
         return ImputationResult(ds, [], True)
     current = initial_impute(ds)
-    missing = ds.missing
     iqr = _column_iqr(ds)
     is_cat = ds.schema.is_categorical()
     trace: list[IterationStats] = []
-    converged = False
-    fallbacks: list[tuple[int, int]] = []
     for it in range(cfg.max_iters):
-        new_values, fallbacks = reimpute(current, it)
-        max_rel = 0.0
-        n_cat = 0
-        for k in range(ds.n_features):
-            rows = np.flatnonzero(missing[:, k])
-            if rows.size == 0:
-                continue
-            old = current.values[rows, k]
-            new = new_values[rows, k]
-            if is_cat[k]:
-                n_cat += int(np.sum(old != new))
-            else:
-                rel = np.abs(new - old) / (iqr[k] + _REL_EPS)
-                max_rel = max(max_rel, float(rel.max()))
+        new_values, fallbacks = reimpute(current)
+        # a max and a count: one masked pass over every feature at once
+        rel = np.abs(new_values - current.values) / (iqr + _REL_EPS)
+        max_rel = float(rel[ds.missing & ~is_cat].max(initial=0.0))
+        n_cat = int(np.count_nonzero(
+            (new_values != current.values) & ds.missing & is_cat))
         current = current.with_values(new_values)
         trace.append(IterationStats(it + 1, max_rel, n_cat))
-        if max_rel < cfg.tol and n_cat == 0:
-            converged = True
+        converged = max_rel < cfg.tol and n_cat == 0
+        if converged:
             break
     return ImputationResult(current, trace, converged, fallbacks)
 
@@ -303,7 +289,7 @@ def impute_breiman_cutler(ds: Dataset, cfg: ImputationConfig) -> ImputationResul
     fills = _column_fills(ds) if ds.has_missing else None
     first = None  # pass 1's (values, fallbacks)
 
-    def step(current: Dataset, iteration: int):
+    def step(current: Dataset):
         nonlocal first
         if first is None:
             forest = _inner_train(current, cfg.forest_config,
@@ -324,7 +310,7 @@ def impute_young(ds: Dataset, cfg: ImputationConfig) -> ImputationResult:
     pass and the loop need not reach a fixed point.
     """
 
-    def step(current: Dataset, iteration: int):
+    def step(current: Dataset):
         forest = _inner_train(current, cfg.forest_config)
         return young_reimpute(current, ds.missing, forest)
 

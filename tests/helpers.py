@@ -4,6 +4,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 import forestfuse as ff
+from forestfuse.proximity import cooccurrence_blocks
 
 
 def blobs(n_per_class, seed, sep=6.0, scale=1.0):
@@ -188,4 +189,32 @@ def young_oracle(forest, values, missing, categorical):
                 out[i, k] = np.argmax(np.bincount(estimates))
             else:
                 out[i, k] = np.mean(estimates)
+    return out, fallbacks
+
+
+def bc_oracle(forest, values, missing, categorical, fills):
+    """Breiman-Cutler's fill rule one cell at a time, from integer counts.
+
+    A missing cell weighs the rows whose cell is observed by how many
+    trees put them in its row's leaf: a continuous cell takes their
+    weighted mean, a categorical cell the code with the largest total
+    count, ties to the lower code. A cell no donor shares a leaf with
+    takes fills[k]; those cells are listed in (feature, row) order.
+    """
+    counts = np.concatenate(
+        [c for _, c, _ in cooccurrence_blocks(forest)]).astype(np.int64)
+    out = values.copy()
+    fallbacks = []
+    for k in range(values.shape[1]):
+        donors = ~missing[:, k]
+        for i in np.flatnonzero(missing[:, k]):
+            weights = counts[i, donors]
+            if weights.sum() == 0:
+                out[i, k] = fills[k]
+                fallbacks.append((int(i), k))
+            elif categorical[k]:
+                out[i, k] = np.argmax(np.bincount(
+                    values[donors, k].astype(int), weights=weights))
+            else:
+                out[i, k] = np.average(values[donors, k], weights=weights)
     return out, fallbacks

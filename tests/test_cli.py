@@ -121,6 +121,18 @@ def test_train_rejects_a_non_finite_cell(trained, tmp_path, capsys):
     assert not (tmp_path / "m.ffm").exists()
 
 
+def test_impute_rejects_a_nan_tolerance(trained, tmp_path, capsys):
+    paths, _, _ = trained
+    data = tmp_path / "holes.csv"
+    data.write_text("a,b,c\n0.1,NA,0.3\n0.4,0.5,0.6\n1.0,2.0,NA\n")
+    out = tmp_path / "filled.csv"
+    capsys.readouterr()
+    assert main(["impute", str(data), str(paths["schema.txt"]), "-o", str(out),
+                 "--trees", "2", "--tol", "nan"]) == 1
+    assert_one_line_error(capsys, "tol must be > 0")
+    assert not out.exists()
+
+
 def test_predict_rejects_a_leaf_with_zeroed_class_counts(trained, capsys):
     paths, _, _ = trained
     artifact = ff.load_model(paths["model.ffm"])

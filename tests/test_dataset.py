@@ -243,7 +243,7 @@ class TestCellSemantics:
     def test_out_of_bounds(self):
         dense = ff.Dataset.from_dense([[1.0]])
         with pytest.raises(IndexError):
-            dense.read_cells(0, 1)  # CSR reads take feature ids unchecked
+            dense.read_cells(0, 1)
         for ds in (dense, ff.Dataset.from_csr([0, 1], [0], [1.0], 1)):
             for row in (1, -1):
                 with pytest.raises(IndexError):
@@ -289,6 +289,22 @@ class TestCellSemantics:
     def test_dense_values_must_be_a_table(self):
         with pytest.raises(ff.ArgumentError, match="2-D"):
             ff.Dataset.from_dense(np.zeros((2, 2, 2)))
+
+    @pytest.mark.parametrize("values", [[["a", "b"]], [[1.0], [2.0, 3.0]]],
+                             ids=["strings", "ragged"])
+    def test_dense_values_must_be_numbers(self, values):
+        with pytest.raises(ff.ArgumentError, match="must be numbers"):
+            ff.Dataset.from_dense(values)
+
+    @pytest.mark.parametrize("indptr, indices", [
+        ([0, 1.5], [0]), ([0, 1], [0.5]), ([0, np.nan], [0])],
+        ids=["fractional offset", "fractional index", "nan offset"])
+    def test_csr_ids_must_be_whole_numbers(self, indptr, indices):
+        with pytest.raises(ff.FormatError, match="whole numbers"):
+            ff.Dataset.from_csr(indptr, indices, [1.0], 2)
+        # whole floats are accepted as their integers
+        ds = ff.Dataset.from_csr([0.0, 1.0], [1.0], [1.0], 2)
+        assert ds.read_cells(0, 1) == 1.0 and ds.indptr.dtype == np.int64
 
     def test_csr_validation(self):
         with pytest.raises(ff.FormatError):
@@ -385,6 +401,18 @@ class TestCsrColumnIndex:
             # CSR, and would read the last row in dense storage
             with pytest.raises(IndexError):
                 ds.read_cells(np.array([-1]), 1)
+
+    def test_features_beyond_the_table_rejected(self):
+        csr = ff.Dataset.from_csr([0, 1, 1], [0], [3.0], n_features=2)
+        dense = ff.Dataset.from_dense([[3.0, 0.0], [0.0, 0.0]])
+        for ds in (csr, dense):
+            # CSR would read a structural zero for either, dense storage
+            # the last column for -1
+            for features in (2, -1, np.array([[0, 1, 5]])):
+                with pytest.raises(IndexError, match="features"):
+                    ds.read_cells(np.array([[0], [1]]), features)
+            assert ds.read_cells(np.array([[0], [1]]), np.arange(2)).tolist() \
+                == [[3.0, 0.0], [0.0, 0.0]]
 
 
 class TestSchemaFile:

@@ -509,16 +509,15 @@ def test_public_surface_is_pinned():
         "ParseError", "Prototype", "ProvenanceError", "ProximityMatrix",
         "SchemaError", "Split", "Tree", "ValidationReport", "bc_reimpute",
         "check_fingerprint", "compute_importance_report", "compute_proximity",
-        "continuous_schema", "counted_trees", "dataset", "dataset_fingerprint",
-        "errors", "find_node_split", "find_prototypes", "forest",
-        "generate_synthetic", "importance", "imputation", "impute",
+        "continuous_schema", "counted_trees", "dataset_fingerprint",
+        "find_node_split", "find_prototypes",
+        "generate_synthetic", "impute",
         "impute_breiman_cutler", "impute_young", "initial_impute",
         "load_dense_csv", "load_model", "load_schema", "load_sparse_svmlight",
-        "local_proximity_importance", "local_variable_importance", "model_io",
-        "oob_error", "outlier", "outlier_exact", "outlier_greedy",
+        "local_proximity_importance", "local_variable_importance",
+        "oob_error", "outlier_exact", "outlier_greedy",
         "overall_proximity_importance", "overall_variable_importance",
-        "p_synthetic", "predict", "predict_proba", "prototype", "proximity",
-        "proximity_weighted_mean", "proximity_weighted_mode", "rng",
-        "save_model", "splitfind", "top_k_similar", "top_k_similar_explained",
+        "p_synthetic", "predict", "predict_proba",
+        "save_model", "top_k_similar", "top_k_similar_explained",
         "train", "validate_imputations", "write_dense_csv", "young_reimpute",
     ]

@@ -1,15 +1,19 @@
 """Imputation: fill rules, iterative methods, and the validator."""
 
+from functools import partial
+from unittest import mock
+
 import numpy as np
 import pytest
-from helpers import (assemble_forest, correlated_data, leaf_tree, mcar_mask,
-                     stump, young_oracle)
+from helpers import (assemble_forest, bc_oracle, correlated_data, leaf_tree,
+                     mcar_mask, stump, young_oracle)
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import forestfuse as ff
 from forestfuse import imputation
 from forestfuse.forest import train_held_out
+from forestfuse.proximity import proximity_rows
 
 
 def cat_schema():
@@ -61,22 +65,146 @@ class TestInitialImpute:
 
 
 class TestFillRules:
+    """Breiman-Cutler fills of row 0's one missing cell from a hand-made
+    proximity matrix whose row 0 holds the donors' weights."""
+
+    @staticmethod
+    def fill(donor_values, weights, schema=None, fallback=9.0):
+        values = np.array([[0.0]] + [[v] for v in donor_values])
+        missing = np.zeros(values.shape, dtype=bool)
+        missing[0, 0] = True
+        ds = ff.Dataset.from_dense(values, schema=schema, missing_mask=missing)
+        prox = np.eye(len(values))
+        prox[0, 1:] = weights
+        new_values, fallbacks = ff.bc_reimpute(ff.initial_impute(ds), missing,
+                                               prox, [fallback])
+        return new_values[0, 0], fallbacks
+
+    @staticmethod
+    def codes(n):
+        return ff.FeatureSchema([ff.Feature("c", ff.CATEGORICAL,
+                                            ("a", "b", "z")[:n])])
+
     def test_weighted_mean_even_weights(self):
-        assert ff.proximity_weighted_mean([0.5, 0.5], [2.0, 4.0]) == 3.0
+        assert self.fill([2.0, 4.0], [0.5, 0.5]) == (3.0, [])
 
     def test_weighted_mean_single_donor(self):
-        assert ff.proximity_weighted_mean([1.0, 0.0], [2.0, 4.0]) == 2.0
+        assert self.fill([2.0, 4.0], [1.0, 0.0]) == (2.0, [])
 
     def test_weighted_mean_zero_weight(self):
-        assert ff.proximity_weighted_mean([0.0, 0.0], [2.0, 4.0]) is None
+        assert self.fill([2.0, 4.0], [0.0, 0.0]) == (9.0, [(0, 0)])
 
     def test_weighted_mode_majority_mass(self):
         # class 0 donors carry 0.9 total vs class 1 total 0.3
-        got = ff.proximity_weighted_mode([0.5, 0.4, 0.3], [0, 0, 1], 2)
-        assert got == 0
+        got = self.fill([0, 0, 1], [0.5, 0.4, 0.3], self.codes(2), 1.0)
+        assert got == (0.0, [])
 
     def test_weighted_mode_tie_to_lowest(self):
-        assert ff.proximity_weighted_mode([0.5, 0.5], [1, 0], 3) == 0
+        assert self.fill([1, 0], [0.5, 0.5], self.codes(3), 2.0) == (0.0, [])
+
+
+def mixed_data(n, n_cont, n_cat, frac, seed, target=False):
+    """Rounded normals and three-code categoricals with MCAR cells hidden;
+    returns (dataset, its missing mask)."""
+    rng = np.random.default_rng(seed)
+    schema = ff.FeatureSchema(
+        [ff.Feature(f"x{k}", ff.CONTINUOUS) for k in range(n_cont)]
+        + [ff.Feature(f"c{k}", ff.CATEGORICAL, ("a", "b", "z"))
+           for k in range(n_cat)])
+    # three codes over small leaves, so weights, modes and votes tie
+    values = np.column_stack(
+        [np.round(rng.normal(size=(n, n_cont)), 3),
+         rng.integers(0, 3, size=(n, n_cat))]).astype(float)
+    missing = hide_cells(values, frac, seed)
+    ds = ff.Dataset.from_dense(
+        values, schema=schema, missing_mask=missing,
+        target=rng.normal(size=n) if target else None)
+    return ds, missing
+
+
+class TestBreimanCutlerFills:
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(3, 25), n_cont=st.integers(0, 2),
+           n_cat=st.integers(0, 2), n_trees=st.integers(1, 12),
+           frac=st.floats(0.05, 0.8), mode=st.sampled_from(
+               ["unsupervised", "regression"]),
+           block_bytes=st.sampled_from([None, 1, 200]),
+           seed=st.integers(0, 2 ** 16))
+    def test_matches_per_cell_oracle(self, n, n_cont, n_cat, n_trees, frac,
+                                     mode, block_bytes, seed):
+        assume(n_cont + n_cat > 0)
+        ds, missing = mixed_data(n, n_cont, n_cat, frac, seed,
+                                 target=mode == "regression")
+        filled = ff.initial_impute(ds)
+        fills = imputation._column_fills(ds)
+        forest = imputation._inner_train(filled, ff.ForestConfig(
+            mode=mode, n_trees=n_trees, min_node_size=1, seed=seed),
+            held_out=missing)
+        categorical = ds.schema.is_categorical()
+        want, want_fallbacks = bc_oracle(forest, filled.values, missing,
+                                         categorical, fills)
+        # the default budget, then blocks of one row and of a few rows
+        blocks = proximity_rows if block_bytes is None \
+            else partial(proximity_rows, max_bytes=block_bytes)
+        with mock.patch.object(imputation, "proximity_rows", blocks):
+            got, fallbacks = ff.bc_reimpute(filled, missing, forest, fills)
+        assert fallbacks == want_fallbacks
+        np.testing.assert_array_equal(got[:, categorical], want[:, categorical])
+        np.testing.assert_allclose(got[:, ~categorical], want[:, ~categorical],
+                                   rtol=1e-12, atol=1e-14)
+        # a matrix of the counts over the tree count gives the same means;
+        # with the same blocks, the same products and floats. (Its modes
+        # read float weights, so a tie of counts need not stay a tie.)
+        prox = ff.compute_proximity(forest, filled.without_target())
+        on_matrix, matrix_fallbacks = ff.bc_reimpute(filled, missing, prox,
+                                                     fills)
+        assert matrix_fallbacks == fallbacks
+        np.testing.assert_allclose(on_matrix[:, ~categorical],
+                                   want[:, ~categorical], rtol=1e-12,
+                                   atol=1e-14)
+        if block_bytes is None:
+            np.testing.assert_array_equal(on_matrix[:, ~categorical],
+                                          got[:, ~categorical])
+
+
+class TestPassShapes:
+    """Both single passes reject inputs that do not fit the dataset."""
+
+    @staticmethod
+    def make(n=12):
+        ds, missing = mixed_data(n, 2, 1, 0.2, 4)
+        filled = ff.initial_impute(ds)
+        forest = imputation._inner_train(filled, ff.ForestConfig(
+            mode="unsupervised", n_trees=3, seed=0))
+        return filled, missing, forest, imputation._column_fills(ds)
+
+    @staticmethod
+    def passes(filled, fills):
+        return (lambda m, src: ff.bc_reimpute(filled, m, src, fills),
+                lambda m, src: ff.young_reimpute(filled, m, src))
+
+    def test_mask_of_another_shape(self):
+        filled, missing, forest, fills = self.make()
+        for reimpute in self.passes(filled, fills):
+            for bad in (missing[:, :2], missing[:-1], missing[0]):
+                with pytest.raises(ff.ArgumentError,
+                                   match="missing mask shape"):
+                    reimpute(bad, forest)
+
+    def test_source_of_another_row_count(self):
+        filled, missing, _, fills = self.make()
+        other = self.make(n=11)[2]
+        for reimpute in self.passes(filled, fills):
+            with pytest.raises(ff.ArgumentError, match="rows must match"):
+                reimpute(missing, other)
+        with pytest.raises(ff.ArgumentError, match="rows must match"):
+            ff.bc_reimpute(filled, missing, np.eye(13), fills)
+
+    def test_fills_of_another_length(self):
+        filled, missing, forest, fills = self.make()
+        for bad in (fills[:2], np.append(fills, 0.0), 0.0):
+            with pytest.raises(ff.ArgumentError, match="one value per feature"):
+                ff.bc_reimpute(filled, missing, forest, bad)
 
 
 class TestYoungEstimates:
@@ -170,23 +298,12 @@ class TestYoungEstimates:
     def test_matches_per_cell_oracle(self, n, n_cont, n_cat, n_trees, frac,
                                      mode, seed):
         assume(n_cont + n_cat > 0)
-        rng = np.random.default_rng(seed)
-        schema = ff.FeatureSchema(
-            [ff.Feature(f"x{k}", ff.CONTINUOUS) for k in range(n_cont)]
-            + [ff.Feature(f"c{k}", ff.CATEGORICAL, ("a", "b", "z"))
-               for k in range(n_cat)])
-        # three codes over small leaves, so per-leaf modes and votes tie
-        values = np.column_stack(
-            [np.round(rng.normal(size=(n, n_cont)), 3),
-             rng.integers(0, 3, size=(n, n_cat))]).astype(float)
-        missing = hide_cells(values, frac, seed)
-        ds = ff.Dataset.from_dense(
-            values, schema=schema, missing_mask=missing,
-            target=rng.normal(size=n) if mode == "regression" else None)
+        ds, missing = mixed_data(n, n_cont, n_cat, frac, seed,
+                                 target=mode == "regression")
         filled = ff.initial_impute(ds)
         forest = imputation._inner_train(filled, ff.ForestConfig(
             mode=mode, n_trees=n_trees, min_node_size=1, seed=seed))
-        categorical = schema.is_categorical()
+        categorical = ds.schema.is_categorical()
         got, fallbacks = ff.young_reimpute(filled, missing, forest)
         want, want_fallbacks = young_oracle(forest, filled.values, missing,
                                             categorical)
@@ -267,7 +384,7 @@ class TestIterativeMethods:
             calls.append(1)
             return train_held_out(*args, **kwargs)
 
-        def retraining_step(current, iteration):
+        def retraining_step(current):
             forest = imputation._inner_train(current, cfg.forest_config,
                                              held_out=ds.missing)
             prox = ff.compute_proximity(forest, current.without_target(),
@@ -330,6 +447,9 @@ class TestIterativeMethods:
             ff.impute(ds, small_config(method="nope"))
         with pytest.raises(ff.ConfigError):
             ff.impute(ds, small_config(max_iters=0))
+        for tol in (0.0, -1.0, float("nan")):
+            with pytest.raises(ff.ConfigError, match="tol"):
+                ff.impute(ds, small_config(tol=tol))
 
 
 class TestValidator:

@@ -20,13 +20,12 @@ import numpy as np
 from . import __version__
 from .dataset import (Dataset, load_dense_csv, load_schema, write_dense_csv)
 from .errors import ConfigError, ForestFuseError
-from .forest import ForestConfig, oob_error, p_synthetic, predict, predict_proba, train
+from .forest import ForestConfig, p_synthetic, predict, predict_proba, train
 from .importance import (compute_importance_report, local_proximity_importance,
                          local_variable_importance,
                          overall_proximity_importance,
                          overall_variable_importance)
-from .imputation import (ImputationConfig, impute, initial_impute,
-                         validate_imputations)
+from .imputation import ImputationConfig, impute, validate_imputations
 from .model_io import (ModelArtifact, check_fingerprint, dataset_fingerprint,
                        load_model, save_model)
 from .outlier import outlier_exact, outlier_greedy

@@ -1,11 +1,13 @@
 """Tabular data containers with explicit missingness.
 
 A Dataset is an immutable table of float64 cells stored either dense
-row-major or CSR. Missingness lives only in the dense missing mask:
-only cells marked there are absent, and every other cell is finite.
-A CSR dataset carries no missingness; its zeros are structural zeros
-and its mask reads all False. Categorical features are integer-coded
-at load time and split as ordered codes.
+row-major or CSR. Missingness lives only in the dense missing mask,
+and the mask marks absent cells only: a masked cell holds NaN, and
+every other cell is finite. So a filled table (an imputation result)
+is complete, with an all-False mask, and `has_missing` is the one
+completeness test. A CSR dataset carries no missingness; its zeros are
+structural zeros and its mask reads all False. Categorical features
+are integer-coded at load time and split as ordered codes.
 
 `Dataset.read_cells` is the one cell reader for both storages. The CSR
 arrays are a CSR dataset's canonical content: they are what the model
@@ -131,9 +133,9 @@ class Dataset:
     """Immutable n_rows x n_features table.
 
     Construct through :meth:`from_dense`, :meth:`from_csr`, or the file
-    loaders. Missing cells are tracked in a separate mask, and the
-    underlying value of a missing cell is NaN, which keeps accidental
-    reads loud. A CSR dataset has no missing cells.
+    loaders. The mask marks the absent cells and nothing else; an absent
+    cell holds NaN, which keeps accidental reads loud. A CSR dataset has
+    no missing cells.
     """
 
     def __init__(self):
@@ -147,10 +149,8 @@ class Dataset:
     def from_dense(cls, values, schema=None, missing_mask=None, target=None):
         """Wrap a dense (n, m) float array; copies its inputs."""
         ds = cls._blank()
-        try:
-            values = np.array(values, dtype=np.float64, order="C", ndmin=2)
-        except (TypeError, ValueError) as exc:
-            raise ArgumentError(f"dense values must be numbers: {exc}") from None
+        values = np.array(_as_floats(values, "dense values", ArgumentError),
+                          order="C", ndmin=2)
         if values.ndim != 2:
             raise ArgumentError(f"dense values must be 2-D, not {values.ndim}-D")
         ds.is_sparse = False
@@ -175,7 +175,7 @@ class Dataset:
                                 "marked missing")
         ds.missing = missing_mask
         ds.values[missing_mask] = np.nan
-        ds._set_target(target)
+        ds._set_target(target, ArgumentError)
         ds._check_categorical_codes()
         return ds
 
@@ -191,7 +191,7 @@ class Dataset:
                 raise FormatError(f"CSR {what} must be whole numbers")
         ds.indptr = np.asarray(indptr, dtype=np.int64)
         ds.indices = np.asarray(indices, dtype=np.int32)
-        ds.data = np.asarray(data, dtype=np.float64)
+        ds.data = _as_floats(data, "CSR values", FormatError)
         if ds.indptr.size == 0 or {ds.indptr.ndim, ds.indices.ndim,
                                    ds.data.ndim} != {1}:
             raise FormatError("CSR arrays must be 1-D with at least one offset")
@@ -226,7 +226,7 @@ class Dataset:
         ds.schema = schema
         # complete by construction: an all-False mask that holds no memory
         ds.missing = np.broadcast_to(False, (ds.n_rows, ds.n_features))
-        ds._set_target(target)
+        ds._set_target(target, FormatError)
         # one ascending (column, row) key per stored cell, so any set of
         # cells is read with one searchsorted; stable keeps rows ascending
         # within each column
@@ -236,11 +236,11 @@ class Dataset:
         ds._cell_vals = ds.data[order]
         return ds
 
-    def _set_target(self, target):
+    def _set_target(self, target, error):
         if target is None:
             self.target = None
             return
-        target = np.asarray(target, dtype=np.float64)
+        target = _as_floats(target, "target", error)
         if target.shape != (self.n_rows,):
             raise ArgumentError(
                 f"target length {target.shape} does not match n_rows {self.n_rows}"
@@ -279,8 +279,8 @@ class Dataset:
     def read_cells(self, rows, features) -> np.ndarray:
         """Values at the cells (rows, features), broadcast against each other.
 
-        Cells read as stored: an unfilled missing cell reads NaN and a CSR
-        absent reads 0.0; the missing mask says which cells are missing.
+        Cells read as stored: a missing cell reads NaN and a CSR absent
+        reads 0.0; the missing mask says which cells are missing.
         Rows or features outside the table raise IndexError.
         """
         rows = np.asarray(rows, dtype=np.int64)
@@ -308,34 +308,32 @@ class Dataset:
         return ds
 
     def with_values(self, values) -> "Dataset":
-        """Dense Dataset with the same schema/mask/target and new values."""
+        """Complete dense Dataset with the same schema and target, new values.
+
+        Every cell must be finite, and the result's mask is all False.
+        Categorical codes are not checked.
+        """
         if self.is_sparse:
             raise ArgumentError("with_values requires dense storage")
         values = np.array(values, dtype=np.float64, order="C")
         if values.shape != (self.n_rows, self.n_features):
             raise ArgumentError("replacement values must keep the shape")
-        return self._replace(values=values)
+        missing = np.zeros(values.shape, dtype=bool)
+        bad = _non_finite_cell(values, missing)
+        if bad is not None:
+            raise ArgumentError(f"cell {tuple(bad)} is not finite")
+        return self._replace(values=values, missing=missing)
 
     def without_target(self) -> "Dataset":
         return self if self.target is None else self._replace(target=None)
 
-    @property
-    def is_filled(self) -> bool:
-        """True when every cell holds a usable value.
 
-        An imputed dataset keeps its original mask for bookkeeping but is
-        filled; a freshly loaded dataset with missing cells is not.
-        """
-        return not self.has_missing or not np.isnan(self.values).any()
-
-    def as_complete(self) -> "Dataset":
-        """View with the missing mask cleared; requires filled values."""
-        if not self.has_missing:
-            return self
-        if not self.is_filled:
-            raise ArgumentError(
-                "cannot treat a dataset with unfilled cells as complete")
-        return self._replace(missing=np.zeros_like(self.missing))
+def _as_floats(values, what: str, error) -> np.ndarray:
+    """`values` as a float64 array; raises `error` if they are not numbers."""
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise error(f"{what} must be numbers: {exc}") from None
 
 
 def _non_finite_cell(values, missing):

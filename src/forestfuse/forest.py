@@ -559,11 +559,11 @@ def _train(ds: Dataset, config: ForestConfig,
 # -- prediction --------------------------------------------------------------
 
 def _check_dataset(forest: Forest, ds: Dataset, role: str) -> None:
-    """Reject a Dataset the forest cannot walk: another width, unfilled cells."""
+    """Reject a Dataset the forest cannot walk: another width, missing cells."""
     if ds.n_features != forest.n_features:
         raise ArgumentError(f"{role} has {ds.n_features} features, "
                             f"model expects {forest.n_features}")
-    if not ds.is_filled:
+    if ds.has_missing:
         raise ArgumentError(f"{role} contains missing values")
 
 

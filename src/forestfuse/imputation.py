@@ -24,6 +24,9 @@ passes run):
   out-of-bag and the leaf holds such a row. It trains a new forest on
   each pass's fill, imputed cells included.
 
+Every result is a complete Dataset (its mask is all False, so imputing
+it again returns it unchanged); the input's mask names the filled cells.
+
 The validator ranks candidate imputations without ground truth: an
 unsupervised forest trained on complete reference data scores each
 candidate's rows by P(synthetic); fills that distort the dependency
@@ -234,18 +237,16 @@ def _inner_train(ds: Dataset, forest_config: ForestConfig,
     # are fixed. With held_out the forest reads observed cells only, so one
     # training serves every pass; without it, the forest trains on the current
     # fill and moves with it, so leaf memberships need not settle
-    complete = ds.as_complete()
     if forest_config.mode == "unsupervised":
-        complete = complete.without_target()
+        ds = ds.without_target()
     if held_out is None:
-        return train(complete, forest_config)
-    return train_held_out(complete, held_out, forest_config)
+        return train(ds, forest_config)
+    return train_held_out(ds, held_out, forest_config)
 
 
 def _column_iqr(ds: Dataset) -> np.ndarray:
-    """Interquartile range of each column's observed cells."""
-    q75, q25 = np.nanpercentile(np.where(ds.missing, np.nan, ds.values),
-                                [75, 25], axis=0)
+    """Interquartile range of each column's observed (non-NaN) cells."""
+    q75, q25 = np.nanpercentile(ds.values, [75, 25], axis=0)
     return q75 - q25
 
 
@@ -334,7 +335,7 @@ def validate_imputations(reference: Dataset, candidates, cfg: ImputationConfig
     the mean, ascending — lower means the fill preserved the reference's
     dependency structure better.
     """
-    if not reference.is_filled:
+    if reference.has_missing:
         raise ArgumentError("reference dataset must be complete")
     candidates = list(candidates)
     names = [name for name, _ in candidates]
@@ -345,14 +346,13 @@ def validate_imputations(reference: Dataset, candidates, cfg: ImputationConfig
                 cand.n_features != reference.n_features:
             raise ArgumentError(
                 f"candidate {name!r} shape does not match the reference")
-        if not cand.is_filled:
-            raise ArgumentError(f"candidate {name!r} has unfilled cells")
+        if cand.has_missing:
+            raise ArgumentError(f"candidate {name!r} has missing cells")
 
     fc = replace(cfg.forest_config, mode="unsupervised")
-    forest = train(reference.as_complete().without_target(), fc)
+    forest = train(reference.without_target(), fc)
     scores = {}
     for name, cand in candidates:
-        scores[name] = float(p_synthetic(
-            forest, cand.as_complete().without_target()).mean())
+        scores[name] = float(p_synthetic(forest, cand.without_target()).mean())
     ranking = sorted(names, key=lambda nm: scores[nm])
     return ValidationReport(scores, ranking, forest.oob_error)

@@ -133,6 +133,40 @@ def test_impute_rejects_a_nan_tolerance(trained, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("method", ["bc", "young"])
+def test_imputed_csv_is_complete_and_feeds_the_pipeline(trained, tmp_path,
+                                                         method):
+    paths, X, _ = trained
+    holes = np.random.default_rng(8).uniform(size=X.shape) < 0.15
+    assert holes.any()
+    data, out = tmp_path / "holes.csv", tmp_path / "filled.csv"
+    with open(data, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["a", "b", "c"])
+        w.writerows([["NA" if hole else repr(v) for v, hole in zip(x, row)]
+                     for x, row in zip(X.tolist(), holes)])
+    flags = ["--trees", "5", "--seed", "2"]
+    schema = str(paths["schema.txt"])
+    assert main(["impute", str(data), schema, "-o", str(out),
+                 "--impute-method", method, *flags]) == 0
+    assert not any("NA" in row for row in read_csv(out))
+    # the written table reloads as the in-process result, bit for bit
+    cfg = ff.ImputationConfig(
+        forest_config=ff.ForestConfig(mode="unsupervised", n_trees=5, seed=2),
+        method={"bc": "breiman_cutler", "young": "young"}[method])
+    expected = ff.impute(ff.load_dense_csv(data, ff.load_schema(schema)),
+                         cfg).dataset
+    filled = ff.load_dense_csv(out, ff.load_schema(schema))
+    np.testing.assert_array_equal(filled.values, expected.values)
+    assert ff.dataset_fingerprint(filled, 2) == \
+        ff.dataset_fingerprint(expected, 2)
+    assert main(["train", str(out), schema, "-o", str(tmp_path / "m.ffm"),
+                 "--mode", "unsupervised", *flags]) == 0
+    assert main(["validate-imputation", str(paths["features.csv"]), str(out),
+                 "--schema", schema, "-o", str(tmp_path / "rank.jsonl"),
+                 *flags]) == 0
+
+
 def test_predict_rejects_a_leaf_with_zeroed_class_counts(trained, capsys):
     paths, _, _ = trained
     artifact = ff.load_model(paths["model.ffm"])

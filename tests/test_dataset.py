@@ -238,7 +238,7 @@ class TestCellSemantics:
     def test_csr_absent_column_is_zero(self):
         ds = ff.Dataset.from_csr([0, 1], [0], [3.0], n_features=3)
         assert ds.read_cells(0, 2) == 0.0
-        assert not ds.missing[0, 2] and ds.n_missing == 0 and ds.is_filled
+        assert not ds.missing[0, 2] and ds.n_missing == 0
 
     def test_out_of_bounds(self):
         dense = ff.Dataset.from_dense([[1.0]])
@@ -296,6 +296,16 @@ class TestCellSemantics:
         with pytest.raises(ff.ArgumentError, match="must be numbers"):
             ff.Dataset.from_dense(values)
 
+    def test_dense_target_must_be_numbers(self):
+        with pytest.raises(ff.ArgumentError, match="target must be numbers"):
+            ff.Dataset.from_dense([[1.0]], target=["a"])
+
+    @pytest.mark.parametrize("data, target", [(["x"], None), ([1.0], ["y"])],
+                             ids=["values", "target"])
+    def test_csr_values_and_target_must_be_numbers(self, data, target):
+        with pytest.raises(ff.FormatError, match="must be numbers"):
+            ff.Dataset.from_csr([0, 1], [0], data, 2, target=target)
+
     @pytest.mark.parametrize("indptr, indices", [
         ([0, 1.5], [0]), ([0, 1], [0.5]), ([0, np.nan], [0])],
         ids=["fractional offset", "fractional index", "nan offset"])
@@ -323,6 +333,9 @@ class TestCellSemantics:
         ds = ff.Dataset.from_dense(values, missing_mask=[[False, False],
                                                          [False, True]])
         assert ds.n_missing == 1 and np.isnan(ds.read_cells(1, 1))
+        # replacement values are complete: no cell may be non-finite
+        with pytest.raises(ff.ArgumentError, match=r"\(1, 1\) is not finite"):
+            ds.with_values(values)
         with pytest.raises(ff.FormatError, match="row 1, column 1"):
             ff.Dataset.from_csr([0, 1, 3], [0, 0, 1], [1.0, 3.0, value],
                                 n_features=2)

@@ -36,6 +36,7 @@ class TestInitialImpute:
         out = ff.initial_impute(ds)
         assert out.values[1, 0] == 2.0
         assert out.values[0, 0] == 1.0
+        assert not out.has_missing
 
     def test_categorical_mode_fill(self):
         ds = ff.Dataset.from_dense(
@@ -44,6 +45,7 @@ class TestInitialImpute:
             missing_mask=[[False, False]] * 3 + [[False, True]])
         out = ff.initial_impute(ds)
         assert out.values[3, 1] == 0.0
+        assert not out.has_missing
 
     def test_mode_tie_goes_to_lowest_code(self):
         ds = ff.Dataset.from_dense(
@@ -347,6 +349,17 @@ class TestIterativeMethods:
                 imputed = out[mask[:, k], k]
                 assert imputed.min() >= obs.min() - 1e-12
                 assert imputed.max() <= obs.max() + 1e-12
+
+    def test_result_is_complete(self):
+        _, mask, ds = self.make_mcar(seed=5, n=60)
+        for method in ("breiman_cutler", "young"):
+            cfg = small_config(trees=5, max_iters=2, method=method)
+            out = ff.impute(ds, cfg).dataset
+            assert not out.has_missing
+            assert ff.impute(out, cfg).dataset is out
+            ff.train(out, cfg.forest_config)
+            train_held_out(out, mask, cfg.forest_config)
+            ff.generate_synthetic(out, seed=0)
 
     def test_no_missing_returns_input_unchanged(self):
         ds = ff.Dataset.from_dense(correlated_data(50, seed=5))

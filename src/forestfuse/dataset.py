@@ -166,7 +166,11 @@ class Dataset:
         if missing_mask is None:
             missing_mask = np.zeros(values.shape, dtype=bool)
         else:
-            missing_mask = np.array(missing_mask, dtype=bool)
+            missing_mask = np.array(missing_mask)
+            if missing_mask.dtype.kind not in "biuf":
+                raise ArgumentError("missing mask must hold booleans, not "
+                                    f"{missing_mask.dtype}")
+            missing_mask = missing_mask.astype(bool)
             if missing_mask.shape != values.shape:
                 raise ArgumentError("missing mask shape must match values")
         bad = _non_finite_cell(values, missing_mask)
@@ -184,28 +188,27 @@ class Dataset:
         """Wrap CSR arrays; validates offsets and column ordering."""
         ds = cls._blank()
         ds.is_sparse = True
-        for what, ids in (("offsets", indptr), ("indices", indices)):
-            ids = np.asarray(ids)
-            if ids.dtype.kind == "f" and not np.all(np.isfinite(ids)
-                                                    & (ids == np.trunc(ids))):
-                raise FormatError(f"CSR {what} must be whole numbers")
-        ds.indptr = np.asarray(indptr, dtype=np.int64)
-        ds.indices = np.asarray(indices, dtype=np.int32)
+        ds.indptr = _as_whole(indptr, "CSR offsets")
+        indices = _as_whole(indices, "CSR indices")
         ds.data = _as_floats(data, "CSR values", FormatError)
-        if ds.indptr.size == 0 or {ds.indptr.ndim, ds.indices.ndim,
+        n_features = _as_whole(n_features, "n_features")
+        if ds.indptr.size == 0 or {ds.indptr.ndim, indices.ndim,
                                    ds.data.ndim} != {1}:
             raise FormatError("CSR arrays must be 1-D with at least one offset")
+        if n_features.ndim:
+            raise FormatError("n_features must be one number")
         ds.n_rows = len(ds.indptr) - 1
         ds.n_features = int(n_features)
         if np.any(np.diff(ds.indptr) < 0):
             raise FormatError("CSR row offsets must be non-decreasing")
-        if ds.indptr[0] != 0 or ds.indptr[-1] != len(ds.indices):
+        if ds.indptr[0] != 0 or ds.indptr[-1] != len(indices):
             raise FormatError("CSR offsets do not span the index array")
-        if len(ds.indices) != len(ds.data):
+        if len(indices) != len(ds.data):
             raise FormatError("CSR indices and values differ in length")
-        if ds.indices.size:
-            if ds.indices.min() < 0 or ds.indices.max() >= ds.n_features:
+        if indices.size:
+            if indices.min() < 0 or indices.max() >= ds.n_features:
                 raise FormatError("CSR column id out of range")
+        ds.indices = indices.astype(np.int32)
         row_of = np.repeat(np.arange(ds.n_rows, dtype=np.int64),
                            np.diff(ds.indptr))
         bad = (np.diff(ds.indices) <= 0) & (row_of[1:] == row_of[:-1])
@@ -266,11 +269,12 @@ class Dataset:
 
     @property
     def n_missing(self) -> int:
-        return int(self.missing.sum())
+        # CSR storage is complete by construction: skip its broadcast mask
+        return 0 if self.is_sparse else int(np.count_nonzero(self.missing))
 
     @property
     def has_missing(self) -> bool:
-        return self.n_missing > 0
+        return not self.is_sparse and bool(self.missing.any())
 
     def gather_column(self, rows, feature: int) -> np.ndarray:
         """`read_cells(rows, feature)`; kept for the benchmark's tracer."""
@@ -334,6 +338,17 @@ def _as_floats(values, what: str, error) -> np.ndarray:
         return np.asarray(values, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise error(f"{what} must be numbers: {exc}") from None
+
+
+def _as_whole(values, what: str) -> np.ndarray:
+    """`values` as an int64 array; raises FormatError unless whole numbers."""
+    ids = np.asarray(values)
+    if ids.dtype.kind == "f":
+        if not np.all(np.isfinite(ids) & (ids == np.trunc(ids))):
+            raise FormatError(f"{what} must be whole numbers")
+    elif ids.dtype.kind not in "biu":
+        raise FormatError(f"{what} must be whole numbers, not {ids.dtype}")
+    return ids.astype(np.int64)
 
 
 def _non_finite_cell(values, missing):

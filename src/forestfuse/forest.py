@@ -238,17 +238,32 @@ def _read(data, rows, feats):
     return data.read_cells(rows, feats)
 
 
-def _walk(nodes, data, rows, start, override=None, held_out=None) -> np.ndarray:
+# bytes of temporaries that one block of a blocked walk may hold: row
+# blocks here, importance cells and their ancestor tables, proximity blocks
+BLOCK_BYTES = 8 << 20
+# bytes one `_walk` cell holds at its peak, its rows and roots included
+# (tracemalloc read 82 on 100,000 cells of a 30-tree forest)
+_WALK_CELL_BYTES = 96
+
+
+def _walk(nodes, data, rows, root, override=None, held_out=None,
+          begin=None) -> np.ndarray:
     """Terminal node of every cell; all cells move down one level per step.
 
     `nodes` is a Forest or a Tree (children local to their tree). Cell c
-    walks row rows[c] of data (dense array or CSR Dataset) from the root
-    at node start[c]. override = (feature, value), arrays over the cells,
-    replaces cell c's value of feature[c] with value[c]. held_out, a bool
-    mask over data's cells, sends a cell whose split feature is held out
-    to the node's held_out_left side unread. Returns global node ids.
+    walks row rows[c] of data (dense array or CSR Dataset) in the tree
+    whose root is node root[c], from node begin[c] (default: the root).
+    override = (feature, value), arrays over the cells, replaces cell c's
+    value of feature[c] with value[c]. held_out, a bool mask over data's
+    cells, sends a cell whose split feature is held out to the node's
+    held_out_left side unread. Returns global node ids.
+
+    The callers bound their temporaries, about _WALK_CELL_BYTES a cell,
+    by BLOCK_BYTES: `_node_blocks` walks rows in blocks, and importance
+    walks only the cells a perturbation moves (`_perturbed_walk`), in
+    blocks of (tree, feature) runs.
     """
-    node = start.copy()
+    node = root.copy() if begin is None else begin.copy()
     live = np.arange(len(node))
     while live.size:
         at = node[live]
@@ -263,15 +278,107 @@ def _walk(nodes, data, rows, start, override=None, held_out=None) -> np.ndarray:
         if held_out is not None:
             go_left = np.where(held_out[r, feat], nodes.held_out_left[at],
                                go_left)
-        node[live] = start[live] + np.where(go_left, nodes.left[at],
-                                            nodes.right[at])
+        node[live] = root[live] + np.where(go_left, nodes.left[at],
+                                           nodes.right[at])
     return node
+
+
+def _ancestors(forest: Forest, t0: int, t1: int, feats) -> tuple:
+    """Nearest ancestor splitting on each feature, for trees t0..t1-1.
+
+    Returns (table, col, base). For a node n of those trees and a feature
+    k in feats, table[n - base, col[k]] is 2a + s, where node base + a is
+    n's nearest proper ancestor that splits on k and s is 1 when n lies
+    right of it, or -1 when no ancestor splits on k. Only the features in
+    feats get a column, so the table is (nodes, distinct feats) int32.
+    Built top-down, one level of all the trees at a time.
+    """
+    base, end = forest.node_offset[t0], forest.node_offset[t1]
+    # not np.unique, whose first call imports numpy.ma (1.1 MB)
+    used = np.flatnonzero(np.bincount(feats, minlength=forest.n_features))
+    col = np.full(forest.n_features, -1, dtype=np.int64)
+    col[used] = np.arange(len(used))
+    table = np.full((end - base, len(used)), -1, dtype=np.int32)
+    level = root = forest.node_offset[t0:t1]
+    while level.size:
+        feat = forest.feature[level]
+        inner = feat >= 0
+        level, root, c = level[inner], root[inner], col[feat[inner]]
+        hit, above = c >= 0, table[level - base]
+        kids = []
+        for side, child in enumerate((forest.left, forest.right)):
+            kid = root + child[level]
+            table[kid - base] = above
+            table[kid[hit] - base, c[hit]] = 2 * (level[hit] - base) + side
+            kids.append(kid)
+        level, root = np.concatenate(kids), np.concatenate([root, root])
+    return table, col, base
+
+
+def _perturbed_walk(forest: Forest, data, rows, root, end, feats, values,
+                    ancestors) -> np.ndarray:
+    """Terminal node of each cell once its row reads values[c] for feats[c].
+
+    Cell c is row rows[c] in the tree rooted at node root[c], and end[c]
+    is its original terminal node. The perturbed cell follows its
+    original route down to the first node on it that splits on feats[c]
+    and sends values[c] the other way: every node above either splits on
+    another feature or sends the value the way the route went. So each
+    cell climbs the feats[c] nodes of its route through the ancestor
+    table (`_ancestors`, covering the cells' trees), and only cells that
+    meet such a node walk, from the topmost one; every other cell keeps
+    end[c]. Equals `_walk` from the root with the override wherever the
+    route is the row's own walk.
+    """
+    table, col, base = ancestors
+    k = col[feats]
+    hop = table[end - base, k]
+    begin = np.full(len(end), -1, dtype=np.int64)
+    live = np.flatnonzero(hop >= 0)
+    hop = hop[live]
+    while live.size:
+        at = base + (hop >> 1)
+        # the value goes left where the route went right, or the reverse
+        turns = (values[live] <= forest.threshold[at]) == ((hop & 1) == 1)
+        begin[live[turns]] = at[turns]
+        hop = table[hop >> 1, k[live]]
+        more = hop >= 0
+        live, hop = live[more], hop[more]
+    moved = np.flatnonzero(begin >= 0)
+    nodes = end.copy()
+    nodes[moved] = _walk(forest, data, rows[moved], root[moved],
+                         (feats[moved], values[moved]), begin=begin[moved])
+    return nodes
+
+
+def _run_blocks(forest: Forest, run_tree, run_cells, cell_bytes: int):
+    """Consecutive runs grouped into blocks that fit BLOCK_BYTES.
+
+    Run i holds run_cells[i] cells of tree run_tree[i] (ascending) and
+    one feature. A block costs cell_bytes per cell plus its `_ancestors`
+    table, 4 bytes per node of its trees and column, with at most one
+    column per run. Yields (first run, end run); a block holds at least
+    one run.
+    """
+    tree_nodes = np.diff(forest.node_offset).tolist()
+    first, cells, nodes, last = 0, 0, 0, -1
+    for i, (t, size) in enumerate(zip(run_tree.tolist(), run_cells.tolist())):
+        if t != last:
+            nodes += tree_nodes[t]
+        width = min(i - first + 1, forest.n_features)
+        if i > first and ((cells + size) * cell_bytes + 4 * nodes * width
+                          > BLOCK_BYTES):
+            yield first, i
+            first, cells, nodes = i, 0, tree_nodes[t]
+        cells, last = cells + size, t
+    if len(run_tree):
+        yield first, len(run_tree)
 
 
 def _node_blocks(forest: Forest, data, n_rows: int, held_out=None):
     """(b, T) global terminal nodes of each successive block of data's rows."""
     T = forest.n_trees
-    step = max(1, (1 << 16) // T)  # rows per walk: bounds its temporaries
+    step = max(1, BLOCK_BYTES // (_WALK_CELL_BYTES * T))
     for a in range(0, max(n_rows, 1), step):
         b = np.arange(a, min(a + step, n_rows))
         yield _walk(forest, data, np.repeat(b, T),

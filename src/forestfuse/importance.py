@@ -19,6 +19,18 @@ for classification-style forests, predicted correctly; regression counts
 all OOB trees. Both local measures share donor draws, so a perturbation
 that never changes a leaf can never flip a prediction: local variable
 importance is dominated by local proximity importance entry-wise.
+
+Every measure perturbs cells: (row, tree t, feature k that t splits on)
+with a new value v. A perturbed cell follows the row's recorded route
+(`leaf_of_train`) down to the first node on it that splits on k and
+sends v the other way, so it climbs the k nodes of its route from its
+terminal node and walks only from there (`forest._perturbed_walk`);
+most cells never leave their route. Cells go in blocks of whole (tree,
+feature) runs whose arrays and ancestor table fit `forest.BLOCK_BYTES`.
+Draws are keyed by (seed, tree, feature) and sums run in tree order, so
+neither the blocks nor the skipped walks change an output. On a forest
+from `train_held_out` the recorded route follows held-out routing, and
+so does every perturbed cell above the node where it leaves the route.
 """
 
 from __future__ import annotations
@@ -29,8 +41,13 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import ArgumentError, ConfigError
-from .forest import Forest, _check_dataset, _read, _TrainingView, _walk
-from .rng import donor_rng, permute_rng
+from .forest import (Forest, _ancestors, _check_dataset, _perturbed_walk,
+                     _read, _run_blocks, _TrainingView)
+from .rng import donor_streams, permute_streams
+
+# bytes a block holds per cell, beyond 8 per donor draw: the cells' own
+# arrays and one perturbed walk's temporaries
+_CELL_BYTES = 256
 
 
 @dataclass
@@ -66,11 +83,14 @@ def counted_trees(forest: Forest, ds: Dataset) -> np.ndarray:
     return mask & (np.argmax(forest.value, axis=1)[nodes] == y[:, None])
 
 
-def _cells(forest: Forest, marked: np.ndarray):
-    """One cell per (tree t, feature k that t splits on, row marked in t).
+def _cells(forest: Forest, marked: np.ndarray, cell_bytes: int):
+    """Blocks of cells, one per (tree t, feature k t splits on, row marked in t).
 
-    Cells run by tree, then feature, then row. Returns the cells' rows,
-    trees and features, and each non-empty run as (t, k, start, end).
+    Cells run by tree, then feature, then row, and each block holds whole
+    non-empty (t, k) runs: as many as fit cell_bytes per cell, plus the
+    ancestor table of the block's trees, into `forest.BLOCK_BYTES`. Yields
+    the block's rows, trees and features, its runs as (t, k, start, end)
+    within the block, and that table (`forest._ancestors`).
     """
     inner = forest.feature >= 0
     used = np.zeros((forest.n_trees, forest.n_features), dtype=bool)
@@ -79,13 +99,17 @@ def _cells(forest: Forest, marked: np.ndarray):
     owner, marked_rows = np.nonzero(marked.T)
     first = np.searchsorted(owner, np.arange(forest.n_trees + 1))
     size = np.diff(first)[pair_tree]
-    bounds = np.cumsum(np.concatenate([[0], size]))
-    rows = marked_rows[np.repeat(first[pair_tree] - bounds[:-1], size)
-                       + np.arange(bounds[-1])]
-    runs = [run for run in zip(pair_tree.tolist(), pair_feat.tolist(),
-                               bounds[:-1].tolist(), bounds[1:].tolist())
-            if run[2] < run[3]]
-    return rows, np.repeat(pair_tree, size), np.repeat(pair_feat, size), runs
+    full = size > 0
+    pair_tree, pair_feat, size = pair_tree[full], pair_feat[full], size[full]
+    for lo, hi in _run_blocks(forest, pair_tree, size, cell_bytes):
+        trees, feats, sizes = pair_tree[lo:hi], pair_feat[lo:hi], size[lo:hi]
+        bounds = np.concatenate([[0], np.cumsum(sizes)])
+        rows = marked_rows[np.repeat(first[trees] - bounds[:-1], sizes)
+                           + np.arange(bounds[-1])]
+        runs = list(zip(trees.tolist(), feats.tolist(), bounds[:-1].tolist(),
+                        bounds[1:].tolist()))
+        yield (rows, np.repeat(trees, sizes), np.repeat(feats, sizes), runs,
+               _ancestors(forest, trees[0], trees[-1] + 1, feats))
 
 
 def _local_perturbation(forest: Forest, ds: Dataset, *, n_repeats: int,
@@ -94,7 +118,8 @@ def _local_perturbation(forest: Forest, ds: Dataset, *, n_repeats: int,
 
     Returns (local_prox, local_var, n_effective). Donor draws are keyed
     by (seed, tree, feature), so computing the measures separately or
-    together yields identical matrices. One walk per donor draw.
+    together yields identical matrices. One perturbed walk per block and
+    donor draw.
     """
     if donors not in ("sample", "exhaustive"):
         raise ArgumentError(f"unknown donor mode {donors!r}")
@@ -107,34 +132,36 @@ def _local_perturbation(forest: Forest, ds: Dataset, *, n_repeats: int,
     n_eff = counted.sum(axis=1)
     y = _TrainingView(ds, forest.mode, forest.config.seed).y[:n]
     regression = forest.mode == "regression"
+    predicted = None if regression else np.argmax(forest.value, axis=1)
     data = ds if ds.is_sparse else ds.values
+    terminal = forest.node_of_leaf(forest.leaf_of_train[:n])
+    streams = donor_streams(seed)
 
-    rows, trees, feats, runs = _cells(forest, counted)
-    start = forest.node_offset[trees]
-    orig = forest.node_of_leaf(forest.leaf_of_train[:n])[rows, trees]
-    if regression:
-        orig_sqerr = (forest.value[orig] - y[rows]) ** 2
-    else:
-        predicted = np.argmax(forest.value, axis=1)
-    if donors == "sample":
-        ids = np.concatenate([np.empty((0, n_repeats), dtype=np.int64)] + [
-            donor_rng(seed, t, k).integers(0, n, size=(b - a, n_repeats))
-            for t, k, a, b in runs])
-        draws = ids.T
-    else:
-        draws = (np.full(len(rows), d) for d in range(n))
-
-    slot = rows * m + feats
     prox_hits = np.zeros(n * m, dtype=np.float64)
     var_hits = np.zeros(n * m, dtype=np.float64)
-    for donor in draws:
-        new = _walk(forest, data, rows, start, (feats, _read(data, donor, feats)))
-        prox_hits += np.bincount(slot, weights=new != orig, minlength=n * m)
+    for rows, trees, feats, runs, ancestors in _cells(
+            forest, counted, _CELL_BYTES + 8 * n_repeats):
+        root = forest.node_offset[trees]
+        orig = terminal[rows, trees]
         if regression:
-            worse = (forest.value[new] - y[rows]) ** 2 > orig_sqerr
+            orig_sqerr = (forest.value[orig] - y[rows]) ** 2
+        if donors == "sample":
+            draws = np.concatenate([
+                streams(t, k).integers(0, n, size=(b - a, n_repeats))
+                for t, k, a, b in runs]).T
         else:
-            worse = predicted[new] != y[rows]
-        var_hits += np.bincount(slot, weights=worse, minlength=n * m)
+            draws = (np.full(len(rows), d) for d in range(n))
+        slot = rows * m + feats
+        for donor in draws:
+            new = _perturbed_walk(forest, data, rows, root, orig, feats,
+                                  _read(data, donor, feats), ancestors)
+            prox_hits += np.bincount(slot, weights=new != orig,
+                                     minlength=n * m)
+            if regression:
+                worse = (forest.value[new] - y[rows]) ** 2 > orig_sqerr
+            else:
+                worse = predicted[new] != y[rows]
+            var_hits += np.bincount(slot, weights=worse, minlength=n * m)
 
     n_draws = n_repeats if donors == "sample" else n
     scale = np.where(n_eff > 0, n_eff * n_draws, 1).astype(np.float64)
@@ -214,17 +241,22 @@ def overall_variable_importance(forest: Forest, ds: Dataset,
         return predicted[nodes] == y[rows]
 
     # every used feature of every tree, permuted within the tree's OOB rows
-    rows, trees, feats, runs = _cells(forest, forest.oob_mask())
-    perm = np.concatenate([np.empty(0, dtype=np.int64)] + [
-        a + permute_rng(seed, t, k).permutation(b - a) for t, k, a, b in runs])
-    new = _walk(forest, data, rows, forest.node_offset[trees],
-                (feats, _read(data, rows, feats)[perm]))
-    before = score(forest.node_of_leaf(forest.leaf_of_train)[rows, trees], rows)
-    after = score(new, rows)
+    terminal = forest.node_of_leaf(forest.leaf_of_train)
+    streams = permute_streams(seed)
     deltas = np.zeros(forest.n_features, dtype=np.float64)
-    for _, k, a, b in runs:
-        base, moved = float(np.mean(before[a:b])), float(np.mean(after[a:b]))
-        deltas[k] += moved - base if regression else base - moved
+    for rows, trees, feats, runs, ancestors in _cells(
+            forest, forest.oob_mask(), _CELL_BYTES):
+        perm = np.concatenate([a + streams(t, k).permutation(b - a)
+                               for t, k, a, b in runs])
+        end = terminal[rows, trees]
+        new = _perturbed_walk(forest, data, rows, forest.node_offset[trees],
+                              end, feats, _read(data, rows, feats)[perm],
+                              ancestors)
+        before, after = score(end, rows), score(new, rows)
+        for _, k, a, b in runs:
+            base = float(np.mean(before[a:b]))
+            moved = float(np.mean(after[a:b]))
+            deltas[k] += moved - base if regression else base - moved
     return deltas / forest.n_trees
 
 

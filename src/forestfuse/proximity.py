@@ -19,13 +19,15 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import ArgumentError, CapacityError
-from .forest import Forest, _check_dataset, _query_leaves, _walk
-from .rng import query_donor_rng
+from .forest import (BLOCK_BYTES, Forest, _check_dataset, _perturbed_walk,
+                     _query_leaves)
+from .importance import _CELL_BYTES, _cells
+from .rng import query_donor_streams
 
 # bytes of the float64 matrix `compute_proximity` may return (20,000 rows)
 DEFAULT_MAX_BYTES = 8 * 20_000 ** 2
 # bytes of one block's per-cell temporaries
-DEFAULT_BLOCK_BYTES = 8 << 20
+DEFAULT_BLOCK_BYTES = BLOCK_BYTES
 
 
 @dataclass
@@ -216,17 +218,25 @@ def query_proximity_importance(forest: Forest, ds: Dataset, query, *,
         seed = forest.config.seed
     leaves = _query_leaves(forest, query)
     m, T = forest.n_features, forest.n_trees
-    # cell (k, r, t): tree t walks the query with feature k from donor draw r
-    donors = np.concatenate([ds.read_cells(
-        query_donor_rng(seed, k).integers(0, ds.n_rows, size=n_repeats), k)
-        for k in range(m)])
-    nodes = _walk(forest, np.asarray(query, dtype=np.float64)[None, :],
-                  np.zeros(m * n_repeats * T, dtype=np.int64),
-                  np.tile(forest.node_offset[:-1], m * n_repeats),
-                  (np.repeat(np.arange(m), n_repeats * T),
-                   np.repeat(donors, T)))
-    moved = forest.leaf_id[nodes].reshape(m, n_repeats, T) != leaves
-    return moved.sum(axis=(1, 2)) / (T * n_repeats)
+    donors = np.empty((m, n_repeats))
+    streams = query_donor_streams(seed)
+    for k in range(m):
+        donors[k] = ds.read_cells(
+            streams(k).integers(0, ds.n_rows, size=n_repeats), k)
+    # cell (t, k): tree t walks the query with feature k from each donor
+    # draw; a tree that never splits on k cannot move the query
+    data = np.asarray(query, dtype=np.float64)[None, :]
+    terminal = forest.node_of_leaf(leaves)
+    moved = np.zeros(m)
+    for rows, trees, feats, _, ancestors in _cells(
+            forest, np.ones((1, T), dtype=bool), _CELL_BYTES):
+        end = terminal[trees]
+        for r in range(n_repeats):
+            nodes = _perturbed_walk(forest, data, rows,
+                                    forest.node_offset[trees], end, feats,
+                                    donors[feats, r], ancestors)
+            moved += np.bincount(feats, weights=nodes != end, minlength=m)
+    return moved / (T * n_repeats)
 
 
 def top_k_similar_explained(forest: Forest, ds: Dataset, query, k: int, *,

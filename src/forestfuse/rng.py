@@ -46,13 +46,16 @@ def child_route(route: int, go_right: bool) -> int:
     return mix64(route ^ (2 + int(go_right)))
 
 
-def _stream(seed: int, tag: int, a: int = 0, b: int = 0) -> np.random.Generator:
+def _stream_key(seed: int, tag: int, a: int = 0, b: int = 0) -> np.ndarray:
     if a > _INDEX_MASK or b > _INDEX_MASK:
         raise ConfigError(
             f"rng stream index out of range (limit {_INDEX_MASK})")
     sub = (tag << (2 * _INDEX_BITS)) | (a << _INDEX_BITS) | b
-    key = np.array([seed & _MASK64, sub & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.array([seed & _MASK64, sub & _MASK64], dtype=np.uint64)
+
+
+def _stream(seed: int, tag: int, a: int = 0, b: int = 0) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(key=_stream_key(seed, tag, a, b)))
 
 
 def tree_rng(seed: int, tree_id: int) -> np.random.Generator:
@@ -76,25 +79,32 @@ def node_rng(seed: int, tree_id: int, route: int) -> np.random.Generator:
                                                               route)))
 
 
-class NodeStreams:
-    """node_rng(seed, tree_id, route) for one tree, from one generator.
+class Rekeyed:
+    """The streams of one purpose from one generator: streams(*index).
 
-    Each call re-keys the same Philox generator to the node's key with a
+    Each call re-keys the same Philox generator to key_of(*index) with a
     zero counter, an empty buffer and no saved 32-bit half, so it draws
-    exactly what a fresh node_rng would, at a fraction of the cost of
-    building one. The returned generator is valid until the next call.
+    exactly what a fresh generator with that key would, at a fraction of
+    the cost of building one. The returned generator is valid until the
+    next call.
     """
 
-    def __init__(self, seed: int, tree_id: int):
-        self.seed, self.tree_id = seed, tree_id
-        bits = np.random.Philox(key=_node_key(seed, tree_id, ROOT_ROUTE))
-        self._bits, self._fresh = bits, bits.state
+    def __init__(self, key_of):
+        bits = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+        self._key_of, self._bits, self._fresh = key_of, bits, bits.state
         self._gen = np.random.Generator(bits)
 
-    def __call__(self, route: int) -> np.random.Generator:
-        self._fresh["state"]["key"] = _node_key(self.seed, self.tree_id, route)
+    def __call__(self, *index) -> np.random.Generator:
+        self._fresh["state"]["key"] = self._key_of(*index)
         self._bits.state = self._fresh
         return self._gen
+
+
+class NodeStreams(Rekeyed):
+    """node_rng(seed, tree_id, route) for one tree, as streams(route)."""
+
+    def __init__(self, seed: int, tree_id: int):
+        super().__init__(lambda route: _node_key(seed, tree_id, route))
 
 
 def synthetic_rng(seed: int, column: int) -> np.random.Generator:
@@ -115,3 +125,18 @@ def permute_rng(seed: int, tree_id: int, feature: int) -> np.random.Generator:
 def query_donor_rng(seed: int, feature: int) -> np.random.Generator:
     """Stream for donor draws when explaining an out-of-sample query."""
     return _stream(seed, _TAG_QUERY_DONOR, feature)
+
+
+def donor_streams(seed: int) -> Rekeyed:
+    """donor_rng(seed, tree_id, feature) as streams(tree_id, feature)."""
+    return Rekeyed(lambda t, k: _stream_key(seed, _TAG_DONOR, t, k))
+
+
+def permute_streams(seed: int) -> Rekeyed:
+    """permute_rng(seed, tree_id, feature) as streams(tree_id, feature)."""
+    return Rekeyed(lambda t, k: _stream_key(seed, _TAG_PERMUTE, t, k))
+
+
+def query_donor_streams(seed: int) -> Rekeyed:
+    """query_donor_rng(seed, feature) as streams(feature)."""
+    return Rekeyed(lambda k: _stream_key(seed, _TAG_QUERY_DONOR, k))

@@ -10,8 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import forestfuse as ff
-from forestfuse.forest import _node_grid, _query_leaves, _walk, train_held_out
-from forestfuse.rng import NodeStreams, node_rng, permute_rng, tree_rng
+from forestfuse.forest import (_ancestors, _node_grid, _perturbed_walk,
+                               _query_leaves, _walk, train_held_out)
+from forestfuse.rng import (NodeStreams, donor_rng, donor_streams, node_rng,
+                            permute_rng, permute_streams, query_donor_rng,
+                            query_donor_streams, tree_rng)
 
 
 class TestGenerateSynthetic:
@@ -164,6 +167,31 @@ class TestTraining:
             want = node_rng(seed, trees[which], route)
             assert np.array_equal(got.choice(12, size=mtry, replace=False),
                                   want.choice(12, size=mtry, replace=False))
+            assert np.array_equal(
+                got.integers(0, 1000, size=extra, dtype=np.int32),
+                want.integers(0, 1000, size=extra, dtype=np.int32))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 64 - 1),
+           st.lists(st.tuples(st.sampled_from(["donor", "permute", "query"]),
+                              st.integers(0, 2 ** 28 - 1),
+                              st.integers(0, 2 ** 28 - 1),
+                              st.integers(1, 12), st.integers(0, 5)),
+                    min_size=1, max_size=25))
+    def test_rekeyed_run_draws_match_fresh_streams(self, seed, visits):
+        # the importance engines' donor, permutation and query-donor draws,
+        # visited interleaved, each re-keying one generator per purpose
+        streams = {"donor": (donor_streams(seed), donor_rng),
+                   "permute": (permute_streams(seed), permute_rng),
+                   "query": (query_donor_streams(seed), query_donor_rng)}
+        for purpose, tree, feature, size, extra in visits:
+            rekeyed, fresh = streams[purpose]
+            index = (feature,) if purpose == "query" else (tree, feature)
+            got, want = rekeyed(*index), fresh(seed, *index)
+            assert np.array_equal(got.integers(0, 1000, size=(size, 2)),
+                                  want.integers(0, 1000, size=(size, 2)))
+            assert np.array_equal(got.permutation(size),
+                                  want.permutation(size))
             assert np.array_equal(
                 got.integers(0, 1000, size=extra, dtype=np.int32),
                 want.integers(0, 1000, size=extra, dtype=np.int32))
@@ -456,6 +484,43 @@ class TestForestWalk:
                 x = dense[rows[c]].copy()
                 x[cols[c]] = vals[c]
                 assert got[c] == walk_tree(forest.trees[c % T], x)
+
+    @settings(max_examples=40, deadline=None)
+    @given(sparse_matrices(),
+           st.sampled_from(["classification", "regression", "unsupervised"]),
+           st.integers(0, 2 ** 16))
+    def test_perturbed_walk_matches_full_override_walk(self, matrix, mode,
+                                                       seed):
+        dense, stored_zero = matrix
+        n, m = dense.shape
+        rng = np.random.default_rng(seed)
+        csr = ff.Dataset.from_csr(*dense_to_csr(dense, stored_zero), m,
+                                  target=self.target(mode, n, rng))
+        forest = ff.train(csr, ff.ForestConfig(mode=mode, n_trees=4, seed=seed,
+                                               min_node_size=1))
+        T = forest.n_trees
+        # every (row, tree, feature) cell; donor values from the split
+        # thresholds (so many equal one), the values just above them and
+        # the data
+        rows = np.repeat(np.arange(n), T * m)
+        trees = np.tile(np.repeat(np.arange(T), m), n)
+        feats = np.tile(np.arange(m), n * T)
+        split = forest.threshold[forest.feature >= 0]
+        values = rng.choice(np.concatenate(
+            [split, np.nextafter(split, np.inf), dense.ravel()]), len(rows))
+        end = forest.node_of_leaf(forest.leaf_of_train[:n])[rows, trees]
+        # the table of all trees, and of a tail of them with some features
+        t0 = int(rng.integers(0, T))
+        tail = (trees >= t0) & (feats % 2 == t0 % 2)
+        for cells, first in ((slice(None), 0), (tail, t0)):
+            r, t, k, v = rows[cells], trees[cells], feats[cells], values[cells]
+            root = forest.node_offset[t]
+            ancestors = _ancestors(forest, first, T, k)
+            for data in (dense, csr):
+                want = _walk(forest, data, r, root, (k, v))
+                got = _perturbed_walk(forest, data, r, root, end[cells], k, v,
+                                      ancestors)
+                assert np.array_equal(got, want)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(3, 30), st.integers(1, 4),

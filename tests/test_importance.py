@@ -1,10 +1,15 @@
 """The four importance measures against per-tree traversal oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from helpers import assemble_forest, blobs_dataset, leaf_tree, stump, walk_tree
 
 import forestfuse as ff
+from forestfuse import forest as forest_module
+from forestfuse.importance import _CELL_BYTES, _cells
+from forestfuse.proximity import query_proximity_importance
 
 
 def toy_setup():
@@ -257,3 +262,36 @@ def test_wrong_width_or_unfilled_dataset_rejected(measure):
                           ["3 features", "1 features", "missing values"]):
         with pytest.raises(ff.ArgumentError, match=match):
             measure(forest, bad)
+
+
+def test_small_budget_splits_the_work_and_keeps_every_output(monkeypatch):
+    rng = np.random.default_rng(7)
+    X = rng.normal(size=(400, 4))
+    ds = ff.Dataset.from_dense(X, target=(X[:, 0] + X[:, 1] > 0).astype(float))
+    forest = ff.train(ds, ff.ForestConfig(mode="classification", n_trees=20,
+                                          seed=3))
+
+    def measures():
+        report = ff.compute_importance_report(forest, ds, n_repeats=2)
+        query = query_proximity_importance(forest, ds, X[5], n_repeats=3)
+        return report.overall_var, report.local_prox, report.local_var, query
+
+    def peak_bytes():
+        tracemalloc.start()
+        try:
+            measures()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one_block = measures()
+    assert len(list(_cells(forest, forest.oob_mask(), _CELL_BYTES))) == 1
+    one_block_peak = peak_bytes()
+    monkeypatch.setattr(forest_module, "BLOCK_BYTES", 1 << 16)
+    assert len(list(_cells(forest, forest.oob_mask(), _CELL_BYTES))) > 20
+    for got, want in zip(measures(), one_block):
+        assert got.tobytes() == want.tobytes()
+    # the (rows, trees) arrays held outside the blocks, and a few blocks
+    peak = peak_bytes()
+    assert peak < one_block_peak / 4
+    assert peak < 40 * ds.n_rows * forest.n_trees + 4 * (1 << 16)

@@ -72,6 +72,15 @@ def _write_rows(path, header, rows):
             fh.close()
 
 
+def _texts(values) -> list:
+    """Shortest round-trip text of each float of a 1-D array, or a list of
+    such rows for a 2-D one, read through one .tolist()."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim == 2:
+        return [list(map(repr, row)) for row in values.tolist()]
+    return list(map(repr, values.tolist()))
+
+
 def _load_data_for_model(artifact: ModelArtifact, path, target=None) -> Dataset:
     ds = load_dense_csv(path, artifact.schema, target_column=target)
     check_fingerprint(artifact, ds)
@@ -105,11 +114,10 @@ def _write_importance_files(prefix, report, schema):
     for label, scores in (("overall_var", report.overall_var),
                           ("overall_prox", report.overall_prox)):
         _write_rows(f"{prefix}.{label}.csv", ["feature", "score"],
-                    [(n, repr(float(s))) for n, s in zip(names, scores)])
+                    zip(names, _texts(scores)))
     for label, matrix in (("local_var", report.local_var),
                           ("local_prox", report.local_prox)):
-        rows = [[r] + [repr(float(v)) for v in matrix[r]]
-                for r in range(matrix.shape[0])]
+        rows = [[r] + row for r, row in enumerate(_texts(matrix))]
         _write_rows(f"{prefix}.{label}.csv", ["row"] + names, rows)
 
 
@@ -120,18 +128,18 @@ def cmd_predict(args) -> int:
     if forest.mode == "regression":
         values = predict(forest, ds)
         _write_rows(args.output, ["row", "prediction"],
-                    [(r, repr(float(v))) for r, v in enumerate(values)])
+                    enumerate(_texts(values)))
     elif forest.mode == "unsupervised":
         values = p_synthetic(forest, ds)
         _write_rows(args.output, ["row", "p_synthetic"],
-                    [(r, repr(float(v))) for r, v in enumerate(values)])
+                    enumerate(_texts(values)))
     else:
         proba = predict_proba(forest, ds)
         labels = np.argmax(proba, axis=1)
         header = ["row", "prediction"] + [f"p_class{c}"
                                           for c in range(proba.shape[1])]
-        rows = [[r, int(labels[r])] + [repr(float(p)) for p in proba[r]]
-                for r in range(proba.shape[0])]
+        rows = [[r, label] + row for r, (label, row) in
+                enumerate(zip(labels.tolist(), _texts(proba)))]
         _write_rows(args.output, header, rows)
     return 0
 
@@ -158,9 +166,8 @@ def cmd_similar(args) -> int:
             for rank, nb in enumerate(neighbors, start=1)]
     if args.explain:
         # a blank line, then the explanation as a second table
-        rows += [[], ["feature", "importance"]] + [
-            [name, repr(float(v))]
-            for name, v in zip(artifact.schema.names, importance)]
+        rows += [[], ["feature", "importance"]] + list(
+            zip(artifact.schema.names, _texts(importance)))
     _write_rows(args.output, ["rank", "row_id", "score"], rows)
     return 0
 
@@ -176,7 +183,7 @@ def cmd_importance(args) -> int:
                   overall_proximity_importance(forest, ds,
                                                n_repeats=args.repeats))
         _write_rows(args.output, ["feature", "score"],
-                    [(n, repr(float(s))) for n, s in zip(names, scores)])
+                    zip(names, _texts(scores)))
         return 0
     if args.type == "local-var":
         matrix = local_variable_importance(forest, ds, n_repeats=args.repeats)
@@ -188,7 +195,8 @@ def cmd_importance(args) -> int:
         if not (0 <= args.row < matrix.shape[0]):
             raise ConfigError(f"--row {args.row} out of range")
         row_ids = [args.row]
-    rows = [[r] + [repr(float(v)) for v in matrix[r]] for r in row_ids]
+    texts = _texts(matrix)
+    rows = [[r] + texts[r] for r in row_ids]
     _write_rows(args.output, ["row"] + names, rows)
     return 0
 
@@ -212,9 +220,9 @@ def cmd_outliers(args) -> int:
         report = outlier_exact(forest, classes)
     else:
         report = outlier_greedy(forest, classes, m_cap=args.m_cap)
-    rows = [(r, int(report.class_of[r]), repr(float(report.raw[r])),
-             repr(float(report.score[r])), ";".join(report.flags[r]))
-            for r in range(len(report.raw))]
+    rows = [(r, c, raw, score, ";".join(flags)) for r, (c, raw, score, flags)
+            in enumerate(zip(report.class_of.tolist(), _texts(report.raw),
+                             _texts(report.score), report.flags))]
     _write_rows(args.output, ["row_id", "class", "raw", "score", "flags"], rows)
     return 0
 
@@ -229,11 +237,9 @@ def cmd_prototypes(args) -> int:
     rows = []
     for c in sorted(protos):
         for proto in protos[c]:
-            for k, name in enumerate(artifact.schema.names):
-                rows.append((c, proto.rank, name,
-                             repr(float(proto.q25[k])),
-                             repr(float(proto.median[k])),
-                             repr(float(proto.q75[k]))))
+            rows += [(c, proto.rank) + cells for cells in zip(
+                artifact.schema.names, _texts(proto.q25),
+                _texts(proto.median), _texts(proto.q75))]
     _write_rows(args.output, ["class", "rank", "feature", "q25", "median",
                               "q75"], rows)
     return 0

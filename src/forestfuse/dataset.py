@@ -482,16 +482,6 @@ def _parse_floats(cells, out) -> int | None:
     return None
 
 
-def _format_cell(ds: Dataset, row: int, k: int, missing_token: str) -> str:
-    if ds.missing[row, k]:
-        return missing_token
-    feat = ds.schema.features[k]
-    v = ds.values[row, k]
-    if feat.kind == CATEGORICAL:
-        return feat.categories[int(v)]
-    return repr(float(v))
-
-
 def write_dense_csv(ds: Dataset, path, target_column=None,
                     missing_token: str = DEFAULT_MISSING_TOKEN) -> None:
     """Write a dense Dataset back to CSV.
@@ -509,11 +499,16 @@ def write_dense_csv(ds: Dataset, path, target_column=None,
                 raise ArgumentError("dataset has no target to write")
             header.append(target_column)
         writer.writerow(header)
-        for r in range(ds.n_rows):
-            rec = [_format_cell(ds, r, k, missing_token)
-                   for k in range(ds.n_features)]
-            if target_column is not None:
-                rec.append(repr(float(ds.target[r])))
+        labels = [f.categories if f.kind == CATEGORICAL else None
+                  for f in ds.schema.features]
+        target = None if target_column is None else ds.target.tolist()
+        for r, (row, missing) in enumerate(zip(ds.values.tolist(),
+                                               ds.missing.tolist())):
+            rec = [missing_token if absent else repr(v) if cats is None
+                   else cats[int(v)]
+                   for v, absent, cats in zip(row, missing, labels)]
+            if target is not None:
+                rec.append(repr(target[r]))
             writer.writerow(rec)
 
 

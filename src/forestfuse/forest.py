@@ -58,6 +58,15 @@ class ForestConfig:
     def validate(self) -> None:
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}")
+        for name in ("n_trees", "mtry", "min_node_size", "max_depth",
+                     "n_bins", "seed"):
+            value = getattr(self, name)
+            if value is None and name in ("mtry", "min_node_size",
+                                          "max_depth"):
+                continue
+            if isinstance(value, bool) or not isinstance(value,
+                                                         (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, not {value!r}")
         if not 1 <= self.n_trees <= STREAM_LIMIT:
             raise ConfigError(f"n_trees must be in 1..{STREAM_LIMIT}: random "
                               "streams are keyed by tree id")
@@ -507,30 +516,24 @@ def _grow_tree(data, y, tree_id, *, task, n_classes, n_features, mtry,
     node_rng = NodeStreams(seed, tree_id)
     inbag = np.bincount(draw, minlength=n_rows).astype(np.uint16)
 
-    # a sample of n_rows rows fills at most n_rows leaves
-    cap = 2 * n_rows - 1
-    feature, left, right, leaf_id = (np.full(cap, _LEAF, dtype=np.int32)
-                                     for _ in range(4))
-    threshold = np.full(cap, np.nan)
-    n_node = np.zeros(cap, dtype=np.int64)
-    value = np.zeros((cap, n_classes) if task == "classification" else cap)
-    held_left = np.zeros(cap, dtype=bool)
-    split_gain = np.zeros(n_features, dtype=np.float64)
+    # one record per node, in the order the nodes are grown: (node, feature,
+    # threshold, left, right, leaf_id, n_node, value, held_out_left)
+    grown = []
+    split_gain = [0.0] * n_features
     n_made, next_leaf = 1, 0
     stack = [(0, draw, 0, ROOT_ROUTE)]
     while stack:
         node, rows, depth, route = stack.pop()
         yv = y[rows]
         n = len(rows)
-        n_node[node] = n
         if task == "classification":
-            value[node] = np.bincount(yv, minlength=n_classes)
-            pure = value[node].max() == n
+            value = np.bincount(yv, minlength=n_classes)
+            pure = np.count_nonzero(value) == 1
         else:
-            value[node] = yv.mean()
-            pure = bool(np.all(yv == yv[0]))
+            value = yv.sum() / n
+            pure = yv.min() == yv.max()
 
-        split = None
+        split, held_left = None, False
         at_depth = max_depth is not None and depth >= max_depth
         if not (pure or at_depth or n <= min_node_size):
             feats = node_rng(route).choice(n_features, size=mtry,
@@ -541,41 +544,48 @@ def _grow_tree(data, y, tree_id, *, task, n_classes, n_features, mtry,
             held = None if held_out is None else held_out[rows[:, None], feats]
             split = find_node_split(
                 cols, feats, yv, task=task, n_classes=n_classes,
-                strategy=strategy, n_bins=n_bins, categorical=cat, held=held)
+                strategy=strategy, n_bins=n_bins, categorical=cat,
+                held=held if held is not None and held.any() else None)
             if split is not None:
-                j = int(np.searchsorted(feats, split.feature))
+                j = feats.tolist().index(split.feature)
                 go_left = cols[:, j] <= split.threshold
                 if held is not None:
                     # held-out rows follow the side with more observed rows
                     obs = ~held[:, j]
-                    held_left[node] = \
-                        2 * np.count_nonzero(go_left & obs) >= np.count_nonzero(obs)
-                    go_left = np.where(obs, go_left, held_left[node])
+                    held_left = (2 * np.count_nonzero(go_left & obs)
+                                 >= np.count_nonzero(obs))
+                    go_left = np.where(obs, go_left, held_left)
                 # histogram bin edges can land on a value and leave one
                 # side empty on the raw data; fall back to a leaf
-                if not go_left.any() or go_left.all():
+                if not 0 < np.count_nonzero(go_left) < n:
                     split = None
 
         if split is None:
-            leaf_id[node] = next_leaf
+            grown.append((node, _LEAF, np.nan, _LEAF, _LEAF, next_leaf, n,
+                          value, held_left))
             next_leaf += 1
             continue
 
-        feature[node] = split.feature
-        threshold[node] = split.threshold
+        grown.append((node, split.feature, split.threshold, n_made,
+                      n_made + 1, _LEAF, n, value, held_left))
         split_gain[split.feature] += split.gain * n
-        left[node], right[node] = n_made, n_made + 1
-        n_made += 2
-        stack.append((right[node], rows[~go_left], depth + 1,
+        stack.append((n_made + 1, rows[~go_left], depth + 1,
                       child_route(route, True)))
-        stack.append((left[node], rows[go_left], depth + 1,
+        stack.append((n_made, rows[go_left], depth + 1,
                       child_route(route, False)))
+        n_made += 2
 
-    return Tree(*(a[:n_made].copy() for a in (
-        feature, threshold, left, right, leaf_id, n_node, value)),
-        split_gain=split_gain,
-        held_out_left=held_left[:n_made].copy() if held_out is not None
-        else None), inbag
+    grown.sort(key=lambda record: record[0])
+    _, feature, threshold, left, right, leaf_id, n_node, value, held_left = \
+        zip(*grown)
+    return Tree(np.array(feature, dtype=np.int32), np.array(threshold),
+                np.array(left, dtype=np.int32), np.array(right, dtype=np.int32),
+                np.array(leaf_id, dtype=np.int32),
+                np.array(n_node, dtype=np.int64),
+                np.array(value, dtype=np.float64),
+                split_gain=np.array(split_gain),
+                held_out_left=None if held_out is None
+                else np.array(held_left)), inbag
 
 
 def train(ds: Dataset, config: ForestConfig) -> Forest:
@@ -617,6 +627,9 @@ def train_held_out(ds: Dataset, held_out, config: ForestConfig) -> Forest:
 def _train(ds: Dataset, config: ForestConfig,
            held_out: np.ndarray | None) -> Forest:
     config.validate()
+    # numpy integers pass validate; stream keys and model files take ints
+    config = replace(config, **{k: int(v) for k, v in vars(config).items()
+                                if isinstance(v, np.integer)})
     if ds.n_rows == 0 or ds.n_features == 0:
         raise ArgumentError("cannot train on an empty dataset")
     if ds.n_features > STREAM_LIMIT:
@@ -645,7 +658,7 @@ def _train(ds: Dataset, config: ForestConfig,
         held_out=held_out) for t in range(config.n_trees)]
 
     forest = Forest(
-        config=replace(config),
+        config=config,
         trees=[g[0] for g in grown],
         inbag_counts=np.column_stack([g[1] for g in grown]),
         leaf_of_train=None,

@@ -2,8 +2,9 @@
 
 One sorted scan per node serves both strategies. The node turns its
 candidate columns into one (n, f) matrix of sort keys, sorts every column
-with one stable argsort and runs one class-count (classification) or
-target (regression) cumulative sum down the sorted rows. A split may fall
+with one argsort and runs one cumulative sum down the sorted rows: of the
+one-hot labels in integers (classification), or of the targets
+(regression, whose float sums need the stable sort). A split may fall
 only between two sorted rows whose keys differ. Keys come in two kinds:
 
 * value keys, the raw values: every candidate under `presort`, and the
@@ -68,7 +69,7 @@ def _sort_keys(cols, binned, n_bins, held):
     """(keys, lo, width): bin codes replace the binned columns' values,
     and held cells key +inf."""
     keys, lo, width = cols, None, None
-    if binned.any():
+    if binned is not None:
         lo = (cols if held is None else np.where(held, np.inf, cols)).min(0)
         hi = (cols if held is None else np.where(held, -np.inf, cols)).max(0)
         width = (hi - lo) / n_bins
@@ -78,49 +79,6 @@ def _sort_keys(cols, binned, n_bins, held):
             n_bins - 1)
         keys = np.where(binned, codes, cols)
     return keys if held is None else np.where(held, np.inf, keys), lo, width
-
-
-def _refine_class_ties(gains, gmax, left, total, binned, n, n_obs):
-    """(p, j, gain) of the best classification candidate.
-
-    left[p, j] holds the class counts left of boundary p in column j and
-    total[j] the column's, both over its n_obs[j] observed rows (n_obs is
-    n when no cell is held). Candidates within _TIE_BAND of the float max
-    are ranked by the gain they report. A value key reports its exact
-    gain, correctly rounded: with a, b and P the sums of squared left,
-    right and parent counts, its gain (a / nL + b / nR - P / n_obs) / n is
-    num / (den * n_obs * n) in integers, den = nL * nR. A bin key reports
-    its float gain. Equal reported gains of two value keys go to the
-    higher exact gain, compared by integer cross-multiplication.
-    Candidates are visited column by column, boundary by boundary, and
-    only a strictly better one replaces the best, which applies the rest
-    of the tie rule.
-    """
-    j, p = np.nonzero(gains.T >= gmax - _TIE_BAND)
-    lc = left[p, j]
-    a = (lc ** 2).sum(axis=1).tolist()
-    b = ((total[j] - lc) ** 2).sum(axis=1).tolist()
-    parent = (total ** 2).sum(axis=1).tolist()
-    n_obs = np.full(len(binned), n_obs).tolist()
-    binned = binned.tolist()
-    best = None
-    for jj, pp, aa, bb, gain in zip(j.tolist(), p.tolist(), a, b,
-                                    gains[p, j].tolist()):
-        exact = None
-        if not binned[jj]:
-            m, n_left = n_obs[jj], pp + 1
-            n_right = m - n_left
-            den = n_left * n_right
-            num = ((int(aa) * n_right + int(bb) * n_left) * m
-                   - int(parent[jj]) * den)
-            exact = (num, den * m * n)
-            gain = num / exact[1]
-        if best is None or gain > best[0] or (
-                gain == best[0] and exact and best[1]
-                and exact[0] * best[1][1] > best[1][0] * exact[1]):
-            best = (gain, exact, pp, jj)
-    gain, _, p, j = best
-    return p, j, gain
 
 
 def find_node_split(cols, feat_ids, y, *, task, n_classes=0,
@@ -143,6 +101,14 @@ def find_node_split(cols, feat_ids, y, *, task, n_classes=0,
     held : optional (n, f) bool array
         Cells the split must not read (see held cells in the module
         docstring). A column with fewer than 2 observed rows offers none.
+
+    Class counts stay integers: left[p, j] holds the counts left of
+    boundary p in column j and total[j] the column's, both over its
+    n_obs[j] observed rows, and a, b and P are the sums of squared left,
+    right and parent counts. The float gain (a / nL + b / nR - P / n_obs)
+    / n of every boundary rounds as it would from float counts, and a
+    value key's exact gain is num / (den * n_obs * n) in integers, with
+    den = nL * nR.
     """
     n, f = cols.shape
     if n < 2:
@@ -150,13 +116,20 @@ def find_node_split(cols, feat_ids, y, *, task, n_classes=0,
     if task == "classification" and n_classes < 2:
         raise ArgumentError("classification split needs n_classes >= 2")
 
-    binned = np.full(f, strategy == "histogram")
-    if categorical is not None:
-        binned &= ~np.asarray(categorical, dtype=bool)
+    binned = None
+    if strategy == "histogram":
+        binned = (np.ones(f, dtype=bool) if categorical is None
+                  else ~np.asarray(categorical, dtype=bool))
+        if not binned.any():
+            binned = None
     keys, lo, width = _sort_keys(cols, binned, n_bins, held)
-    order = np.argsort(keys, axis=0, kind="stable")
-    sk = keys[order, np.arange(f)]
-    sy = y[order]
+    # a class count at a boundary between two different keys does not
+    # depend on the order of equal keys; a float target sum does
+    order = keys.argsort(axis=0, kind=None if task == "classification"
+                         else "stable")
+    # the sorted keys; equal keys may swap only a zero's sign, which no
+    # test below or threshold reads
+    sk = np.sort(keys, axis=0)
     n_left = np.arange(1, n, dtype=np.float64)[:, None]
     if held is None:
         n_obs, last, n_right = n, -1, n - n_left
@@ -166,38 +139,56 @@ def find_node_split(cols, feat_ids, y, *, task, n_classes=0,
         n_obs = np.maximum(n - np.count_nonzero(held, axis=0), 1)
         last, n_right = (n_obs - 1, np.arange(f)), np.maximum(n_obs - n_left, 1)
     if task == "classification":
-        left = np.cumsum(sy[:, :, None] == np.arange(n_classes), axis=0,
-                         dtype=np.float64)
-        total = left[last]
-        left = left[:-1]
-        scores = ((left ** 2).sum(axis=2) / n_left
-                  + ((total - left) ** 2).sum(axis=2) / n_right)
-        parent = (total ** 2).sum(axis=1) / n_obs
+        left = np.eye(n_classes, dtype=np.int64).take(y.take(order), axis=0)
+        left.cumsum(axis=0, out=left)
+        sq = np.einsum("pjk,pjk->pj", left, left)
+        total, left, parent, a = left[last], left[:-1], sq[last], sq[:-1]
+        right = total - left
+        b = np.einsum("pjk,pjk->pj", right, right)
+        scores = a / n_left + b / n_right
     else:
-        cum = np.cumsum(sy, axis=0, dtype=np.float64)
-        total = cum[last]
-        cum = cum[:-1]
-        scores = cum ** 2 / n_left + (total - cum) ** 2 / n_right
-        parent = total ** 2 / n_obs
-    gains = (scores - parent) / n
+        left = y.take(order).cumsum(axis=0, dtype=np.float64)
+        total, left = left[last], left[:-1]
+        parent = total ** 2
+        scores = left ** 2 / n_left + (total - left) ** 2 / n_right
+    gains = (scores - parent / n_obs) / n
     gains[sk[:-1] == sk[1:]] = -np.inf
     if held is not None:
         gains[n_left >= n_obs] = -np.inf
-    gmax = gains.max()
-    if not np.isfinite(gmax) or gmax <= GAIN_EPS:
+
+    if task == "classification":
+        gain = gains.max()
+    else:
+        # the first max in column-major order: the lowest feature id, then
+        # the lowest threshold
+        j, p = divmod(int(gains.T.argmax()), n - 1)
+        gain = gains.item(p, j)
+    if not GAIN_EPS < gain < np.inf:
         return None
 
     if task == "classification":
-        p, j, gain = _refine_class_ties(gains, gmax, left, total, binned, n,
-                                        n_obs)
-    else:
-        best_pos = np.argmax(gains, axis=0)  # first max = lowest threshold
-        j = int(np.argmax(gains[best_pos, np.arange(f)]))  # lowest feature id
-        p = best_pos[j]
-        gain = gains[p, j]
-    if binned[j]:
+        # candidates within _TIE_BAND of the float max, column by column,
+        # boundary by boundary; only a strictly better one replaces the
+        # best, which applies the rest of the tie rule
+        best = None
+        cand_j, cand_p = np.nonzero(gains.T >= gain - _TIE_BAND)
+        for jj, pp in zip(cand_j.tolist(), cand_p.tolist()):
+            reported, exact = gains.item(pp, jj), None
+            if binned is None or not binned[jj]:
+                m = n_obs if held is None else n_obs.item(jj)
+                nl = pp + 1
+                nr = m - nl
+                num = ((a.item(pp, jj) * nr + b.item(pp, jj) * nl) * m
+                       - parent.item(jj) * nl * nr)
+                exact = (num, nl * nr * m * n)
+                reported = num / exact[1]
+            if best is None or reported > best[0] or (
+                    reported == best[0] and exact and best[1]
+                    and exact[0] * best[1][1] > best[1][0] * exact[1]):
+                best = (reported, exact, pp, jj)
+        gain, _, p, j = best
+    if binned is not None and binned[j]:
         threshold = lo[j] + width[j] * (sk[p, j] + 1)
     else:
         threshold = 0.5 * (sk[p, j] + sk[p + 1, j])
     return Split(int(feat_ids[j]), float(threshold), float(gain))
-

@@ -12,9 +12,12 @@ from hypothesis import strategies as st
 import forestfuse as ff
 from forestfuse.forest import (_ancestors, _node_grid, _perturbed_walk,
                                _query_leaves, _walk, train_held_out)
-from forestfuse.rng import (NodeStreams, donor_rng, donor_streams, node_rng,
-                            permute_rng, permute_streams, query_donor_rng,
-                            query_donor_streams, tree_rng)
+from forestfuse.model_io import ModelArtifact, dataset_fingerprint
+from forestfuse.rng import (ROOT_ROUTE, NodeStreams, child_route, donor_rng,
+                            donor_streams, node_rng, permute_rng,
+                            permute_streams, query_donor_rng,
+                            query_donor_streams, synthetic_rng, tree_rng)
+from forestfuse.splitfind import find_node_split
 
 
 class TestGenerateSynthetic:
@@ -92,6 +95,37 @@ class TestTrainValidation:
             ff.ForestConfig(mode="nope").validate()
         with pytest.raises(ff.ConfigError):
             ff.ForestConfig(mode="regression", n_bins=1).validate()
+
+    @pytest.mark.parametrize("field, value", [
+        (field, value)
+        for field in ("n_trees", "mtry", "min_node_size", "max_depth",
+                      "n_bins", "seed")
+        for value in (2.5, 2.0, True, False, "2", np.float64(2.0))])
+    def test_non_integer_fields_rejected(self, field, value):
+        cfg = ff.ForestConfig(mode="classification", **{field: value})
+        with pytest.raises(ff.ConfigError, match=field):
+            cfg.validate()
+        ds = blobs_dataset(5, seed=0)
+        with pytest.raises(ff.ConfigError, match=field):
+            ff.train(ds, cfg)
+
+    def test_numpy_integer_fields_accepted(self, tmp_path):
+        ds = blobs_dataset(10, seed=0)
+        fields = dict(n_trees=np.int32(3), mtry=np.int64(1),
+                      min_node_size=np.uint8(2), max_depth=np.int16(4),
+                      n_bins=np.int64(8), seed=np.int64(7))
+        forest = ff.train(ds, ff.ForestConfig(mode="classification",
+                                              split_strategy="histogram",
+                                              **fields))
+        plain = ff.train(ds, ff.ForestConfig(
+            mode="classification", split_strategy="histogram",
+            **{k: int(v) for k, v in fields.items()}))
+        assert forest.config == plain.config
+        assert np.array_equal(forest.leaf_of_train, plain.leaf_of_train)
+        path = tmp_path / "model.ffm"
+        ff.save_model(path, ModelArtifact(forest, ds.schema,
+                                          dataset_fingerprint(ds, 7)))
+        assert ff.load_model(path).forest.config == plain.config
 
     def test_mtry_bounds(self):
         ds = ff.Dataset.from_dense(np.random.default_rng(0).normal(size=(10, 2)),
@@ -323,6 +357,139 @@ class TestTrainHeldOut:
         csr = ff.Dataset.from_csr([0, 1, 1], [0], [1.0], n_features=2)
         with pytest.raises(ff.ArgumentError, match="dense"):
             train_held_out(csr, [[True, False], [False, False]], cfg)
+
+
+class TestGrowerOracle:
+    """Every node of every tree against its rows, rebuilt from the streams.
+
+    A node's in-bag rows come from tree_rng's bootstrap and the splits
+    above it, its candidates from node_rng(seed, t, route); its split must
+    be find_node_split's on exactly those, its value and size theirs.
+    Leaf ids and child ids follow the left-first depth-first order, and
+    split_gain is the sum of gain * n over the splits in that order.
+    """
+
+    @staticmethod
+    def check(ds, forest, cfg, held=None):
+        n, m = ds.n_rows, ds.n_features
+        values = ds.read_cells(np.arange(n)[:, None], np.arange(m))
+        if cfg.mode == "unsupervised":
+            perms = [synthetic_rng(cfg.seed, k).permutation(n)
+                     for k in range(m)]
+            values = np.vstack([values, np.column_stack(
+                [values[p, k] for k, p in enumerate(perms)])])
+            if held is not None:
+                held = np.vstack([held, np.column_stack(
+                    [held[p, k] for k, p in enumerate(perms)])])
+            y, n_classes = np.repeat([0, 1], n), 2
+        elif cfg.mode == "regression":
+            y, n_classes = ds.target, 0
+        else:
+            y = ds.target.astype(np.int64)
+            n_classes = int(y.max()) + 1
+        task = "regression" if cfg.mode == "regression" else "classification"
+        mtry = cfg.resolved_mtry(m)
+        min_node = cfg.resolved_min_node_size()
+        is_cat = ds.schema.is_categorical()
+        for t, tree in enumerate(forest.trees):
+            draw = tree_rng(cfg.seed, t).integers(0, len(y), size=len(y))
+            assert np.array_equal(forest.inbag_counts[:, t],
+                                  np.bincount(draw, minlength=len(y)))
+            gain = np.zeros(m)
+            next_leaf, next_node = 0, 1
+            stack = [(0, draw, 0, ROOT_ROUTE)]
+            while stack:
+                node, rows, depth, route = stack.pop()
+                yv = y[rows]
+                assert tree.n_node[node] == len(rows)
+                if task == "classification":
+                    assert np.array_equal(
+                        tree.value[node], np.bincount(yv, minlength=n_classes))
+                else:
+                    assert tree.value[node] == np.mean(yv)
+                split = None
+                if not (np.all(yv == yv[0]) or len(rows) <= min_node
+                        or depth == cfg.max_depth):
+                    feats = np.sort(node_rng(cfg.seed, t, route).choice(
+                        m, size=mtry, replace=False))
+                    split = find_node_split(
+                        values[rows][:, feats], feats, yv, task=task,
+                        n_classes=n_classes, strategy=cfg.split_strategy,
+                        n_bins=cfg.n_bins, categorical=is_cat[feats],
+                        held=None if held is None else held[rows][:, feats])
+                if split is not None:
+                    go_left = values[rows, split.feature] <= split.threshold
+                    if held is not None:
+                        obs = ~held[rows, split.feature]
+                        side = 2 * np.sum(go_left & obs) >= np.sum(obs)
+                        go_left = np.where(obs, go_left, side)
+                    if go_left.all() or not go_left.any():
+                        split = None
+                if split is None:
+                    assert tree.feature[node] == -1
+                    assert tree.leaf_id[node] == next_leaf
+                    next_leaf += 1
+                    continue
+                assert (tree.feature[node], tree.threshold[node]) == \
+                    (split.feature, split.threshold)
+                assert (tree.left[node], tree.right[node]) == \
+                    (next_node, next_node + 1)
+                if held is not None:
+                    assert tree.held_out_left[node] == side
+                gain[split.feature] += split.gain * len(rows)
+                stack.append((next_node + 1, rows[~go_left], depth + 1,
+                              child_route(route, True)))
+                stack.append((next_node, rows[go_left], depth + 1,
+                              child_route(route, False)))
+                next_node += 2
+            assert next_node == tree.n_nodes and next_leaf == tree.n_leaves
+            assert np.array_equal(tree.split_gain, gain)
+
+    @settings(max_examples=30, deadline=None)
+    @given(sparse_matrices(max_rows=16, max_cols=4),
+           st.sampled_from(["classification", "regression", "unsupervised"]),
+           st.sampled_from(["presort", "histogram"]),
+           st.sampled_from(["dense", "csr", "held"]),
+           st.integers(0, 2 ** 16), st.sampled_from([None, 2]), st.booleans())
+    def test_every_node_is_its_rows_split(self, matrix, mode, strategy,
+                                          storage, seed, depth, with_cat):
+        dense, _ = matrix
+        n, m = dense.shape
+        rng = np.random.default_rng(seed)
+        if with_cat:
+            dense[:, 0] = rng.integers(0, 3, size=n)
+        schema = ff.FeatureSchema([
+            ff.Feature(f"f{k}", "categorical" if with_cat and k == 0
+                       else "continuous", ("a", "b", "c")
+                       if with_cat and k == 0 else ()) for k in range(m)])
+        target = TestForestWalk.target(mode, n, rng)
+        cfg = ff.ForestConfig(mode=mode, n_trees=2, seed=seed, n_bins=4,
+                              split_strategy=strategy, max_depth=depth,
+                              min_node_size=int(rng.integers(1, 4)))
+        held = rng.uniform(size=(n, m)) < 0.25
+        if storage == "csr":
+            ds = ff.Dataset.from_csr(*dense_to_csr(dense), m, schema=schema,
+                                     target=target)
+        else:
+            ds = ff.Dataset.from_dense(dense, schema, target=target)
+        if storage == "held" and held.any():
+            self.check(ds, train_held_out(ds, held, cfg), cfg, held)
+        else:
+            self.check(ds, ff.train(ds, cfg), cfg)
+
+    @pytest.mark.parametrize("mode", ["classification", "regression",
+                                      "unsupervised"])
+    def test_deep_trees_sum_split_gain_depth_first(self, mode):
+        # two features split many times each: another order of the
+        # split_gain sums rounds differently
+        rng = np.random.default_rng(41)
+        X = rng.normal(size=(120, 2))
+        target = TestForestWalk.target(mode, 120, rng)
+        ds = ff.Dataset.from_dense(X, target=target)
+        cfg = ff.ForestConfig(mode=mode, n_trees=3, seed=5, mtry=1)
+        self.check(ds, ff.train(ds, cfg), cfg)
+        held = rng.uniform(size=X.shape) < 0.2
+        self.check(ds, train_held_out(ds, held, cfg), cfg, held)
 
 
 class TestPredict:

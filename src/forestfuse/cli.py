@@ -38,7 +38,7 @@ def _add_forest_flags(p: argparse.ArgumentParser, require_mode: bool) -> None:
                                       "unsupervised"),
                    required=require_mode, default=None if require_mode
                    else "unsupervised")
-    p.add_argument("--trees", type=int, default=100)
+    p.add_argument("--trees", dest="n_trees", type=int, default=100)
     p.add_argument("--mtry", type=int, default=None)
     p.add_argument("--min-node-size", type=int, default=None)
     p.add_argument("--max-depth", type=int, default=None)
@@ -50,7 +50,7 @@ def _add_forest_flags(p: argparse.ArgumentParser, require_mode: bool) -> None:
 
 def _forest_config(args) -> ForestConfig:
     return ForestConfig(
-        mode=args.mode, n_trees=args.trees, mtry=args.mtry,
+        mode=args.mode, n_trees=args.n_trees, mtry=args.mtry,
         min_node_size=args.min_node_size, max_depth=args.max_depth,
         split_strategy=args.split, n_bins=args.bins, seed=args.seed)
 

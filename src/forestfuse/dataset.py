@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,6 +101,16 @@ class FeatureSchema:
         return len(self.features)
 
 
+@contextmanager
+def _read_text(path, newline=None):
+    """open(path) for UTF-8 text; bytes that do not decode raise ParseError."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def load_schema(path) -> FeatureSchema:
     """Parse a sidecar schema file.
 
@@ -108,7 +119,7 @@ def load_schema(path) -> FeatureSchema:
     and lines starting with ``#`` are skipped.
     """
     features = []
-    with open(path, encoding="utf-8") as fh:
+    with _read_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -369,7 +380,7 @@ def load_dense_csv(path, schema: FeatureSchema, target_column=None,
     mapped to their schema codes. Any other continuous cell must parse as
     a finite number.
     """
-    with open(path, encoding="utf-8", newline="") as fh:
+    with _read_text(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -527,7 +538,7 @@ def load_sparse_svmlight(path, n_features: int) -> Dataset:
     indices: list[int] = []
     data: list[float] = []
     targets: list[float] = []
-    with open(path, encoding="utf-8") as fh:
+    with _read_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):

@@ -9,17 +9,19 @@ each node draws its candidate features from a stream keyed by its path
 from the root, so a forest is a bit-identical function of the data and
 the config.
 
-A Forest stores all its trees as one set of concatenated node arrays.
-Every reader that routes rows through the trees (leaf assignment,
-prediction, query leaves, importance perturbations) uses one walk,
-`_walk`, which moves all (row, tree) cells down a level per numpy step.
+A Forest stores its trees in one node layout, `NODE_LAYOUT`, with one
+array per field over all trees. Every reader that routes rows through
+the trees (leaf assignment, prediction, query leaves, importance
+perturbations) uses one walk, `_walk`, which moves all (row, tree)
+cells down a level per numpy step.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import InitVar, dataclass, replace
 from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -97,72 +99,45 @@ class ForestConfig:
         return 5 if self.mode == "regression" else 1
 
 
-@dataclass
-class Tree:
-    """One tree as parallel node arrays.
+# The node layout, in model-file order: each array a tree stores and its
+# dtype. Internal nodes have feature >= 0 and children left and right,
+# node indices local to their tree; leaves have feature -1 and a dense
+# leaf_id in 0..n_leaves-1 (-1 on internal nodes). A row goes left iff
+# its value <= threshold. n_node counts the node's in-bag rows; value
+# holds their class counts, (nodes, K), or for regression their target
+# mean. split_gain has one entry per feature, not per node: the gain the
+# tree credits to each feature.
+NODE_LAYOUT = (("feature", np.int32), ("threshold", np.float64),
+               ("left", np.int32), ("right", np.int32),
+               ("leaf_id", np.int32), ("n_node", np.int64),
+               ("value", np.float64), ("split_gain", np.float64))
 
-    Internal nodes have feature >= 0 and children (node indices local to
-    the tree); leaves have feature == -1 and a dense leaf_id in
-    0..n_leaves-1. value holds the in-bag class counts (n_nodes, K) or,
-    for regression, the in-bag target mean. A sample goes left iff its
-    value <= threshold. split_gain is the gain credited to each feature.
-    held_out_left, set only by `train_held_out` and never saved, says per
-    node whether a row whose split feature is held out goes left.
 
-    A Forest built from Trees copies their arrays into its flat storage
-    and rebinds each field to a view of it, so writes show in both.
-    """
-
-    feature: np.ndarray
-    threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    leaf_id: np.ndarray
-    n_node: np.ndarray
-    value: np.ndarray
-    split_gain: np.ndarray
-    held_out_left: np.ndarray | None = None
+class Tree(SimpleNamespace):
+    """Views of one tree's NODE_LAYOUT arrays in a Forest: `Forest.trees`."""
 
     @property
     def n_nodes(self) -> int:
         return len(self.feature)
 
-    @property
-    def n_leaves(self) -> int:
-        return int(np.count_nonzero(self.feature < 0))
-
-    def apply_nodes(self, data, rows, override=None, held_out=None) -> np.ndarray:
-        """Terminal node of each row by `_walk`; override = (feature, values)."""
+    def apply_nodes(self, data, rows) -> np.ndarray:
+        """Terminal node of each row: `_walk` over this tree alone."""
         rows = np.asarray(rows, dtype=np.int64)
-        if override is not None:
-            override = (np.full(len(rows), override[0]), np.asarray(override[1]))
-        return _walk(self, data, rows, np.zeros_like(rows), override,
-                     held_out).astype(np.int32)
-
-    def apply(self, data, rows, override=None, held_out=None) -> np.ndarray:
-        """Leaf id for each row."""
-        return self.leaf_id[self.apply_nodes(data, rows, override, held_out)]
-
-    def leaf_value(self, leaf_ids) -> np.ndarray:
-        leaves = np.flatnonzero(self.feature < 0)
-        return self.value[leaves[np.argsort(self.leaf_id[leaves])][leaf_ids]]
-
-
-# per-node fields, stored concatenated over a forest's trees
-_NODE_FIELDS = ("feature", "threshold", "left", "right", "leaf_id", "n_node",
-                "value", "held_out_left")
+        return _walk(self, data, rows, np.zeros_like(rows)).astype(np.int32)
 
 
 @dataclass
 class Forest:
     """A trained forest in one set of node arrays, plus per-row bookkeeping.
 
-    The forest concatenates its Trees' node fields (_NODE_FIELDS) tree
-    after tree; tree t owns nodes node_offset[t]:node_offset[t + 1], and
-    its children and leaf ids stay local, as in a model file. Leaf `leaf`
-    of tree t has the global id leaf_offset[t] + leaf; leaf_nodes maps
-    global leaf ids to nodes. split_gain is (T, n_features). `trees`
-    keeps the Tree objects, each field now a view of the tree's slice.
+    Built from tree_arrays, one dict of NODE_LAYOUT arrays per tree, which
+    it concatenates tree after tree into one array per field: tree t owns
+    nodes node_offset[t]:node_offset[t + 1], its children and leaf ids
+    stay local, and split_gain is (T, n_features). held_out_left says per
+    node whether a row whose split feature is held out goes left; only
+    `train_held_out` puts it in the dicts, and it is never saved. Leaf
+    `leaf` of tree t has the global id leaf_offset[t] + leaf; leaf_nodes
+    maps global leaf ids to nodes.
 
     inbag_counts[i, t] is row i's multiplicity in tree t's bootstrap;
     a zero marks the row out-of-bag. leaf_of_train[i, t] is the leaf id
@@ -172,7 +147,7 @@ class Forest:
     """
 
     config: ForestConfig
-    trees: list[Tree]
+    tree_arrays: InitVar[list[dict]]
     inbag_counts: np.ndarray
     leaf_of_train: np.ndarray
     n_features: int
@@ -181,24 +156,31 @@ class Forest:
     oob_error: float
     oob_skipped: int
 
-    def __post_init__(self):
-        trees = self.trees
-        self.node_offset = np.cumsum([0] + [tree.n_nodes for tree in trees])
-        for name in _NODE_FIELDS:
-            parts = [getattr(tree, name) for tree in trees]
-            setattr(self, name, None if parts[0] is None else np.concatenate(parts))
-        self.split_gain = np.stack([tree.split_gain for tree in trees])
+    def __post_init__(self, tree_arrays):
+        self.node_offset = np.cumsum([0] + [len(a["feature"])
+                                            for a in tree_arrays])
+        for name, dtype in (*NODE_LAYOUT, ("held_out_left", bool)):
+            parts = [a.get(name) for a in tree_arrays]
+            join = np.stack if name == "split_gain" else np.concatenate
+            setattr(self, name, None if parts[0] is None
+                    else join(parts, dtype=dtype))
         leaves = np.flatnonzero(self.feature < 0)
         self.leaf_offset = np.searchsorted(leaves, self.node_offset)
         # each tree's leaves in leaf-id order
         owner = self.node_tree()[leaves]
         self.leaf_nodes = leaves[np.lexsort((self.leaf_id[leaves], owner))]
-        for t, tree in enumerate(trees):
-            a, b = self.node_offset[t:t + 2]
-            for name in _NODE_FIELDS:
-                flat = getattr(self, name)
-                setattr(tree, name, None if flat is None else flat[a:b])
-            tree.split_gain = self.split_gain[t]
+
+    def arrays_of(self, t: int) -> dict:
+        """Tree t's NODE_LAYOUT arrays: views of its slice of the forest's."""
+        nodes = slice(*self.node_offset[t:t + 2])
+        return {name: getattr(self, name)[t if name == "split_gain" else nodes]
+                for name, _ in NODE_LAYOUT}
+
+    @cached_property
+    def trees(self) -> list[Tree]:
+        """A Tree view of each tree, writes showing in the forest: kept for
+        the benchmark in ffbench/, while the program reads flat arrays."""
+        return [Tree(**self.arrays_of(t)) for t in range(self.n_trees)]
 
     @property
     def mode(self) -> str:
@@ -206,7 +188,7 @@ class Forest:
 
     @property
     def n_trees(self) -> int:
-        return len(self.trees)
+        return len(self.node_offset) - 1
 
     @property
     def n_train_rows(self) -> int:
@@ -259,7 +241,7 @@ def _walk(nodes, data, rows, root, override=None, held_out=None,
           begin=None) -> np.ndarray:
     """Terminal node of every cell; all cells move down one level per step.
 
-    `nodes` is a Forest or a Tree (children local to their tree). Cell c
+    `nodes` holds NODE_LAYOUT arrays, children local to their tree. Cell c
     walks row rows[c] of data (dense array or CSR Dataset) in the tree
     whose root is node root[c], from node begin[c] (default: the root).
     override = (feature, value), arrays over the cells, replaces cell c's
@@ -461,6 +443,11 @@ def generate_synthetic(ds: Dataset, seed: int) -> Dataset:
                             np.concatenate(vals)[order], m, schema=ds.schema)
 
 
+# classification labels stay below max(rows, _LABEL_FLOOR), so the split
+# scan's K x K one-hot table fits BLOCK_BYTES or the root's n x K counts
+_LABEL_FLOOR = math.isqrt(BLOCK_BYTES // 8)
+
+
 class _TrainingView:
     """The rows a forest is grown on: labels, real-row count and columns.
 
@@ -483,9 +470,10 @@ class _TrainingView:
             raise ConfigError(f"{mode} target must be finite")
         elif mode == "regression":
             self.y = target.astype(np.float64)
-        elif np.any(target != np.floor(target)) or target.min() < 0:
-            raise ConfigError(
-                "classification target must be integer labels >= 0")
+        elif (np.any(target != np.floor(target)) or target.min() < 0
+              or target.max() >= max(ds.n_rows, _LABEL_FLOOR)):
+            raise ConfigError("classification target must be integer labels "
+                              f"in 0..{max(ds.n_rows, _LABEL_FLOOR) - 1}")
         else:
             self.y = target.astype(np.int64)
             self.n_classes = int(self.y.max()) + 1
@@ -511,6 +499,7 @@ class _TrainingView:
 def _grow_tree(data, y, tree_id, *, task, n_classes, n_features, mtry,
                min_node_size, max_depth, strategy, n_bins, seed,
                categorical, held_out=None):
+    """One tree's NODE_LAYOUT arrays (and held_out_left) and in-bag counts."""
     n_rows = len(y)
     draw = tree_rng(seed, tree_id).integers(0, n_rows, size=n_rows)
     node_rng = NodeStreams(seed, tree_id)
@@ -576,23 +565,20 @@ def _grow_tree(data, y, tree_id, *, task, n_classes, n_features, mtry,
         n_made += 2
 
     grown.sort(key=lambda record: record[0])
-    _, feature, threshold, left, right, leaf_id, n_node, value, held_left = \
-        zip(*grown)
-    return Tree(np.array(feature, dtype=np.int32), np.array(threshold),
-                np.array(left, dtype=np.int32), np.array(right, dtype=np.int32),
-                np.array(leaf_id, dtype=np.int32),
-                np.array(n_node, dtype=np.int64),
-                np.array(value, dtype=np.float64),
-                split_gain=np.array(split_gain),
-                held_out_left=None if held_out is None
-                else np.array(held_left)), inbag
+    _, *columns, held_left = zip(*grown)
+    arrays = {name: np.array(column, dtype=dtype) for (name, dtype), column
+              in zip(NODE_LAYOUT, [*columns, split_gain], strict=True)}
+    if held_out is not None:
+        arrays["held_out_left"] = np.array(held_left)
+    return arrays, inbag
 
 
 def train(ds: Dataset, config: ForestConfig) -> Forest:
     """Grow a forest on a complete Dataset.
 
-    Classification and regression require a target; unsupervised mode
-    requires the target to be absent and trains real-vs-synthetic on the
+    Classification and regression require a target, classification labels
+    being whole numbers below max(rows, 1024); unsupervised mode requires
+    the target to be absent and trains real-vs-synthetic on the
     column-permuted augmentation. Returns a Forest with per-tree in-bag
     counts, per-row leaf assignments, and the OOB error filled in.
     Deterministic for a fixed (data, config).
@@ -659,7 +645,7 @@ def _train(ds: Dataset, config: ForestConfig,
 
     forest = Forest(
         config=config,
-        trees=[g[0] for g in grown],
+        tree_arrays=[g[0] for g in grown],
         inbag_counts=np.column_stack([g[1] for g in grown]),
         leaf_of_train=None,
         n_features=ds.n_features,

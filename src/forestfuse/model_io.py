@@ -1,8 +1,10 @@
 """Model persistence.
 
 Single-file container: magic bytes, a little-endian format version, then
-length-prefixed named sections (JSON metadata, packed tree arrays, in-bag
-counts, leaf assignments). Serialization is canonical — sorted JSON keys,
+length-prefixed named sections (JSON metadata, trees, in-bag counts, leaf
+assignments). The trees section holds one record per tree: its node
+count, then its arrays in the order and dtypes of `forest.NODE_LAYOUT`,
+little-endian. Serialization is canonical — sorted JSON keys,
 fixed dtypes — so identical forests produce byte-identical files, and a
 save/load round trip reproduces predictions and top-K results exactly.
 
@@ -24,7 +26,7 @@ import numpy as np
 
 from .dataset import Dataset, Feature, FeatureSchema
 from .errors import ForestFuseError, ModelFormatError, ProvenanceError
-from .forest import Forest, ForestConfig, Tree
+from .forest import NODE_LAYOUT, Forest, ForestConfig
 
 MAGIC = b"FFMD"
 FORMAT_VERSION = 1
@@ -68,16 +70,15 @@ def check_fingerprint(artifact: ModelArtifact, ds: Dataset) -> None:
             "dataset does not match the model's training fingerprint")
 
 
-# packed tree arrays in file order, after the node count
-_TREE_FIELDS = (("feature", "<i4"), ("threshold", "<f8"), ("left", "<i4"),
-                ("right", "<i4"), ("leaf_id", "<i4"), ("n_node", "<i8"),
-                ("value", "<f8"), ("split_gain", "<f8"))
+# NODE_LAYOUT's dtypes, little-endian
+_FILE_LAYOUT = [(name, np.dtype(dtype).newbyteorder("<").str)
+                for name, dtype in NODE_LAYOUT]
 
 
-def _pack_tree(tree: Tree) -> bytes:
-    return struct.pack("<q", tree.n_nodes) + b"".join(
-        np.ascontiguousarray(getattr(tree, name), dtype=dtype).tobytes()
-        for name, dtype in _TREE_FIELDS)
+def _pack_tree(arrays: dict) -> bytes:
+    return struct.pack("<q", len(arrays["feature"])) + b"".join(
+        np.ascontiguousarray(arrays[name], dtype=dtype).tobytes()
+        for name, dtype in _FILE_LAYOUT)
 
 
 def _take(buf, offset: int, dtype: str, count: int):
@@ -92,12 +93,12 @@ def _unpack_tree(buf: memoryview, offset: int, n_classes, n_features):
     (n,), offset = _take(buf, offset, "<i8", 1)
     n = int(n)
     counts = {"value": n * (n_classes or 1), "split_gain": n_features}
-    fields = {}
-    for name, dtype in _TREE_FIELDS:
-        fields[name], offset = _take(buf, offset, dtype, counts.get(name, n))
+    arrays = {}
+    for name, dtype in _FILE_LAYOUT:
+        arrays[name], offset = _take(buf, offset, dtype, counts.get(name, n))
     if n_classes:
-        fields["value"] = fields["value"].reshape(n, n_classes)
-    return Tree(**fields), offset
+        arrays["value"] = arrays["value"].reshape(n, n_classes)
+    return arrays, offset
 
 
 def _check_forest(forest: Forest) -> None:
@@ -158,7 +159,8 @@ def save_model(path, artifact: ModelArtifact) -> None:
     sections = [
         ("meta", json.dumps(meta, sort_keys=True,
                             separators=(",", ":")).encode("utf-8")),
-        ("trees", b"".join(_pack_tree(t) for t in forest.trees)),
+        ("trees", b"".join(_pack_tree(forest.arrays_of(t))
+                           for t in range(forest.n_trees))),
         ("inbag", np.ascontiguousarray(
             forest.inbag_counts, dtype="<u2").tobytes()),
         ("leaf_train", np.ascontiguousarray(
@@ -252,7 +254,7 @@ def _parse_model(blob: bytes) -> ModelArtifact:
         per_row[name] = arr.reshape(n_train, n_trees).astype(dtype[1:])
     forest = Forest(
         config=config,
-        trees=trees,
+        tree_arrays=trees,
         inbag_counts=per_row["inbag"],
         leaf_of_train=per_row["leaf_train"],
         n_features=n_features,

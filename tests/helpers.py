@@ -4,6 +4,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 import forestfuse as ff
+from forestfuse.forest import _node_grid
 from forestfuse.proximity import cooccurrence_blocks
 
 
@@ -59,12 +60,12 @@ def rank_auc(scores, labels):
 
 
 def leaf_tree(class_counts=None, mean=None, n=1, n_features=1):
-    """Single-node tree: the root is leaf 0."""
+    """Single-node tree's NODE_LAYOUT arrays: the root is leaf 0."""
     if class_counts is not None:
         value = np.asarray([class_counts], dtype=np.float64)
     else:
         value = np.asarray([mean], dtype=np.float64)
-    return ff.Tree(
+    return dict(
         feature=np.array([-1], dtype=np.int32),
         threshold=np.array([np.nan]),
         left=np.array([-1], dtype=np.int32),
@@ -78,7 +79,8 @@ def leaf_tree(class_counts=None, mean=None, n=1, n_features=1):
 
 def stump(feature, threshold, left_value, right_value, *, n_left=1, n_right=1,
           n_features=1):
-    """Three-node tree: one split, leaf 0 on the left, leaf 1 on the right."""
+    """Three-node tree's NODE_LAYOUT arrays: one split, leaf 0 on the left,
+    leaf 1 on the right."""
     left_value = np.atleast_1d(np.asarray(left_value, dtype=np.float64))
     right_value = np.atleast_1d(np.asarray(right_value, dtype=np.float64))
     if left_value.shape == (1,):
@@ -86,7 +88,7 @@ def stump(feature, threshold, left_value, right_value, *, n_left=1, n_right=1,
                           left_value[0], right_value[0]])
     else:
         value = np.vstack([left_value + right_value, left_value, right_value])
-    return ff.Tree(
+    return dict(
         feature=np.array([feature, -1, -1], dtype=np.int32),
         threshold=np.array([threshold, np.nan, np.nan]),
         left=np.array([1, -1, -1], dtype=np.int32),
@@ -100,31 +102,30 @@ def stump(feature, threshold, left_value, right_value, *, n_left=1, n_right=1,
 
 def assemble_forest(trees, ds, mode="classification", n_classes=None,
                     inbag_counts=None, seed=0):
-    """Forest from hand-built trees; leaf assignments come from traversal."""
-    n = ds.n_rows
+    """Forest from hand-built tree arrays; leaf assignments from its walk."""
     T = len(trees)
     if inbag_counts is None:
-        inbag_counts = np.ones((n, T), dtype=np.uint16)
-    data = ds.values if not ds.is_sparse else ds
-    rows = np.arange(n)
-    leaf_of_train = np.column_stack(
-        [t.apply(data, rows) for t in trees]).astype(np.int32)
+        inbag_counts = np.ones((ds.n_rows, T), dtype=np.uint16)
     config = ff.ForestConfig(mode=mode, n_trees=T, seed=seed)
-    return ff.Forest(
+    forest = ff.Forest(
         config=config,
-        trees=list(trees),
+        tree_arrays=trees,
         inbag_counts=np.asarray(inbag_counts, dtype=np.uint16),
-        leaf_of_train=leaf_of_train,
+        leaf_of_train=None,
         n_features=ds.n_features,
         n_classes=n_classes,
         synthetic_offset=None,
         oob_error=float("nan"),
         oob_skipped=0,
     )
+    data = ds.values if not ds.is_sparse else ds
+    forest.leaf_of_train = forest.leaf_id[_node_grid(forest, data, ds.n_rows)]
+    return forest
 
 
 def walk_tree(tree, x):
-    """Reference traversal, independent of Tree.apply: left iff v <= thr."""
+    """Reference traversal of a Tree view, independent of the forest's walk:
+    left iff v <= thr."""
     node = 0
     while tree.feature[node] >= 0:
         if x[tree.feature[node]] <= tree.threshold[node]:

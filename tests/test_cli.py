@@ -121,6 +121,33 @@ def test_train_rejects_a_non_finite_cell(trained, tmp_path, capsys):
     assert not (tmp_path / "m.ffm").exists()
 
 
+def test_train_rejects_a_huge_class_label(trained, tmp_path, capsys):
+    paths, _, _ = trained
+    data = tmp_path / "huge.csv"
+    data.write_text("a,b,label,c\n0.1,0.2,0,0.3\n0.4,0.5,1e12,0.6\n"
+                    "0.7,0.8,1,0.9\n")
+    capsys.readouterr()
+    assert main(["train", str(data), str(paths["schema.txt"]),
+                 "-o", str(tmp_path / "m.ffm"), "--target", "label",
+                 "--mode", "classification", "--trees", "2"]) == 1
+    assert_one_line_error(capsys, "integer labels in 0..1023")
+    assert not (tmp_path / "m.ffm").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "predict"])
+def test_non_utf8_csv_is_a_one_line_error(trained, tmp_path, capsys,
+                                          command):
+    paths, _, _ = trained
+    data = tmp_path / "latin1.csv"
+    data.write_bytes(b"a,b,c\n0.1,0.2,0.3\n0.4,0.5,\xff\n")
+    args = {"train": ["train", str(data), str(paths["schema.txt"]), "-o",
+                      str(tmp_path / "m.ffm"), "--mode", "unsupervised"],
+            "predict": ["predict", str(paths["model.ffm"]), str(data)]}
+    capsys.readouterr()
+    assert main(args[command]) == 1
+    assert_one_line_error(capsys, "latin1.csv: not UTF-8 text")
+
+
 def test_impute_rejects_a_nan_tolerance(trained, tmp_path, capsys):
     paths, _, _ = trained
     data = tmp_path / "holes.csv"

@@ -227,6 +227,12 @@ class TestSvmlight:
         with pytest.raises(ff.FormatError, match="strictly increasing"):
             ff.load_sparse_svmlight(path, n_features=3)
 
+    def test_non_utf8_bytes_raise_parse_error(self, tmp_path):
+        path = tmp_path / "s.txt"
+        path.write_bytes(b"1 1:2.0\n0 1:\xff\n")
+        with pytest.raises(ff.ParseError, match=r"s\.txt: not UTF-8 text"):
+            ff.load_sparse_svmlight(path, n_features=3)
+
 
 class TestCellSemantics:
     def test_dense_missing_cell(self):
@@ -457,6 +463,13 @@ class TestSchemaFile:
         schema = ff.load_schema(path)
         assert schema.names == ["x", "color"]
         assert schema.features[1].categories == ("red", "blue")
+
+    def test_non_utf8_bytes_raise_parse_error(self, tmp_path):
+        path = tmp_path / "schema.txt"
+        path.write_bytes(b"x,continuous\ncolor,categorical,r\xffd|blue\n")
+        with pytest.raises(ff.ParseError,
+                           match=r"schema\.txt: not UTF-8 text"):
+            ff.load_schema(path)
 
     def test_duplicate_names(self):
         with pytest.raises(ff.SchemaError):

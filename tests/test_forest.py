@@ -88,6 +88,21 @@ class TestTrainValidation:
         with pytest.raises(ff.ConfigError):
             ff.train(ds, ff.ForestConfig(mode="classification", n_trees=1))
 
+    def test_class_labels_are_bounded(self):
+        # a label sizes every node's class counts: one of 1e12 on three
+        # rows must fail before allocating them
+        cfg = ff.ForestConfig(mode="classification", n_trees=1)
+        for n, label, bound in ((3, 1e12, 1024), (3, 1024.0, 1024),
+                                (1100, 1100.0, 1100)):
+            target = np.zeros(n)
+            target[1] = label
+            ds = ff.Dataset.from_dense(np.zeros((n, 1)), target=target)
+            with pytest.raises(ff.ConfigError, match=rf"in 0\.\.{bound - 1}$"):
+                ff.train(ds, cfg)
+        # sparse class ids below the bound still train
+        ds = ff.Dataset.from_dense(np.zeros((3, 1)), target=[0.0, 5.0, 1.0])
+        assert ff.train(ds, cfg).n_classes == 6
+
     def test_bad_config(self):
         with pytest.raises(ff.ConfigError):
             ff.ForestConfig(mode="classification", n_trees=0).validate()
@@ -335,9 +350,8 @@ class TestTrainHeldOut:
         a, b = forests
         assert np.array_equal(a.leaf_of_train, b.leaf_of_train)
         assert a.oob_error == b.oob_error
-        for ta, tb in zip(a.trees, b.trees):
-            assert np.array_equal(ta.threshold, tb.threshold, equal_nan=True)
-            assert np.array_equal(ta.held_out_left, tb.held_out_left)
+        assert np.array_equal(a.threshold, b.threshold, equal_nan=True)
+        assert np.array_equal(a.held_out_left, b.held_out_left)
 
     def test_no_held_out_cell_matches_train(self):
         X, held, target, cfg = self.masked(32, "unsupervised")
@@ -345,9 +359,9 @@ class TestTrainHeldOut:
         plain = ff.train(ds, cfg)
         masked = train_held_out(ds, np.zeros_like(held), cfg)
         assert np.array_equal(plain.leaf_of_train, masked.leaf_of_train)
-        for tp, tm in zip(plain.trees, masked.trees):
-            assert np.array_equal(tp.threshold, tm.threshold, equal_nan=True)
-            assert tm.held_out_left is None
+        assert np.array_equal(plain.threshold, masked.threshold,
+                              equal_nan=True)
+        assert masked.held_out_left is None
 
     def test_bad_mask_rejected(self):
         ds = ff.Dataset.from_dense(np.zeros((4, 2)))
@@ -435,14 +449,16 @@ class TestGrowerOracle:
                 assert (tree.left[node], tree.right[node]) == \
                     (next_node, next_node + 1)
                 if held is not None:
-                    assert tree.held_out_left[node] == side
+                    assert forest.held_out_left[
+                        forest.node_offset[t] + node] == side
                 gain[split.feature] += split.gain * len(rows)
                 stack.append((next_node + 1, rows[~go_left], depth + 1,
                               child_route(route, True)))
                 stack.append((next_node, rows[go_left], depth + 1,
                               child_route(route, False)))
                 next_node += 2
-            assert next_node == tree.n_nodes and next_leaf == tree.n_leaves
+            assert next_node == tree.n_nodes
+            assert next_leaf == np.count_nonzero(tree.feature < 0)
             assert np.array_equal(tree.split_gain, gain)
 
     @settings(max_examples=30, deadline=None)
@@ -560,8 +576,9 @@ class TestLeafOf:
         ds = blobs_dataset(25, seed=23)
         forest = ff.train(ds, ff.ForestConfig(mode="classification",
                                               n_trees=4, seed=9))
+        rows = np.arange(ds.n_rows)
         for tree in forest.trees:
-            got = tree.apply(ds.values, np.arange(ds.n_rows))
+            got = tree.leaf_id[tree.apply_nodes(ds.values, rows)]
             want = [walk_tree(tree, ds.values[r]) for r in range(ds.n_rows)]
             assert np.array_equal(got, want)
 
@@ -597,15 +614,16 @@ class TestOOB:
         assert abs(forest.oob_error - holdout) <= 0.03
 
 
-def walk_held_out(tree, x, held_row):
-    """Reference walk that sends a held-out split feature to held_out_left."""
-    node = 0
-    while tree.feature[node] >= 0:
-        f = tree.feature[node]
-        go_left = tree.held_out_left[node] if held_row[f] \
-            else x[f] <= tree.threshold[node]
-        node = int(tree.left[node] if go_left else tree.right[node])
-    return int(tree.leaf_id[node])
+def walk_held_out(forest, t, x, held_row):
+    """Reference walk of tree t that sends a held-out split feature to
+    held_out_left."""
+    root = node = forest.node_offset[t]
+    while forest.feature[node] >= 0:
+        f = forest.feature[node]
+        go_left = forest.held_out_left[node] if held_row[f] \
+            else x[f] <= forest.threshold[node]
+        node = root + int(forest.left[node] if go_left else forest.right[node])
+    return int(forest.leaf_id[node])
 
 
 class TestForestWalk:
@@ -704,8 +722,8 @@ class TestForestWalk:
         if not held.any():
             assert forest.held_out_left is None
             return
-        want = np.array([[walk_held_out(tree, X[r], held[r])
-                          for tree in forest.trees] for r in range(n)])
+        want = np.array([[walk_held_out(forest, t, X[r], held[r])
+                          for t in range(forest.n_trees)] for r in range(n)])
         assert np.array_equal(forest.leaf_of_train[:n], want)
         got = forest.leaf_id[_node_grid(forest, X, n, held_out=held)]
         assert np.array_equal(got, want)
@@ -718,15 +736,31 @@ class TestForestWalk:
         forest = ff.train(ds, ff.ForestConfig(mode="classification",
                                               n_trees=40, seed=3))
         Q = rng.normal(size=(5000, 3))
-        want = np.column_stack([tree.apply(Q, np.arange(len(Q)))
-                                for tree in forest.trees])
+        want = np.column_stack([
+            tree.leaf_id[tree.apply_nodes(Q, np.arange(len(Q)))]
+            for tree in forest.trees])
         got = forest.leaf_id[_node_grid(forest, Q, len(Q))]
         assert np.array_equal(got, want)
         # predict sums each walked block's votes over trees 0..T-1 in order
-        votes = sum(tree.leaf_value(want[:, t]) / tree.leaf_value(
-            want[:, t]).sum(axis=1, keepdims=True)
-            for t, tree in enumerate(forest.trees))
+        counts = forest.value[forest.node_of_leaf(want)]
+        votes = sum(counts[:, t] / counts[:, t].sum(axis=1, keepdims=True)
+                    for t in range(forest.n_trees))
         assert np.array_equal(ff.predict_proba(forest, Q), votes / 40)
+
+
+def test_forest_copies_its_tree_arrays_and_views_write_through():
+    ds = ff.Dataset.from_dense([[0.0], [1.0]], target=[0.0, 1.0])
+    trees = [stump(0, 0.5, [1.0, 0.0], [0.0, 1.0]),
+             stump(0, 0.7, [1.0, 0.0], [0.0, 1.0])]
+    given = [{k: v.copy() for k, v in tree.items()} for tree in trees]
+    forest = assemble_forest(trees, ds, n_classes=2)
+    forest.threshold[3] = 9.0
+    forest.trees[1].n_node[2] = 7
+    assert forest.n_node[5] == 7 and forest.trees[1].threshold[0] == 9.0
+    for tree, copy in zip(trees, given):
+        assert tree.keys() == copy.keys()
+        for k in tree:
+            assert np.array_equal(tree[k], copy[k], equal_nan=True)
 
 
 def test_public_surface_is_pinned():

@@ -47,7 +47,8 @@ def oracle_local_measures(forest, ds, y):
             if forest.inbag_counts[i, t] != 0:
                 continue
             leaf = walk_tree(tree, ds.values[i])
-            votes = tree.leaf_value(np.array([leaf]))[0]
+            votes = forest.value[
+                forest.leaf_nodes[forest.leaf_offset[t] + leaf]]
             if np.argmax(votes) == y[i]:
                 counted.append(t)
         n_eff[i] = len(counted)
@@ -65,7 +66,8 @@ def oracle_local_measures(forest, ds, y):
                     new = walk_tree(tree, mod)
                     if new != orig:
                         moved += 1
-                    votes = tree.leaf_value(np.array([new]))[0]
+                    votes = forest.value[
+                        forest.leaf_nodes[forest.leaf_offset[t] + new]]
                     if np.argmax(votes) != y[i]:
                         flipped += 1
             pi[i, k] = moved / (len(counted) * n)

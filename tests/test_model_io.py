@@ -31,19 +31,25 @@ def model_file(tmp_path_factory):
     return path, forest, ds
 
 
-@pytest.mark.parametrize("mode", ["classification", "unsupervised"])
+@pytest.mark.parametrize("mode", ["classification", "regression",
+                                  "unsupervised"])
 def test_round_trip_keeps_predictions_and_neighbours(mode, tmp_path):
     X, y = blobs(15, seed=6, sep=3.0)
-    ds = ff.Dataset.from_dense(X, target=y if mode == "classification"
-                               else None)
+    ds = ff.Dataset.from_dense(X, target=None if mode == "unsupervised"
+                               else y)
     forest = ff.train(ds, ff.ForestConfig(mode=mode, n_trees=6, seed=1))
     save(forest, ds, tmp_path / "m.ffm")
-    loaded = ff.load_model(tmp_path / "m.ffm").forest
-    np.testing.assert_array_equal(ff.predict_proba(loaded, X),
-                                  ff.predict_proba(forest, X))
+    artifact = ff.load_model(tmp_path / "m.ffm")
+    loaded = artifact.forest
+    predict = ff.predict if mode == "regression" else ff.predict_proba
+    np.testing.assert_array_equal(predict(loaded, X), predict(forest, X))
     for q in X[::4]:
         assert ff.top_k_similar(loaded, q, k=7) == \
             ff.top_k_similar(forest, q, k=7)
+    # saving what was loaded writes the same bytes
+    ff.save_model(tmp_path / "again.ffm", artifact)
+    assert (tmp_path / "again.ffm").read_bytes() == \
+        (tmp_path / "m.ffm").read_bytes()
 
 
 def test_stored_proximity_pairs_key_is_ignored(model_file, tmp_path):
@@ -109,10 +115,10 @@ def test_inconsistent_tree_rejected(field, node, value, tmp_path):
     trees = [stump(0, 0.5, [1.0, 0.0], [0.0, 1.0]),
              stump(0, 0.7, [1.0, 0.0], [0.0, 1.0])]
     forest = assemble_forest(trees, ds, n_classes=2)
-    # node counts across the two 3-node trees; the trees write through to
-    # the forest's storage
+    # node counts across the two 3-node trees: indices into the forest's
+    # node arrays
     for at, v in zip(np.atleast_1d(node), np.atleast_1d(value)):
-        getattr(trees[at // 3], field)[at % 3] = v
+        getattr(forest, field)[at] = v
     save(forest, ds, tmp_path / "m.ffm")
     with pytest.raises(ff.ModelFormatError, match="tree nodes"):
         ff.load_model(tmp_path / "m.ffm")
@@ -145,7 +151,7 @@ def test_predict_on_truncated_model_is_a_one_line_error(model_file, tmp_path,
 def test_bad_class_counts_rejected(left, match, tmp_path):
     ds = ff.Dataset.from_dense([[0.0], [1.0]], target=[0.0, 1.0])
     tree = stump(0, 0.5, left, [0.0, 1.0])
-    tree.value[0] = [1.0, 1.0]  # the root stays consistent
+    tree["value"][0] = [1.0, 1.0]  # the root stays consistent
     save(assemble_forest([tree], ds, n_classes=2), ds, tmp_path / "m.ffm")
     with pytest.raises(ff.ModelFormatError, match=match):
         ff.load_model(tmp_path / "m.ffm")

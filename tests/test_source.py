@@ -26,3 +26,20 @@ def test_every_imported_name_is_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(set(imported_names(tree)) - used) == []
+
+
+# `Tree` and `Forest.trees` are a view of the forest's arrays kept for the
+# benchmark; forest.py alone builds it and __init__.py re-exports the name
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py"))
+                                  if p.name != "forest.py"],
+                         ids=lambda p: p.name)
+def test_only_forest_py_uses_the_tree_view(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    reexport = path.name == "__init__.py"
+    uses = [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id == "Tree"
+            or isinstance(node, ast.Attribute)
+            and node.attr in ("Tree", "trees")
+            or isinstance(node, ast.alias) and node.name == "Tree"
+            and not reexport]
+    assert uses == []

@@ -9,6 +9,15 @@ each node draws its candidate features from a stream keyed by its path
 from the root, so a forest is a bit-identical function of the data and
 the config.
 
+The trees of a forest grow together, one level at a time, in groups
+whose level arrays fit BLOCK_BYTES (`_grow_trees`). Each level gathers
+the labels, counts them, reads the candidate cells, routes the rows and
+partitions them into the next level once for all the open nodes of all
+the group's trees; only the candidate draw and the split scan
+(`splitfind.find_node_split`) run node by node. The nodes are then
+numbered in the order a depth-first grower, left child first, gives
+them, so the forest is node for node the one that grower builds.
+
 A Forest stores its trees in one node layout, `NODE_LAYOUT`, with one
 array per field over all trees. Every reader that routes rows through
 the trees (leaf assignment, prediction, query leaves, importance
@@ -29,7 +38,7 @@ from .dataset import Dataset
 from .errors import ArgumentError, ConfigError
 from .rng import (ROOT_ROUTE, STREAM_LIMIT, NodeStreams, child_route,
                   synthetic_rng, tree_rng)
-from .splitfind import find_node_split
+from .splitfind import BLOCK_BYTES, find_node_split
 
 MODES = ("classification", "regression", "unsupervised")
 STRATEGIES = ("presort", "histogram")
@@ -229,9 +238,6 @@ def _read(data, rows, feats):
     return data.read_cells(rows, feats)
 
 
-# bytes of temporaries that one block of a blocked walk may hold: row
-# blocks here, importance cells and their ancestor tables, proximity blocks
-BLOCK_BYTES = 8 << 20
 # bytes one `_walk` cell holds at its peak, its rows and roots included
 # (tracemalloc read 82 on 100,000 cells of a 30-tree forest)
 _WALK_CELL_BYTES = 96
@@ -443,8 +449,9 @@ def generate_synthetic(ds: Dataset, seed: int) -> Dataset:
                             np.concatenate(vals)[order], m, schema=ds.schema)
 
 
-# classification labels stay below max(rows, _LABEL_FLOOR), so the split
-# scan's K x K one-hot table fits BLOCK_BYTES or the root's n x K counts
+# classification labels stay below max(rows, _LABEL_FLOOR): a forest keeps
+# K class counts a node, so K is bounded by the rows, or on small data by
+# a floor at which K rows of K counts fill BLOCK_BYTES
 _LABEL_FLOOR = math.isqrt(BLOCK_BYTES // 8)
 
 
@@ -496,81 +503,201 @@ class _TrainingView:
 
 # -- growth ----------------------------------------------------------------
 
-def _grow_tree(data, y, tree_id, *, task, n_classes, n_features, mtry,
-               min_node_size, max_depth, strategy, n_bins, seed,
-               categorical, held_out=None):
-    """One tree's NODE_LAYOUT arrays (and held_out_left) and in-bag counts."""
+# bytes one (row, tree) cell of a growth level holds at most, besides 17
+# per candidate feature (its id, value and held flag, while its cells are
+# read): its row, node and label, the masks and the partition's counts
+# (tracemalloc read 105-111 bytes a cell at mtry 1-8, 281-353 at mtry 30)
+_GROW_CELL_BYTES = 112
+
+
+def _grow_trees(data, y, trees, *, task, n_classes, n_features, mtry,
+                min_node_size, max_depth, strategy, n_bins, seed,
+                categorical, held_out=None):
+    """Each tree's NODE_LAYOUT arrays (and held_out_left), and in-bag counts.
+
+    The trees grow together, one level at a time. A level holds every
+    open node of every tree, its in-bag rows in one array, node after
+    node, and runs one label gather and one count for all of them, one
+    read of the candidate cells of the nodes that try a split, one
+    compare that routes their rows, and one stable partition of those
+    rows into the next level, each node's left child before its right.
+    Per node there is only the candidate draw from the node's stream and
+    the `find_node_split` scan. The nodes are then numbered as a
+    left-first depth-first grower numbers them (`_number_depth_first`).
+    """
     n_rows = len(y)
-    draw = tree_rng(seed, tree_id).integers(0, n_rows, size=n_rows)
-    node_rng = NodeStreams(seed, tree_id)
-    inbag = np.bincount(draw, minlength=n_rows).astype(np.uint16)
-
-    # one record per node, in the order the nodes are grown: (node, feature,
-    # threshold, left, right, leaf_id, n_node, value, held_out_left)
-    grown = []
-    split_gain = [0.0] * n_features
-    n_made, next_leaf = 1, 0
-    stack = [(0, draw, 0, ROOT_ROUTE)]
-    while stack:
-        node, rows, depth, route = stack.pop()
+    draws = [tree_rng(seed, t).integers(0, n_rows, size=n_rows) for t in trees]
+    inbag = np.column_stack([np.bincount(d, minlength=n_rows) for d in draws])
+    streams = [NodeStreams(seed, t) for t in trees]
+    # the level's nodes: node i holds rows[starts[i]:starts[i + 1]], grows
+    # in tree tree[i] (of the group) and has path id route[i]
+    rows = np.concatenate(draws)
+    starts = np.arange(len(trees) + 1) * n_rows
+    tree = np.arange(len(trees))
+    route = np.full(len(trees), ROOT_ROUTE, dtype=np.uint64)
+    levels, depth = [], 0
+    while len(tree):
+        nn, size = len(tree), np.diff(starts)
+        node = np.repeat(np.arange(nn), size)
         yv = y[rows]
-        n = len(rows)
         if task == "classification":
-            value = np.bincount(yv, minlength=n_classes)
-            pure = np.count_nonzero(value) == 1
+            value = np.bincount(node * n_classes + yv, minlength=nn * n_classes
+                                ).reshape(nn, n_classes)
+            pure = np.count_nonzero(value, axis=1) == 1
         else:
-            value = yv.sum() / n
-            pure = yv.min() == yv.max()
+            # one sum per node, rounding as the node's targets alone do
+            bounds = starts.tolist()
+            value = np.array([yv[a:b].sum() for a, b in
+                              zip(bounds, bounds[1:])]) / size
+            pure = (np.minimum.reduceat(yv, starts[:-1])
+                    == np.maximum.reduceat(yv, starts[:-1]))
+        level = {"tree": tree, "n_node": size, "value": value,
+                 "feature": np.full(nn, _LEAF), "threshold": np.full(nn, np.nan),
+                 "gain": np.zeros(nn), "held_out_left": np.zeros(nn, bool)}
+        levels.append(level)
+        keep = ~pure & (size > min_node_size)
+        opened = np.flatnonzero(keep)
+        if (max_depth is not None and depth >= max_depth) or not opened.size:
+            break
+        depth += 1
 
-        split, held_left = None, False
-        at_depth = max_depth is not None and depth >= max_depth
-        if not (pure or at_depth or n <= min_node_size):
-            feats = node_rng(route).choice(n_features, size=mtry,
-                                           replace=False)
-            feats.sort()
-            cols = _read(data, rows[:, None], feats)
-            cat = categorical[feats] if categorical is not None else None
-            held = None if held_out is None else held_out[rows[:, None], feats]
-            split = find_node_split(
-                cols, feats, yv, task=task, n_classes=n_classes,
-                strategy=strategy, n_bins=n_bins, categorical=cat,
-                held=held if held is not None and held.any() else None)
-            if split is not None:
-                j = feats.tolist().index(split.feature)
-                go_left = cols[:, j] <= split.threshold
-                if held is not None:
-                    # held-out rows follow the side with more observed rows
-                    obs = ~held[:, j]
-                    held_left = (2 * np.count_nonzero(go_left & obs)
-                                 >= np.count_nonzero(obs))
-                    go_left = np.where(obs, go_left, held_left)
-                # histogram bin edges can land on a value and leave one
-                # side empty on the raw data; fall back to a leaf
-                if not 0 < np.count_nonzero(go_left) < n:
-                    split = None
+        feats = np.empty((len(opened), mtry), dtype=np.int64)
+        for i, (t, r) in enumerate(zip(tree[opened].tolist(),
+                                       route[opened].tolist())):
+            feats[i] = streams[t](r).choice(n_features, size=mtry,
+                                            replace=False)
+        feats.sort(axis=1)
+        # the open nodes' rows, the nodes renumbered from 0
+        keep = keep[node]
+        rows, yv = rows[keep], yv[keep]
+        size = size[opened]
+        starts = np.concatenate(([0], np.cumsum(size)))
+        node = np.repeat(np.arange(len(opened)), size)
+        cell_feats = feats[node]
+        cols = _read(data, rows[:, None], cell_feats)
+        held = None
+        if held_out is not None:
+            held = held_out[rows[:, None], cell_feats]
+            any_held = np.logical_or.reduceat(held.any(axis=1), starts[:-1])
+        del cell_feats
+        cat = None if categorical is None else categorical[feats]
+        bounds = starts.tolist()
+        splits = [find_node_split(
+            cols[a:b], feats[i], yv[a:b], task=task, n_classes=n_classes,
+            strategy=strategy, n_bins=n_bins,
+            categorical=None if cat is None else cat[i],
+            held=held[a:b] if held is not None and any_held[i] else None)
+            for i, (a, b) in enumerate(zip(bounds, bounds[1:]))]
 
-        if split is None:
-            grown.append((node, _LEAF, np.nan, _LEAF, _LEAF, next_leaf, n,
-                          value, held_left))
-            next_leaf += 1
-            continue
+        feature, threshold, gain = (np.array(v) for v in zip(*[
+            (sp.feature, sp.threshold, sp.gain) if sp else (_LEAF, 0.0, 0.0)
+            for sp in splits]))
+        found = feature >= 0
+        # each row's value of its node's split feature
+        col = np.argmax(feats == feature[:, None], axis=1)[node]
+        cell = np.arange(len(rows)), col
+        go_left = cols[cell] <= threshold[node]
+        del cols
+        if held is not None:
+            # held-out rows follow the side with more observed rows
+            obs = ~held[cell]
+            side = (2 * np.bincount(node[obs & go_left], minlength=len(size))
+                    >= np.bincount(node[obs], minlength=len(size)))
+            go_left = np.where(obs, go_left, side[node])
+            level["held_out_left"][opened] = found & side
+        n_left = np.bincount(node[go_left], minlength=len(size))
+        # histogram bin edges can land on a value and leave one side empty
+        # on the raw data; such a node stays a leaf
+        ok = found & (n_left > 0) & (n_left < size)
+        split = opened[ok]
+        level["feature"][split] = feature[ok]
+        level["threshold"][split] = threshold[ok]
+        level["gain"][split] = gain[ok]
 
-        grown.append((node, split.feature, split.threshold, n_made,
-                      n_made + 1, _LEAF, n, value, held_left))
-        split_gain[split.feature] += split.gain * n
-        stack.append((n_made + 1, rows[~go_left], depth + 1,
-                      child_route(route, True)))
-        stack.append((n_made, rows[go_left], depth + 1,
-                      child_route(route, False)))
-        n_made += 2
+        # a stable partition by counts: each split node's rows go to its
+        # left child, then its right child, both in row order
+        keep = ok[node]
+        rows, go_left = rows[keep], go_left[keep]
+        n_left, size = n_left[ok], size[ok]
+        node = np.repeat(np.arange(len(size)), size)
+        first = np.cumsum(size) - size
+        left_before = np.cumsum(go_left) - go_left
+        at_first = left_before[first]
+        at = np.where(go_left, left_before + (first - at_first)[node],
+                      np.arange(len(rows)) - left_before
+                      + (at_first + n_left)[node])
+        moved = np.empty_like(rows)
+        moved[at] = rows
+        rows = moved
+        sizes = np.column_stack([n_left, size - n_left]).ravel()
+        starts = np.concatenate(([0], np.cumsum(sizes)))
+        tree = np.repeat(tree[split], 2)
+        route = np.column_stack([child_route(route[split], False),
+                                 child_route(route[split], True)]).ravel()
+    return _number_depth_first(levels, len(trees), n_features,
+                               held_out is not None), inbag.astype(np.uint16)
 
-    grown.sort(key=lambda record: record[0])
-    _, *columns, held_left = zip(*grown)
-    arrays = {name: np.array(column, dtype=dtype) for (name, dtype), column
-              in zip(NODE_LAYOUT, [*columns, split_gain], strict=True)}
-    if held_out is not None:
-        arrays["held_out_left"] = np.array(held_left)
-    return arrays, inbag
+
+def _number_depth_first(levels, n_trees, n_features,
+                        held_out: bool) -> list[dict]:
+    """Each tree's NODE_LAYOUT arrays, and held_out_left if held_out, from
+    the levels `_grow_trees` grew.
+
+    The children of a level's split nodes fill the next level in pairs,
+    left then right. The nodes are numbered as a left-first depth-first
+    grower numbers them: the root is 0 and the k-th node split in
+    preorder has children 2k + 1 and 2k + 2, leaves take their ids in
+    preorder, and split_gain sums gain * n_node over the splits in
+    preorder.
+    """
+    node = {k: np.concatenate([lv[k] for lv in levels]) for k in levels[0]}
+    offset = np.cumsum([0] + [len(lv["tree"]) for lv in levels])
+    is_split = node["feature"] >= 0
+    parent = np.flatnonzero(is_split)
+    child = np.concatenate([offset[i + 1] + 2 * np.arange(
+        np.count_nonzero(lv["feature"] >= 0)) for i, lv in enumerate(levels)])
+    cut = np.searchsorted(parent, offset).tolist()
+    per_level = [slice(a, b) for a, b in zip(cut, cut[1:])]
+    # subtree sizes bottom-up, then preorder positions top-down
+    size = np.ones(len(is_split), dtype=np.int64)
+    for lv in reversed(per_level):
+        size[parent[lv]] += size[child[lv]] + size[child[lv] + 1]
+    pos = np.zeros_like(size)
+    for lv in per_level:
+        pos[child[lv]] = pos[parent[lv]] + 1
+        pos[child[lv] + 1] = pos[parent[lv]] + 1 + size[child[lv]]
+    tree = node["tree"]
+    base = np.concatenate(([0], np.cumsum(np.bincount(tree,
+                                                      minlength=n_trees))))
+    order = np.empty_like(pos)
+    order[base[tree] + pos] = np.arange(len(pos))
+    # each split's, and each leaf's, rank in its tree's preorder
+    rank = np.empty_like(pos)
+    for kind in (is_split, ~is_split):
+        sorted_kind = kind[order]
+        before = np.cumsum(sorted_kind) - sorted_kind
+        before -= before[base[:-1]][tree[order]]
+        rank[order[sorted_kind]] = before[sorted_kind]
+    ident = np.zeros_like(pos)
+    ident[child] = 2 * rank[parent] + 1
+    ident[child + 1] = ident[child] + 1
+    node["left"] = np.full(len(pos), _LEAF)
+    node["left"][parent] = ident[child]
+    node["right"] = np.where(is_split, node["left"] + 1, _LEAF)
+    node["leaf_id"] = np.where(is_split, _LEAF, rank)
+    split_gain = np.zeros((n_trees, n_features))
+    pre = order[is_split[order]]
+    np.add.at(split_gain, (tree[pre], node["feature"][pre]),
+              node["gain"][pre] * node["n_node"][pre])
+    inv = np.empty_like(pos)
+    inv[base[tree] + ident] = np.arange(len(pos))
+    names = [name for name, _ in NODE_LAYOUT[:-1]]
+    if held_out:
+        names.append("held_out_left")
+    out = {name: node[name][inv] for name in names}
+    return [{"split_gain": split_gain[t],
+             **{name: out[name][base[t]:base[t + 1]] for name in names}}
+            for t in range(n_trees)]
 
 
 def train(ds: Dataset, config: ForestConfig) -> Forest:
@@ -581,6 +708,8 @@ def train(ds: Dataset, config: ForestConfig) -> Forest:
     the target to be absent and trains real-vs-synthetic on the
     column-permuted augmentation. Returns a Forest with per-tree in-bag
     counts, per-row leaf assignments, and the OOB error filled in.
+    The trees grow level by level, all of a group at once (see the
+    module docstring), into the forest a depth-first grower would build.
     Deterministic for a fixed (data, config).
     """
     return _train(ds, config, held_out=None)
@@ -590,14 +719,15 @@ def train_held_out(ds: Dataset, held_out, config: ForestConfig) -> Forest:
     """Grow a forest that never reads the cells marked in held_out.
 
     ds must be dense and complete; its held-out cells hold placeholder
-    fills. Every node makes the one sorted scan of `find_node_split`,
-    with the node's held-out cells as its held mask: each candidate
-    feature is scored on the node's rows where that cell is observed, its
-    gain scaled by the observed share, and the exact tie rule of every
-    other node picks among features.
+    fills. Each level of the level-wise growth reads the held-out flag of
+    every candidate cell it reads, and every node makes the one sorted
+    scan of `find_node_split` with its held-out cells as its held mask:
+    each candidate feature is scored on the node's rows where that cell
+    is observed, its gain scaled by the observed share, and the exact tie
+    rule of every other node picks among features.
     A row whose split feature is held out goes to the child holding more
-    of the node's observed in-bag rows, both during growth and in
-    leaf_of_train. In unsupervised mode the synthetic half carries the
+    of the node's observed in-bag rows, both in the level's partition and
+    in leaf_of_train. In unsupervised mode the synthetic half carries the
     mask, permuted along with the values. The forest, and everything read
     from its leaf assignments, is then a function of the observed cells
     alone. With no cell held out this is exactly `train`.
@@ -636,17 +766,21 @@ def _train(ds: Dataset, config: ForestConfig,
     if not categorical.any():
         categorical = None
 
-    grown = [_grow_tree(
-        data, view.y, t, task=task, n_classes=view.n_classes or 0,
-        n_features=ds.n_features, mtry=mtry, min_node_size=min_node,
-        max_depth=config.max_depth, strategy=config.split_strategy,
-        n_bins=config.n_bins, seed=config.seed, categorical=categorical,
-        held_out=held_out) for t in range(config.n_trees)]
+    # trees grow in groups whose level arrays fit BLOCK_BYTES
+    step = max(1, BLOCK_BYTES // ((_GROW_CELL_BYTES + 17 * mtry)
+                                  * len(view.y)))
+    grown = [_grow_trees(
+        data, view.y, range(t, min(t + step, config.n_trees)), task=task,
+        n_classes=view.n_classes or 0, n_features=ds.n_features, mtry=mtry,
+        min_node_size=min_node, max_depth=config.max_depth,
+        strategy=config.split_strategy, n_bins=config.n_bins,
+        seed=config.seed, categorical=categorical, held_out=held_out)
+        for t in range(0, config.n_trees, step)]
 
     forest = Forest(
         config=config,
-        tree_arrays=[g[0] for g in grown],
-        inbag_counts=np.column_stack([g[1] for g in grown]),
+        tree_arrays=[a for g in grown for a in g[0]],
+        inbag_counts=np.hstack([g[1] for g in grown]),
         leaf_of_train=None,
         n_features=ds.n_features,
         n_classes=view.n_classes,

@@ -3,9 +3,10 @@
 Every stochastic step in the package draws from a Philox counter-based
 generator keyed by (seed, purpose tag, indices). Streams are independent
 of each other and of execution order: a tree's growth does not depend on
-which trees grew before it, and a node's draw does not depend on the
-order its tree visits nodes, so training and the permutation analyses
-are bit-identical functions of the data and the seed.
+which trees grow before it or beside it, and a node's draw does not
+depend on the order in which nodes are grown (depth first, or level by
+level over many trees), so training and the permutation analyses are
+bit-identical functions of the data and the seed.
 """
 
 import numpy as np
@@ -30,8 +31,9 @@ _INDEX_MASK = STREAM_LIMIT - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
-def mix64(x: int) -> int:
-    """splitmix64 finalizer: a well-spread 64-bit mix."""
+def mix64(x):
+    """splitmix64 finalizer: a well-spread 64-bit mix of an int, or of each
+    entry of a uint64 array (whose arithmetic wraps modulo 2**64)."""
     x = (x + _GOLDEN) & _MASK64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -41,9 +43,14 @@ def mix64(x: int) -> int:
 ROOT_ROUTE = mix64(1)
 
 
-def child_route(route: int, go_right: bool) -> int:
-    """Route id of a node's child; a pure function of the path from the root."""
-    return mix64(route ^ (2 + int(go_right)))
+def child_route(route, go_right):
+    """Route id of a node's child; a pure function of the path from the root.
+
+    route is an int and go_right a bool, or route a uint64 array and
+    go_right bools broadcast against it: the route of each node's child.
+    """
+    side = 2 + np.asarray(go_right, dtype=np.uint64)
+    return mix64(route ^ (side if isinstance(route, np.ndarray) else int(side)))
 
 
 def _stream_key(seed: int, tag: int, a: int = 0, b: int = 0) -> np.ndarray:

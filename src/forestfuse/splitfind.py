@@ -3,8 +3,9 @@
 One sorted scan per node serves both strategies. The node turns its
 candidate columns into one (n, f) matrix of sort keys, sorts every column
 with one argsort and runs one cumulative sum down the sorted rows: of the
-one-hot labels in integers (classification), or of the targets
-(regression, whose float sums need the stable sort). A split may fall
+one-hot labels in integers (classification; in blocks that fit
+BLOCK_BYTES when the classes are many), or of the targets (regression,
+whose float sums need the stable sort). A split may fall
 only between two sorted rows whose keys differ. Keys come in two kinds:
 
 * value keys, the raw values: every candidate under `presort`, and the
@@ -51,6 +52,12 @@ import numpy as np
 
 from .errors import ArgumentError
 
+# bytes of temporaries that one block of a blocked pass may hold: the
+# split scan's one-hot blocks here, and in forest.py the grower's tree
+# groups, row blocks of the walk, importance cells and their ancestor
+# tables, proximity blocks
+BLOCK_BYTES = 8 << 20
+
 # gains at or below this are treated as "no improvement"
 GAIN_EPS = 1e-12
 
@@ -79,6 +86,60 @@ def _sort_keys(cols, binned, n_bins, held):
             n_bins - 1)
         keys = np.where(binned, codes, cols)
     return keys if held is None else np.where(held, np.inf, keys), lo, width
+
+
+def _running_counts(labels, n_classes):
+    """(n, f, K) int64: the class counts of rows 0..p of each column."""
+    left = np.zeros(labels.shape + (n_classes,), dtype=np.int64)
+    left.reshape(-1)[np.arange(0, left.size, n_classes) + labels.ravel()] = 1
+    return left.cumsum(axis=0, out=left)
+
+
+def _class_squares(y, order, n_classes, held, last):
+    """(a, b, parent): sums of squared class counts, in integers.
+
+    a[p, j] and b[p, j] sum the squared left and right class counts at
+    boundary p of column j (its first p + 1 sorted rows go left), parent
+    those of each column's first n_obs rows, at `last`. The counts take
+    8 bytes a class and cell, and 24 more a cell for the one-hot's
+    indices. A node whose counts fit BLOCK_BYTES is one block, its totals
+    the counts at `last`. A larger node counts its totals first and then
+    scans blocks of columns, and of rows with the running counts carried
+    between them, each within BLOCK_BYTES; integer counts give the same
+    sums.
+    """
+    n, f = order.shape
+    labels = y.take(order)
+    cells = max(1, BLOCK_BYTES // (8 * (n_classes + 3)))
+    if n * f <= cells:
+        left = _running_counts(labels, n_classes)
+        sq = np.einsum("pjk,pjk->pj", left, left)
+        total = left[-1].copy() if held is None else left[last]
+        # the right counts, in place
+        np.subtract(total, left, out=left)
+        return sq[:-1], np.einsum("pjk,pjk->pj", left, left)[:-1], sq[last]
+
+    cell = np.arange(f) * n_classes + y[:, None]
+    total = np.bincount(cell.ravel() if held is None else cell[~held],
+                        minlength=f * n_classes).reshape(f, n_classes)
+    sq = np.empty((n, f), dtype=np.int64)
+    b = np.empty_like(sq)
+    width = min(f, max(1, cells // n))
+    height = min(n, max(1, cells // width))
+    for j0 in range(0, f, width):
+        js = slice(j0, j0 + width)
+        for p0 in range(0, n, height):
+            ps = slice(p0, p0 + height)
+            left = _running_counts(labels[ps, js], n_classes)
+            if p0:
+                left += run
+            run = left[-1].copy()
+            np.einsum("pjk,pjk->pj", left, left, out=sq[ps, js])
+            # one block lives at a time
+            np.subtract(total[js], left, out=left)
+            np.einsum("pjk,pjk->pj", left, left, out=b[ps, js])
+            del left
+    return sq[:-1], b[:-1], sq[last]
 
 
 def find_node_split(cols, feat_ids, y, *, task, n_classes=0,
@@ -139,12 +200,7 @@ def find_node_split(cols, feat_ids, y, *, task, n_classes=0,
         n_obs = np.maximum(n - np.count_nonzero(held, axis=0), 1)
         last, n_right = (n_obs - 1, np.arange(f)), np.maximum(n_obs - n_left, 1)
     if task == "classification":
-        left = np.eye(n_classes, dtype=np.int64).take(y.take(order), axis=0)
-        left.cumsum(axis=0, out=left)
-        sq = np.einsum("pjk,pjk->pj", left, left)
-        total, left, parent, a = left[last], left[:-1], sq[last], sq[:-1]
-        right = total - left
-        b = np.einsum("pjk,pjk->pj", right, right)
+        a, b, parent = _class_squares(y, order, n_classes, held, last)
         scores = a / n_left + b / n_right
     else:
         left = y.take(order).cumsum(axis=0, dtype=np.float64)

@@ -10,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import forestfuse as ff
+from forestfuse import forest as forest_module
 from forestfuse.forest import (_ancestors, _node_grid, _perturbed_walk,
                                _query_leaves, _walk, train_held_out)
-from forestfuse.model_io import ModelArtifact, dataset_fingerprint
+from forestfuse.model_io import ModelArtifact, dataset_fingerprint, save_model
 from forestfuse.rng import (ROOT_ROUTE, NodeStreams, child_route, donor_rng,
                             donor_streams, node_rng, permute_rng,
                             permute_streams, query_donor_rng,
@@ -221,6 +222,36 @@ class TestTraining:
                 want.integers(0, 1000, size=extra, dtype=np.int32))
 
     @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 64 - 1), st.integers(0, 2 ** 28 - 1),
+           st.lists(st.lists(st.booleans(), max_size=12), min_size=1,
+                    max_size=20))
+    def test_vectorised_routes_match_the_scalar_chain(self, seed, tree,
+                                                      paths):
+        # each path is a run of turns (True: right) from the root; the
+        # uint64 routes take one turn a step, for the paths still going
+        want = []
+        for path in paths:
+            route = ROOT_ROUTE
+            for right in path:
+                route = child_route(route, right)
+            want.append(route)
+        depth = max(map(len, paths))
+        turns = np.array([p + [False] * (depth - len(p)) for p in paths],
+                         dtype=bool).reshape(len(paths), depth)
+        going = np.array([[i < len(p) for i in range(depth)] for p in paths],
+                         dtype=bool).reshape(len(paths), depth)
+        routes = np.full(len(paths), ROOT_ROUTE, dtype=np.uint64)
+        for step in range(depth):
+            routes = np.where(going[:, step],
+                              child_route(routes, turns[:, step]), routes)
+        assert routes.tolist() == want
+        streams = NodeStreams(seed, tree)
+        for got, route in zip(routes.tolist(), want):
+            assert np.array_equal(
+                streams(got).choice(50, size=5, replace=False),
+                node_rng(seed, tree, route).choice(50, size=5, replace=False))
+
+    @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2 ** 64 - 1),
            st.lists(st.tuples(st.sampled_from(["donor", "permute", "query"]),
                               st.integers(0, 2 ** 28 - 1),
@@ -381,6 +412,8 @@ class TestGrowerOracle:
     be find_node_split's on exactly those, its value and size theirs.
     Leaf ids and child ids follow the left-first depth-first order, and
     split_gain is the sum of gain * n over the splits in that order.
+    `check` returns how many nodes found a split that left one side empty
+    on the raw values, and so stayed leaves.
     """
 
     @staticmethod
@@ -405,6 +438,7 @@ class TestGrowerOracle:
         mtry = cfg.resolved_mtry(m)
         min_node = cfg.resolved_min_node_size()
         is_cat = ds.schema.is_categorical()
+        fallbacks = 0
         for t, tree in enumerate(forest.trees):
             draw = tree_rng(cfg.seed, t).integers(0, len(y), size=len(y))
             assert np.array_equal(forest.inbag_counts[:, t],
@@ -439,6 +473,7 @@ class TestGrowerOracle:
                         go_left = np.where(obs, go_left, side)
                     if go_left.all() or not go_left.any():
                         split = None
+                        fallbacks += 1
                 if split is None:
                     assert tree.feature[node] == -1
                     assert tree.leaf_id[node] == next_leaf
@@ -460,6 +495,7 @@ class TestGrowerOracle:
             assert next_node == tree.n_nodes
             assert next_leaf == np.count_nonzero(tree.feature < 0)
             assert np.array_equal(tree.split_gain, gain)
+        return fallbacks
 
     @settings(max_examples=30, deadline=None)
     @given(sparse_matrices(max_rows=16, max_cols=4),
@@ -493,6 +529,33 @@ class TestGrowerOracle:
         else:
             self.check(ds, ff.train(ds, cfg), cfg)
 
+    @pytest.mark.parametrize("strategy", ["presort", "histogram"])
+    @pytest.mark.parametrize("mode", ["classification", "regression",
+                                      "unsupervised"])
+    def test_wide_levels_of_many_trees(self, mode, strategy):
+        # 200 rows and 8 trees, so each level holds many nodes of several
+        # trees. Feature 0 takes two adjacent floats: a bin edge between
+        # them rounds onto the upper one, so a histogram split on it sends
+        # every row left and its node stays a leaf
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(200, 4)).round(1)
+        X[:, 0] = np.where(rng.uniform(size=200) < 0.5, 1 + 2 ** -52,
+                           1 + 2 ** -51)
+        X[:, 3] = rng.integers(0, 3, size=200)
+        schema = ff.FeatureSchema([
+            ff.Feature(f"f{k}", "categorical" if k == 3 else "continuous",
+                       ("a", "b", "c") if k == 3 else ()) for k in range(4)])
+        ds = ff.Dataset.from_dense(
+            X, schema, target=TestForestWalk.target(mode, 200, rng))
+        held = rng.uniform(size=X.shape) < 0.2
+        cfg = ff.ForestConfig(mode=mode, n_trees=8, seed=5, n_bins=2,
+                              split_strategy=strategy)
+        fallbacks = (self.check(ds, ff.train(ds, cfg), cfg)
+                     + self.check(ds, train_held_out(ds, held, cfg), cfg,
+                                  held))
+        if strategy == "histogram":
+            assert fallbacks > 0
+
     @pytest.mark.parametrize("mode", ["classification", "regression",
                                       "unsupervised"])
     def test_deep_trees_sum_split_gain_depth_first(self, mode):
@@ -506,6 +569,53 @@ class TestGrowerOracle:
         self.check(ds, ff.train(ds, cfg), cfg)
         held = rng.uniform(size=X.shape) < 0.2
         self.check(ds, train_held_out(ds, held, cfg), cfg, held)
+
+
+class TestTreeGroups:
+    """Trees grow in groups whose level arrays fit forest.BLOCK_BYTES; the
+    grouping changes no forest."""
+
+    @pytest.mark.parametrize("storage", ["dense", "csr", "held"])
+    @pytest.mark.parametrize("strategy", ["presort", "histogram"])
+    @pytest.mark.parametrize("mode", ["classification", "regression",
+                                      "unsupervised"])
+    def test_one_tree_a_group_grows_the_same_forest(
+            self, mode, strategy, storage, tmp_path, monkeypatch):
+        rng = np.random.default_rng(11)
+        X = rng.normal(size=(120, 4)).round(1)
+        X[:, 1] = np.where(rng.uniform(size=120) < 0.4, 0.0, X[:, 1])
+        X[:, 3] = rng.integers(0, 3, size=120)
+        schema = ff.FeatureSchema([
+            ff.Feature(f"f{k}", "categorical" if k == 3 else "continuous",
+                       ("a", "b", "c") if k == 3 else ()) for k in range(4)])
+        target = TestForestWalk.target(mode, 120, rng)
+        held = rng.uniform(size=X.shape) < 0.2
+        if storage == "csr":
+            ds = ff.Dataset.from_csr(*dense_to_csr(X), 4, schema=schema,
+                                     target=target)
+        else:
+            ds = ff.Dataset.from_dense(X, schema, target=target)
+        cfg = ff.ForestConfig(mode=mode, n_trees=5, seed=2, n_bins=8,
+                              split_strategy=strategy)
+
+        def grow(name):
+            forest = (train_held_out(ds, held, cfg) if storage == "held"
+                      else ff.train(ds, cfg))
+            path = tmp_path / name
+            save_model(path, ModelArtifact(
+                forest, schema, dataset_fingerprint(ds, cfg.seed)))
+            return forest, path.read_bytes()
+
+        together, together_bytes = grow("together.ffm")
+        monkeypatch.setattr(forest_module, "BLOCK_BYTES", 1)
+        alone, alone_bytes = grow("alone.ffm")
+        assert together_bytes == alone_bytes
+        for name in ("leaf_of_train", "split_gain", "inbag_counts",
+                     "held_out_left"):
+            a, b = getattr(together, name), getattr(alone, name)
+            assert (a is None) == (b is None) == (storage != "held"
+                                                  and name == "held_out_left")
+            assert a is None or np.array_equal(a, b)
 
 
 class TestPredict:

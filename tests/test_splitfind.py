@@ -1,13 +1,15 @@
 """Split finding against brute-force oracles."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import forestfuse as ff
+from forestfuse import splitfind
 
 
 def gini(counts):
@@ -353,3 +355,37 @@ class TestOneScanOracle:
                                                              abs=1e-12)
         if strategy == "presort":
             assert exact == top and got.gain == float(top)
+
+
+class TestBlockedClassCounts:
+    @settings(max_examples=200, deadline=None)
+    @given(tied_nodes(), st.integers(1, 2000))
+    def test_blocks_give_the_one_block_split(self, node, budget):
+        # a budget of a few bytes cuts the one-hot into blocks of columns
+        # and of rows; integer counts carried between them change nothing
+        assume(node["task"] == "classification")
+        kwargs = dict(task="classification", n_classes=node["n_classes"],
+                      strategy=node["strategy"], n_bins=node["n_bins"],
+                      categorical=node["categorical"], held=node["held"])
+        whole = ff.find_node_split(node["cols"], node["feat_ids"], node["y"],
+                                   **kwargs)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(splitfind, "BLOCK_BYTES", budget)
+            blocked = ff.find_node_split(node["cols"], node["feat_ids"],
+                                         node["y"], **kwargs)
+        assert blocked == whole
+
+    def test_many_classes_scan_within_the_block_budget(self):
+        # the root of 2000 rows with 1000 classes: its whole one-hot would
+        # be 2000 x 3 x 1000 counts (46 MiB), about six budgets
+        rng = np.random.default_rng(0)
+        cols, y = rng.normal(size=(2000, 3)), rng.integers(0, 1000, 2000)
+        tracemalloc.start()
+        try:
+            split = ff.find_node_split(cols, np.arange(3), y,
+                                       task="classification", n_classes=1000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert split is not None
+        assert peak < splitfind.BLOCK_BYTES + (1 << 20)

@@ -503,11 +503,14 @@ class _TrainingView:
 
 # -- growth ----------------------------------------------------------------
 
-# bytes one (row, tree) cell of a growth level holds at most, besides 17
-# per candidate feature (its id, value and held flag, while its cells are
-# read): its row, node and label, the masks and the partition's counts
-# (tracemalloc read 105-111 bytes a cell at mtry 1-8, 281-353 at mtry 30)
+# bytes one (row, tree) cell of a growth level holds at most: its row,
+# node and label, the masks and the partition's counts
 _GROW_CELL_BYTES = 112
+# and per candidate feature: its id, value and held flag while its cells
+# are read, and on CSR the read's cell keys, positions and gathered values
+# (tracemalloc read 16-21 bytes a candidate cell more on CSR than dense)
+_GROW_CANDIDATE_BYTES = 17
+_CSR_READ_BYTES = 24
 
 
 def _grow_trees(data, y, trees, *, task, n_classes, n_features, mtry,
@@ -767,7 +770,9 @@ def _train(ds: Dataset, config: ForestConfig,
         categorical = None
 
     # trees grow in groups whose level arrays fit BLOCK_BYTES
-    step = max(1, BLOCK_BYTES // ((_GROW_CELL_BYTES + 17 * mtry)
+    candidate = _GROW_CANDIDATE_BYTES + (_CSR_READ_BYTES if ds.is_sparse
+                                         else 0)
+    step = max(1, BLOCK_BYTES // ((_GROW_CELL_BYTES + candidate * mtry)
                                   * len(view.y)))
     grown = [_grow_trees(
         data, view.y, range(t, min(t + step, config.n_trees)), task=task,

@@ -46,11 +46,9 @@ ROOT_ROUTE = mix64(1)
 def child_route(route, go_right):
     """Route id of a node's child; a pure function of the path from the root.
 
-    route is an int and go_right a bool, or route a uint64 array and
-    go_right bools broadcast against it: the route of each node's child.
+    route is an int, or a uint64 array of routes that all turn go_right.
     """
-    side = 2 + np.asarray(go_right, dtype=np.uint64)
-    return mix64(route ^ (side if isinstance(route, np.ndarray) else int(side)))
+    return mix64(route ^ (2 + int(go_right)))
 
 
 def _stream_key(seed: int, tag: int, a: int = 0, b: int = 0) -> np.ndarray:

@@ -103,10 +103,11 @@ def _class_squares(y, order, n_classes, held, last):
     those of each column's first n_obs rows, at `last`. The counts take
     8 bytes a class and cell, and 24 more a cell for the one-hot's
     indices. A node whose counts fit BLOCK_BYTES is one block, its totals
-    the counts at `last`. A larger node counts its totals first and then
-    scans blocks of columns, and of rows with the running counts carried
-    between them, each within BLOCK_BYTES; integer counts give the same
-    sums.
+    the counts at `last` (the block loop below, run as one block, costs
+    about 4 us a call more, a twentieth of a small node's scan). A larger
+    node counts its totals first and then scans blocks of columns, and of
+    rows with the running counts carried between them, each within
+    BLOCK_BYTES; integer counts give the same sums.
     """
     n, f = order.shape
     labels = y.take(order)

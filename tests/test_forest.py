@@ -242,8 +242,9 @@ class TestTraining:
                          dtype=bool).reshape(len(paths), depth)
         routes = np.full(len(paths), ROOT_ROUTE, dtype=np.uint64)
         for step in range(depth):
-            routes = np.where(going[:, step],
-                              child_route(routes, turns[:, step]), routes)
+            turned = np.where(turns[:, step], child_route(routes, True),
+                              child_route(routes, False))
+            routes = np.where(going[:, step], turned, routes)
         assert routes.tolist() == want
         streams = NodeStreams(seed, tree)
         for got, route in zip(routes.tolist(), want):

@@ -54,7 +54,8 @@ class ForestConfig:
     time: mtry = floor(sqrt(m)) for classification/unsupervised and
     floor(m/3) for regression (at least 1); min_node_size = 1 for
     classification/unsupervised and 5 for regression. max_depth = None
-    grows trees fully, to min_node_size or purity.
+    grows trees fully, to min_node_size or purity. seed is in 0..2**64 - 1,
+    the 64 bits every random stream is keyed by.
     """
 
     mode: str
@@ -81,6 +82,9 @@ class ForestConfig:
         if not 1 <= self.n_trees <= STREAM_LIMIT:
             raise ConfigError(f"n_trees must be in 1..{STREAM_LIMIT}: random "
                               "streams are keyed by tree id")
+        if not 0 <= int(self.seed) < 1 << 64:
+            raise ConfigError(f"seed must be in 0..{(1 << 64) - 1}: random "
+                              "streams are keyed by a 64-bit seed")
         if self.split_strategy not in STRATEGIES:
             raise ConfigError(f"unknown split strategy {self.split_strategy!r}")
         if self.n_bins < 2:
@@ -524,8 +528,12 @@ def _grow_trees(data, y, trees, *, task, n_classes, n_features, mtry,
     read of the candidate cells of the nodes that try a split, one
     compare that routes their rows, and one stable partition of those
     rows into the next level, each node's left child before its right.
-    Per node there is only the candidate draw from the node's stream and
-    the `find_node_split` scan. The nodes are then numbered as a
+    Per node there is only the candidate draw and the `find_node_split`
+    scan. The draw re-keys the node's Philox stream and replays numpy
+    2.x's `Generator.choice(n_features, size=mtry, replace=False)` on
+    its raw output (Floyd's algorithm with Lemire's bounded draw, then a
+    Fisher-Yates shuffle; `rng.choose`), so it is the same features
+    without numpy's sampling code. The nodes are then numbered as a
     left-first depth-first grower numbers them (`_number_depth_first`).
     """
     n_rows = len(y)
@@ -564,11 +572,10 @@ def _grow_trees(data, y, trees, *, task, n_classes, n_features, mtry,
             break
         depth += 1
 
-        feats = np.empty((len(opened), mtry), dtype=np.int64)
-        for i, (t, r) in enumerate(zip(tree[opened].tolist(),
-                                       route[opened].tolist())):
-            feats[i] = streams[t](r).choice(n_features, size=mtry,
-                                            replace=False)
+        feats = np.array([streams[t].candidates(r, n_features, mtry)
+                          for t, r in zip(tree[opened].tolist(),
+                                          route[opened].tolist())],
+                         dtype=np.int64)
         feats.sort(axis=1)
         # the open nodes' rows, the nodes renumbered from 0
         keep = keep[node]

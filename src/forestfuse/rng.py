@@ -7,6 +7,13 @@ which trees grow before it or beside it, and a node's draw does not
 depend on the order in which nodes are grown (depth first, or level by
 level over many trees), so training and the permutation analyses are
 bit-identical functions of the data and the seed.
+
+A node's candidate features are m of n drawn without replacement from
+the node's raw Philox output (`choose`): Floyd's algorithm with Lemire's
+bounded draw, then a Fisher-Yates shuffle, or for a large share of many
+features a partial Fisher-Yates shuffle of the tail. That is the draw of
+numpy 2.x's `Generator.choice(n, size=m, replace=False)`, replayed in
+Python ints, so `node_rng(...).choice` is its reference.
 """
 
 import numpy as np
@@ -14,6 +21,7 @@ import numpy as np
 from .errors import ConfigError
 
 _MASK64 = (1 << 64) - 1
+_LOW32 = (1 << 32) - 1
 
 # purpose tags; kept stable because they are part of the determinism contract
 _TAG_TREE = 1
@@ -51,16 +59,21 @@ def child_route(route, go_right):
     return mix64(route ^ (2 + int(go_right)))
 
 
-def _stream_key(seed: int, tag: int, a: int = 0, b: int = 0) -> np.ndarray:
+def _stream_key(seed: int, tag: int, a: int = 0, b: int = 0) -> list[int]:
     if a > _INDEX_MASK or b > _INDEX_MASK:
         raise ConfigError(
             f"rng stream index out of range (limit {_INDEX_MASK})")
     sub = (tag << (2 * _INDEX_BITS)) | (a << _INDEX_BITS) | b
-    return np.array([seed & _MASK64, sub & _MASK64], dtype=np.uint64)
+    return [seed & _MASK64, sub]
+
+
+def _generator(key: list[int]) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(key=np.array(key,
+                                                             dtype=np.uint64)))
 
 
 def _stream(seed: int, tag: int, a: int = 0, b: int = 0) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=_stream_key(seed, tag, a, b)))
+    return _generator(_stream_key(seed, tag, a, b))
 
 
 def tree_rng(seed: int, tree_id: int) -> np.random.Generator:
@@ -68,9 +81,9 @@ def tree_rng(seed: int, tree_id: int) -> np.random.Generator:
     return _stream(seed, _TAG_TREE, tree_id)
 
 
-def _node_key(seed: int, tree_id: int, route: int) -> np.ndarray:
-    sub = mix64((_TAG_NODE << 56) ^ (tree_id * _GOLDEN) ^ route)
-    return np.array([seed & _MASK64, sub], dtype=np.uint64)
+def _node_key(seed: int, tree_id: int, route: int) -> list[int]:
+    return [seed & _MASK64,
+            mix64((_TAG_NODE << 56) ^ (tree_id * _GOLDEN) ^ route)]
 
 
 def node_rng(seed: int, tree_id: int, route: int) -> np.random.Generator:
@@ -79,9 +92,12 @@ def node_rng(seed: int, tree_id: int, route: int) -> np.random.Generator:
     Keyed by the node's path from the root, not by visit order, so a
     structural change in one subtree leaves every other node's draw
     untouched — tree growth is a locally stable function of the data.
+    The grower draws the candidates as `NodeStreams.candidates`, from the
+    stream's raw output (`choose`); `node_rng(...).choice(n, size=m,
+    replace=False)` draws the same features through numpy and is the
+    reference the tests hold it to.
     """
-    return np.random.Generator(np.random.Philox(key=_node_key(seed, tree_id,
-                                                              route)))
+    return _generator(_node_key(seed, tree_id, route))
 
 
 class Rekeyed:
@@ -95,9 +111,15 @@ class Rekeyed:
     """
 
     def __init__(self, key_of):
-        bits = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
-        self._key_of, self._bits, self._fresh = key_of, bits, bits.state
-        self._gen = np.random.Generator(bits)
+        self._key_of = key_of
+        self._bits = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+        self._gen = np.random.Generator(self._bits)
+        # a fresh Philox state in Python lists: the state setter reads it
+        # entry by entry, several times faster than from numpy arrays
+        self._fresh = {"bit_generator": "Philox",
+                       "state": {"counter": [0] * 4, "key": [0, 0]},
+                       "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0,
+                       "uinteger": 0}
 
     def __call__(self, *index) -> np.random.Generator:
         self._fresh["state"]["key"] = self._key_of(*index)
@@ -106,10 +128,77 @@ class Rekeyed:
 
 
 class NodeStreams(Rekeyed):
-    """node_rng(seed, tree_id, route) for one tree, as streams(route)."""
+    """node_rng(seed, tree_id, route) for one tree, as streams(route), and
+    its candidate draw, as streams.candidates(route, n, m)."""
 
     def __init__(self, seed: int, tree_id: int):
         super().__init__(lambda route: _node_key(seed, tree_id, route))
+
+    def candidates(self, route: int, n: int, m: int) -> list[int]:
+        """node_rng(seed, tree_id, route).choice(n, size=m, replace=False),
+        drawn by `choose` from the node stream's raw output."""
+        self(route)
+        return choose(self._bits, n, m)
+
+
+def _words(bits, count: int):
+    """bits' 32-bit outputs: each raw 64-bit word's low half, then its
+    high half, as Philox's next_uint32 gives them; `count` raw words are
+    read at a time, more only when those run out."""
+    while True:
+        for word in bits.random_raw(count).tolist():
+            yield word & _LOW32
+            yield word >> 32
+
+
+def _lemire(words, j: int) -> int:
+    """A uniform draw from [0, j], j < 2**32, from the 32-bit words, as
+    numpy's bounded draw makes it (Lemire's multiply and reject).
+
+    A word w gives the high half of w * (j + 1), unless the low half is
+    below 2**32 mod (j + 1), which it can only be when it is below j + 1;
+    then the next word is tried. j = 0 reads no word.
+    """
+    if not j:
+        return 0
+    span = j + 1
+    x = next(words) * span
+    if x & _LOW32 < span:
+        floor = ((1 << 32) - span) % span
+        while x & _LOW32 < floor:
+            x = next(words) * span
+    return x >> 32
+
+
+def choose(bits, n: int, m: int) -> list[int]:
+    """m distinct draws from range(n), n <= 2**32, in the order
+    `np.random.Generator(bits).choice(n, size=m, replace=False)` gives.
+
+    bits is a Philox fresh from its key, with no saved 32-bit half. For a
+    large share of many features (n > 10,000 and m > n // 50) a partial
+    Fisher-Yates shuffle of range(n) takes the last m entries. Otherwise
+    Floyd's algorithm draws one value in [0, j] for j = n - m .. n - 1,
+    taking j when the value was drawn before, and a Fisher-Yates shuffle
+    of the m values follows. Every draw is `_lemire`'s.
+    """
+    words = _words(bits, m)
+    if n > 10000 and m > n // 50:
+        pool = list(range(n))
+        for i in range(n - 1, max(n - m, 1) - 1, -1):
+            k = _lemire(words, i)
+            pool[i], pool[k] = pool[k], pool[i]
+        return pool[n - m:]
+    out, seen = [], set()
+    for j in range(n - m, n):
+        v = _lemire(words, j)
+        if v in seen:
+            v = j
+        seen.add(v)
+        out.append(v)
+    for i in range(m - 1, 0, -1):
+        k = _lemire(words, i)
+        out[i], out[k] = out[k], out[i]
+    return out
 
 
 def synthetic_rng(seed: int, column: int) -> np.random.Generator:

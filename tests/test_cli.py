@@ -121,6 +121,28 @@ def test_train_rejects_a_non_finite_cell(trained, tmp_path, capsys):
     assert not (tmp_path / "m.ffm").exists()
 
 
+@pytest.mark.parametrize("seed", ["-5", "-1", str(2 ** 64), str(2 ** 70)])
+def test_train_rejects_a_seed_outside_64_bits(trained, tmp_path, capsys,
+                                              seed):
+    paths, _, _ = trained
+    capsys.readouterr()
+    assert main(["train", str(paths["train.csv"]), str(paths["schema.txt"]),
+                 "-o", str(tmp_path / "m.ffm"), "--target", "label",
+                 "--mode", "classification", "--trees", "2",
+                 "--seed", seed]) == 1
+    assert_one_line_error(capsys, f"seed must be in 0..{2 ** 64 - 1}")
+    assert not (tmp_path / "m.ffm").exists()
+
+
+def test_train_accepts_the_largest_seed(trained, tmp_path):
+    paths, _, _ = trained
+    assert main(["train", str(paths["train.csv"]), str(paths["schema.txt"]),
+                 "-o", str(tmp_path / "m.ffm"), "--target", "label",
+                 "--mode", "classification", "--trees", "2",
+                 "--seed", str(2 ** 64 - 1)]) == 0
+    assert ff.load_model(tmp_path / "m.ffm").forest.config.seed == 2 ** 64 - 1
+
+
 def test_train_rejects_a_huge_class_label(trained, tmp_path, capsys):
     paths, _, _ = trained
     data = tmp_path / "huge.csv"

@@ -143,6 +143,18 @@ class TestTrainValidation:
                                           dataset_fingerprint(ds, 7)))
         assert ff.load_model(path).forest.config == plain.config
 
+    @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1, np.uint64(2 ** 64 - 1)])
+    def test_seed_range_ends_accepted(self, seed):
+        ff.ForestConfig(mode="classification", seed=seed).validate()
+
+    @pytest.mark.parametrize("seed", [-1, -5, 2 ** 64, 2 ** 70,
+                                      np.int64(-1)])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        # the streams key on seed & (2**64 - 1): -5 and 2**70 would grow
+        # the forests of 2**64 - 5 and 0
+        with pytest.raises(ff.ConfigError, match=r"seed must be in 0\.\."):
+            ff.ForestConfig(mode="classification", seed=seed).validate()
+
     def test_mtry_bounds(self):
         ds = ff.Dataset.from_dense(np.random.default_rng(0).normal(size=(10, 2)),
                                    target=np.zeros(10))

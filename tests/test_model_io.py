@@ -52,20 +52,24 @@ def test_round_trip_keeps_predictions_and_neighbours(mode, tmp_path):
         (tmp_path / "m.ffm").read_bytes()
 
 
-def test_stored_proximity_pairs_key_is_ignored(model_file, tmp_path):
-    """Files written while the config held `proximity_pairs` still load."""
-    path, forest, ds = model_file
-    blob = path.read_bytes()
+def with_config(blob, **fields):
+    """A model file's bytes with fields set in its stored config."""
     # the first section, after the 12-byte header: "meta", then its size
     assert blob[12:18] == b"\x04\x00meta"
     (size,) = struct.unpack_from("<Q", blob, 18)
     meta = json.loads(blob[26:26 + size])
-    assert "proximity_pairs" not in meta["config"]
-    meta["config"]["proximity_pairs"] = "oob"
+    meta["config"].update(fields)
     raw = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
+    return blob[:18] + struct.pack("<Q", len(raw)) + raw + blob[26 + size:]
+
+
+def test_stored_proximity_pairs_key_is_ignored(model_file, tmp_path):
+    """Files written while the config held `proximity_pairs` still load."""
+    path, forest, ds = model_file
+    blob = path.read_bytes()
+    assert b"proximity_pairs" not in blob
     old = tmp_path / "old.ffm"
-    old.write_bytes(blob[:18] + struct.pack("<Q", len(raw)) + raw
-                    + blob[26 + size:])
+    old.write_bytes(with_config(blob, proximity_pairs="oob"))
     artifact = ff.load_model(old)
     assert artifact.forest.config == forest.config
     X = ds.without_target().values
@@ -73,6 +77,17 @@ def test_stored_proximity_pairs_key_is_ignored(model_file, tmp_path):
                                   ff.predict_proba(forest, X))
     ff.save_model(tmp_path / "resaved.ffm", artifact)
     assert (tmp_path / "resaved.ffm").read_bytes() == blob
+
+
+@pytest.mark.parametrize("seed", [-5, 2 ** 64])
+def test_seed_outside_64_bits_rejected(model_file, tmp_path, seed):
+    """Such a seed grew another seed's forest; a file holding one no longer
+    loads."""
+    path, _, _ = model_file
+    bad = tmp_path / "bad.ffm"
+    bad.write_bytes(with_config(path.read_bytes(), seed=seed))
+    with pytest.raises(ff.ModelFormatError, match="seed must be in 0"):
+        ff.load_model(bad)
 
 
 @settings(max_examples=300, deadline=None)

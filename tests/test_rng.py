@@ -1,0 +1,132 @@
+"""The node candidate draw: numpy's `Generator.choice` replayed on raw
+Philox output, and the Lemire bounded draw it is built from."""
+
+from itertools import islice
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from forestfuse.rng import NodeStreams, _lemire, _words, choose, node_rng
+
+seeds = st.integers(0, 2 ** 64 - 1)
+trees = st.integers(0, 2 ** 28 - 1)
+routes = st.integers(0, 2 ** 64 - 1)
+
+
+def sizes(low, high, m_of=lambda n: st.integers(1, n)):
+    """(n, m) with n in low..high and m drawn by m_of(n)."""
+    return st.integers(low, high).flatmap(
+        lambda n: st.tuples(st.just(n), m_of(n)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seeds, trees, routes, sizes(1, 3000))
+@example(0, 0, 0, (1, 1))
+@example(5, 7, 11, (3000, 1))
+@example(5, 7, 11, (3000, 3000))
+@example(2 ** 64 - 1, 2 ** 28 - 1, 2 ** 64 - 1, (40, 40))
+def test_candidates_equal_generator_choice(seed, tree, route, size):
+    n, m = size
+    want = node_rng(seed, tree, route).choice(n, size=m, replace=False)
+    assert NodeStreams(seed, tree).candidates(route, n, m) == want.tolist()
+
+
+# beyond 10,000 features numpy shuffles the tail of range(n) when
+# m > n // 50, and runs Floyd's algorithm below that
+@settings(max_examples=40, deadline=None)
+@given(seeds, trees, routes, sizes(
+    10_001, 12_000, lambda n: st.one_of(
+        st.integers(max(1, n // 50 - 20), n // 50 + 20),
+        st.integers(n - 20, n))))
+def test_candidates_equal_generator_choice_over_many_features(seed, tree,
+                                                              route, size):
+    n, m = size
+    want = node_rng(seed, tree, route).choice(n, size=m, replace=False)
+    assert NodeStreams(seed, tree).candidates(route, n, m) == want.tolist()
+
+
+class Exhausted(Exception):
+    pass
+
+
+class RawWords:
+    """A bit generator stub whose raw output is the given 64-bit words,
+    handed out at most `most` at a time; counts its random_raw calls and
+    raises Exhausted once the words are gone."""
+
+    def __init__(self, words, most=None):
+        self.words, self.most, self.calls = list(words), most, 0
+
+    def random_raw(self, count):
+        if not self.words:
+            raise Exhausted
+        self.calls += 1
+        take = min(count, self.most or count)
+        out, self.words = self.words[:take], self.words[take:]
+        return np.array(out, dtype=np.uint64)
+
+
+def unbiased_draw(words, j):
+    """The rule Lemire's draw must follow, word by word: a 32-bit word w
+    gives floor(w (j + 1) / 2**32) unless w (j + 1) mod 2**32 falls below
+    2**32 mod (j + 1), in which case it is dropped and the next word tried.
+    Every value in [0, j] then has the same number of accepted words.
+    Returns the draw and the number of words read."""
+    if j == 0:
+        return 0, 0
+    span = j + 1
+    for read, w in enumerate(words, 1):
+        if w * span % 2 ** 32 >= 2 ** 32 % span:
+            return w * span >> 32, read
+    return None, len(words)
+
+
+# bounds whose span leaves from none to almost half of the words rejected
+bounds = st.one_of(st.integers(0, 64), st.integers(2 ** 31 - 64, 2 ** 31 + 64),
+                   st.integers(2 ** 32 - 64, 2 ** 32 - 1))
+
+
+@settings(max_examples=400, deadline=None)
+@given(bounds, st.lists(st.integers(0, 2 ** 32 - 1), min_size=1, max_size=9))
+@example(2 ** 31, [0, 2, 4, 1])  # three rejected words, then 0
+@example(2, [0, 1, 2 ** 32 - 1])  # 2**32 mod 3 = 1: only w = 0 is rejected
+def test_lemire_draw_follows_the_unbiased_rule(j, words32):
+    # one raw word at a time, so every second 32-bit word is a refill
+    words64 = [lo | hi << 32 for lo, hi in
+               zip(words32[::2], words32[1::2] + [0])]
+    stream = _words(RawWords(words64, most=1), 1)
+    want, read = unbiased_draw(words32, j)
+    if want is None:
+        with pytest.raises(Exhausted):
+            _lemire(stream, j)
+        return
+    assert _lemire(stream, j) == want
+    rest = words32[read:]
+    assert list(islice(stream, len(rest))) == rest
+
+
+def test_words_are_philox_uint32_output_low_half_first():
+    key = np.array([3, 4], dtype=np.uint64)
+    bits = RawWords(np.random.Philox(key=key).random_raw(5), most=2)
+    want = np.random.Generator(np.random.Philox(key=key)).integers(
+        0, 2 ** 32, size=10, dtype=np.uint32)
+    assert list(islice(_words(bits, 4), 10)) == want.tolist()
+    assert bits.calls == 3  # two words, two more, then the last one
+
+
+@settings(max_examples=100, deadline=None)
+@given(seeds, st.integers(0, 2 ** 56 - 1), sizes(1, 60))
+def test_choose_refills_when_the_first_block_runs_out(seed, sub, size):
+    # the stub hands out one raw word a call: every second 32-bit draw
+    # refills, and the features are still numpy's
+    n, m = size
+    key = np.array([seed, sub], dtype=np.uint64)
+    bits = np.random.Philox(key=key)
+    stub = RawWords(bits.random_raw(4 * m + 4), most=1)
+    want = np.random.Generator(np.random.Philox(key=key)).choice(
+        n, size=m, replace=False)
+    assert choose(stub, n, m) == want.tolist()
+    # from m = 3 on, Floyd's and the shuffle's draws take 4 words or more
+    assert m < 3 or stub.calls >= 2

@@ -43,3 +43,15 @@ def test_only_forest_py_uses_the_tree_view(path):
             or isinstance(node, ast.alias) and node.name == "Tree"
             and not reexport]
     assert uses == []
+
+
+# the grower draws each node's candidates from raw Philox output
+# (`rng.choose`), not through numpy's sampling code
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_calls_generator_choice(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    calls = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "choice"]
+    assert calls == []

@@ -30,7 +30,8 @@ from .errors import ArgumentError, FormatError, ParseError, SchemaError
 CONTINUOUS = "continuous"
 CATEGORICAL = "categorical"
 
-DEFAULT_MISSING_TOKEN = "NA"
+# the CSV cell that marks a missing value
+MISSING_TOKEN = "NA"
 # CSV records parsed column-wise at once; bounds the strings held in memory
 _CSV_BLOCK_ROWS = 256
 
@@ -370,13 +371,13 @@ def _non_finite_cell(values, missing):
 
 # -- dense CSV ------------------------------------------------------------
 
-def load_dense_csv(path, schema: FeatureSchema, target_column=None,
-                   missing_token: str = DEFAULT_MISSING_TOKEN) -> Dataset:
+def load_dense_csv(path, schema: FeatureSchema, target_column=None
+                   ) -> Dataset:
     """Load a dense CSV against a schema.
 
     The header must list the schema's feature names in order; a target
     column named `target_column` may appear at any position. Cells equal
-    to `missing_token` populate the missing mask; categorical labels are
+    to MISSING_TOKEN populate the missing mask; categorical labels are
     mapped to their schema codes. Any other continuous cell must parse as
     a finite number.
     """
@@ -407,8 +408,7 @@ def load_dense_csv(path, schema: FeatureSchema, target_column=None,
         line = 2  # the file line of the next record
         while records := list(itertools.islice(reader, _CSV_BLOCK_ROWS)):
             parts.append(_parse_records(records, line, path, len(header),
-                                        col_map, target_pos, schema,
-                                        missing_token))
+                                        col_map, target_pos, schema))
             line += len(records)
 
     values, mask, target = (np.concatenate(p) for p in zip(*parts))
@@ -422,7 +422,7 @@ def load_dense_csv(path, schema: FeatureSchema, target_column=None,
 
 
 def _parse_records(records, line, path, n_fields, col_map, target_pos,
-                   schema, missing_token):
+                   schema):
     """Parse CSV records column-wise into (values, mask, target).
 
     Raises the first fault in row-major order, `line` being the file line
@@ -444,7 +444,7 @@ def _parse_records(records, line, path, n_fields, col_map, target_pos,
             # the first code of a repeated label; the missing token wins
             codes = {label: float(code) for code, label
                      in reversed(list(enumerate(feat.categories)))}
-            codes[missing_token] = np.nan
+            codes[MISSING_TOKEN] = np.nan
             picked = [codes.get(cell) for cell in cells]
             if None in picked:
                 r = picked.index(None)
@@ -455,8 +455,8 @@ def _parse_records(records, line, path, n_fields, col_map, target_pos,
             values[:, k] = picked
             mask[:, k] = np.isnan(values[:, k])
             continue
-        if missing_token in cells:
-            mask[:, k] = [cell == missing_token for cell in cells]
+        if MISSING_TOKEN in cells:
+            mask[:, k] = [cell == MISSING_TOKEN for cell in cells]
             cells = ["nan" if miss else cell
                      for cell, miss in zip(cells, mask[:, k])]
         r = _parse_floats(cells, values[:, k])
@@ -493,8 +493,7 @@ def _parse_floats(cells, out) -> int | None:
     return None
 
 
-def write_dense_csv(ds: Dataset, path, target_column=None,
-                    missing_token: str = DEFAULT_MISSING_TOKEN) -> None:
+def write_dense_csv(ds: Dataset, path, target_column=None) -> None:
     """Write a dense Dataset back to CSV.
 
     Continuous cells use shortest round-trip float formatting, so a
@@ -515,7 +514,7 @@ def write_dense_csv(ds: Dataset, path, target_column=None,
         target = None if target_column is None else ds.target.tolist()
         for r, (row, missing) in enumerate(zip(ds.values.tolist(),
                                                ds.missing.tolist())):
-            rec = [missing_token if absent else repr(v) if cats is None
+            rec = [MISSING_TOKEN if absent else repr(v) if cats is None
                    else cats[int(v)]
                    for v, absent, cats in zip(row, missing, labels)]
             if target is not None:

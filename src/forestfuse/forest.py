@@ -14,9 +14,9 @@ whose level arrays fit BLOCK_BYTES (`_grow_trees`). Each level gathers
 the labels, counts them, reads the candidate cells, routes the rows and
 partitions them into the next level once for all the open nodes of all
 the group's trees; only the candidate draw and the split scan
-(`splitfind.find_node_split`) run node by node. The nodes are then
-numbered in the order a depth-first grower, left child first, gives
-them, so the forest is node for node the one that grower builds.
+(`splitfind.find_node_split`) run node by node. Each tree's nodes are
+numbered in the order they grow: level by level, and within a level in
+the order of their parents, each left child just before its right.
 
 A Forest stores its trees in one node layout, `NODE_LAYOUT`, with one
 array per field over all trees. Every reader that routes rows through
@@ -114,8 +114,11 @@ class ForestConfig:
 
 # The node layout, in model-file order: each array a tree stores and its
 # dtype. Internal nodes have feature >= 0 and children left and right,
-# node indices local to their tree; leaves have feature -1 and a dense
-# leaf_id in 0..n_leaves-1 (-1 on internal nodes). A row goes left iff
+# node indices local to their tree and after their parent's; leaves have
+# feature -1 and a dense leaf_id in 0..n_leaves-1 (-1 on internal nodes).
+# A tree grown here numbers its nodes level by level, right = left + 1,
+# and its leaf ids in node order; a reader asks only the rule above, so
+# files numbered in another order still load. A row goes left iff
 # its value <= threshold. n_node counts the node's in-bag rows; value
 # holds their class counts, (nodes, K), or for regression their target
 # mean. split_gain has one entry per feature, not per node: the gain the
@@ -533,8 +536,8 @@ def _grow_trees(data, y, trees, *, task, n_classes, n_features, mtry,
     2.x's `Generator.choice(n_features, size=mtry, replace=False)` on
     its raw output (Floyd's algorithm with Lemire's bounded draw, then a
     Fisher-Yates shuffle; `rng.choose`), so it is the same features
-    without numpy's sampling code. The nodes are then numbered as a
-    left-first depth-first grower numbers them (`_number_depth_first`).
+    without numpy's sampling code. Each tree's nodes are then numbered in
+    the order they grew (`_number_level_order`).
     """
     n_rows = len(y)
     draws = [tree_rng(seed, t).integers(0, n_rows, size=n_rows) for t in trees]
@@ -644,69 +647,49 @@ def _grow_trees(data, y, trees, *, task, n_classes, n_features, mtry,
         tree = np.repeat(tree[split], 2)
         route = np.column_stack([child_route(route[split], False),
                                  child_route(route[split], True)]).ravel()
-    return _number_depth_first(levels, len(trees), n_features,
+    return _number_level_order(levels, len(trees), n_features,
                                held_out is not None), inbag.astype(np.uint16)
 
 
-def _number_depth_first(levels, n_trees, n_features,
+def _number_level_order(levels, n_trees, n_features,
                         held_out: bool) -> list[dict]:
     """Each tree's NODE_LAYOUT arrays, and held_out_left if held_out, from
-    the levels `_grow_trees` grew.
+    the levels `_grow_trees` grew, its nodes numbered in the order grown.
 
-    The children of a level's split nodes fill the next level in pairs,
-    left then right. The nodes are numbered as a left-first depth-first
-    grower numbers them: the root is 0 and the k-th node split in
-    preorder has children 2k + 1 and 2k + 2, leaves take their ids in
-    preorder, and split_gain sums gain * n_node over the splits in
-    preorder.
+    Each level holds its nodes tree after tree, so one stable sort by tree
+    lists every tree's nodes level by level: that is their order. The k-th
+    split of a level has children 2k and 2k + 1 of the next level, so a
+    split's right child is its left child + 1. Leaves take their ids, and
+    split_gain sums gain * n_node over the splits, in that order too.
     """
     node = {k: np.concatenate([lv[k] for lv in levels]) for k in levels[0]}
-    offset = np.cumsum([0] + [len(lv["tree"]) for lv in levels])
-    is_split = node["feature"] >= 0
-    parent = np.flatnonzero(is_split)
-    child = np.concatenate([offset[i + 1] + 2 * np.arange(
+    start = np.cumsum([0] + [len(lv["tree"]) for lv in levels])
+    split = node["feature"] >= 0
+    # each split's left child, as an index into the concatenated levels
+    left = np.full(len(split), _LEAF)
+    left[split] = np.concatenate([start[i + 1] + 2 * np.arange(
         np.count_nonzero(lv["feature"] >= 0)) for i, lv in enumerate(levels)])
-    cut = np.searchsorted(parent, offset).tolist()
-    per_level = [slice(a, b) for a, b in zip(cut, cut[1:])]
-    # subtree sizes bottom-up, then preorder positions top-down
-    size = np.ones(len(is_split), dtype=np.int64)
-    for lv in reversed(per_level):
-        size[parent[lv]] += size[child[lv]] + size[child[lv] + 1]
-    pos = np.zeros_like(size)
-    for lv in per_level:
-        pos[child[lv]] = pos[parent[lv]] + 1
-        pos[child[lv] + 1] = pos[parent[lv]] + 1 + size[child[lv]]
-    tree = node["tree"]
+    order = np.argsort(node["tree"], kind="stable")
+    pos = np.empty_like(order)
+    pos[order] = np.arange(len(order))
+    node = {k: v[order] for k, v in node.items()}
+    tree, split, left = node["tree"], split[order], left[order]
     base = np.concatenate(([0], np.cumsum(np.bincount(tree,
                                                       minlength=n_trees))))
-    order = np.empty_like(pos)
-    order[base[tree] + pos] = np.arange(len(pos))
-    # each split's, and each leaf's, rank in its tree's preorder
-    rank = np.empty_like(pos)
-    for kind in (is_split, ~is_split):
-        sorted_kind = kind[order]
-        before = np.cumsum(sorted_kind) - sorted_kind
-        before -= before[base[:-1]][tree[order]]
-        rank[order[sorted_kind]] = before[sorted_kind]
-    ident = np.zeros_like(pos)
-    ident[child] = 2 * rank[parent] + 1
-    ident[child + 1] = ident[child] + 1
-    node["left"] = np.full(len(pos), _LEAF)
-    node["left"][parent] = ident[child]
-    node["right"] = np.where(is_split, node["left"] + 1, _LEAF)
-    node["leaf_id"] = np.where(is_split, _LEAF, rank)
+    first = base[tree]
+    node["left"] = np.where(split, pos[left] - first, _LEAF)
+    node["right"] = np.where(split, node["left"] + 1, _LEAF)
+    leaves_before = np.cumsum(~split) - ~split
+    node["leaf_id"] = np.where(split, _LEAF,
+                               leaves_before - leaves_before[first])
     split_gain = np.zeros((n_trees, n_features))
-    pre = order[is_split[order]]
-    np.add.at(split_gain, (tree[pre], node["feature"][pre]),
-              node["gain"][pre] * node["n_node"][pre])
-    inv = np.empty_like(pos)
-    inv[base[tree] + ident] = np.arange(len(pos))
+    np.add.at(split_gain, (tree[split], node["feature"][split]),
+              node["gain"][split] * node["n_node"][split])
     names = [name for name, _ in NODE_LAYOUT[:-1]]
     if held_out:
         names.append("held_out_left")
-    out = {name: node[name][inv] for name in names}
     return [{"split_gain": split_gain[t],
-             **{name: out[name][base[t]:base[t + 1]] for name in names}}
+             **{name: node[name][base[t]:base[t + 1]] for name in names}}
             for t in range(n_trees)]
 
 
@@ -718,8 +701,8 @@ def train(ds: Dataset, config: ForestConfig) -> Forest:
     the target to be absent and trains real-vs-synthetic on the
     column-permuted augmentation. Returns a Forest with per-tree in-bag
     counts, per-row leaf assignments, and the OOB error filled in.
-    The trees grow level by level, all of a group at once (see the
-    module docstring), into the forest a depth-first grower would build.
+    The trees grow level by level, all of a group at once, and number
+    their nodes in that order (see the module docstring).
     Deterministic for a fixed (data, config).
     """
     return _train(ds, config, held_out=None)

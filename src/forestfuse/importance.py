@@ -113,20 +113,18 @@ def _cells(forest: Forest, marked: np.ndarray, cell_bytes: int):
 
 
 def _local_perturbation(forest: Forest, ds: Dataset, *, n_repeats: int,
-                        donors: str, seed: int | None):
+                        donors: str):
     """Shared engine for the two local measures.
 
     Returns (local_prox, local_var, n_effective). Donor draws are keyed
-    by (seed, tree, feature), so computing the measures separately or
-    together yields identical matrices. One perturbed walk per block and
-    donor draw.
+    by (the forest's seed, tree, feature), so computing the measures
+    separately or together yields identical matrices. One perturbed walk
+    per block and donor draw.
     """
     if donors not in ("sample", "exhaustive"):
         raise ArgumentError(f"unknown donor mode {donors!r}")
     if n_repeats < 1:
         raise ArgumentError("n_repeats must be >= 1")
-    if seed is None:
-        seed = forest.config.seed
     n, m = forest.n_scored_rows, forest.n_features
     counted = counted_trees(forest, ds)
     n_eff = counted.sum(axis=1)
@@ -135,7 +133,7 @@ def _local_perturbation(forest: Forest, ds: Dataset, *, n_repeats: int,
     predicted = None if regression else np.argmax(forest.value, axis=1)
     data = ds if ds.is_sparse else ds.values
     terminal = forest.node_of_leaf(forest.leaf_of_train[:n])
-    streams = donor_streams(seed)
+    streams = donor_streams(forest.config.seed)
 
     prox_hits = np.zeros(n * m, dtype=np.float64)
     var_hits = np.zeros(n * m, dtype=np.float64)
@@ -170,8 +168,8 @@ def _local_perturbation(forest: Forest, ds: Dataset, *, n_repeats: int,
 
 
 def local_proximity_importance(forest: Forest, ds: Dataset, *,
-                               n_repeats: int = 1, donors: str = "sample",
-                               seed: int | None = None) -> np.ndarray:
+                               n_repeats: int = 1, donors: str = "sample"
+                               ) -> np.ndarray:
     """Per-(sample, feature) terminal-node-change fractions, in [0, 1].
 
     Entry (i, k) is the fraction of sample i's counted trees in which
@@ -180,37 +178,36 @@ def local_proximity_importance(forest: Forest, ds: Dataset, *,
     row (see ImportanceReport.zero_effective).
     """
     pi, _, _ = _local_perturbation(forest, ds, n_repeats=n_repeats,
-                                   donors=donors, seed=seed)
+                                   donors=donors)
     return pi
 
 
 def local_variable_importance(forest: Forest, ds: Dataset, *,
-                              n_repeats: int = 1, donors: str = "sample",
-                              seed: int | None = None) -> np.ndarray:
+                              n_repeats: int = 1, donors: str = "sample"
+                              ) -> np.ndarray:
     """Per-(sample, feature) prediction-flip fractions, in [0, 1].
 
     Classification counts flips from correct to incorrect; regression
     counts trees whose squared error strictly increases.
     """
     _, lvar, _ = _local_perturbation(forest, ds, n_repeats=n_repeats,
-                                     donors=donors, seed=seed)
+                                     donors=donors)
     return lvar
 
 
 def overall_proximity_importance(forest: Forest, ds: Dataset, *,
                                  pi: np.ndarray | None = None,
-                                 n_repeats: int = 1, donors: str = "sample",
-                                 seed: int | None = None) -> np.ndarray:
+                                 n_repeats: int = 1, donors: str = "sample"
+                                 ) -> np.ndarray:
     """Column sums of the local proximity matrix (unnormalized)."""
     if pi is None:
         pi = local_proximity_importance(forest, ds, n_repeats=n_repeats,
-                                        donors=donors, seed=seed)
+                                        donors=donors)
     return pi.sum(axis=0)
 
 
 def overall_variable_importance(forest: Forest, ds: Dataset,
-                                method: str = "permutation", *,
-                                seed: int | None = None) -> np.ndarray:
+                                method: str = "permutation") -> np.ndarray:
     """Global per-feature scores.
 
     "permutation": mean OOB accuracy decrease (MSE increase for
@@ -225,8 +222,6 @@ def overall_variable_importance(forest: Forest, ds: Dataset,
     if method != "permutation":
         raise ConfigError(f"unknown importance method {method!r}")
 
-    if seed is None:
-        seed = forest.config.seed
     if ds.n_rows != forest.n_scored_rows:
         raise ArgumentError("dataset row count does not match the forest")
     _check_dataset(forest, ds, "dataset")
@@ -242,7 +237,7 @@ def overall_variable_importance(forest: Forest, ds: Dataset,
 
     # every used feature of every tree, permuted within the tree's OOB rows
     terminal = forest.node_of_leaf(forest.leaf_of_train)
-    streams = permute_streams(seed)
+    streams = permute_streams(forest.config.seed)
     deltas = np.zeros(forest.n_features, dtype=np.float64)
     for rows, trees, feats, runs, ancestors in _cells(
             forest, forest.oob_mask(), _CELL_BYTES):
@@ -262,12 +257,12 @@ def overall_variable_importance(forest: Forest, ds: Dataset,
 
 def compute_importance_report(forest: Forest, ds: Dataset, *,
                               method: str = "permutation",
-                              n_repeats: int = 1, donors: str = "sample",
-                              seed: int | None = None) -> ImportanceReport:
+                              n_repeats: int = 1, donors: str = "sample"
+                              ) -> ImportanceReport:
     """All four measures in one pass over the forest."""
     local_prox, local_var, n_eff = _local_perturbation(
-        forest, ds, n_repeats=n_repeats, donors=donors, seed=seed)
-    overall_var = overall_variable_importance(forest, ds, method, seed=seed)
+        forest, ds, n_repeats=n_repeats, donors=donors)
+    overall_var = overall_variable_importance(forest, ds, method)
     return ImportanceReport(
         overall_var=overall_var,
         local_var=local_var,

@@ -201,25 +201,22 @@ def top_k_similar(forest: Forest, query, k: int) -> list[Neighbor]:
 
 
 def query_proximity_importance(forest: Forest, ds: Dataset, query, *,
-                               n_repeats: int = 1, seed: int | None = None
-                               ) -> np.ndarray:
+                               n_repeats: int = 1) -> np.ndarray:
     """Per-feature leaf-change fractions for an out-of-sample query.
 
     The OOB-and-correct filter used for training rows is vacuous for a
     point the forest never saw, so every tree counts. Donor values come
-    from fixed-seed uniform draws over the training rows.
+    from uniform draws over the training rows, keyed by the forest's seed.
     """
     if n_repeats < 1:
         raise ArgumentError("n_repeats must be >= 1")
     _check_dataset(forest, ds, "donor dataset")
     if ds.n_rows == 0:
         raise ArgumentError("donor dataset has no rows")
-    if seed is None:
-        seed = forest.config.seed
     leaves = _query_leaves(forest, query)
     m, T = forest.n_features, forest.n_trees
     donors = np.empty((m, n_repeats))
-    streams = query_donor_streams(seed)
+    streams = query_donor_streams(forest.config.seed)
     for k in range(m):
         donors[k] = ds.read_cells(
             streams(k).integers(0, ds.n_rows, size=n_repeats), k)
@@ -240,10 +237,10 @@ def query_proximity_importance(forest: Forest, ds: Dataset, query, *,
 
 
 def top_k_similar_explained(forest: Forest, ds: Dataset, query, k: int, *,
-                            n_repeats: int = 1, seed: int | None = None
+                            n_repeats: int = 1
                             ) -> tuple[list[Neighbor], np.ndarray]:
     """Neighbors plus the per-feature explanation of the query's placement."""
     neighbors = top_k_similar(forest, query, k)
     importance = query_proximity_importance(
-        forest, ds, query, n_repeats=n_repeats, seed=seed)
+        forest, ds, query, n_repeats=n_repeats)
     return neighbors, importance

@@ -16,6 +16,8 @@ numpy 2.x's `Generator.choice(n, size=m, replace=False)`, replayed in
 Python ints, so `node_rng(...).choice` is its reference.
 """
 
+import operator
+
 import numpy as np
 
 from .errors import ConfigError
@@ -60,11 +62,16 @@ def child_route(route, go_right):
 
 
 def _stream_key(seed: int, tag: int, a: int = 0, b: int = 0) -> list[int]:
+    seed = operator.index(seed)  # a Python int, from numpy integers too
+    # a seed beyond 64 bits would alias another seed's streams
+    if not 0 <= seed <= _MASK64:
+        raise ConfigError(f"seed must be in 0..{_MASK64}: random streams "
+                          "are keyed by a 64-bit seed")
     if a > _INDEX_MASK or b > _INDEX_MASK:
         raise ConfigError(
             f"rng stream index out of range (limit {_INDEX_MASK})")
     sub = (tag << (2 * _INDEX_BITS)) | (a << _INDEX_BITS) | b
-    return [seed & _MASK64, sub]
+    return [seed, sub]
 
 
 def _generator(key: list[int]) -> np.random.Generator:

@@ -1,5 +1,7 @@
 """Shared generators and hand-built forest utilities for the test suite."""
 
+from dataclasses import replace
+
 import numpy as np
 from hypothesis import strategies as st
 
@@ -121,6 +123,41 @@ def assemble_forest(trees, ds, mode="classification", n_classes=None,
     data = ds.values if not ds.is_sparse else ds
     forest.leaf_of_train = forest.leaf_id[_node_grid(forest, data, ds.n_rows)]
     return forest
+
+
+def renumber_depth_first(forest):
+    """The forest with every tree numbered as a left-first depth-first
+    grower numbers it, the layout of model files written before trees
+    were numbered level by level: a split's children take the next two
+    ids when it is visited, and leaves take their ids in visit order, so
+    leaf ids fall out of node order. leaf_of_train follows the new ids."""
+    trees, leaf_of_train = [], forest.leaf_of_train.copy()
+    for t in range(forest.n_trees):
+        a = forest.arrays_of(t)
+        ident, leaf = {0: 0}, np.full(len(a["feature"]), -1)
+        stack = [0]
+        while stack:
+            node = stack.pop()
+            if a["feature"][node] < 0:
+                leaf[node] = np.count_nonzero(leaf >= 0)
+                continue
+            for child in (a["left"][node], a["right"][node]):
+                ident[child] = len(ident)
+            stack += [a["right"][node], a["left"][node]]
+        old = np.array(sorted(ident, key=ident.get))
+        new = np.empty_like(old)
+        new[old] = np.arange(len(old))
+        inner = a["feature"][old] >= 0
+        trees.append({
+            **{name: a[name][old] for name in ("feature", "threshold",
+                                               "n_node", "value")},
+            "left": np.where(inner, new[a["left"][old]], -1),
+            "right": np.where(inner, new[a["right"][old]], -1),
+            "leaf_id": leaf[old], "split_gain": a["split_gain"]})
+        leaves = slice(*forest.leaf_offset[t:t + 2])
+        relabel = leaf[forest.leaf_nodes[leaves] - forest.node_offset[t]]
+        leaf_of_train[:, t] = relabel[forest.leaf_of_train[:, t]]
+    return replace(forest, tree_arrays=trees, leaf_of_train=leaf_of_train)
 
 
 def walk_tree(tree, x):

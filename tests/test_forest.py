@@ -1,5 +1,6 @@
 """Training, prediction, OOB estimation, and the synthetic-row generator."""
 
+from collections import deque
 from types import SimpleNamespace
 
 import numpy as np
@@ -423,8 +424,10 @@ class TestGrowerOracle:
     A node's in-bag rows come from tree_rng's bootstrap and the splits
     above it, its candidates from node_rng(seed, t, route); its split must
     be find_node_split's on exactly those, its value and size theirs.
-    Leaf ids and child ids follow the left-first depth-first order, and
-    split_gain is the sum of gain * n over the splits in that order.
+    Node ids, child ids and leaf ids follow the level order the grower
+    makes them in (a FIFO queue, each left child queued before its
+    right), so right == left + 1, and split_gain is the sum of gain * n
+    over the splits in that order.
     `check` returns how many nodes found a split that left one side empty
     on the raw values, and so stayed leaves.
     """
@@ -458,9 +461,9 @@ class TestGrowerOracle:
                                   np.bincount(draw, minlength=len(y)))
             gain = np.zeros(m)
             next_leaf, next_node = 0, 1
-            stack = [(0, draw, 0, ROOT_ROUTE)]
-            while stack:
-                node, rows, depth, route = stack.pop()
+            queue = deque([(0, draw, 0, ROOT_ROUTE)])
+            while queue:
+                node, rows, depth, route = queue.popleft()
                 yv = y[rows]
                 assert tree.n_node[node] == len(rows)
                 if task == "classification":
@@ -500,10 +503,10 @@ class TestGrowerOracle:
                     assert forest.held_out_left[
                         forest.node_offset[t] + node] == side
                 gain[split.feature] += split.gain * len(rows)
-                stack.append((next_node + 1, rows[~go_left], depth + 1,
-                              child_route(route, True)))
-                stack.append((next_node, rows[go_left], depth + 1,
+                queue.append((next_node, rows[go_left], depth + 1,
                               child_route(route, False)))
+                queue.append((next_node + 1, rows[~go_left], depth + 1,
+                              child_route(route, True)))
                 next_node += 2
             assert next_node == tree.n_nodes
             assert next_leaf == np.count_nonzero(tree.feature < 0)
@@ -571,7 +574,7 @@ class TestGrowerOracle:
 
     @pytest.mark.parametrize("mode", ["classification", "regression",
                                       "unsupervised"])
-    def test_deep_trees_sum_split_gain_depth_first(self, mode):
+    def test_deep_trees_sum_split_gain_in_level_order(self, mode):
         # two features split many times each: another order of the
         # split_gain sums rounds differently
         rng = np.random.default_rng(41)

@@ -5,12 +5,13 @@ import struct
 
 import numpy as np
 import pytest
-from helpers import assemble_forest, blobs, stump
+from helpers import assemble_forest, blobs, renumber_depth_first, stump
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import forestfuse as ff
 from forestfuse.cli import main
+from forestfuse.proximity import cooccurrence_blocks
 
 
 def save(forest, ds, path):
@@ -181,3 +182,31 @@ def test_non_finite_regression_value_rejected(tmp_path):
     save(forest, ds, tmp_path / "m.ffm")
     with pytest.raises(ff.ModelFormatError, match="not finite"):
         ff.load_model(tmp_path / "m.ffm")
+
+
+@pytest.mark.parametrize("mode", ["classification", "regression",
+                                  "unsupervised"])
+def test_depth_first_numbered_file_answers_alike(mode, tmp_path):
+    # files written before the level-order numbering hold each tree
+    # depth-first, leaf ids out of node order; Forest.leaf_nodes maps them
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(60, 4))
+    y = {"classification": (X[:, 0] > 0) + (X[:, 1] > 0.5),
+         "regression": X[:, 0] + X[:, 1] ** 2, "unsupervised": None}[mode]
+    ds = ff.Dataset.from_dense(X, target=y)
+    forest = ff.train(ds, ff.ForestConfig(mode=mode, n_trees=5, seed=3))
+    save(renumber_depth_first(forest), ds, tmp_path / "m.ffm")
+    loaded = ff.load_model(tmp_path / "m.ffm").forest
+    assert not np.array_equal(loaded.left, forest.left)
+    assert not np.array_equal(loaded.leaf_nodes,
+                              np.flatnonzero(loaded.feature < 0))
+    predict = ff.predict if mode == "regression" else ff.predict_proba
+    np.testing.assert_array_equal(predict(loaded, X), predict(forest, X))
+    for q in X[::7]:
+        assert ff.top_k_similar(loaded, q, k=9) == \
+            ff.top_k_similar(forest, q, k=9)
+    for (_, a, _), (_, b, _) in zip(cooccurrence_blocks(loaded),
+                                    cooccurrence_blocks(forest)):
+        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(ff.overall_variable_importance(loaded, ds),
+                                  ff.overall_variable_importance(forest, ds))

@@ -1,5 +1,6 @@
 """The node candidate draw: numpy's `Generator.choice` replayed on raw
-Philox output, and the Lemire bounded draw it is built from."""
+Philox output, and the Lemire bounded draw it is built from; the seed
+range of the other streams' keys."""
 
 from itertools import islice
 
@@ -8,7 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from forestfuse.rng import NodeStreams, _lemire, _words, choose, node_rng
+import forestfuse as ff
+from forestfuse.rng import (NodeStreams, _lemire, _words, choose,
+                            donor_streams, node_rng, synthetic_rng, tree_rng)
 
 seeds = st.integers(0, 2 ** 64 - 1)
 trees = st.integers(0, 2 ** 28 - 1)
@@ -130,3 +133,26 @@ def test_choose_refills_when_the_first_block_runs_out(seed, sub, size):
     assert choose(stub, n, m) == want.tolist()
     # from m = 3 on, Floyd's and the shuffle's draws take 4 words or more
     assert m < 3 or stub.calls >= 2
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 64 - 1, np.uint64(2 ** 64 - 1),
+                                  np.int64(0)])
+def test_stream_seed_range_ends_accepted(seed):
+    X = np.arange(12.0).reshape(6, 2)
+    synthetic = ff.generate_synthetic(ff.Dataset.from_dense(X), seed)
+    perm = synthetic_rng(seed, 1).permutation(6)
+    assert np.array_equal(synthetic.values[:, 1], X[perm, 1])
+    assert 0 <= tree_rng(seed, 2 ** 28 - 1).integers(0, 9) < 9
+    assert 0 <= donor_streams(seed)(1, 2).integers(0, 9) < 9
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 64 + 7, np.int64(-1)])
+def test_stream_seed_outside_64_bits_rejected(seed):
+    # keys took seed & (2**64 - 1): -1 drew seed 2**64 - 1's streams and
+    # 2**64 + 7 seed 7's
+    ds = ff.Dataset.from_dense(np.arange(12.0).reshape(6, 2))
+    for draw in (lambda: ff.generate_synthetic(ds, seed),
+                 lambda: tree_rng(seed, 0),
+                 lambda: donor_streams(seed)(0, 0)):
+        with pytest.raises(ff.ConfigError, match=r"seed must be in 0\.\."):
+            draw()

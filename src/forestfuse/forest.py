@@ -22,7 +22,9 @@ A Forest stores its trees in one node layout, `NODE_LAYOUT`, with one
 array per field over all trees. Every reader that routes rows through
 the trees (leaf assignment, prediction, query leaves, importance
 perturbations) uses one walk, `_walk`, which moves all (row, tree)
-cells down a level per numpy step.
+cells down a level per numpy step, to `child + (value > threshold)`
+with one global left-child table (every right child is its left + 1);
+row grids read each block of rows once, CSR included (`_node_blocks`).
 """
 
 from __future__ import annotations
@@ -116,9 +118,10 @@ class ForestConfig:
 # dtype. Internal nodes have feature >= 0 and children left and right,
 # node indices local to their tree and after their parent's; leaves have
 # feature -1 and a dense leaf_id in 0..n_leaves-1 (-1 on internal nodes).
-# A tree grown here numbers its nodes level by level, right = left + 1,
-# and its leaf ids in node order; a reader asks only the rule above, so
-# files numbered in another order still load. A row goes left iff
+# Every internal node's right child is left + 1, which the walk relies
+# on and `load_model` checks. A tree grown here numbers its nodes level by
+# level and its leaf ids in node order; a reader asks only the rules
+# above, so files numbered depth first still load. A row goes left iff
 # its value <= threshold. n_node counts the node's in-bag rows; value
 # holds their class counts, (nodes, K), or for regression their target
 # mean. split_gain has one entry per feature, not per node: the gain the
@@ -139,7 +142,9 @@ class Tree(SimpleNamespace):
     def apply_nodes(self, data, rows) -> np.ndarray:
         """Terminal node of each row: `_walk` over this tree alone."""
         rows = np.asarray(rows, dtype=np.int64)
-        return _walk(self, data, rows, np.zeros_like(rows)).astype(np.int32)
+        child = np.where(self.feature >= 0, self.left, np.arange(self.n_nodes))
+        return _walk(Tree(**vars(self), child=child), data, rows,
+                     np.zeros_like(rows)).astype(np.int32)
 
 
 @dataclass
@@ -153,7 +158,8 @@ class Forest:
     node whether a row whose split feature is held out goes left; only
     `train_held_out` puts it in the dicts, and it is never saved. Leaf
     `leaf` of tree t has the global id leaf_offset[t] + leaf; leaf_nodes
-    maps global leaf ids to nodes.
+    maps global leaf ids to nodes, and child each node's global left
+    child, a leaf's being the leaf itself: the table the walk steps by.
 
     inbag_counts[i, t] is row i's multiplicity in tree t's bootstrap;
     a zero marks the row out-of-bag. leaf_of_train[i, t] is the leaf id
@@ -185,6 +191,8 @@ class Forest:
         # each tree's leaves in leaf-id order
         owner = self.node_tree()[leaves]
         self.leaf_nodes = leaves[np.lexsort((self.leaf_id[leaves], owner))]
+        self.child = np.where(self.feature >= 0, self.left + self.node_offset[
+            self.node_tree()], np.arange(len(self.feature)))
 
     def arrays_of(self, t: int) -> dict:
         """Tree t's NODE_LAYOUT arrays: views of its slice of the forest's."""
@@ -197,6 +205,16 @@ class Forest:
         """A Tree view of each tree, writes showing in the forest: kept for
         the benchmark in ffbench/, while the program reads flat arrays."""
         return [Tree(**self.arrays_of(t)) for t in range(self.n_trees)]
+
+    @cached_property
+    def block_nodes(self) -> tuple:
+        """The features the trees split on, and the node arrays with each
+        feature renumbered to its rank among them (`_node_blocks`)."""
+        inner = self.feature >= 0
+        counts = np.bincount(self.feature[inner], minlength=self.n_features)
+        rank = np.cumsum(counts > 0, dtype=np.int32) - 1
+        return np.flatnonzero(counts), SimpleNamespace(**{
+            **vars(self), "feature": np.where(inner, rank[self.feature], _LEAF)})
 
     @property
     def mode(self) -> str:
@@ -245,46 +263,51 @@ def _read(data, rows, feats):
     return data.read_cells(rows, feats)
 
 
-# bytes one `_walk` cell holds at its peak, its rows and roots included
-# (tracemalloc read 82 on 100,000 cells of a 30-tree forest)
-_WALK_CELL_BYTES = 96
+# bytes one `_walk` cell holds at its peak, its rows and start nodes
+# included (tracemalloc read 85 on 100,000 cells of a 30-tree forest),
+# and one cell of a `_node_blocks` block while it is read (33 on CSR)
+_WALK_CELL_BYTES, _BLOCK_CELL_BYTES = 96, 40
 
 
-def _walk(nodes, data, rows, root, override=None, held_out=None,
-          begin=None) -> np.ndarray:
+def _walk(nodes, data, rows, node, override=None, held_out=None) -> np.ndarray:
     """Terminal node of every cell; all cells move down one level per step.
 
-    `nodes` holds NODE_LAYOUT arrays, children local to their tree. Cell c
-    walks row rows[c] of data (dense array or CSR Dataset) in the tree
-    whose root is node root[c], from node begin[c] (default: the root).
-    override = (feature, value), arrays over the cells, replaces cell c's
-    value of feature[c] with value[c]. held_out, a bool mask over data's
-    cells, sends a cell whose split feature is held out to the node's
-    held_out_left side unread. Returns global node ids.
-
+    `nodes` holds `feature`, `threshold` and `child` (`Forest.child`) in
+    the numbering of `node`. Cell c walks row rows[c] of data (dense array
+    or CSR Dataset) from node node[c]. override = (feature, value), arrays
+    over the cells, replaces cell c's value of feature[c] with value[c].
+    held_out, a bool mask shaped like data, sends a cell whose split
+    feature is held out to the node's held_out_left side unread. Each step
+    reads the live cells with one flat take of row * m + feature (CSR: one
+    `read_cells`), moves them to child, or child + 1 (the right child)
+    unless value <= threshold, and drops the cells that reached a leaf.
     The callers bound their temporaries, about _WALK_CELL_BYTES a cell,
     by BLOCK_BYTES: `_node_blocks` walks rows in blocks, and importance
     walks only the cells a perturbation moves (`_perturbed_walk`), in
     blocks of (tree, feature) runs.
     """
-    node = root.copy() if begin is None else begin.copy()
-    live = np.arange(len(node))
-    while live.size:
-        at = node[live]
-        feat = nodes.feature[at]
-        inner = feat >= 0
-        live, at, feat = live[inner], at[inner], feat[inner]
-        r = rows[live]
-        v = _read(data, r, feat)
+    m = data.shape[1] if isinstance(data, np.ndarray) else data.n_features
+    read = (data.ravel().take if isinstance(data, np.ndarray) else
+            lambda flat: data.read_cells(flat // m, flat % m))
+    out = node.copy()
+    cell = np.flatnonzero(nodes.feature.take(out) >= 0)
+    base = rows.take(cell) * m
+    while cell.size:
+        at = out.take(cell)
+        feat = nodes.feature.take(at)
+        v = read(base + feat)
         if override is not None:
-            v = np.where(override[0][live] == feat, override[1][live], v)
-        go_left = v <= nodes.threshold[at]
+            v = np.where(override[0].take(cell) == feat,
+                         override[1].take(cell), v)
+        go_left = v <= nodes.threshold.take(at)
         if held_out is not None:
-            go_left = np.where(held_out[r, feat], nodes.held_out_left[at],
-                               go_left)
-        node[live] = root[live] + np.where(go_left, nodes.left[at],
-                                           nodes.right[at])
-    return node
+            go_left = np.where(held_out.ravel().take(base + feat),
+                               nodes.held_out_left.take(at), go_left)
+        at = nodes.child.take(at) + ~go_left
+        out[cell] = at
+        live = np.flatnonzero(nodes.feature.take(at) >= 0)
+        cell, base = cell.take(live), base.take(live)
+    return out
 
 
 def _ancestors(forest: Forest, t0: int, t1: int, feats) -> tuple:
@@ -303,36 +326,35 @@ def _ancestors(forest: Forest, t0: int, t1: int, feats) -> tuple:
     col = np.full(forest.n_features, -1, dtype=np.int64)
     col[used] = np.arange(len(used))
     table = np.full((end - base, len(used)), -1, dtype=np.int32)
-    level = root = forest.node_offset[t0:t1]
+    level = forest.node_offset[t0:t1]
     while level.size:
         feat = forest.feature[level]
         inner = feat >= 0
-        level, root, c = level[inner], root[inner], col[feat[inner]]
+        level, c = level[inner], col[feat[inner]]
         hit, above = c >= 0, table[level - base]
         kids = []
-        for side, child in enumerate((forest.left, forest.right)):
-            kid = root + child[level]
+        for side in (0, 1):
+            kid = forest.child[level] + side
             table[kid - base] = above
             table[kid[hit] - base, c[hit]] = 2 * (level[hit] - base) + side
             kids.append(kid)
-        level, root = np.concatenate(kids), np.concatenate([root, root])
+        level = np.concatenate(kids)
     return table, col, base
 
 
-def _perturbed_walk(forest: Forest, data, rows, root, end, feats, values,
+def _perturbed_walk(forest: Forest, data, rows, end, feats, values,
                     ancestors) -> np.ndarray:
     """Terminal node of each cell once its row reads values[c] for feats[c].
 
-    Cell c is row rows[c] in the tree rooted at node root[c], and end[c]
-    is its original terminal node. The perturbed cell follows its
-    original route down to the first node on it that splits on feats[c]
-    and sends values[c] the other way: every node above either splits on
-    another feature or sends the value the way the route went. So each
-    cell climbs the feats[c] nodes of its route through the ancestor
-    table (`_ancestors`, covering the cells' trees), and only cells that
-    meet such a node walk, from the topmost one; every other cell keeps
-    end[c]. Equals `_walk` from the root with the override wherever the
-    route is the row's own walk.
+    Cell c is row rows[c] in the tree that holds end[c], its original
+    terminal node. The perturbed cell follows its original route down to
+    the first node on it that splits on feats[c] and sends values[c] the
+    other way: every node above either splits on another feature or sends
+    the value the way the route went. So each cell climbs the feats[c]
+    nodes of its route through the ancestor table (`_ancestors`, covering
+    the cells' trees), and only cells that meet such a node walk, from the
+    topmost one; every other cell keeps end[c]. Equals `_walk` from the
+    root with the override wherever the route is the row's own walk.
     """
     table, col, base = ancestors
     k = col[feats]
@@ -350,8 +372,8 @@ def _perturbed_walk(forest: Forest, data, rows, root, end, feats, values,
         live, hop = live[more], hop[more]
     moved = np.flatnonzero(begin >= 0)
     nodes = end.copy()
-    nodes[moved] = _walk(forest, data, rows[moved], root[moved],
-                         (feats[moved], values[moved]), begin=begin[moved])
+    nodes[moved] = _walk(forest, data, rows[moved], begin[moved],
+                         (feats[moved], values[moved]))
     return nodes
 
 
@@ -380,14 +402,23 @@ def _run_blocks(forest: Forest, run_tree, run_cells, cell_bytes: int):
 
 
 def _node_blocks(forest: Forest, data, n_rows: int, held_out=None):
-    """(b, T) global terminal nodes of each successive block of data's rows."""
-    T = forest.n_trees
-    step = max(1, BLOCK_BYTES // (_WALK_CELL_BYTES * T))
+    """(b, T) global terminal nodes of each successive block of data's rows.
+
+    Each block is read once into a dense array of the columns the forest
+    splits on (`Forest.block_nodes`): CSR is searched once a block, not a
+    level, and a block holds as many rows as fit BLOCK_BYTES with T walk
+    cells and its read a row, however wide the data.
+    """
+    used, nodes = forest.block_nodes
+    T, roots = forest.n_trees, forest.node_offset[:-1]
+    step = max(1, BLOCK_BYTES // (_WALK_CELL_BYTES * T
+                                  + _BLOCK_CELL_BYTES * len(used)))
     for a in range(0, max(n_rows, 1), step):
-        b = np.arange(a, min(a + step, n_rows))
-        yield _walk(forest, data, np.repeat(b, T),
-                    np.tile(forest.node_offset[:-1], len(b)),
-                    held_out=held_out).reshape(len(b), T)
+        rows = np.arange(a, min(a + step, n_rows))[:, None]
+        held = None if held_out is None else held_out[rows, used]
+        yield _walk(nodes, _read(data, rows, used), np.repeat(
+            np.arange(len(rows)), T), np.tile(roots, len(rows)),
+            held_out=held).reshape(-1, T)
 
 
 def _node_grid(forest: Forest, data, n_rows: int, held_out=None) -> np.ndarray:

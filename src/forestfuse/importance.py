@@ -139,7 +139,6 @@ def _local_perturbation(forest: Forest, ds: Dataset, *, n_repeats: int,
     var_hits = np.zeros(n * m, dtype=np.float64)
     for rows, trees, feats, runs, ancestors in _cells(
             forest, counted, _CELL_BYTES + 8 * n_repeats):
-        root = forest.node_offset[trees]
         orig = terminal[rows, trees]
         if regression:
             orig_sqerr = (forest.value[orig] - y[rows]) ** 2
@@ -151,7 +150,7 @@ def _local_perturbation(forest: Forest, ds: Dataset, *, n_repeats: int,
             draws = (np.full(len(rows), d) for d in range(n))
         slot = rows * m + feats
         for donor in draws:
-            new = _perturbed_walk(forest, data, rows, root, orig, feats,
+            new = _perturbed_walk(forest, data, rows, orig, feats,
                                   _read(data, donor, feats), ancestors)
             prox_hits += np.bincount(slot, weights=new != orig,
                                      minlength=n * m)
@@ -244,9 +243,8 @@ def overall_variable_importance(forest: Forest, ds: Dataset,
         perm = np.concatenate([a + streams(t, k).permutation(b - a)
                                for t, k, a, b in runs])
         end = terminal[rows, trees]
-        new = _perturbed_walk(forest, data, rows, forest.node_offset[trees],
-                              end, feats, _read(data, rows, feats)[perm],
-                              ancestors)
+        new = _perturbed_walk(forest, data, rows, end, feats,
+                              _read(data, rows, feats)[perm], ancestors)
         before, after = score(end, rows), score(new, rows)
         for _, k, a, b in runs:
             base = float(np.mean(before[a:b]))

@@ -106,17 +106,19 @@ def _check_forest(forest: Forest) -> None:
     sizes, owner = np.diff(forest.node_offset), forest.node_tree()
     feature, inner = forest.feature, forest.feature >= 0
     local = np.arange(len(feature)) - forest.node_offset[owner]
-    kids = np.concatenate([forest.left[inner], forest.right[inner]])
+    left = forest.left[inner].astype(np.int64)  # left + 1 must not wrap
     rank = (np.arange(len(forest.leaf_nodes))
             - forest.leaf_offset[owner[forest.leaf_nodes]])
     # children after their parent and inside its tree, so every walk ends
-    # at a leaf; each tree's leaf ids are exactly 0..n_leaves-1
+    # at a leaf, the right one next to the left, as the walk steps; each
+    # tree's leaf ids are exactly 0..n_leaves-1
     if not ((sizes >= 1).all() and feature.min() >= -1
             and feature.max() < forest.n_features
             and (forest.leaf_id[inner] == -1).all()
             and (forest.leaf_id[forest.leaf_nodes] == rank).all()
-            and ((kids > np.tile(local[inner], 2))
-                 & (kids < np.tile(sizes[owner[inner]], 2))).all()):
+            and (forest.right[inner] == left + 1).all()
+            and ((left > local[inner])
+                 & (left + 1 < sizes[owner[inner]])).all()):
         raise ModelFormatError("tree nodes are inconsistent")
     value, n_node = forest.value, forest.n_node
     if not np.isfinite(value).all():

@@ -229,8 +229,7 @@ def query_proximity_importance(forest: Forest, ds: Dataset, query, *,
             forest, np.ones((1, T), dtype=bool), _CELL_BYTES):
         end = terminal[trees]
         for r in range(n_repeats):
-            nodes = _perturbed_walk(forest, data, rows,
-                                    forest.node_offset[trees], end, feats,
+            nodes = _perturbed_walk(forest, data, rows, end, feats,
                                     donors[feats, r], ancestors)
             moved += np.bincount(feats, weights=nodes != end, minlength=m)
     return moved / (T * n_repeats)

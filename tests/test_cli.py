@@ -228,3 +228,22 @@ def test_predict_rejects_a_leaf_with_zeroed_class_counts(trained, capsys):
     assert main(["predict", str(paths["model.ffm"]),
                  str(paths["features.csv"])]) == 1
     assert_one_line_error(capsys, "class counts")
+
+
+def test_predict_rejects_children_that_are_not_consecutive(trained, capsys):
+    # the walk steps to left + 1 for the right child, so a file whose
+    # children are swapped must not load, though both stay in the tree
+    paths, _, _ = trained
+    artifact = ff.load_model(paths["model.ffm"])
+    forest = artifact.forest
+    root = forest.node_offset[0]
+    assert forest.feature[root] >= 0
+    forest.left[root], forest.right[root] = forest.right[root], \
+        forest.left[root]
+    ff.save_model(paths["model.ffm"], artifact)
+    with pytest.raises(ff.ModelFormatError, match="tree nodes"):
+        ff.load_model(paths["model.ffm"])
+    capsys.readouterr()
+    assert main(["predict", str(paths["model.ffm"]),
+                 str(paths["features.csv"])]) == 1
+    assert_one_line_error(capsys, "tree nodes are inconsistent")

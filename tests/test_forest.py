@@ -1,5 +1,6 @@
 """Training, prediction, OOB estimation, and the synthetic-row generator."""
 
+import tracemalloc
 from collections import deque
 from types import SimpleNamespace
 
@@ -12,8 +13,9 @@ from hypothesis import strategies as st
 
 import forestfuse as ff
 from forestfuse import forest as forest_module
-from forestfuse.forest import (_ancestors, _node_grid, _perturbed_walk,
-                               _query_leaves, _walk, train_held_out)
+from forestfuse.forest import (_ancestors, _node_blocks, _node_grid,
+                               _perturbed_walk, _query_leaves, _walk,
+                               train_held_out)
 from forestfuse.model_io import ModelArtifact, dataset_fingerprint, save_model
 from forestfuse.rng import (ROOT_ROUTE, NodeStreams, child_route, donor_rng,
                             donor_streams, node_rng, permute_rng,
@@ -829,7 +831,7 @@ class TestForestWalk:
             ancestors = _ancestors(forest, first, T, k)
             for data in (dense, csr):
                 want = _walk(forest, data, r, root, (k, v))
-                got = _perturbed_walk(forest, data, r, root, end[cells], k, v,
+                got = _perturbed_walk(forest, data, r, end[cells], k, v,
                                       ancestors)
                 assert np.array_equal(got, want)
 
@@ -872,6 +874,89 @@ class TestForestWalk:
         votes = sum(counts[:, t] / counts[:, t].sum(axis=1, keepdims=True)
                     for t in range(forest.n_trees))
         assert np.array_equal(ff.predict_proba(forest, Q), votes / 40)
+
+
+class TestGridBlocks:
+    """`_node_blocks` reads each block of rows once, over the features the
+    forest splits on, into a dense array: CSR blocks walk like dense ones,
+    and memory stays within BLOCK_BYTES."""
+
+    @staticmethod
+    def query(rng, n, m, unused):
+        # zeros, some stored, all-zero rows, and values in a column no
+        # split reads
+        Q = np.round(rng.normal(size=(n, m)), 1)
+        Q[rng.uniform(size=Q.shape) < 0.5] = 0.0
+        Q[::7] = 0.0
+        Q[1::7, unused] = rng.normal(size=len(Q[1::7]))
+        stored_zero = rng.uniform(size=Q.shape) < 0.2
+        return Q, ff.Dataset.from_csr(*dense_to_csr(Q, stored_zero), m)
+
+    def test_csr_blocks_walk_like_dense_across_blocks(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        X = np.round(rng.normal(size=(150, 5)), 1)
+        X[:, 3] = 0.0  # constant, so no split uses it
+        ds = ff.Dataset.from_dense(X, target=(X[:, 0] + X[:, 1] > 0) * 1.0)
+        forest = ff.train(ds, ff.ForestConfig(mode="classification",
+                                              n_trees=6, seed=5))
+        assert not (forest.feature == 3).any()
+        Q, csr = self.query(rng, 400, 5, 3)
+        want = np.array([[walk_tree(tree, q) for tree in forest.trees]
+                         for q in Q])
+        # a few rows a block
+        monkeypatch.setattr(forest_module, "BLOCK_BYTES",
+                            3 * 6 * forest_module._WALK_CELL_BYTES)
+        for data in (Q, csr):
+            blocks = list(_node_blocks(forest, data, len(Q)))
+            assert len(blocks) > 50
+            for grid in (np.concatenate(blocks),
+                         _node_grid(forest, data, len(Q))):
+                assert np.array_equal(forest.leaf_id[grid], want)
+
+    def test_wide_csr_blocks_hold_many_rows(self, monkeypatch):
+        # 1000 columns, at most 4 of them split on: a block that read
+        # every column would hold one row under this budget
+        rng = np.random.default_rng(22)
+        m = 1000
+        X = np.zeros((120, m))
+        X[:, :4] = np.round(rng.normal(size=(120, 4)), 1)
+        ds = ff.Dataset.from_dense(X, target=(X[:, 0] > X[:, 1]) * 1.0)
+        forest = ff.train(ds, ff.ForestConfig(mode="classification",
+                                              n_trees=3, mtry=m, seed=2))
+        assert (forest.feature >= 0).any()
+        Q, csr = self.query(rng, 400, m, 10)
+        want = _node_grid(forest, Q, len(Q))
+        monkeypatch.setattr(forest_module, "BLOCK_BYTES",
+                            forest_module._BLOCK_CELL_BYTES * m)
+        blocks = list(_node_blocks(forest, csr, len(Q)))
+        assert 1 < len(blocks[0]) and len(blocks) > 1
+        assert np.array_equal(np.concatenate(blocks), want)
+
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    def test_grid_and_predict_stay_within_the_block_budget(self, storage,
+                                                          monkeypatch):
+        rng = np.random.default_rng(23)
+        X = rng.normal(size=(300, 6))
+        ds = ff.Dataset.from_dense(X, target=(X[:, 0] > 0) * 1.0)
+        forest = ff.train(ds, ff.ForestConfig(mode="classification",
+                                              n_trees=4, seed=1))
+        Q, csr = self.query(rng, 20_000, 6, 5)
+        data = Q if storage == "dense" else csr
+        query = ff.Dataset.from_dense(Q) if storage == "dense" else csr
+        wants = _node_grid(forest, Q, len(Q)), ff.predict_proba(forest, Q)
+        # one walk of every cell would hold about 7 MiB
+        monkeypatch.setattr(forest_module, "BLOCK_BYTES", 1 << 20)
+        runs = (lambda: _node_grid(forest, data, len(Q)),
+                lambda: ff.predict_proba(forest, query))
+        for run, want in zip(runs, wants):
+            tracemalloc.start()
+            try:
+                got = run()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert np.array_equal(got, want)
+            assert peak < forest_module.BLOCK_BYTES + (1 << 20)
 
 
 def test_forest_copies_its_tree_arrays_and_views_write_through():

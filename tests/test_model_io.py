@@ -122,6 +122,7 @@ def test_truncated_or_flipped_files_raise_model_format_error(model_file, data):
     ("left", 0, 3),      # past tree 0's last node, onto tree 1's root
     ("feature", 0, 1),   # past the last feature
     ("right", 0, 5),     # past tree 0's last node, inside tree 1
+    ("right", 0, 1),     # inside the tree, but not left + 1
     # leaf ids 0, 2 and 3, 1: all of 0..3 across the trees, but neither
     # tree holds exactly its own 0..1
     pytest.param("leaf_id", [2, 4], [2, 3], id="leaf_id-split-across-trees"),

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .dataset import (Dataset, load_dense_csv, load_schema, write_dense_csv)
-from .errors import ConfigError, ForestFuseError
+from .errors import ConfigError, ForestFuseError, SchemaError
 from .forest import ForestConfig, p_synthetic, predict, predict_proba, train
 from .importance import (compute_importance_report, local_proximity_importance,
                          local_variable_importance,
@@ -79,6 +79,21 @@ def _texts(values) -> list:
     if values.ndim == 2:
         return [list(map(repr, row)) for row in values.tolist()]
     return list(map(repr, values.tolist()))
+
+
+def _load_queries(path, schema, target) -> Dataset:
+    """Query rows, from a CSV that may or may not carry the target column;
+    if neither header matches, the error names the query's own header."""
+    try:
+        return load_dense_csv(path, schema)
+    except SchemaError as exc:
+        if target is None:
+            raise
+        mismatch = exc
+    try:
+        return load_dense_csv(path, schema, target_column=target)
+    except SchemaError:
+        raise mismatch from None
 
 
 def _load_data_for_model(artifact: ModelArtifact, path, target=None) -> Dataset:
@@ -147,7 +162,7 @@ def cmd_predict(args) -> int:
 def cmd_similar(args) -> int:
     artifact = load_model(args.model)
     forest = artifact.forest
-    queries = load_dense_csv(args.query, artifact.schema)
+    queries = _load_queries(args.query, artifact.schema, args.target)
     if not (0 <= args.query_row < queries.n_rows):
         raise ConfigError(f"query row {args.query_row} out of range")
     vec = queries.values[args.query_row]
@@ -327,7 +342,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "leaf assignments directly")
     p.add_argument("--data", default=None,
                    help="training CSV (required with --explain)")
-    p.add_argument("--target", default=None)
+    p.add_argument("--target", default=None,
+                   help="target column of the training CSV; a query may "
+                        "carry it too, and it is ignored there")
     p.add_argument("--repeats", type=int, default=1)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_similar)

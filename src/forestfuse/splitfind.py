@@ -42,10 +42,28 @@ rounded, and two value keys that report equal gains compare their exact
 gains by integer cross-multiplication. A bin key reports the float gain
 of its edge, whose threshold is an approximation already. Held cells
 change nothing here: every node, masked or not, gets this one rule.
+
+Small classification nodes take a second implementation of the same
+scan. A classification node of at most SMALL_CELLS candidate cells
+(n * f) is scanned in Python on lists (`_small_class_split`); regression
+nodes, larger nodes and nodes holding a NaN or infinite cell take the
+numpy scan above, the reference. Most nodes are small, and on them
+numpy's fixed cost per call dominates (see SMALL_CELLS). Both give the
+same Split, bit for bit:
+* class counts are integers in both, so a, b and P are the same ints;
+* every float gain is (a / nL + b / nR - P / n_obs) / n of those ints,
+  the same operations in the same order, and the tie rule's exact
+  re-compare is integer arithmetic and one correctly rounded quotient;
+* the class counts at a boundary between two different keys do not
+  depend on the order of equal keys, so Python's sort of (key, label)
+  pairs scores the boundaries numpy's argsort scores;
+* bin codes and thresholds come from the same float operations, and no
+  threshold depends on a zero's sign.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +81,14 @@ GAIN_EPS = 1e-12
 
 # float gains this close to the max are re-compared exactly (classification)
 _TIE_BAND = 1e-9
+
+# classification nodes of at most this many candidate cells (n * f) take
+# the Python scan. Per call, on one round of the benchmark's classification
+# nodes (Python 3.11, numpy 2.4.6, 2 shared vCPUs), the numpy scan costs
+# 42-59 us at any size up to 128 cells and the Python scan 14-19 us at
+# 1-16 cells, 37-47 us at 49-64 and 50-59 us at 65-96: they cross at
+# 65-90 cells, and this stays at or below the crossover
+SMALL_CELLS = 64
 
 
 @dataclass(frozen=True)
@@ -143,6 +169,106 @@ def _class_squares(y, order, n_classes, held, last):
     return sq[:-1], b[:-1], sq[last]
 
 
+def _tie_rule(cands, n):
+    """(gain, key) of the best of the candidates near the float maximum.
+
+    Each candidate is (float gain, a, b, P, nL, n_obs, value key?, key),
+    visited by feature, then threshold; only a strictly better one
+    replaces the best, which applies the rest of the tie rule. A value
+    key reports its exact gain num / den, correctly rounded, and two
+    equal reports compare num / den by cross-multiplication.
+    """
+    best = None
+    for reported, a, b, parent, nl, m, value_key, key in cands:
+        exact = None
+        if value_key:
+            nr = m - nl
+            num = (a * nr + b * nl) * m - parent * nl * nr
+            exact = (num, nl * nr * m * n)
+            reported = num / exact[1]
+        if best is None or reported > best[0] or (
+                reported == best[0] and exact and best[1]
+                and exact[0] * best[1][1] > best[1][0] * exact[1]):
+            best = (reported, exact, key)
+    return best[0], best[2]
+
+
+def _class_totals(labels):
+    """({label: count}, sum of squared counts) of a list of labels."""
+    total = {}
+    for c in labels:
+        total[c] = total.get(c, 0) + 1
+    return total, sum([t * t for t in total.values()])
+
+
+def _small_class_split(columns, feat_ids, labels, binned, n_bins, held):
+    """The classification scan of `find_node_split` on Python lists.
+
+    columns and held hold one list a candidate, labels one int a row and
+    binned one bool a candidate (or None). Each column's observed rows
+    are sorted once as (key, label) pairs, with the numpy scan's keys:
+    raw values, or bin codes over the observed min/max. The running
+    class counts are ints in a dict; a = sum of squared left counts and
+    cross = sum of left * total counts change row by row, and
+    b = P - 2 * cross + a is the sum of squared right counts. Every float
+    is the numpy scan's, from the same ints by the same operations in the
+    same order, and only gains within _TIE_BAND of the running maximum
+    are kept for the tie rule.
+    """
+    n = len(labels)
+    if held is None:
+        total, parent = _class_totals(labels)
+    cands = []
+    gmax = floor = -math.inf
+    for j, vals in enumerate(columns):
+        lab = labels
+        if held is not None:
+            obs = [i for i, h in enumerate(held[j]) if not h]
+            vals = [vals[i] for i in obs]
+            lab = [labels[i] for i in obs]
+            total, parent = _class_totals(lab)
+        m = len(vals)
+        if m < 2:
+            continue
+        value_key = binned is None or not binned[j]
+        if not value_key:
+            lo = min(vals)
+            width = (max(vals) - lo) / n_bins
+            scale = width if width > 0 else 1.0
+            top = n_bins - 1
+            # observed values are >= lo, so int() is floor
+            vals = [top if q >= top else int(q)
+                    for q in [(v - lo) / scale for v in vals]]
+        pairs = sorted(zip(vals, lab))
+        pm = parent / m
+        left = dict.fromkeys(total, 0)
+        a = cross = nl = 0
+        prev = pairs[0][0]
+        for k, c in pairs:
+            if k != prev:
+                # the boundary after the first nl rows
+                b = parent - 2 * cross + a
+                g = (a / nl + b / (m - nl) - pm) / n
+                if g >= floor:
+                    threshold = (0.5 * (prev + k) if value_key
+                                 else lo + width * (prev + 1))
+                    cands.append((g, a, b, parent, nl, m, value_key,
+                                  (j, threshold)))
+                    if g > gmax:
+                        gmax, floor = g, g - _TIE_BAND
+                prev = k
+            count = left[c]
+            left[c] = count + 1
+            a += count + count + 1
+            cross += total[c]
+            nl += 1
+    if not GAIN_EPS < gmax:
+        return None
+    gain, (j, threshold) = _tie_rule(
+        (cand for cand in cands if cand[0] >= floor), n)
+    return Split(int(feat_ids[j]), float(threshold), float(gain))
+
+
 def find_node_split(cols, feat_ids, y, *, task, n_classes=0,
                     strategy="presort", n_bins=256, categorical=None,
                     held=None) -> Split | None:
@@ -170,7 +296,8 @@ def find_node_split(cols, feat_ids, y, *, task, n_classes=0,
     right and parent counts. The float gain (a / nL + b / nR - P / n_obs)
     / n of every boundary rounds as it would from float counts, and a
     value key's exact gain is num / (den * n_obs * n) in integers, with
-    den = nL * nR.
+    den = nL * nR. A classification node of at most SMALL_CELLS cells
+    computes the same numbers in Python (`_small_class_split`).
     """
     n, f = cols.shape
     if n < 2:
@@ -184,6 +311,17 @@ def find_node_split(cols, feat_ids, y, *, task, n_classes=0,
                   else ~np.asarray(categorical, dtype=bool))
         if not binned.any():
             binned = None
+    if task == "classification" and n * f <= SMALL_CELLS:
+        columns = cols.T.tolist()
+        # a NaN sorts, and a span beyond the float range bins, unlike in
+        # numpy: a node holding either keeps the numpy scan
+        if math.isfinite(sum(map(sum, columns))) and (
+                binned is None
+                or max(map(max, columns)) - min(map(min, columns)) < math.inf):
+            return _small_class_split(
+                columns, feat_ids, y.tolist(),
+                None if binned is None else binned.tolist(), n_bins,
+                None if held is None else held.T.tolist())
     keys, lo, width = _sort_keys(cols, binned, n_bins, held)
     # a class count at a boundary between two different keys does not
     # depend on the order of equal keys; a float target sum does
@@ -225,25 +363,14 @@ def find_node_split(cols, feat_ids, y, *, task, n_classes=0,
 
     if task == "classification":
         # candidates within _TIE_BAND of the float max, column by column,
-        # boundary by boundary; only a strictly better one replaces the
-        # best, which applies the rest of the tie rule
-        best = None
+        # boundary by boundary
         cand_j, cand_p = np.nonzero(gains.T >= gain - _TIE_BAND)
-        for jj, pp in zip(cand_j.tolist(), cand_p.tolist()):
-            reported, exact = gains.item(pp, jj), None
-            if binned is None or not binned[jj]:
-                m = n_obs if held is None else n_obs.item(jj)
-                nl = pp + 1
-                nr = m - nl
-                num = ((a.item(pp, jj) * nr + b.item(pp, jj) * nl) * m
-                       - parent.item(jj) * nl * nr)
-                exact = (num, nl * nr * m * n)
-                reported = num / exact[1]
-            if best is None or reported > best[0] or (
-                    reported == best[0] and exact and best[1]
-                    and exact[0] * best[1][1] > best[1][0] * exact[1]):
-                best = (reported, exact, pp, jj)
-        gain, _, p, j = best
+        gain, (p, j) = _tie_rule(
+            ((gains.item(pp, jj), a.item(pp, jj), b.item(pp, jj),
+              parent.item(jj), pp + 1,
+              n_obs if held is None else n_obs.item(jj),
+              binned is None or not binned[jj], (pp, jj))
+             for jj, pp in zip(cand_j.tolist(), cand_p.tolist())), n)
     if binned is not None and binned[j]:
         threshold = lo[j] + width[j] * (sk[p, j] + 1)
     else:

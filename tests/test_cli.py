@@ -90,6 +90,34 @@ def test_similar_needs_no_build_index_flag(trained, tmp_path):
     assert runs[0] == runs[1]
 
 
+@pytest.mark.parametrize("explain", [False, True])
+def test_similar_takes_a_query_with_or_without_the_target(trained, tmp_path,
+                                                          explain):
+    # train.csv carries the target column `label`, features.csv does not
+    paths, _, _ = trained
+    extra = ["--explain", "--data", str(paths["train.csv"])] if explain else []
+    runs = []
+    for query in ("train.csv", "features.csv"):
+        out = tmp_path / f"similar_{query}"
+        assert main(["similar", str(paths["model.ffm"]), str(paths[query]),
+                     "--query-row", "3", "--k", "5", "--target", "label",
+                     "-o", str(out)] + extra) == 0
+        runs.append(read_csv(out))
+    assert runs[0] == runs[1]
+    assert len(runs[0]) == (11 if explain else 6)
+
+
+def test_similar_names_the_query_header_it_cannot_read(trained, tmp_path,
+                                                       capsys):
+    paths, _, _ = trained
+    query = tmp_path / "query.csv"
+    query.write_text("a,label,b\n0.1,1,0.2\n")
+    capsys.readouterr()
+    assert main(["similar", str(paths["model.ffm"]), str(query),
+                 "--target", "label"]) == 1
+    assert_one_line_error(capsys, "header ['a', 'label', 'b'] does not match")
+
+
 def assert_one_line_error(capsys, expected):
     captured = capsys.readouterr()
     assert captured.out == ""

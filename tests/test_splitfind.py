@@ -389,3 +389,112 @@ class TestBlockedClassCounts:
             tracemalloc.stop()
         assert split is not None
         assert peak < splitfind.BLOCK_BYTES + (1 << 20)
+
+
+# -- the Python scan of small classification nodes against the numpy scan -----
+
+@st.composite
+def classification_nodes(draw):
+    """Nodes on both sides of SMALL_CELLS, with many-way ties, signed
+    zeros, categorical candidates, held columns of 0 or 1 observed rows
+    and a few labels present out of up to 2000."""
+    f = draw(st.integers(1, 5))
+    n = draw(st.integers(2, 2 * splitfind.SMALL_CELLS // f + 2))
+    pool = draw(st.sampled_from([
+        [0.0, -0.0, 1.0, -1.0],
+        [float(v) for v in range(4)],
+        [0.5, 0.25, -0.0, 1e-300, 3e300, -2e300],
+        None]))
+    cell = (st.sampled_from(pool) if pool else
+            st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False))
+    cols = np.array(draw(st.lists(cell, min_size=n * f, max_size=n * f)),
+                    dtype=np.float64).reshape(n, f)
+    n_classes = draw(st.sampled_from([2, 3, 5, 2000]))
+    present = draw(st.lists(st.integers(0, n_classes - 1), min_size=1,
+                            max_size=4, unique=True))
+    y = np.array(draw(st.lists(st.sampled_from(present), min_size=n,
+                               max_size=n)), dtype=np.int64)
+    held = None
+    kind = draw(st.sampled_from(["none", "scattered", "whole column",
+                                 "one observed row"]))
+    if kind != "none":
+        held = np.array(draw(st.lists(st.booleans(), min_size=n * f,
+                                      max_size=n * f))).reshape(n, f)
+        if kind != "scattered":
+            j = draw(st.integers(0, f - 1))
+            held[:, j] = True
+            if kind == "one observed row":
+                held[draw(st.integers(0, n - 1)), j] = False
+    return dict(cols=cols, y=y, n_classes=n_classes, held=held,
+                feat_ids=np.array(sorted(draw(st.sets(
+                    st.integers(0, 30), min_size=f, max_size=f)))),
+                categorical=np.array(draw(st.lists(
+                    st.booleans(), min_size=f, max_size=f))),
+                strategy=draw(st.sampled_from(["presort", "histogram"])),
+                n_bins=draw(st.sampled_from([2, 3, 8, 256])))
+
+
+def split_bits(split):
+    # hex tells -0.0 from 0.0, and every other pair of distinct floats
+    return split and (split.feature, split.threshold.hex(), split.gain.hex())
+
+
+class TestSmallNodeScan:
+    @staticmethod
+    def scans(node):
+        """(Python scan's split, numpy scan's split) of one node."""
+        kwargs = dict(task="classification", n_classes=node["n_classes"],
+                      strategy=node["strategy"], n_bins=node["n_bins"],
+                      categorical=node["categorical"], held=node["held"])
+        out = []
+        for cells in (10 ** 9, 0):
+            # the numpy scan bins held cells too, and an extreme held value
+            # over a narrow observed span overflows there, unread
+            with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore"):
+                mp.setattr(splitfind, "SMALL_CELLS", cells)
+                out.append(ff.find_node_split(node["cols"], node["feat_ids"],
+                                              node["y"], **kwargs))
+        return out
+
+    @settings(max_examples=300, deadline=None)
+    @given(classification_nodes())
+    # equal exact gains at 0.5 and 1.5, where the float gain at 1.5 rounds
+    # higher (the first example of test_split_matches_enumerated_candidates)
+    @example(dict(cols=np.array([[1.0, 1, 3, 2, 1, 0, 0, 0, 3]]).T,
+                  y=np.array([1, 1, 1, 1, 0, 0, 2, 1, 1]), n_classes=3,
+                  feat_ids=np.array([0]), categorical=np.array([False]),
+                  held=None, strategy="presort", n_bins=2))
+    def test_python_scan_is_the_numpy_scan_bit_for_bit(self, node):
+        small, large = self.scans(node)
+        assert split_bits(small) == split_bits(large)
+
+    def test_only_small_classification_nodes_take_the_python_scan(self):
+        calls = []
+        scan = splitfind._small_class_split
+
+        def spy(*args):
+            calls.append(len(args[0]) * len(args[0][0]))
+            return scan(*args)
+
+        rng = np.random.default_rng(3)
+        cells = splitfind.SMALL_CELLS
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(splitfind, "_small_class_split", spy)
+            for n, f in ((cells // 2, 2), (cells // 2 + 1, 2), (cells, 1)):
+                cols = rng.normal(size=(n, f))
+                y = rng.integers(0, 2, n)
+                ff.find_node_split(cols, np.arange(f), y,
+                                   task="classification", n_classes=2)
+                ff.find_node_split(cols, np.arange(f), y.astype(float),
+                                   task="regression")
+            # NaN, infinite and overflowing spans keep the numpy scan
+            for bad, strategy in ((np.nan, "presort"), (np.inf, "presort"),
+                                  (1.5e308, "histogram")):
+                cols = np.array([[0.0], [1.0], [-1.5e308], [bad]])
+                with np.errstate(all="ignore"):
+                    split = ff.find_node_split(
+                        cols, np.array([0]), np.array([0, 1, 0, 1]),
+                        task="classification", n_classes=2,
+                        strategy=strategy)
+        assert calls == [cells, cells]
+        assert split is not None

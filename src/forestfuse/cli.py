@@ -44,7 +44,9 @@ def _add_forest_flags(p: argparse.ArgumentParser, require_mode: bool) -> None:
     p.add_argument("--max-depth", type=int, default=None)
     p.add_argument("--split", choices=("presort", "histogram"),
                    default="presort")
-    p.add_argument("--bins", type=int, default=256)
+    p.add_argument("--bins", type=int, default=256,
+                   help="with --split histogram: at most this many quantile "
+                   "bins per continuous feature, fixed once per training")
     p.add_argument("--seed", type=int, default=0)
 
 

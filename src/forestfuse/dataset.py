@@ -369,6 +369,33 @@ def _non_finite_cell(values, missing):
     return np.argwhere(bad)[0].tolist() if bad.any() else None
 
 
+# -- sort-based statistics --------------------------------------------------
+# np.unique, np.median and np.percentile import numpy.ma on their first
+# call, 12-14 ms in a fresh process; these give their results from a sort
+
+def distinct_counts(values) -> tuple:
+    """(distinct, counts): the distinct values of a 1-D array, ascending,
+    and how often each occurs, as np.unique(return_counts=True) gives."""
+    ordered = np.sort(values)
+    first = np.ones(len(ordered), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    return ordered[starts], np.diff(starts, append=len(ordered))
+
+
+def median(values) -> float:
+    """np.median of a 1-D float array: NaN if a value is, else the middle
+    value or the mean of the two middle values."""
+    ordered = np.sort(values)
+    half = len(ordered) // 2
+    if np.isnan(ordered[-1]):  # NaN sorts last
+        return np.nan
+    if len(ordered) % 2:
+        return float(ordered[half])
+    below, above = ordered[half - 1:half + 1].tolist()
+    return (below + above) / 2
+
+
 # -- dense CSV ------------------------------------------------------------
 
 def load_dense_csv(path, schema: FeatureSchema, target_column=None

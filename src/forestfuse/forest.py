@@ -17,6 +17,10 @@ the group's trees; only the candidate draw and the split scan
 (`splitfind.find_node_split`) run node by node. Each tree's nodes are
 numbered in the order they grow: level by level, and within a level in
 the order of their parents, each left child just before its right.
+Under the histogram strategy each continuous feature gets at most n_bins
+quantile bins, fixed once per training (`_bin_columns`): the trees grow
+on the bin codes, and every split records its value edge, so the walk
+and model files read raw values under both strategies.
 
 A Forest stores its trees in one node layout, `NODE_LAYOUT`, with one
 array per field over all trees. Every reader that routes rows through
@@ -36,7 +40,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, distinct_counts
 from .errors import ArgumentError, ConfigError
 from .rng import (ROOT_ROUTE, STREAM_LIMIT, NodeStreams, child_route,
                   synthetic_rng, tree_rng)
@@ -56,8 +60,11 @@ class ForestConfig:
     time: mtry = floor(sqrt(m)) for classification/unsupervised and
     floor(m/3) for regression (at least 1); min_node_size = 1 for
     classification/unsupervised and 5 for regression. max_depth = None
-    grows trees fully, to min_node_size or purity. seed is in 0..2**64 - 1,
-    the 64 bits every random stream is keyed by.
+    grows trees fully, to min_node_size or purity. split_strategy
+    "presort" splits between any two distinct values; "histogram" gives
+    at most n_bins quantile bins per continuous feature, fixed once per
+    training, and splits only between bins. seed is in 0..2**64 - 1, the
+    64 bits every random stream is keyed by.
     """
 
     mode: str
@@ -539,6 +546,98 @@ class _TrainingView:
             ds.n_features, schema=ds.schema)
 
 
+# -- global bins -------------------------------------------------------------
+
+@dataclass
+class _Bins:
+    """The global bins of a training matrix's continuous features.
+
+    Feature j's edges are edges[start[j]:start[j + 1]], ascending, and a
+    categorical feature has none. A cell's code counts the edges below
+    its value, less the zero[j] edges below 0.0, so code <= c iff
+    value <= edges[start[j] + zero[j] + c], and 0.0 has code 0 (a CSR
+    column keeps its implicit zeros).
+    """
+
+    edges: np.ndarray
+    start: np.ndarray
+    zero: np.ndarray
+
+    def value_thresholds(self, feature, threshold) -> np.ndarray:
+        """Each split's threshold on the raw values: a split on codes at
+        t becomes the edge of code floor(t), which sends the same rows
+        left; a split on a feature without edges (categorical) keeps t."""
+        out = threshold.copy()
+        b = self.start[feature + 1] > self.start[feature]
+        f = feature[b]
+        out[b] = self.edges[self.start[f] + self.zero[f]
+                            + np.floor(threshold[b]).astype(np.int64)]
+        return out
+
+
+def _bin_edges(values, n_bins: int) -> np.ndarray:
+    """Ascending edges of at most n_bins quantile bins over values.
+
+    One bin per distinct value if there are at most n_bins of them; else
+    a cut below the first distinct value whose first rank is at least
+    k * len(values) / n_bins, for k = 1..n_bins - 1, so a value tied over
+    many ranks stays in one bin. An edge lies between two adjacent
+    distinct values, lower <= edge < upper: their midpoint, each halved
+    before the sum so that it cannot overflow, or the lower value where
+    the midpoint rounds onto the upper one.
+    """
+    distinct, counts = distinct_counts(values)
+    upper = np.arange(1, len(distinct))
+    if len(distinct) > n_bins:
+        rank = np.cumsum(counts) - counts
+        # ceil(k * n / n_bins) in integers
+        upper = np.searchsorted(rank, -(np.arange(1, n_bins) * -len(values)
+                                        // n_bins))
+        upper = distinct_counts(upper[upper < len(distinct)])[0]
+    lower, upper = distinct[upper - 1], distinct[upper]
+    mid = lower * 0.5 + upper * 0.5
+    return np.where(mid < upper, mid, lower)
+
+
+def _bin_columns(data, categorical, n_bins: int, held_out=None):
+    """(codes, bins): data in the same storage with each continuous
+    feature's cells replaced by their global bin codes (`_Bins`).
+
+    A feature's edges (`_bin_edges`) come from its observed cells: held
+    cells are left out, and a CSR column's implicit zeros count. Held
+    cells get codes too, which no split reads.
+    """
+    dense = isinstance(data, np.ndarray)
+    if dense:
+        codes = data.copy()
+        columns = list(codes.T)
+    else:
+        # each column's stored cells, as views of one copy
+        order = np.argsort(data.indices, kind="stable")
+        stored = data.data[order]
+        columns = np.split(stored, np.searchsorted(
+            data.indices[order], np.arange(1, data.n_features)))
+    edges = [np.zeros(0)] * len(columns)
+    zero = np.zeros(len(columns), dtype=np.int64)
+    for j in np.flatnonzero(~categorical).tolist():
+        col = columns[j]
+        if dense:
+            observed = col if held_out is None else col[~held_out[:, j]]
+        else:
+            observed = np.concatenate([col, np.zeros(data.n_rows - len(col))])
+        edges[j] = _bin_edges(observed, n_bins)
+        zero[j] = np.searchsorted(edges[j], 0.0)
+        col[:] = np.searchsorted(edges[j], col) - zero[j]
+    bins = _Bins(np.concatenate(edges),
+                 np.cumsum([0] + [len(e) for e in edges]), zero)
+    if dense:
+        return codes, bins
+    values = np.empty_like(stored)
+    values[order] = stored
+    return Dataset.from_csr(data.indptr, data.indices, values, len(columns),
+                            schema=data.schema), bins
+
+
 # -- growth ----------------------------------------------------------------
 
 # bytes one (row, tree) cell of a growth level holds at most: its row,
@@ -552,9 +651,13 @@ _CSR_READ_BYTES = 24
 
 
 def _grow_trees(data, y, trees, *, task, n_classes, n_features, mtry,
-                min_node_size, max_depth, strategy, n_bins, seed,
-                categorical, held_out=None):
+                min_node_size, max_depth, seed, bins=None, held_out=None):
     """Each tree's NODE_LAYOUT arrays (and held_out_left), and in-bag counts.
+
+    data holds the raw values under presort. Under histogram it holds the
+    global bin codes of `_bin_columns`, fixed once per training, and
+    bins turns each split on codes into its value edge, the threshold
+    the tree records; both send the same rows left.
 
     The trees grow together, one level at a time. A level holds every
     open node of every tree, its in-bag rows in one array, node after
@@ -624,12 +727,9 @@ def _grow_trees(data, y, trees, *, task, n_classes, n_features, mtry,
             held = held_out[rows[:, None], cell_feats]
             any_held = np.logical_or.reduceat(held.any(axis=1), starts[:-1])
         del cell_feats
-        cat = None if categorical is None else categorical[feats]
         bounds = starts.tolist()
         splits = [find_node_split(
             cols[a:b], feats[i], yv[a:b], task=task, n_classes=n_classes,
-            strategy=strategy, n_bins=n_bins,
-            categorical=None if cat is None else cat[i],
             held=held[a:b] if held is not None and any_held[i] else None)
             for i, (a, b) in enumerate(zip(bounds, bounds[1:]))]
 
@@ -650,12 +750,15 @@ def _grow_trees(data, y, trees, *, task, n_classes, n_features, mtry,
             go_left = np.where(obs, go_left, side[node])
             level["held_out_left"][opened] = found & side
         n_left = np.bincount(node[go_left], minlength=len(size))
-        # histogram bin edges can land on a value and leave one side empty
-        # on the raw data; such a node stays a leaf
+        # presort's midpoint of two adjacent floats can round onto the
+        # upper one and send every row left; such a node stays a leaf (a
+        # bin edge stays below the upper value, so codes never do this)
         ok = found & (n_left > 0) & (n_left < size)
         split = opened[ok]
         level["feature"][split] = feature[ok]
-        level["threshold"][split] = threshold[ok]
+        level["threshold"][split] = (
+            threshold[ok] if bins is None
+            else bins.value_thresholds(feature[ok], threshold[ok]))
         level["gain"][split] = gain[ok]
 
         # a stable partition by counts: each split node's rows go to its
@@ -782,13 +885,14 @@ def _train(ds: Dataset, config: ForestConfig,
     view = _TrainingView(ds, config.mode, config.seed)
     if held_out is not None and view.unsupervised:
         held_out = np.vstack([held_out, _permute_columns(held_out, config.seed)])
-    data = view.columns
+    data = grow_data = view.columns
+    bins = None
+    if config.split_strategy == "histogram":
+        grow_data, bins = _bin_columns(data, ds.schema.is_categorical(),
+                                       config.n_bins, held_out)
     task = "regression" if config.mode == "regression" else "classification"
     mtry = config.resolved_mtry(ds.n_features)
     min_node = config.resolved_min_node_size()
-    categorical = ds.schema.is_categorical()
-    if not categorical.any():
-        categorical = None
 
     # trees grow in groups whose level arrays fit BLOCK_BYTES
     candidate = _GROW_CANDIDATE_BYTES + (_CSR_READ_BYTES if ds.is_sparse
@@ -796,11 +900,10 @@ def _train(ds: Dataset, config: ForestConfig,
     step = max(1, BLOCK_BYTES // ((_GROW_CELL_BYTES + candidate * mtry)
                                   * len(view.y)))
     grown = [_grow_trees(
-        data, view.y, range(t, min(t + step, config.n_trees)), task=task,
-        n_classes=view.n_classes or 0, n_features=ds.n_features, mtry=mtry,
-        min_node_size=min_node, max_depth=config.max_depth,
-        strategy=config.split_strategy, n_bins=config.n_bins,
-        seed=config.seed, categorical=categorical, held_out=held_out)
+        grow_data, view.y, range(t, min(t + step, config.n_trees)),
+        task=task, n_classes=view.n_classes or 0, n_features=ds.n_features,
+        mtry=mtry, min_node_size=min_node, max_depth=config.max_depth,
+        seed=config.seed, bins=bins, held_out=held_out)
         for t in range(0, config.n_trees, step)]
 
     forest = Forest(

@@ -35,11 +35,12 @@ structure look more synthetic and rank worse.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dataset import CATEGORICAL, Dataset
+from .dataset import CATEGORICAL, Dataset, distinct_counts, median
 from .errors import ArgumentError, ConfigError, ImputationError
 from .forest import Forest, ForestConfig, p_synthetic, train, train_held_out
 from .proximity import ProximityMatrix, matrix_rows, proximity_rows
@@ -146,12 +147,13 @@ def _group_modes(groups, codes, n_groups: int) -> np.ndarray:
     input and not groups x categories. An empty group gets 0.
     """
     c = int(codes.max(initial=0)) + 1
-    pairs, counts = np.unique(groups * c + codes, return_counts=True)
+    pairs, counts = distinct_counts(groups * c + codes)
     group = pairs // c
     # pairs ascend by (group, code): a stable sort on (group, -count)
     # puts each group's lowest most frequent code first
     ranked = np.lexsort((-counts, group))
-    first = ranked[np.unique(group[ranked], return_index=True)[1]]
+    sizes = distinct_counts(group)[1]
+    first = ranked[np.cumsum(sizes) - sizes]
     modes = np.zeros(n_groups, dtype=np.int64)
     modes[group[first]] = pairs[first] % c
     return modes
@@ -219,7 +221,7 @@ def _column_fills(ds: Dataset) -> np.ndarray:
         if feat.kind == CATEGORICAL:
             fills[k] = int(np.argmax(np.bincount(obs.astype(np.int64))))
         else:
-            fills[k] = float(np.median(obs))
+            fills[k] = median(obs)
     return fills
 
 
@@ -245,9 +247,28 @@ def _inner_train(ds: Dataset, forest_config: ForestConfig,
 
 
 def _column_iqr(ds: Dataset) -> np.ndarray:
-    """Interquartile range of each column's observed (non-NaN) cells."""
-    q75, q25 = np.nanpercentile(ds.values, [75, 25], axis=0)
-    return q75 - q25
+    """Interquartile range of each column's observed cells, as
+    np.nanpercentile's linear interpolation gives it, bit for bit."""
+    iqr = np.empty(ds.n_features)
+    for k in range(ds.n_features):
+        obs = np.sort(ds.values[~ds.missing[:, k], k]).tolist()
+        q75, q25 = (_sorted_quantile(obs, q) for q in (0.75, 0.25))
+        iqr[k] = q75 - q25
+    return iqr
+
+
+def _sorted_quantile(ordered: list, q: float) -> float:
+    """The q-quantile of an ascending list, interpolated as np.percentile
+    does: from below when the fraction is under 0.5, else from above."""
+    at = (len(ordered) - 1) * q
+    i = math.floor(at)
+    if i >= len(ordered) - 1:
+        return ordered[-1]
+    below, above = ordered[i:i + 2]
+    t = at - i
+    if t < 0.5:
+        return below + (above - below) * t
+    return above - (above - below) * (1 - t)
 
 
 _REL_EPS = 1e-9

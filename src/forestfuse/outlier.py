@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import distinct_counts, median
 from .errors import ArgumentError, ClassSizeError
 from .forest import Forest
 from .proximity import (DEFAULT_BLOCK_BYTES, ProximityMatrix, matrix_rows,
@@ -59,37 +60,11 @@ class OutlierReport:
     greedy_m: int | None = None
 
 
-def _class_sizes(classes):
-    """(ids, sizes): the distinct classes, ascending, and their sizes.
-
-    From one sort, as np.unique would give them; np.unique and np.median
-    import numpy.ma on their first call, 13 ms in a fresh process.
-    """
-    ordered = np.sort(classes)
-    first = np.ones(len(ordered), dtype=bool)
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
-    return ordered[starts], np.diff(starts, append=len(ordered))
-
-
-def _median(values) -> float:
-    """np.median of a 1-D float array, from one sort: NaN if a value is,
-    else the middle value or the mean of the two middle values."""
-    ordered = np.sort(values)
-    half = len(ordered) // 2
-    if np.isnan(ordered[-1]):  # NaN sorts last
-        return np.nan
-    if len(ordered) % 2:
-        return float(ordered[half])
-    below, above = ordered[half - 1:half + 1].tolist()
-    return (below + above) / 2
-
-
 def _check_classes(classes, n) -> np.ndarray:
     classes = np.asarray(classes, dtype=np.int64)
     if classes.shape != (n,):
         raise ArgumentError(f"classes must assign all {n} samples")
-    ids, sizes = _class_sizes(classes)
+    ids, sizes = distinct_counts(classes)
     if (sizes < 2).any():
         raise ClassSizeError(
             f"class {ids[np.argmax(sizes < 2)]} has fewer than 2 members; "
@@ -107,15 +82,15 @@ def _normalize(raw: np.ndarray, classes: np.ndarray):
     """
     n = len(raw)
     score = np.zeros(n, dtype=np.float64)
-    class_ids = _class_sizes(classes)[0]
+    class_ids = distinct_counts(classes)[0]
     medians = np.empty(len(class_ids))
     mads = np.empty(len(class_ids))
     flags: list[set] = [set() for _ in range(n)]
     for ci, c in enumerate(class_ids):
         members = np.flatnonzero(classes == c)
         vals = raw[members]
-        med = _median(vals)
-        mad = _median(np.abs(vals - med)) if np.isfinite(med) else np.nan
+        med = median(vals)
+        mad = median(np.abs(vals - med)) if np.isfinite(med) else np.nan
         medians[ci] = med
         mads[ci] = mad
         if mad > 0.0:
@@ -141,7 +116,7 @@ def _classmate_rows(prox, classes, cell_bytes):
     mates[r] / scale are the proximities of rows[r] to each of its
     classmates except itself, in ascending row id.
     """
-    for c in _class_sizes(classes)[0]:
+    for c in distinct_counts(classes)[0]:
         members = np.flatnonzero(classes == c)
         for block, values, scale in proximity_rows(
                 prox, members, members, max_bytes=DEFAULT_BLOCK_BYTES,

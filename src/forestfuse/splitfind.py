@@ -1,24 +1,15 @@
 """Split finding for tree growth.
 
-One sorted scan per node serves both strategies. The node turns its
-candidate columns into one (n, f) matrix of sort keys, sorts every column
-with one argsort and runs one cumulative sum down the sorted rows: of the
-one-hot labels in integers (classification; in blocks that fit
-BLOCK_BYTES when the classes are many), or of the targets (regression,
-whose float sums need the stable sort). A split may fall
-only between two sorted rows whose keys differ. Keys come in two kinds:
-
-* value keys, the raw values: every candidate under `presort`, and the
-  categorical candidates (ordered codes) under `histogram`. A split's
-  threshold is the midpoint of the two values it falls between.
-* bin keys, for continuous candidates under `histogram`: each value's
-  equal-width bin code over the node's min/max, n_bins bins. A split
-  after bin b has the bin edge lo + width * (b + 1) as its threshold.
-
-Only occupied bins are scored. An empty bin adds no row to the running
-counts, so the edges of a run of empty bins all give the partition, and
-the score, of the edge right after the occupied bin below them; that edge
-is the run's lowest threshold, the one the tie rule picks.
+One sorted scan per node. The node sorts every candidate column of its
+(n, f) matrix with one argsort and runs one cumulative sum down the
+sorted rows: of the one-hot labels in integers (classification; in
+blocks that fit BLOCK_BYTES when the classes are many), or of the
+targets (regression, whose float sums need the stable sort). A split may
+fall only between two sorted rows whose values differ, and its threshold
+is the midpoint of those two values. Under `histogram` the grower passes
+each continuous feature's global bin codes in place of its values and
+turns the midpoint of two codes into a value edge (`forest._bin_columns`);
+the scan is the same.
 
 The criterion is Gini impurity decrease for classification and variance
 reduction for regression, both normalized per sample in the node, so a
@@ -29,19 +20,16 @@ them as a mask. A held cell keys +inf, so it sorts after its column's
 n_obs observed rows and stays out of the column's running counts and
 totals; only boundaries between observed rows are scored. Column j
 scores (score_obs - parent_obs) / n: its gain on the observed rows,
-scaled by the observed share n_obs / n of the node. A binned column
-takes its min/max over the observed values only.
+scaled by the observed share n_obs / n of the node.
 
 The tie rule: maximum gain, then the lowest feature id, then the lowest
-threshold (the lowest midpoint, or the lowest edge). Regression compares
-float gains. Class counts are integers, so every classification gain is
-a rational, and float rounding can order equal gains either way. The
-candidates within a small band of the float maximum are therefore ranked
-by the gain each reports. A value key reports its exact gain, correctly
-rounded, and two value keys that report equal gains compare their exact
-gains by integer cross-multiplication. A bin key reports the float gain
-of its edge, whose threshold is an approximation already. Held cells
-change nothing here: every node, masked or not, gets this one rule.
+threshold. Regression compares float gains. Class counts are integers,
+so every classification gain is a rational, and float rounding can order
+equal gains either way. The candidates within a small band of the float
+maximum are therefore ranked by their exact gains: each reports its
+exact gain, correctly rounded, and two that report equal gains compare
+their exact gains by integer cross-multiplication. Held cells change
+nothing here: every node, masked or not, gets this one rule.
 
 Small classification nodes take a second implementation of the same
 scan. A classification node of at most SMALL_CELLS candidate cells
@@ -54,11 +42,11 @@ same Split, bit for bit:
 * every float gain is (a / nL + b / nR - P / n_obs) / n of those ints,
   the same operations in the same order, and the tie rule's exact
   re-compare is integer arithmetic and one correctly rounded quotient;
-* the class counts at a boundary between two different keys do not
-  depend on the order of equal keys, so Python's sort of (key, label)
-  pairs scores the boundaries numpy's argsort scores;
-* bin codes and thresholds come from the same float operations, and no
-  threshold depends on a zero's sign.
+* the class counts at a boundary between two different values do not
+  depend on the order of equal values, so Python's sort of (value,
+  label) pairs scores the boundaries numpy's argsort scores;
+* thresholds come from the same float operation, and none depends on a
+  zero's sign.
 """
 
 from __future__ import annotations
@@ -96,22 +84,6 @@ class Split:
     feature: int
     threshold: float
     gain: float
-
-
-def _sort_keys(cols, binned, n_bins, held):
-    """(keys, lo, width): bin codes replace the binned columns' values,
-    and held cells key +inf."""
-    keys, lo, width = cols, None, None
-    if binned is not None:
-        lo = (cols if held is None else np.where(held, np.inf, cols)).min(0)
-        hi = (cols if held is None else np.where(held, -np.inf, cols)).max(0)
-        width = (hi - lo) / n_bins
-        # observed values are >= lo: codes start at 0, all 0 if constant
-        codes = np.minimum(
-            np.floor((cols - lo) / np.where(width > 0, width, 1.0)),
-            n_bins - 1)
-        keys = np.where(binned, codes, cols)
-    return keys if held is None else np.where(held, np.inf, keys), lo, width
 
 
 def _running_counts(labels, n_classes):
@@ -172,25 +144,22 @@ def _class_squares(y, order, n_classes, held, last):
 def _tie_rule(cands, n):
     """(gain, key) of the best of the candidates near the float maximum.
 
-    Each candidate is (float gain, a, b, P, nL, n_obs, value key?, key),
-    visited by feature, then threshold; only a strictly better one
-    replaces the best, which applies the rest of the tie rule. A value
-    key reports its exact gain num / den, correctly rounded, and two
-    equal reports compare num / den by cross-multiplication.
+    Each candidate is (a, b, P, nL, n_obs, key), visited by feature, then
+    threshold; only a strictly better one replaces the best, which
+    applies the rest of the tie rule. Each reports its exact gain
+    num / den, correctly rounded, and two equal reports compare num / den
+    by cross-multiplication.
     """
     best = None
-    for reported, a, b, parent, nl, m, value_key, key in cands:
-        exact = None
-        if value_key:
-            nr = m - nl
-            num = (a * nr + b * nl) * m - parent * nl * nr
-            exact = (num, nl * nr * m * n)
-            reported = num / exact[1]
+    for a, b, parent, nl, m, key in cands:
+        nr = m - nl
+        num = (a * nr + b * nl) * m - parent * nl * nr
+        den = nl * nr * m * n
+        reported = num / den
         if best is None or reported > best[0] or (
-                reported == best[0] and exact and best[1]
-                and exact[0] * best[1][1] > best[1][0] * exact[1]):
-            best = (reported, exact, key)
-    return best[0], best[2]
+                reported == best[0] and num * best[2] > best[1] * den):
+            best = (reported, num, den, key)
+    return best[0], best[3]
 
 
 def _class_totals(labels):
@@ -201,15 +170,13 @@ def _class_totals(labels):
     return total, sum([t * t for t in total.values()])
 
 
-def _small_class_split(columns, feat_ids, labels, binned, n_bins, held):
+def _small_class_split(columns, feat_ids, labels, held):
     """The classification scan of `find_node_split` on Python lists.
 
-    columns and held hold one list a candidate, labels one int a row and
-    binned one bool a candidate (or None). Each column's observed rows
-    are sorted once as (key, label) pairs, with the numpy scan's keys:
-    raw values, or bin codes over the observed min/max. The running
-    class counts are ints in a dict; a = sum of squared left counts and
-    cross = sum of left * total counts change row by row, and
+    columns and held hold one list a candidate, labels one int a row.
+    Each column's observed rows are sorted once as (value, label) pairs.
+    The running class counts are ints in a dict; a = sum of squared left
+    counts and cross = sum of left * total counts change row by row, and
     b = P - 2 * cross + a is the sum of squared right counts. Every float
     is the numpy scan's, from the same ints by the same operations in the
     same order, and only gains within _TIE_BAND of the running maximum
@@ -230,33 +197,22 @@ def _small_class_split(columns, feat_ids, labels, binned, n_bins, held):
         m = len(vals)
         if m < 2:
             continue
-        value_key = binned is None or not binned[j]
-        if not value_key:
-            lo = min(vals)
-            width = (max(vals) - lo) / n_bins
-            scale = width if width > 0 else 1.0
-            top = n_bins - 1
-            # observed values are >= lo, so int() is floor
-            vals = [top if q >= top else int(q)
-                    for q in [(v - lo) / scale for v in vals]]
         pairs = sorted(zip(vals, lab))
         pm = parent / m
         left = dict.fromkeys(total, 0)
         a = cross = nl = 0
         prev = pairs[0][0]
-        for k, c in pairs:
-            if k != prev:
+        for v, c in pairs:
+            if v != prev:
                 # the boundary after the first nl rows
                 b = parent - 2 * cross + a
                 g = (a / nl + b / (m - nl) - pm) / n
                 if g >= floor:
-                    threshold = (0.5 * (prev + k) if value_key
-                                 else lo + width * (prev + 1))
-                    cands.append((g, a, b, parent, nl, m, value_key,
-                                  (j, threshold)))
+                    cands.append((g, a, b, parent, nl, m,
+                                  (j, 0.5 * (prev + v))))
                     if g > gmax:
                         gmax, floor = g, g - _TIE_BAND
-                prev = k
+                prev = v
             count = left[c]
             left[c] = count + 1
             a += count + count + 1
@@ -265,27 +221,24 @@ def _small_class_split(columns, feat_ids, labels, binned, n_bins, held):
     if not GAIN_EPS < gmax:
         return None
     gain, (j, threshold) = _tie_rule(
-        (cand for cand in cands if cand[0] >= floor), n)
+        (cand[1:] for cand in cands if cand[0] >= floor), n)
     return Split(int(feat_ids[j]), float(threshold), float(gain))
 
 
 def find_node_split(cols, feat_ids, y, *, task, n_classes=0,
-                    strategy="presort", n_bins=256, categorical=None,
                     held=None) -> Split | None:
     """Best split over the node's candidate features, or None.
 
     Parameters
     ----------
     cols : (n, f) float array
-        Candidate feature values for the node's samples.
+        Candidate feature values (or global bin codes) for the node's
+        samples.
     feat_ids : (f,) int array
         Original feature ids, ascending (the tie rule depends on it).
     y : (n,) array
         Integer class labels or float targets for the node's samples.
     task : {"classification", "regression"}
-    categorical : optional (f,) bool array
-        Categorical candidates keep value keys (ordered codes) under
-        histogram; only continuous candidates are binned.
     held : optional (n, f) bool array
         Cells the split must not read (see held cells in the module
         docstring). A column with fewer than 2 observed rows offers none.
@@ -294,10 +247,10 @@ def find_node_split(cols, feat_ids, y, *, task, n_classes=0,
     boundary p in column j and total[j] the column's, both over its
     n_obs[j] observed rows, and a, b and P are the sums of squared left,
     right and parent counts. The float gain (a / nL + b / nR - P / n_obs)
-    / n of every boundary rounds as it would from float counts, and a
-    value key's exact gain is num / (den * n_obs * n) in integers, with
-    den = nL * nR. A classification node of at most SMALL_CELLS cells
-    computes the same numbers in Python (`_small_class_split`).
+    / n of every boundary rounds as it would from float counts, and the
+    exact gain is num / (den * n_obs * n) in integers, with den = nL * nR.
+    A classification node of at most SMALL_CELLS cells computes the same
+    numbers in Python (`_small_class_split`).
     """
     n, f = cols.shape
     if n < 2:
@@ -305,24 +258,15 @@ def find_node_split(cols, feat_ids, y, *, task, n_classes=0,
     if task == "classification" and n_classes < 2:
         raise ArgumentError("classification split needs n_classes >= 2")
 
-    binned = None
-    if strategy == "histogram":
-        binned = (np.ones(f, dtype=bool) if categorical is None
-                  else ~np.asarray(categorical, dtype=bool))
-        if not binned.any():
-            binned = None
     if task == "classification" and n * f <= SMALL_CELLS:
         columns = cols.T.tolist()
-        # a NaN sorts, and a span beyond the float range bins, unlike in
-        # numpy: a node holding either keeps the numpy scan
-        if math.isfinite(sum(map(sum, columns))) and (
-                binned is None
-                or max(map(max, columns)) - min(map(min, columns)) < math.inf):
+        # a NaN sorts unlike in numpy: a node holding one, or an infinite
+        # cell, keeps the numpy scan
+        if math.isfinite(sum(map(sum, columns))):
             return _small_class_split(
                 columns, feat_ids, y.tolist(),
-                None if binned is None else binned.tolist(), n_bins,
                 None if held is None else held.T.tolist())
-    keys, lo, width = _sort_keys(cols, binned, n_bins, held)
+    keys = cols if held is None else np.where(held, np.inf, cols)
     # a class count at a boundary between two different keys does not
     # depend on the order of equal keys; a float target sum does
     order = keys.argsort(axis=0, kind=None if task == "classification"
@@ -366,13 +310,8 @@ def find_node_split(cols, feat_ids, y, *, task, n_classes=0,
         # boundary by boundary
         cand_j, cand_p = np.nonzero(gains.T >= gain - _TIE_BAND)
         gain, (p, j) = _tie_rule(
-            ((gains.item(pp, jj), a.item(pp, jj), b.item(pp, jj),
-              parent.item(jj), pp + 1,
-              n_obs if held is None else n_obs.item(jj),
-              binned is None or not binned[jj], (pp, jj))
+            ((a.item(pp, jj), b.item(pp, jj), parent.item(jj), pp + 1,
+              n_obs if held is None else n_obs.item(jj), (pp, jj))
              for jj, pp in zip(cand_j.tolist(), cand_p.tolist())), n)
-    if binned is not None and binned[j]:
-        threshold = lo[j] + width[j] * (sk[p, j] + 1)
-    else:
-        threshold = 0.5 * (sk[p, j] + sk[p + 1, j])
+    threshold = 0.5 * (sk[p, j] + sk[p + 1, j])
     return Split(int(feat_ids[j]), float(threshold), float(gain))

@@ -1,5 +1,8 @@
 """Shared generators and hand-built forest utilities for the test suite."""
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +11,27 @@ from hypothesis import strategies as st
 import forestfuse as ff
 from forestfuse.forest import _node_grid
 from forestfuse.proximity import cooccurrence_blocks
+
+
+def loads_numpy_ma(setup, action) -> bool:
+    """Whether the lines of action import numpy.ma in a fresh process.
+
+    np.unique, np.median and np.percentile import it on their first call,
+    12-14 ms that a one-shot command would pay. Both lists of lines run
+    after `import numpy as np` and `import forestfuse as ff`; setup must
+    not import numpy.ma itself.
+    """
+    code = "\n".join([
+        "import sys", "import numpy as np", "import forestfuse as ff",
+        *setup,
+        "assert 'numpy.ma' not in sys.modules, 'imported by the setup'",
+        *action,
+        "print('numpy.ma' in sys.modules)"])
+    src = os.path.dirname(os.path.dirname(ff.__file__))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip() == "True"
 
 
 def blobs(n_per_class, seed, sep=6.0, scale=1.0):

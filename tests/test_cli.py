@@ -5,6 +5,8 @@ import csv
 import numpy as np
 import pytest
 
+from helpers import loads_numpy_ma
+
 import forestfuse as ff
 from forestfuse.cli import main
 from forestfuse.forest import _query_leaves
@@ -208,6 +210,21 @@ def test_impute_rejects_a_nan_tolerance(trained, tmp_path, capsys):
                  "--trees", "2", "--tol", "nan"]) == 1
     assert_one_line_error(capsys, "tol must be > 0")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["bc", "young"])
+def test_impute_does_not_import_numpy_ma(trained, tmp_path, method):
+    # a one-shot `forestfuse impute` would pay numpy.ma's import
+    paths, X, _ = trained
+    data = tmp_path / "holes.csv"
+    rows = [",".join("NA" if (i + k) % 7 == 0 else repr(v)
+                     for k, v in enumerate(x)) for i, x in enumerate(X.tolist())]
+    data.write_text("a,b,c\n" + "\n".join(rows) + "\n")
+    argv = ["impute", str(data), str(paths["schema.txt"]), "-o",
+            str(tmp_path / "filled.csv"), "--impute-method", method,
+            "--trees", "5", "--seed", "2"]
+    assert not loads_numpy_ma(["from forestfuse.cli import main"],
+                              [f"assert main({argv!r}) == 0"])
 
 
 @pytest.mark.parametrize("method", ["bc", "young"])

@@ -1,21 +1,23 @@
 """Training, prediction, OOB estimation, and the synthetic-row generator."""
 
 import tracemalloc
+import warnings
 from collections import deque
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from helpers import (assemble_forest, blobs_dataset, dense_to_csr, leaf_tree,
-                     sparse_matrices, stump, walk_tree)
+                     loads_numpy_ma, sparse_matrices, stump, walk_tree)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import forestfuse as ff
 from forestfuse import forest as forest_module
-from forestfuse.forest import (_ancestors, _node_blocks, _node_grid,
-                               _perturbed_walk, _query_leaves, _walk,
-                               train_held_out)
+from forestfuse.forest import (_ancestors, _bin_columns, _node_blocks,
+                               _node_grid, _perturbed_walk, _query_leaves,
+                               _walk, train_held_out)
 from forestfuse.model_io import ModelArtifact, dataset_fingerprint, save_model
 from forestfuse.rng import (ROOT_ROUTE, NodeStreams, child_route, donor_rng,
                             donor_streams, node_rng, permute_rng,
@@ -410,6 +412,25 @@ class TestTrainHeldOut:
                               equal_nan=True)
         assert masked.held_out_left is None
 
+    def test_histogram_reads_no_held_placeholder(self):
+        # observed cells 1e-300 and 0.0 and held placeholders of 3e300: the
+        # bins take the observed cells only, and no node reads a value
+        rng = np.random.default_rng(5)
+        X = np.column_stack([np.where(rng.uniform(size=90) < 0.5, 1e-300, 0.0),
+                             rng.normal(size=90)])
+        held = np.zeros(X.shape, dtype=bool)
+        held[::3, 0] = True
+        X[held] = 3e300
+        y = (X[:, 1] > 0).astype(float)
+        ds = ff.Dataset.from_dense(X, target=y)
+        cfg = ff.ForestConfig(mode="classification", n_trees=4, seed=1,
+                              split_strategy="histogram", n_bins=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            forest = train_held_out(ds, held, cfg)
+        on_0 = forest.threshold[forest.feature == 0]
+        assert on_0.size and np.all((0.0 <= on_0) & (on_0 < 1e-300))
+
     def test_bad_mask_rejected(self):
         ds = ff.Dataset.from_dense(np.zeros((4, 2)))
         cfg = ff.ForestConfig(mode="unsupervised", n_trees=2)
@@ -429,7 +450,9 @@ class TestGrowerOracle:
     Node ids, child ids and leaf ids follow the level order the grower
     makes them in (a FIFO queue, each left child queued before its
     right), so right == left + 1, and split_gain is the sum of gain * n
-    over the splits in that order.
+    over the splits in that order. Under histogram the node's split is
+    find_node_split's on the global bin codes (`_bin_columns`), and the
+    tree records its value edge, which routes the rows as the codes do.
     `check` returns how many nodes found a split that left one side empty
     on the raw values, and so stayed leaves.
     """
@@ -455,7 +478,10 @@ class TestGrowerOracle:
         task = "regression" if cfg.mode == "regression" else "classification"
         mtry = cfg.resolved_mtry(m)
         min_node = cfg.resolved_min_node_size()
-        is_cat = ds.schema.is_categorical()
+        keys = values
+        if cfg.split_strategy == "histogram":
+            keys, bins = _bin_columns(values, ds.schema.is_categorical(),
+                                      cfg.n_bins, held)
         fallbacks = 0
         for t, tree in enumerate(forest.trees):
             draw = tree_rng(cfg.seed, t).integers(0, len(y), size=len(y))
@@ -479,12 +505,18 @@ class TestGrowerOracle:
                     feats = np.sort(node_rng(cfg.seed, t, route).choice(
                         m, size=mtry, replace=False))
                     split = find_node_split(
-                        values[rows][:, feats], feats, yv, task=task,
-                        n_classes=n_classes, strategy=cfg.split_strategy,
-                        n_bins=cfg.n_bins, categorical=is_cat[feats],
+                        keys[rows][:, feats], feats, yv, task=task,
+                        n_classes=n_classes,
                         held=None if held is None else held[rows][:, feats])
                 if split is not None:
-                    go_left = values[rows, split.feature] <= split.threshold
+                    go_left = keys[rows, split.feature] <= split.threshold
+                    if keys is not values:
+                        split = replace(split, threshold=bins.value_thresholds(
+                            np.array([split.feature]),
+                            np.array([split.threshold]))[0])
+                        # the value edge routes the rows as their codes do
+                        assert np.array_equal(go_left, values[
+                            rows, split.feature] <= split.threshold)
                     if held is not None:
                         obs = ~held[rows, split.feature]
                         side = 2 * np.sum(go_left & obs) >= np.sum(obs)
@@ -552,9 +584,10 @@ class TestGrowerOracle:
                                       "unsupervised"])
     def test_wide_levels_of_many_trees(self, mode, strategy):
         # 200 rows and 8 trees, so each level holds many nodes of several
-        # trees. Feature 0 takes two adjacent floats: a bin edge between
-        # them rounds onto the upper one, so a histogram split on it sends
-        # every row left and its node stays a leaf
+        # trees. Feature 0 takes two adjacent floats: presort's midpoint
+        # of them rounds onto the upper one, so a split on it sends every
+        # row left and its node stays a leaf; the global bin edge between
+        # them is the lower one, so histogram splits on it
         rng = np.random.default_rng(4)
         X = rng.normal(size=(200, 4)).round(1)
         X[:, 0] = np.where(rng.uniform(size=200) < 0.5, 1 + 2 ** -52,
@@ -568,11 +601,15 @@ class TestGrowerOracle:
         held = rng.uniform(size=X.shape) < 0.2
         cfg = ff.ForestConfig(mode=mode, n_trees=8, seed=5, n_bins=2,
                               split_strategy=strategy)
-        fallbacks = (self.check(ds, ff.train(ds, cfg), cfg)
-                     + self.check(ds, train_held_out(ds, held, cfg), cfg,
-                                  held))
-        if strategy == "histogram":
+        forests = ff.train(ds, cfg), train_held_out(ds, held, cfg)
+        fallbacks = (self.check(ds, forests[0], cfg)
+                     + self.check(ds, forests[1], cfg, held))
+        if strategy == "presort":
             assert fallbacks > 0
+        else:
+            assert fallbacks == 0
+            assert all((f.threshold[f.feature == 0] == 1 + 2 ** -52).any()
+                       for f in forests)
 
     @pytest.mark.parametrize("mode", ["classification", "regression",
                                       "unsupervised"])
@@ -634,6 +671,154 @@ class TestTreeGroups:
             assert (a is None) == (b is None) == (storage != "held"
                                                   and name == "held_out_left")
             assert a is None or np.array_equal(a, b)
+
+
+class TestGlobalBins:
+    """`_bin_columns`: each continuous feature's quantile bins, fixed once
+    per training, and the histogram forests grown on them."""
+
+    @staticmethod
+    def feature_edges(bins, j):
+        return bins.edges[bins.start[j]:bins.start[j + 1]]
+
+    def check_codes(self, col, codes, edges, zero):
+        """code <= c iff value <= edges[c], for every value and edge."""
+        shifted = codes + zero
+        assert np.array_equal(shifted, np.searchsorted(edges, col))
+        for c, edge in enumerate(edges.tolist()):
+            assert np.array_equal(shifted <= c, col <= edge)
+        order = np.argsort(col, kind="stable")
+        assert np.all(np.diff(codes[order]) >= 0)
+
+    @pytest.mark.parametrize("n_bins", [2, 3, 16, 256])
+    def test_codes_follow_the_edges(self, n_bins):
+        rng = np.random.default_rng(n_bins)
+        tiny = np.nextafter(0.0, 1.0)
+        columns = [
+            rng.normal(size=300),
+            rng.integers(-2, 3, size=300).astype(float),
+            rng.choice([1.0, np.nextafter(1.0, 2.0)], size=300),
+            rng.choice([-0.0, 0.0, tiny, 2 * tiny, -tiny], size=300),
+            rng.choice([-1.5e308, 1.5e308, 1.7e308], size=300),
+            np.full(300, 4.25),
+            np.where(rng.uniform(size=300) < 0.9, 7.0, rng.normal(size=300)),
+        ]
+        X = np.column_stack(columns)
+        categorical = np.zeros(X.shape[1], dtype=bool)
+        codes, bins = _bin_columns(X, categorical, n_bins)
+        for j, col in enumerate(columns):
+            edges = self.feature_edges(bins, j)
+            distinct = len(set(col.tolist()))
+            assert len(edges) == min(distinct, n_bins) - 1 or (
+                distinct > n_bins and len(edges) < n_bins)
+            assert len(set(codes[:, j].tolist())) == len(edges) + 1
+            self.check_codes(col, codes[:, j], edges, bins.zero[j])
+        # two adjacent floats keep a bin each: the edge is the lower one
+        assert self.feature_edges(bins, 2).tolist() == [1.0]
+        assert not codes[:, 5].any()
+
+    def test_categorical_columns_are_untouched(self):
+        rng = np.random.default_rng(1)
+        X = np.column_stack([rng.normal(size=50),
+                             rng.integers(0, 40, size=50).astype(float)])
+        codes, bins = _bin_columns(X, np.array([False, True]), 4)
+        assert np.array_equal(codes[:, 1], X[:, 1])
+        assert len(self.feature_edges(bins, 1)) == 0
+        assert len(set(codes[:, 0].tolist())) == 4
+
+    def test_held_cells_do_not_move_the_edges(self):
+        rng = np.random.default_rng(2)
+        X = rng.normal(size=(200, 2))
+        held = rng.uniform(size=X.shape) < 0.3
+        observed = _bin_columns(X, np.zeros(2, bool), 8, held)[1]
+        placed = _bin_columns(np.where(held, 3e300, X), np.zeros(2, bool), 8,
+                              held)[1]
+        assert np.array_equal(observed.edges, placed.edges)
+        for j in range(2):
+            alone = _bin_columns(X[~held[:, j], j:j + 1], np.zeros(1, bool),
+                                 8)[1]
+            assert np.array_equal(self.feature_edges(observed, j),
+                                  alone.edges)
+
+    def test_csr_zero_keeps_code_zero(self):
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(60, 3)).round(1)
+        X[rng.uniform(size=X.shape) < 0.5] = 0.0
+        X[:, 2] = -np.abs(X[:, 2]) - 1.0
+        stored_zero = rng.uniform(size=X.shape) < 0.1
+        csr = ff.Dataset.from_csr(*dense_to_csr(X, stored_zero), 3)
+        cat = np.zeros(3, dtype=bool)
+        sparse_codes, sparse_bins = _bin_columns(csr, cat, 4)
+        dense_codes, dense_bins = _bin_columns(X, cat, 4)
+        read = sparse_codes.read_cells(np.arange(60)[:, None], np.arange(3))
+        assert np.array_equal(read, dense_codes)
+        assert np.array_equal(read[X == 0.0], np.zeros(np.sum(X == 0.0)))
+        assert np.array_equal(sparse_bins.edges, dense_bins.edges)
+        # a negative column with no zero: its codes end at 0
+        assert read[:, 2].max() == 0
+        assert read[:, 2].min() == -len(self.feature_edges(sparse_bins, 2))
+
+    def test_binning_does_not_import_numpy_ma(self):
+        # no np.unique, np.quantile or np.percentile: a one-shot histogram
+        # `forestfuse train` would pay numpy.ma's import
+        assert not loads_numpy_ma([
+            "rng = np.random.default_rng(0)",
+            "X = rng.normal(size=(80, 3)).round(1)",
+            "X[X < 0] = 0.0",
+            "y = (X[:, 0] > 0).astype(np.int64)",
+            "indptr = np.arange(0, 241, 3)",
+            "csr = ff.Dataset.from_csr(indptr, np.tile([0, 1, 2], 80),"
+            " X.ravel(), 3, target=X[:, 1])"], [
+            "ff.train(ff.Dataset.from_dense(X, target=y), ff.ForestConfig("
+            "mode='classification', n_trees=3, split_strategy='histogram',"
+            " n_bins=4))",
+            "ff.train(csr, ff.ForestConfig(mode='regression', n_trees=3,"
+            " split_strategy='histogram'))"])
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 40), st.integers(1, 4),
+           st.sampled_from(["classification", "regression", "unsupervised"]),
+           st.sampled_from(["dense", "csr", "held"]),
+           st.sampled_from([5, 8, 256]), st.integers(0, 2 ** 16),
+           st.booleans())
+    def test_one_bin_per_value_grows_the_presort_forest(
+            self, n, m, mode, storage, n_bins, seed, with_cat):
+        # each column's observed values are a run of at most 5 consecutive
+        # multiples of 0.5: one bin a value, and a presort midpoint sends
+        # every value where the edge of its code midpoint does, and never
+        # rounds onto a value
+        rng = np.random.default_rng(seed)
+        held = (rng.uniform(size=(n, m)) < 0.25 if storage == "held"
+                else np.zeros((n, m), dtype=bool))
+        X = np.full((n, m), 50.0)
+        for j in range(m):
+            steps = int(rng.integers(1, 6))
+            obs = np.flatnonzero(~held[:, j])
+            X[obs, j] = 0.5 * rng.permutation(
+                np.arange(len(obs)) % steps - rng.integers(0, steps))
+        if with_cat:
+            X[:, 0] = rng.integers(0, 3, size=n)
+        schema = ff.FeatureSchema([
+            ff.Feature(f"f{k}", "categorical" if with_cat and k == 0
+                       else "continuous", ("a", "b", "c")
+                       if with_cat and k == 0 else ()) for k in range(m)])
+        target = TestForestWalk.target(mode, n, rng)
+        if storage == "csr":
+            ds = ff.Dataset.from_csr(*dense_to_csr(X), m, schema=schema,
+                                     target=target)
+        else:
+            ds = ff.Dataset.from_dense(X, schema, target=target)
+        forests = []
+        for strategy in ("presort", "histogram"):
+            cfg = ff.ForestConfig(mode=mode, n_trees=3, seed=seed,
+                                  n_bins=n_bins, split_strategy=strategy)
+            forests.append(train_held_out(ds, held, cfg) if held.any()
+                           else ff.train(ds, cfg))
+        presort, hist = forests
+        for name in ("feature", "left", "n_node", "value", "split_gain",
+                     "leaf_of_train", "inbag_counts", "held_out_left"):
+            a, b = getattr(presort, name), getattr(hist, name)
+            assert (a is None and b is None) or np.array_equal(a, b), name
 
 
 class TestPredict:

@@ -1,12 +1,8 @@
 """Outlier measures: exact oracle equality and greedy approximation."""
 
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
-from helpers import blobs_dataset, correlated_data
+from helpers import blobs_dataset, correlated_data, loads_numpy_ma
 
 import forestfuse as ff
 
@@ -224,25 +220,13 @@ class TestOutlierGreedy:
 
 
 def test_scores_do_not_import_numpy_ma():
-    # np.unique and np.median import numpy.ma on their first call, 13 ms
-    # that every one-shot `forestfuse outliers` process would pay
-    code = "\n".join([
-        "import sys",
-        "import numpy as np",
-        "import forestfuse as ff",
+    # every one-shot `forestfuse outliers` process would pay numpy.ma
+    assert not loads_numpy_ma([
         "rng = np.random.default_rng(0)",
         "X = rng.normal(size=(60, 3))",
         "y = (X[:, 0] > 0).astype(np.int64)",
         "ds = ff.Dataset.from_dense(X, target=y)",
         "forest = ff.train(ds, ff.ForestConfig(mode='classification',"
-        " n_trees=5, seed=1))",
-        "assert 'numpy.ma' not in sys.modules, 'imported before scoring'",
+        " n_trees=5, seed=1))"], [
         "ff.outlier_exact(forest, y)",
-        "ff.outlier_greedy(forest, y, m_cap=4)",
-        "print('numpy.ma' in sys.modules)",
-    ])
-    src = os.path.dirname(os.path.dirname(ff.__file__))
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": src})
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+        "ff.outlier_greedy(forest, y, m_cap=4)"])

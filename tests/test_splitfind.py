@@ -1,6 +1,7 @@
 """Split finding against brute-force oracles."""
 
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 import forestfuse as ff
 from forestfuse import splitfind
+from forestfuse.forest import _bin_columns
 
 
 def gini(counts):
@@ -112,40 +114,49 @@ class TestBestSplit:
 
 
 class TestHistogram:
+    """Histogram growth scans a node's global bin codes
+    (`forest._bin_columns`) and records a split's value edge."""
+
+    @staticmethod
+    def root_split(values, y, n_bins):
+        """The split of one continuous column, its threshold on values."""
+        codes, bins = _bin_columns(values[:, None], np.array([False]), n_bins)
+        split = ff.find_node_split(codes, np.array([0]), y,
+                                   task="classification", n_classes=2)
+        return split and replace(split, threshold=float(
+            bins.value_thresholds(np.array([0]),
+                                  np.array([split.threshold]))[0]))
+
     def test_separable_data(self):
-        got = ff.find_node_split(np.c_[[0.0, 0.1, 0.9, 1.0]], np.array([0]),
-                                 np.array([0, 0, 1, 1]), task="classification",
-                                 n_classes=2, strategy="histogram", n_bins=4)
+        got = self.root_split(np.array([0.0, 0.1, 0.9, 1.0]),
+                              np.array([0, 0, 1, 1]), 4)
         assert got is not None
         assert 0.1 < got.threshold < 0.9
         assert got.gain == pytest.approx(0.5, abs=1e-12)
 
     def test_threshold_is_a_bin_edge(self):
-        # node range [0, 8], 4 bins -> edges at 2, 4, 6 only
+        # 6 values, 3 bins: cuts below the values at ranks 2 and 4, edges
+        # 2.0 and 4.25; both tie, and the lower wins, not presort's 3.1
         values = np.array([0.0, 1.1, 2.9, 3.3, 5.2, 8.0])
         y = np.array([0, 0, 0, 1, 1, 1])
-        got = ff.find_node_split(values[:, None], np.array([0]), y,
-                                 task="classification", n_classes=2,
-                                 strategy="histogram", n_bins=4)
+        got = self.root_split(values, y, 3)
         assert got is not None
-        assert got.threshold in (2.0, 4.0, 6.0)
+        assert got.threshold == 2.0
 
     def test_constant_feature(self):
-        assert ff.find_node_split(np.c_[[2.0, 2.0, 2.0]], np.array([0]),
-                                  np.array([0, 1, 0]), task="classification",
-                                  n_classes=2, strategy="histogram") is None
+        values = np.array([2.0, 2.0, 2.0])
+        codes, bins = _bin_columns(values[:, None], np.array([False]), 256)
+        assert len(bins.edges) == 0 and not codes.any()
+        assert self.root_split(values, np.array([0, 1, 0]), 256) is None
 
     def test_many_bins_matches_presort_on_spread_data(self):
+        # one bin per value: the split and its threshold are presort's
         rng = np.random.default_rng(5)
         values = rng.uniform(0, 1, size=200)
         y = (values > 0.37).astype(int)
         exact = ff.find_node_split(values[:, None], np.array([0]), y,
                                    task="classification", n_classes=2)
-        binned = ff.find_node_split(values[:, None], np.array([0]), y,
-                                    task="classification", n_classes=2,
-                                    strategy="histogram", n_bins=4096)
-        assert abs(binned.threshold - exact.threshold) < 1e-2
-        assert binned.gain == pytest.approx(exact.gain, abs=1e-3)
+        assert self.root_split(values, y, 4096) == exact
 
 
 class TestNodeSplit:
@@ -158,13 +169,15 @@ class TestNodeSplit:
         assert split.feature == 3
 
     def test_categorical_routes_to_presort_under_histogram(self):
-        # categorical codes 0/1; histogram would bin, presort enumerates
+        # categorical codes 0/1 keep their values under histogram, and a
+        # split on them keeps presort's midpoint
         cols = np.array([[0.0], [0.0], [1.0], [1.0]])
         y = np.array([0, 0, 1, 1])
-        split = ff.find_node_split(cols, np.array([0]), y,
-                                   task="classification", n_classes=2,
-                                   strategy="histogram", n_bins=2,
-                                   categorical=np.array([True]))
+        codes, bins = _bin_columns(cols, np.array([True]), 2)
+        assert np.array_equal(codes, cols)
+        split = ff.find_node_split(codes, np.array([0]), y,
+                                   task="classification", n_classes=2)
+        assert bins.value_thresholds(np.array([0]), np.array([0.5])) == 0.5
         assert split.threshold == 0.5
         assert split.gain == pytest.approx(0.5, abs=1e-15)
 
@@ -192,57 +205,33 @@ class TestNodeSplit:
         y = np.repeat([0, 1], 20)
         cols = np.column_stack([noise, signal])
         split = ff.find_node_split(cols, np.array([0, 1]), y,
-                                   task="classification", n_classes=2,
-                                   strategy="histogram", n_bins=64,
-                                   categorical=np.array([False, True]))
+                                   task="classification", n_classes=2)
         assert split.feature == 1
 
 
 # -- one scan against an oracle that enumerates every candidate ---------------
 
-def oracle_candidates(cols, strategy, n_bins, categorical, held):
-    """(position, threshold, observed rows, left mask, binned) of every
-    candidate split.
+def oracle_candidates(cols, held):
+    """(position, threshold, observed rows, left mask) of every candidate
+    split.
 
     Each column offers splits of its observed rows only (held cells are
-    not read). Binned columns (continuous under histogram) offer every
-    bin edge over the observed min/max, empty bins included, with the bin
-    arithmetic of the module docstring; the rest offer every midpoint
-    between distinct observed values. Only the lowest threshold of each
-    distinct partition is kept.
+    not read): every midpoint between distinct observed values.
     """
     out = []
     for j in range(cols.shape[1]):
         obs = ~held[:, j]
         col = cols[obs, j]
-        binned = strategy == "histogram" and not categorical[j]
-        if len(col) < 2:
-            continue
-        if binned:
-            lo = col.min()
-            width = (col.max() - lo) / n_bins
-            if width == 0:
-                continue
-            codes = np.clip(np.floor((col - lo) / width), 0, n_bins - 1)
-            cuts = [(lo + width * (b + 1), codes <= b)
-                    for b in range(n_bins - 1)]
-        else:
-            vals = np.unique(col)
-            cuts = [(0.5 * (a + c), col <= a)
-                    for a, c in zip(vals[:-1], vals[1:])]
-        seen = set()
-        for thr, go_left in cuts:
-            key = go_left.tobytes()
-            if go_left.any() and not go_left.all() and key not in seen:
-                seen.add(key)
-                out.append((j, thr, obs, go_left, binned))
+        vals = np.unique(col)
+        for a, c in zip(vals[:-1], vals[1:]):
+            out.append((j, 0.5 * (a + c), obs, col <= a))
     return out
 
 
 def exact_gain(y, go_left, task, n_classes, n):
-    """(exact gain as a Fraction, the float gain the scan computes) of a
-    split of the observed rows y in a node of n rows: the gain on those
-    rows, scaled by their share of the node."""
+    """The exact gain, as a Fraction, of a split of the observed rows y in
+    a node of n rows: the gain on those rows, scaled by their share of
+    the node."""
     m, n_left = len(y), int(go_left.sum())
     n_right = m - n_left
     if task == "classification":
@@ -254,7 +243,7 @@ def exact_gain(y, go_left, task, n_classes, n):
     a, b, parent = sq(y[go_left]), sq(y[~go_left]), sq(y)
     exact = (Fraction(a, n_left) + Fraction(b, n_right)
              - Fraction(parent, m)) / m
-    return exact * Fraction(m, n), (a / n_left + b / n_right - parent / m) / n
+    return exact * Fraction(m, n)
 
 
 @st.composite
@@ -274,8 +263,6 @@ def tied_nodes(draw):
                                    max_size=n)), dtype=np.float64)
     feat_ids = np.array(sorted(draw(st.sets(st.integers(0, 20), min_size=f,
                                             max_size=f))))
-    categorical = np.array(draw(st.lists(st.booleans(), min_size=f,
-                                         max_size=f)))
     held = None
     kind = draw(st.sampled_from(["none", "scattered", "whole column",
                                  "one observed row"]))
@@ -288,9 +275,7 @@ def tied_nodes(draw):
             if kind == "one observed row":
                 held[draw(st.integers(0, n - 1)), j] = False
     return dict(cols=cols.reshape(n, f), y=y, task=task, n_classes=n_classes,
-                feat_ids=feat_ids, categorical=categorical, held=held,
-                strategy=draw(st.sampled_from(["presort", "histogram"])),
-                n_bins=draw(st.integers(2, 8)))
+                feat_ids=feat_ids, held=held)
 
 
 class TestOneScanOracle:
@@ -301,8 +286,7 @@ class TestOneScanOracle:
     @example(dict(cols=np.array([[1.0, 1, 3, 2, 1, 0, 0, 0, 3]]).T,
                   y=np.array([1, 1, 1, 1, 0, 0, 2, 1, 1]),
                   task="classification", n_classes=3, feat_ids=np.array([0]),
-                  categorical=np.array([False]), held=None,
-                  strategy="presort", n_bins=2))
+                  held=None))
     # with row 1 of feature 0 held, the best splits of the two features
     # have equal exact gains (1/5), and a float gain taken on the observed
     # rows, then scaled by n_obs / n, rounds higher for feature 1
@@ -311,25 +295,20 @@ class TestOneScanOracle:
                   y=np.array([0, 1, 2, 2, 2, 2, 1]),
                   task="classification", n_classes=3,
                   feat_ids=np.array([0, 1]),
-                  categorical=np.array([False, False]),
                   held=np.array([[0, 1, 0, 0, 0, 0, 0],
-                                 [0, 0, 0, 0, 0, 0, 0]], dtype=bool).T,
-                  strategy="presort", n_bins=2))
+                                 [0, 0, 0, 0, 0, 0, 0]], dtype=bool).T))
     def test_split_matches_enumerated_candidates(self, node):
         cols, y, task = node["cols"], node["y"], node["task"]
-        K, strategy, held = node["n_classes"], node["strategy"], node["held"]
+        K, held = node["n_classes"], node["held"]
         got = ff.find_node_split(
             cols, node["feat_ids"], y, task=task,
-            n_classes=K if task == "classification" else 0,
-            strategy=strategy, n_bins=node["n_bins"],
-            categorical=node["categorical"], held=held)
+            n_classes=K if task == "classification" else 0, held=held)
         cands = []
-        for j, thr, obs, go_left, binned in oracle_candidates(
-                cols, strategy, node["n_bins"], node["categorical"],
-                np.zeros(cols.shape, bool) if held is None else held):
-            exact, fl = exact_gain(y[obs], go_left, task, K, len(y))
-            cands.append((j, thr, binned, exact, fl))
-        top = max((c[3] for c in cands), default=0)
+        for j, thr, obs, go_left in oracle_candidates(
+                cols, np.zeros(cols.shape, bool) if held is None else held):
+            cands.append((j, thr, exact_gain(y[obs], go_left, task, K,
+                                             len(y))))
+        top = max((c[2] for c in cands), default=0)
         if top <= 0:
             assert got is None
             return
@@ -337,24 +316,15 @@ class TestOneScanOracle:
         pos = int(np.searchsorted(node["feat_ids"], got.feature))
         chosen = [c for c in cands if c[0] == pos and c[1] == got.threshold]
         assert len(chosen) == 1  # a candidate, and a node-local one
-        exact = chosen[0][3]
+        exact = chosen[0][2]
         if task == "regression":
             assert float(exact) == pytest.approx(float(top), rel=1e-9)
             return
-        # the tie rule, visiting candidates by feature, then threshold: a
-        # value key ranks by its exact gain, a bin key by its float gain
-        best = None
-        for j, thr, binned, exact, fl in cands:
-            rank = fl if binned else float(exact)
-            if best is None or rank > best[2]:
-                best = (j, thr, rank, exact)
-        j, thr, rank, exact = best
+        # the tie rule, visiting candidates by feature, then threshold,
+        # ranks each by its exact gain
+        j, thr, exact = max(cands, key=lambda c: c[2])
         assert (got.feature, got.threshold, got.gain) == \
-            (int(node["feat_ids"][j]), thr, rank)
-        assert exact == top or float(exact) == pytest.approx(float(top),
-                                                             abs=1e-12)
-        if strategy == "presort":
-            assert exact == top and got.gain == float(top)
+            (int(node["feat_ids"][j]), thr, float(exact))
 
 
 class TestBlockedClassCounts:
@@ -365,8 +335,7 @@ class TestBlockedClassCounts:
         # and of rows; integer counts carried between them change nothing
         assume(node["task"] == "classification")
         kwargs = dict(task="classification", n_classes=node["n_classes"],
-                      strategy=node["strategy"], n_bins=node["n_bins"],
-                      categorical=node["categorical"], held=node["held"])
+                      held=node["held"])
         whole = ff.find_node_split(node["cols"], node["feat_ids"], node["y"],
                                    **kwargs)
         with pytest.MonkeyPatch.context() as mp:
@@ -396,8 +365,8 @@ class TestBlockedClassCounts:
 @st.composite
 def classification_nodes(draw):
     """Nodes on both sides of SMALL_CELLS, with many-way ties, signed
-    zeros, categorical candidates, held columns of 0 or 1 observed rows
-    and a few labels present out of up to 2000."""
+    zeros, held columns of 0 or 1 observed rows and a few labels present
+    out of up to 2000."""
     f = draw(st.integers(1, 5))
     n = draw(st.integers(2, 2 * splitfind.SMALL_CELLS // f + 2))
     pool = draw(st.sampled_from([
@@ -427,11 +396,7 @@ def classification_nodes(draw):
                 held[draw(st.integers(0, n - 1)), j] = False
     return dict(cols=cols, y=y, n_classes=n_classes, held=held,
                 feat_ids=np.array(sorted(draw(st.sets(
-                    st.integers(0, 30), min_size=f, max_size=f)))),
-                categorical=np.array(draw(st.lists(
-                    st.booleans(), min_size=f, max_size=f))),
-                strategy=draw(st.sampled_from(["presort", "histogram"])),
-                n_bins=draw(st.sampled_from([2, 3, 8, 256])))
+                    st.integers(0, 30), min_size=f, max_size=f)))))
 
 
 def split_bits(split):
@@ -444,13 +409,10 @@ class TestSmallNodeScan:
     def scans(node):
         """(Python scan's split, numpy scan's split) of one node."""
         kwargs = dict(task="classification", n_classes=node["n_classes"],
-                      strategy=node["strategy"], n_bins=node["n_bins"],
-                      categorical=node["categorical"], held=node["held"])
+                      held=node["held"])
         out = []
         for cells in (10 ** 9, 0):
-            # the numpy scan bins held cells too, and an extreme held value
-            # over a narrow observed span overflows there, unread
-            with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore"):
+            with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(splitfind, "SMALL_CELLS", cells)
                 out.append(ff.find_node_split(node["cols"], node["feat_ids"],
                                               node["y"], **kwargs))
@@ -462,8 +424,7 @@ class TestSmallNodeScan:
     # higher (the first example of test_split_matches_enumerated_candidates)
     @example(dict(cols=np.array([[1.0, 1, 3, 2, 1, 0, 0, 0, 3]]).T,
                   y=np.array([1, 1, 1, 1, 0, 0, 2, 1, 1]), n_classes=3,
-                  feat_ids=np.array([0]), categorical=np.array([False]),
-                  held=None, strategy="presort", n_bins=2))
+                  feat_ids=np.array([0]), held=None))
     def test_python_scan_is_the_numpy_scan_bit_for_bit(self, node):
         small, large = self.scans(node)
         assert split_bits(small) == split_bits(large)
@@ -487,14 +448,11 @@ class TestSmallNodeScan:
                                    task="classification", n_classes=2)
                 ff.find_node_split(cols, np.arange(f), y.astype(float),
                                    task="regression")
-            # NaN, infinite and overflowing spans keep the numpy scan
-            for bad, strategy in ((np.nan, "presort"), (np.inf, "presort"),
-                                  (1.5e308, "histogram")):
+            # NaN and infinite cells keep the numpy scan
+            for bad in (np.nan, np.inf):
                 cols = np.array([[0.0], [1.0], [-1.5e308], [bad]])
-                with np.errstate(all="ignore"):
-                    split = ff.find_node_split(
-                        cols, np.array([0]), np.array([0, 1, 0, 1]),
-                        task="classification", n_classes=2,
-                        strategy=strategy)
+                split = ff.find_node_split(
+                    cols, np.array([0]), np.array([0, 1, 0, 1]),
+                    task="classification", n_classes=2)
         assert calls == [cells, cells]
         assert split is not None

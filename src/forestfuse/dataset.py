@@ -396,6 +396,21 @@ def median(values) -> float:
     return (below + above) / 2
 
 
+def sorted_quantile(ordered, q: float):
+    """The q-quantile of values sorted along axis 0, a list or an array of
+    columns, interpolated as np.percentile does, bit for bit: from below
+    when the fraction is under 0.5, else from above."""
+    at = (len(ordered) - 1) * q
+    i = math.floor(at)
+    if i >= len(ordered) - 1:
+        return ordered[-1]
+    below, above = ordered[i], ordered[i + 1]
+    t = at - i
+    if t < 0.5:
+        return below + (above - below) * t
+    return above - (above - below) * (1 - t)
+
+
 # -- dense CSV ------------------------------------------------------------
 
 def load_dense_csv(path, schema: FeatureSchema, target_column=None

@@ -35,12 +35,12 @@ structure look more synthetic and rank worse.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dataset import CATEGORICAL, Dataset, distinct_counts, median
+from .dataset import (CATEGORICAL, Dataset, distinct_counts, median,
+                      sorted_quantile)
 from .errors import ArgumentError, ConfigError, ImputationError
 from .forest import Forest, ForestConfig, p_synthetic, train, train_held_out
 from .proximity import ProximityMatrix, matrix_rows, proximity_rows
@@ -252,23 +252,9 @@ def _column_iqr(ds: Dataset) -> np.ndarray:
     iqr = np.empty(ds.n_features)
     for k in range(ds.n_features):
         obs = np.sort(ds.values[~ds.missing[:, k], k]).tolist()
-        q75, q25 = (_sorted_quantile(obs, q) for q in (0.75, 0.25))
+        q75, q25 = (sorted_quantile(obs, q) for q in (0.75, 0.25))
         iqr[k] = q75 - q25
     return iqr
-
-
-def _sorted_quantile(ordered: list, q: float) -> float:
-    """The q-quantile of an ascending list, interpolated as np.percentile
-    does: from below when the fraction is under 0.5, else from above."""
-    at = (len(ordered) - 1) * q
-    i = math.floor(at)
-    if i >= len(ordered) - 1:
-        return ordered[-1]
-    below, above = ordered[i:i + 2]
-    t = at - i
-    if t < 0.5:
-        return below + (above - below) * t
-    return above - (above - below) * (1 - t)
 
 
 _REL_EPS = 1e-9

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, distinct_counts, sorted_quantile
 from .errors import ArgumentError
 from .forest import Forest
 from .proximity import (DEFAULT_BLOCK_BYTES, ProximityMatrix, matrix_rows,
@@ -24,7 +24,8 @@ from .proximity import (DEFAULT_BLOCK_BYTES, ProximityMatrix, matrix_rows,
 # per-cell bytes built from a block: the key, two masks and
 # argpartition's positions
 _CELL_BYTES = 8 + 2 + 8
-# a matrix's block first becomes dense ranks, with np.unique's sort
+# a matrix's block first becomes dense ranks: a sort of its values and a
+# searchsorted of each
 _RANK_CELL_BYTES = 3 * 8
 
 
@@ -48,7 +49,7 @@ def _nearest(values, block, classes, consumed, k):
     b, n = values.shape
     if values.dtype.kind == "f":
         # dense ranks keep every order and tie of the float proximities
-        values = np.unique(values, return_inverse=True)[1].reshape(b, n)
+        values = np.searchsorted(distinct_counts(values.ravel())[0], values)
     k = min(k, n - 1)
     if k == 0:
         return np.empty((b, 0), dtype=np.int64)
@@ -84,7 +85,8 @@ def find_prototypes(prox: ProximityMatrix | np.ndarray | Forest, ds: Dataset,
 
     cell_bytes = _CELL_BYTES if isinstance(prox, Forest) \
         else _CELL_BYTES + _RANK_CELL_BYTES
-    out: dict[int, list[Prototype]] = {int(c): [] for c in np.unique(classes)}
+    out: dict[int, list[Prototype]] = {
+        c: [] for c in distinct_counts(classes)[0].tolist()}
     consumed = np.zeros(n, dtype=bool)
     for rank in range(1, n_protos + 1):
         candidates = np.flatnonzero(~consumed)
@@ -97,16 +99,22 @@ def find_prototypes(prox: ProximityMatrix | np.ndarray | Forest, ds: Dataset,
             nn = _nearest(values, block, classes, consumed, k)
             own = classes[block]
             counts = ((classes[nn] == own[:, None]) & (nn >= 0)).sum(axis=1)
-            for c in np.unique(own):
+            for c in distinct_counts(own)[0]:
                 local = np.flatnonzero(own == c)
                 r = local[np.argmax(counts[local])]
                 if c not in best or counts[r] > best[c][0]:
                     best[c] = (counts[r], block[r], nn[r])
         for c, (_, center, nn) in best.items():
             nn = nn[nn >= 0]
-            support = np.unique(np.concatenate([[center], nn[classes[nn] == c]]))
-            rows = ds.read_cells(support[:, None], np.arange(ds.n_features))
-            q25, med, q75 = np.percentile(rows, [25, 50, 75], axis=0)
+            support = distinct_counts(
+                np.concatenate([[center], nn[classes[nn] == c]]))[0]
+            ordered = np.sort(ds.read_cells(support[:, None],
+                                            np.arange(ds.n_features)), axis=0)
+            # as in np.percentile, a column holding a NaN (sorted last)
+            # reads NaN
+            q25, med, q75 = (np.where(np.isnan(ordered[-1]), np.nan,
+                                      sorted_quantile(ordered, q))
+                             for q in (0.25, 0.5, 0.75))
             out[int(c)].append(Prototype(
                 class_id=int(c), rank=rank, center_row=int(center),
                 median=med, q25=q25, q75=q75, support=support))

@@ -1,15 +1,18 @@
 """Split finding for tree growth.
 
-One sorted scan per node. The node sorts every candidate column of its
-(n, f) matrix with one argsort and runs one cumulative sum down the
-sorted rows: of the one-hot labels in integers (classification; in
-blocks that fit BLOCK_BYTES when the classes are many), or of the
-targets (regression, whose float sums need the stable sort). A split may
-fall only between two sorted rows whose values differ, and its threshold
-is the midpoint of those two values. Under `histogram` the grower passes
-each continuous feature's global bin codes in place of its values and
-turns the midpoint of two codes into a value edge (`forest._bin_columns`);
-the scan is the same.
+One sorted scan per candidate column. Classification nodes are scanned
+a block at a time (`find_level_splits`): one float argsort of the
+block's keys and one stable argsort of their (node, candidate) segment
+ids put every column's cells in key order, segment after segment, and
+one integer running count a class, with a base per segment, gives every
+boundary's class counts. Regression nodes sort each column of the node
+with one argsort and run one cumulative sum of the targets down the
+sorted rows (float sums, so the sort is stable). A split may fall only
+between two sorted rows whose values differ, and its threshold is the
+midpoint of those two values (`_midpoint`). Under `histogram` the
+grower passes each continuous feature's global bin codes in place of
+its values and turns the midpoint of two codes into a value edge
+(`forest._bin_columns`); the scan is the same.
 
 The criterion is Gini impurity decrease for classification and variance
 reduction for regression, both normalized per sample in the node, so a
@@ -33,18 +36,20 @@ nothing here: every node, masked or not, gets this one rule.
 
 Small classification nodes take a second implementation of the same
 scan. A classification node of at most SMALL_CELLS candidate cells
-(n * f) is scanned in Python on lists (`_small_class_split`); regression
-nodes, larger nodes and nodes holding a NaN or infinite cell take the
-numpy scan above, the reference. Most nodes are small, and on them
-numpy's fixed cost per call dominates (see SMALL_CELLS). Both give the
-same Split, bit for bit:
-* class counts are integers in both, so a, b and P are the same ints;
+(n * f) is scanned in Python on lists (`_small_class_split`); larger
+nodes and nodes holding a NaN or infinite cell take the level scan
+above, the reference. Most nodes are small, and on them numpy's fixed
+cost per call dominates (see SMALL_CELLS); the grower sends every larger
+one to the level scan in blocks. Every route gives the same Split, bit
+for bit:
+* class counts are integers in all, so a, b and P are the same ints;
 * every float gain is (a / nL + b / nR - P / n_obs) / n of those ints,
   the same operations in the same order, and the tie rule's exact
   re-compare is integer arithmetic and one correctly rounded quotient;
 * the class counts at a boundary between two different values do not
   depend on the order of equal values, so Python's sort of (value,
-  label) pairs scores the boundaries numpy's argsort scores;
+  label) pairs, and a block's sort, score the boundaries a node's own
+  sort scores;
 * thresholds come from the same float operation, and none depends on a
   zero's sign.
 """
@@ -58,10 +63,9 @@ import numpy as np
 
 from .errors import ArgumentError
 
-# bytes of temporaries that one block of a blocked pass may hold: the
-# split scan's one-hot blocks here, and in forest.py the grower's tree
-# groups, row blocks of the walk, importance cells and their ancestor
-# tables, proximity blocks
+# bytes of temporaries that one block of a blocked pass may hold: in
+# forest.py the grower's tree groups and level-scan blocks, row blocks of
+# the walk, importance cells and their ancestor tables, proximity blocks
 BLOCK_BYTES = 8 << 20
 
 # gains at or below this are treated as "no improvement"
@@ -72,11 +76,18 @@ _TIE_BAND = 1e-9
 
 # classification nodes of at most this many candidate cells (n * f) take
 # the Python scan. Per call, on one round of the benchmark's classification
-# nodes (Python 3.11, numpy 2.4.6, 2 shared vCPUs), the numpy scan costs
-# 42-59 us at any size up to 128 cells and the Python scan 14-19 us at
-# 1-16 cells, 37-47 us at 49-64 and 50-59 us at 65-96: they cross at
-# 65-90 cells, and this stays at or below the crossover
+# nodes (Python 3.11, numpy 2.4.6, 2 shared vCPUs), a one-node numpy scan
+# costs 42-59 us at any size up to 128 cells (80-93 us as a one-node
+# `find_level_splits`) and the Python scan 14-19 us at 1-16 cells, 37-47
+# us at 49-64 and 50-59 us at 65-96: they cross at 65-90 cells, and this
+# stays at or below the crossover. In a block of a level the level scan
+# takes 6.6-15.9 us a node at up to 64 cells, but the grower keeps the
+# small nodes on their own calls
 SMALL_CELLS = 64
+
+# the largest node whose sums of squared class counts, at most twice its
+# squared rows, fit int32
+_INT32_ROWS = math.isqrt(np.iinfo(np.int32).max // 2)
 
 
 @dataclass(frozen=True)
@@ -86,59 +97,17 @@ class Split:
     gain: float
 
 
-def _running_counts(labels, n_classes):
-    """(n, f, K) int64: the class counts of rows 0..p of each column."""
-    left = np.zeros(labels.shape + (n_classes,), dtype=np.int64)
-    left.reshape(-1)[np.arange(0, left.size, n_classes) + labels.ravel()] = 1
-    return left.cumsum(axis=0, out=left)
+def _midpoint(lo, hi):
+    """The threshold between two adjacent distinct keys, floats or arrays.
 
-
-def _class_squares(y, order, n_classes, held, last):
-    """(a, b, parent): sums of squared class counts, in integers.
-
-    a[p, j] and b[p, j] sum the squared left and right class counts at
-    boundary p of column j (its first p + 1 sorted rows go left), parent
-    those of each column's first n_obs rows, at `last`. The counts take
-    8 bytes a class and cell, and 24 more a cell for the one-hot's
-    indices. A node whose counts fit BLOCK_BYTES is one block, its totals
-    the counts at `last` (the block loop below, run as one block, costs
-    about 4 us a call more, a twentieth of a small node's scan). A larger
-    node counts its totals first and then scans blocks of columns, and of
-    rows with the running counts carried between them, each within
-    BLOCK_BYTES; integer counts give the same sums.
+    Each is halved before the sum, so no midpoint overflows. Halving is
+    exact unless the half is subnormal, and then commutes with rounding,
+    so this is 0.5 * (lo + hi) wherever that is finite and neither half
+    is subnormal; otherwise the midpoint may fall by one ulp, never below
+    lo. Adding 0.0 turns a -0.0 into 0.0, so the threshold does not
+    depend on which signed zero a sort put next to lo.
     """
-    n, f = order.shape
-    labels = y.take(order)
-    cells = max(1, BLOCK_BYTES // (8 * (n_classes + 3)))
-    if n * f <= cells:
-        left = _running_counts(labels, n_classes)
-        sq = np.einsum("pjk,pjk->pj", left, left)
-        total = left[-1].copy() if held is None else left[last]
-        # the right counts, in place
-        np.subtract(total, left, out=left)
-        return sq[:-1], np.einsum("pjk,pjk->pj", left, left)[:-1], sq[last]
-
-    cell = np.arange(f) * n_classes + y[:, None]
-    total = np.bincount(cell.ravel() if held is None else cell[~held],
-                        minlength=f * n_classes).reshape(f, n_classes)
-    sq = np.empty((n, f), dtype=np.int64)
-    b = np.empty_like(sq)
-    width = min(f, max(1, cells // n))
-    height = min(n, max(1, cells // width))
-    for j0 in range(0, f, width):
-        js = slice(j0, j0 + width)
-        for p0 in range(0, n, height):
-            ps = slice(p0, p0 + height)
-            left = _running_counts(labels[ps, js], n_classes)
-            if p0:
-                left += run
-            run = left[-1].copy()
-            np.einsum("pjk,pjk->pj", left, left, out=sq[ps, js])
-            # one block lives at a time
-            np.subtract(total[js], left, out=left)
-            np.einsum("pjk,pjk->pj", left, left, out=b[ps, js])
-            del left
-    return sq[:-1], b[:-1], sq[last]
+    return lo * 0.5 + hi * 0.5 + 0.0
 
 
 def _tie_rule(cands, n):
@@ -208,8 +177,7 @@ def _small_class_split(columns, feat_ids, labels, held):
                 b = parent - 2 * cross + a
                 g = (a / nl + b / (m - nl) - pm) / n
                 if g >= floor:
-                    cands.append((g, a, b, parent, nl, m,
-                                  (j, 0.5 * (prev + v))))
+                    cands.append((g, a, b, parent, nl, m, (j, prev, v)))
                     if g > gmax:
                         gmax, floor = g, g - _TIE_BAND
                 prev = v
@@ -220,9 +188,129 @@ def _small_class_split(columns, feat_ids, labels, held):
             nl += 1
     if not GAIN_EPS < gmax:
         return None
-    gain, (j, threshold) = _tie_rule(
+    gain, (j, lo, hi) = _tie_rule(
         (cand[1:] for cand in cands if cand[0] >= floor), n)
-    return Split(int(feat_ids[j]), float(threshold), float(gain))
+    return Split(int(feat_ids[j]), _midpoint(lo, hi), float(gain))
+
+
+def find_level_splits(cols, feat_ids, y, starts, *, n_classes,
+                      held=None) -> list[Split | None]:
+    """Best split of each node of a block of classification nodes.
+
+    Parameters
+    ----------
+    cols : (N, f) float array
+        The candidate values (or global bin codes) of every node's rows,
+        node after node: node i holds rows starts[i]:starts[i + 1].
+    feat_ids : (nodes, f) int array
+        Each node's original feature ids, ascending along each row.
+    y : (N,) int array
+        Class labels, below n_classes.
+    starts : (nodes + 1,) int array
+        Row offsets, from 0 to N, strictly increasing.
+    held : optional (N, f) bool array
+        Cells the splits must not read (held cells, module docstring).
+
+    Returns one Split or None a node: `find_node_split`'s, bit for bit.
+    Segment s = node * f + j holds column j of a node. One float argsort
+    of all keys, then a stable argsort of the segment ids in that order
+    (uint16 ids, which numpy sorts by radix, while the block has at most
+    65536 segments), list each segment's cells in key order, segment
+    after segment. Per class present, one integer cumulative sum less its
+    value before each segment's first cell is that class's left count at
+    every boundary, and its value at the segment's last observed row the
+    column's total; the last class present takes the rest of each
+    boundary's rows. a and b sum the squared left and right counts and
+    P the squared totals, and every boundary's float gain is
+    (a / nL + b / max(n_obs - nL, 1) - P / n_obs) / n. Each node's float
+    maximum comes from one `maximum.reduceat`, and `_tie_rule` runs once
+    a node over the candidates within _TIE_BAND of it.
+    """
+    n_rows, f = cols.shape
+    starts = np.asarray(starts, dtype=np.int64)
+    sizes = np.diff(starts)
+    n_seg = len(sizes) * f
+    keys = cols if held is None else np.where(held, np.inf, cols)
+    # each cell's segment, node * f + j
+    ids = np.uint16 if n_seg <= 1 << 16 else np.int64
+    seg = (np.repeat(np.arange(0, n_seg, f, dtype=ids), sizes)[:, None]
+           + np.arange(f, dtype=ids))
+    order = keys.argsort(axis=None)
+    order = order.take(seg.take(order).argsort(kind="stable"))
+    del seg
+    sk = keys.take(order)
+    lab = y.take(order // f)
+    del order
+
+    # each segment's rows and first cell, its n_obs observed rows (clamped
+    # for a column held whole, whose boundaries are all masked below) and
+    # the cell at its last observed row; every cell's segment
+    seg_len = np.repeat(sizes, f)
+    first = np.cumsum(seg_len) - seg_len
+    n_obs = seg_len if held is None else np.maximum(seg_len - np.add.reduceat(
+        held, starts[:-1], axis=0, dtype=np.int64).ravel(), 1)
+    last = first + n_obs - 1
+    of_seg = np.repeat(np.arange(n_seg), seg_len)
+    # counts and their squared sums stay within 2 * sizes.max() ** 2:
+    # int32 while that fits, whose cumulative sums run about twice as
+    # fast as int64's
+    count = np.int32 if sizes.max() <= _INT32_ROWS else np.int64
+    # the rows left of each cell's boundary, itself included
+    n_left = np.arange(1, n_rows * f + 1, dtype=count) - first.take(
+        of_seg).astype(count)
+
+    a = np.zeros(n_rows * f, dtype=count)
+    b = np.zeros_like(a)
+    rest = n_left.copy()
+    present = np.flatnonzero(np.bincount(y, minlength=n_classes)).tolist()
+    for k in present:
+        if k == present[-1]:
+            left = rest
+        else:
+            is_k = lab == k
+            left = np.cumsum(is_k, dtype=count)
+            left -= (left.take(first) - is_k.take(first)).take(of_seg)
+            rest -= left
+        a += left * left
+        left -= left.take(last).take(of_seg)
+        b += left * left
+    del lab, rest, left
+    parent = a.take(last)
+
+    # the observed rows right of each boundary; none at a boundary past
+    # them, which is masked
+    n_right = n_obs.astype(count).take(of_seg) - n_left
+    past = n_right <= 0
+    gains = a / n_left
+    gains += b / np.maximum(n_right, 1, out=n_right)
+    gains -= (parent / n_obs).take(of_seg)
+    gains /= np.repeat(sizes, sizes * f)
+    gains[past] = -np.inf
+    gains[:-1][sk[:-1] == sk[1:]] = -np.inf
+
+    best = np.maximum.reduceat(gains, starts[:-1] * f)
+    found = (GAIN_EPS < best) & (best < np.inf)
+    floor = np.where(found, best - _TIE_BAND, np.inf)
+    # candidates within _TIE_BAND of their node's maximum, segment by
+    # segment, boundary by boundary: by feature, then threshold
+    cand = np.flatnonzero(gains >= np.repeat(floor, sizes * f))
+    c_seg = of_seg.take(cand)
+    rows = list(zip(a.take(cand).tolist(), b.take(cand).tolist(),
+                    parent.take(c_seg).tolist(), n_left.take(cand).tolist(),
+                    n_obs.take(c_seg).tolist(), cand.tolist()))
+    cuts = np.searchsorted(cand, starts * f).tolist()
+    nodes = np.flatnonzero(found).tolist()
+    size = sizes.tolist()
+    won = [_tie_rule(rows[cuts[i]:cuts[i + 1]], size[i]) for i in nodes]
+    splits = [None] * len(size)
+    if won:
+        gain, at = (np.array(v) for v in zip(*won))
+        threshold = _midpoint(sk.take(at), sk.take(at + 1))
+        feature = feat_ids.take(of_seg.take(at))
+        for i, ft, th, g in zip(nodes, feature.tolist(), threshold.tolist(),
+                                gain.tolist()):
+            splits[i] = Split(ft, th, g)
+    return splits
 
 
 def find_node_split(cols, feat_ids, y, *, task, n_classes=0,
@@ -243,34 +331,34 @@ def find_node_split(cols, feat_ids, y, *, task, n_classes=0,
         Cells the split must not read (see held cells in the module
         docstring). A column with fewer than 2 observed rows offers none.
 
-    Class counts stay integers: left[p, j] holds the counts left of
-    boundary p in column j and total[j] the column's, both over its
-    n_obs[j] observed rows, and a, b and P are the sums of squared left,
-    right and parent counts. The float gain (a / nL + b / nR - P / n_obs)
-    / n of every boundary rounds as it would from float counts, and the
-    exact gain is num / (den * n_obs * n) in integers, with den = nL * nR.
-    A classification node of at most SMALL_CELLS cells computes the same
-    numbers in Python (`_small_class_split`).
+    A classification node of at most SMALL_CELLS cells is scanned in
+    Python (`_small_class_split`), a larger one as a block of one node
+    (`find_level_splits`). A regression node sums its targets down each
+    sorted column: left[p, j] over the rows left of boundary p of column
+    j, total[j] over its n_obs[j] observed rows, and the gain is the
+    float (left^2 / nL + (total - left)^2 / nR - total^2 / n_obs) / n.
     """
     n, f = cols.shape
     if n < 2:
         return None
-    if task == "classification" and n_classes < 2:
-        raise ArgumentError("classification split needs n_classes >= 2")
+    if task == "classification":
+        if n_classes < 2:
+            raise ArgumentError("classification split needs n_classes >= 2")
+        if n * f <= SMALL_CELLS:
+            columns = cols.T.tolist()
+            # a NaN sorts unlike in numpy: a node holding one, or an
+            # infinite cell, keeps the level scan
+            if math.isfinite(sum(map(sum, columns))):
+                return _small_class_split(
+                    columns, feat_ids, y.tolist(),
+                    None if held is None else held.T.tolist())
+        return find_level_splits(cols, np.asarray(feat_ids)[None], y,
+                                 np.array([0, n]), n_classes=n_classes,
+                                 held=held)[0]
 
-    if task == "classification" and n * f <= SMALL_CELLS:
-        columns = cols.T.tolist()
-        # a NaN sorts unlike in numpy: a node holding one, or an infinite
-        # cell, keeps the numpy scan
-        if math.isfinite(sum(map(sum, columns))):
-            return _small_class_split(
-                columns, feat_ids, y.tolist(),
-                None if held is None else held.T.tolist())
     keys = cols if held is None else np.where(held, np.inf, cols)
-    # a class count at a boundary between two different keys does not
-    # depend on the order of equal keys; a float target sum does
-    order = keys.argsort(axis=0, kind=None if task == "classification"
-                         else "stable")
+    # a float target sum depends on the order of equal keys
+    order = keys.argsort(axis=0, kind="stable")
     # the sorted keys; equal keys may swap only a zero's sign, which no
     # test below or threshold reads
     sk = np.sort(keys, axis=0)
@@ -278,40 +366,22 @@ def find_node_split(cols, feat_ids, y, *, task, n_classes=0,
     if held is None:
         n_obs, last, n_right = n, -1, n - n_left
     else:
-        # held cells sort last, so column j's totals are its running counts
+        # held cells sort last, so column j's totals are its running sums
         # at row n_obs[j] - 1; the clamps only touch boundaries masked below
         n_obs = np.maximum(n - np.count_nonzero(held, axis=0), 1)
         last, n_right = (n_obs - 1, np.arange(f)), np.maximum(n_obs - n_left, 1)
-    if task == "classification":
-        a, b, parent = _class_squares(y, order, n_classes, held, last)
-        scores = a / n_left + b / n_right
-    else:
-        left = y.take(order).cumsum(axis=0, dtype=np.float64)
-        total, left = left[last], left[:-1]
-        parent = total ** 2
-        scores = left ** 2 / n_left + (total - left) ** 2 / n_right
-    gains = (scores - parent / n_obs) / n
+    left = y.take(order).cumsum(axis=0, dtype=np.float64)
+    total, left = left[last], left[:-1]
+    gains = ((left ** 2 / n_left + (total - left) ** 2 / n_right
+              - total ** 2 / n_obs) / n)
     gains[sk[:-1] == sk[1:]] = -np.inf
     if held is not None:
         gains[n_left >= n_obs] = -np.inf
-
-    if task == "classification":
-        gain = gains.max()
-    else:
-        # the first max in column-major order: the lowest feature id, then
-        # the lowest threshold
-        j, p = divmod(int(gains.T.argmax()), n - 1)
-        gain = gains.item(p, j)
+    # the first max in column-major order: the lowest feature id, then the
+    # lowest threshold
+    j, p = divmod(int(gains.T.argmax()), n - 1)
+    gain = gains.item(p, j)
     if not GAIN_EPS < gain < np.inf:
         return None
-
-    if task == "classification":
-        # candidates within _TIE_BAND of the float max, column by column,
-        # boundary by boundary
-        cand_j, cand_p = np.nonzero(gains.T >= gain - _TIE_BAND)
-        gain, (p, j) = _tie_rule(
-            ((a.item(pp, jj), b.item(pp, jj), parent.item(jj), pp + 1,
-              n_obs if held is None else n_obs.item(jj), (pp, jj))
-             for jj, pp in zip(cand_j.tolist(), cand_p.tolist())), n)
-    threshold = 0.5 * (sk[p, j] + sk[p + 1, j])
-    return Split(int(feat_ids[j]), float(threshold), float(gain))
+    return Split(int(feat_ids[j]), float(_midpoint(sk[p, j], sk[p + 1, j])),
+                 float(gain))

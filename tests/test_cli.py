@@ -227,6 +227,16 @@ def test_impute_does_not_import_numpy_ma(trained, tmp_path, method):
                               [f"assert main({argv!r}) == 0"])
 
 
+def test_prototypes_does_not_import_numpy_ma(trained, tmp_path):
+    # a one-shot `forestfuse prototypes` would pay numpy.ma's import
+    paths, _, _ = trained
+    argv = ["prototypes", str(paths["model.ffm"]), str(paths["train.csv"]),
+            "--target", "label", "--k", "5", "--n-protos", "2", "-o",
+            str(tmp_path / "prototypes.csv")]
+    assert not loads_numpy_ma(["from forestfuse.cli import main"],
+                              [f"assert main({argv!r}) == 0"])
+
+
 @pytest.mark.parametrize("method", ["bc", "young"])
 def test_imputed_csv_is_complete_and_feeds_the_pipeline(trained, tmp_path,
                                                          method):

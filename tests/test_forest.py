@@ -547,8 +547,10 @@ class TestGrowerOracle:
             assert np.array_equal(tree.split_gain, gain)
         return fallbacks
 
+    # up to 80 rows and mtry up to 4, so some classification nodes pass
+    # SMALL_CELLS and the grower scans them in blocks
     @settings(max_examples=30, deadline=None)
-    @given(sparse_matrices(max_rows=16, max_cols=4),
+    @given(sparse_matrices(max_rows=80, max_cols=4),
            st.sampled_from(["classification", "regression", "unsupervised"]),
            st.sampled_from(["presort", "histogram"]),
            st.sampled_from(["dense", "csr", "held"]),
@@ -567,7 +569,8 @@ class TestGrowerOracle:
         target = TestForestWalk.target(mode, n, rng)
         cfg = ff.ForestConfig(mode=mode, n_trees=2, seed=seed, n_bins=4,
                               split_strategy=strategy, max_depth=depth,
-                              min_node_size=int(rng.integers(1, 4)))
+                              min_node_size=int(rng.integers(1, 4)),
+                              mtry=int(rng.integers(1, m + 1)))
         held = rng.uniform(size=(n, m)) < 0.25
         if storage == "csr":
             ds = ff.Dataset.from_csr(*dense_to_csr(dense), m, schema=schema,

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from helpers import loads_numpy_ma
 
 import forestfuse as ff
 
@@ -144,3 +145,54 @@ class TestFindPrototypes:
         protos = ff.find_prototypes(prox, ds, [0, 0, 0, 1, 1, 1], k=2,
                                     n_protos=10)
         assert 1 <= len(protos[0]) <= 3
+
+
+class TestSortBased:
+    """Prototypes sort instead of calling np.unique and np.percentile,
+    whose first calls import numpy.ma; the results are theirs."""
+
+    @staticmethod
+    def forest_and_data(seed):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(90, 4)) * [1e-3, 1.0, 1e3, 1.0]
+        X[rng.uniform(size=X.shape) < 0.2] = 0.0
+        X[:, 3] = rng.integers(0, 3, size=90)
+        classes = rng.integers(0, 3, size=90)
+        forest = ff.train(ff.Dataset.from_dense(X, target=classes * 1.0),
+                          ff.ForestConfig(mode="classification", n_trees=7,
+                                          seed=seed))
+        return forest, X, classes
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_bands_are_np_percentile_bit_for_bit(self, seed):
+        forest, X, classes = self.forest_and_data(seed)
+        missing = np.zeros(X.shape, dtype=bool)
+        missing[::9, 1] = True
+        holes = ff.Dataset.from_dense(np.where(missing, np.nan, X),
+                                      missing_mask=missing)
+        prox = ff.compute_proximity(forest, ff.Dataset.from_dense(X))
+        for source, ds in ((forest, ff.Dataset.from_dense(X)),
+                           (prox, holes), (prox.values, holes)):
+            for k in (1, 2, 4, 7):
+                protos = ff.find_prototypes(source, ds, classes, k=k,
+                                            n_protos=3)
+                assert sorted(protos) == [0, 1, 2]
+                for p in (p for plist in protos.values() for p in plist):
+                    assert np.array_equal(p.support, np.unique(p.support))
+                    rows = ds.read_cells(p.support[:, None], np.arange(4))
+                    want = np.percentile(rows, [25, 50, 75], axis=0)
+                    got = np.array([p.q25, p.median, p.q75])
+                    assert got.tobytes() == want.tobytes()
+
+    def test_prototypes_do_not_import_numpy_ma(self):
+        # a one-shot `forestfuse prototypes` would pay numpy.ma's import
+        assert not loads_numpy_ma([
+            "rng = np.random.default_rng(1)",
+            "X = rng.normal(size=(90, 4)).round(1)",
+            "classes = rng.integers(0, 3, size=90)",
+            "ds = ff.Dataset.from_dense(X)",
+            "forest = ff.train(ff.Dataset.from_dense(X, target=classes * 1.0),"
+            " ff.ForestConfig(mode='classification', n_trees=7, seed=1))",
+            "prox = ff.compute_proximity(forest, ds)"], [
+            "ff.find_prototypes(forest, ds, classes, k=4, n_protos=2)",
+            "ff.find_prototypes(prox, ds, classes, k=4, n_protos=2)"])

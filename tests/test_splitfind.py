@@ -1,6 +1,9 @@
 """Split finding against brute-force oracles."""
 
+import math
+import sys
 import tracemalloc
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
@@ -10,8 +13,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import forestfuse as ff
+from forestfuse import forest as forest_module
 from forestfuse import splitfind
-from forestfuse.forest import _bin_columns
+from forestfuse.forest import _bin_columns, _level_splits
 
 
 def gini(counts):
@@ -327,58 +331,25 @@ class TestOneScanOracle:
             (int(node["feat_ids"][j]), thr, float(exact))
 
 
-class TestBlockedClassCounts:
-    @settings(max_examples=200, deadline=None)
-    @given(tied_nodes(), st.integers(1, 2000))
-    def test_blocks_give_the_one_block_split(self, node, budget):
-        # a budget of a few bytes cuts the one-hot into blocks of columns
-        # and of rows; integer counts carried between them change nothing
-        assume(node["task"] == "classification")
-        kwargs = dict(task="classification", n_classes=node["n_classes"],
-                      held=node["held"])
-        whole = ff.find_node_split(node["cols"], node["feat_ids"], node["y"],
-                                   **kwargs)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(splitfind, "BLOCK_BYTES", budget)
-            blocked = ff.find_node_split(node["cols"], node["feat_ids"],
-                                         node["y"], **kwargs)
-        assert blocked == whole
-
-    def test_many_classes_scan_within_the_block_budget(self):
-        # the root of 2000 rows with 1000 classes: its whole one-hot would
-        # be 2000 x 3 x 1000 counts (46 MiB), about six budgets
-        rng = np.random.default_rng(0)
-        cols, y = rng.normal(size=(2000, 3)), rng.integers(0, 1000, 2000)
-        tracemalloc.start()
-        try:
-            split = ff.find_node_split(cols, np.arange(3), y,
-                                       task="classification", n_classes=1000)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert split is not None
-        assert peak < splitfind.BLOCK_BYTES + (1 << 20)
-
-
-# -- the Python scan of small classification nodes against the numpy scan -----
+# -- the Python scan of small nodes and the level scan, node by node ---------
 
 @st.composite
-def classification_nodes(draw):
+def classification_nodes(draw, f=None, n_classes=None):
     """Nodes on both sides of SMALL_CELLS, with many-way ties, signed
-    zeros, held columns of 0 or 1 observed rows and a few labels present
-    out of up to 2000."""
-    f = draw(st.integers(1, 5))
+    zeros, values whose sum overflows, held columns of 0 or 1 observed
+    rows and a few labels present out of up to 2000."""
+    f = f or draw(st.integers(1, 5))
     n = draw(st.integers(2, 2 * splitfind.SMALL_CELLS // f + 2))
     pool = draw(st.sampled_from([
         [0.0, -0.0, 1.0, -1.0],
         [float(v) for v in range(4)],
-        [0.5, 0.25, -0.0, 1e-300, 3e300, -2e300],
+        [0.5, 0.25, -0.0, 1e-300, 3e300, -2e300, 1.7e308, -1.7e308],
         None]))
     cell = (st.sampled_from(pool) if pool else
             st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False))
     cols = np.array(draw(st.lists(cell, min_size=n * f, max_size=n * f)),
                     dtype=np.float64).reshape(n, f)
-    n_classes = draw(st.sampled_from([2, 3, 5, 2000]))
+    n_classes = n_classes or draw(st.sampled_from([2, 3, 5, 2000]))
     present = draw(st.lists(st.integers(0, n_classes - 1), min_size=1,
                             max_size=4, unique=True))
     y = np.array(draw(st.lists(st.sampled_from(present), min_size=n,
@@ -404,10 +375,137 @@ def split_bits(split):
     return split and (split.feature, split.threshold.hex(), split.gain.hex())
 
 
+@st.composite
+def classification_levels(draw):
+    """(cols, feat_ids, y, starts, held, n_classes): 1-6 nodes of
+    classification_nodes sharing their candidate count and classes, node
+    after node, held None if no node holds a cell."""
+    f = draw(st.integers(1, 5))
+    n_classes = draw(st.sampled_from([2, 3, 5, 2000]))
+    nodes = draw(st.lists(classification_nodes(f=f, n_classes=n_classes),
+                          min_size=1, max_size=6))
+    held = None
+    if any(node["held"] is not None for node in nodes):
+        held = np.concatenate([
+            np.zeros(node["cols"].shape, bool) if node["held"] is None
+            else node["held"] for node in nodes])
+    return (np.concatenate([node["cols"] for node in nodes]),
+            np.stack([node["feat_ids"] for node in nodes]),
+            np.concatenate([node["y"] for node in nodes]),
+            np.cumsum([0] + [len(node["y"]) for node in nodes]), held,
+            n_classes)
+
+
+class TestLevelScan:
+    @settings(max_examples=200, deadline=None)
+    @given(classification_levels())
+    def test_level_scan_is_the_per_node_scan_bit_for_bit(self, level):
+        cols, feat_ids, y, starts, held, K = level
+        got = splitfind.find_level_splits(cols, feat_ids, y, starts,
+                                          n_classes=K, held=held)
+        assert len(got) == len(feat_ids)
+        for i, (a, b) in enumerate(zip(starts[:-1], starts[1:])):
+            own = None if held is None or not held[a:b].any() else held[a:b]
+            alone = ff.find_node_split(cols[a:b], feat_ids[i], y[a:b],
+                                       task="classification", n_classes=K,
+                                       held=own)
+            assert split_bits(got[i]) == split_bits(alone)
+
+
+class TestMidpoint:
+    """Thresholds halve each key before the sum (`splitfind._midpoint`)."""
+
+    @pytest.mark.parametrize("task, cells", [
+        ("classification", 10 ** 9), ("classification", 0),
+        ("regression", 0)])
+    def test_midpoints_of_huge_values_do_not_overflow(self, task, cells):
+        # 0.5 * (a + b) overflows to inf here and sends every row left
+        col = np.array([[1e308], [1e308], [1.5e308], [1.5e308], [1e308],
+                        [1.5e308]])
+        y = np.array([0, 0, 1, 1, 0, 1])
+        with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mp.setattr(splitfind, "SMALL_CELLS", cells)
+            split = ff.find_node_split(col, np.array([0]), y, task=task,
+                                       n_classes=2)
+        assert split.threshold == 1.25e308
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False),
+           st.floats(allow_nan=False, allow_infinity=False))
+    def test_midpoint_is_the_old_one_where_halves_are_exact(self, u, v):
+        assume(u != v)
+        lo, hi = min(u, v), max(u, v)
+        mid = splitfind._midpoint(lo, hi)
+        assert lo <= mid <= hi
+        assert mid != 0.0 or math.copysign(1.0, mid) == 1.0
+        # halving is exact unless the half is subnormal, and then commutes
+        # with rounding
+        old = 0.5 * (lo + hi)
+        exact = all(x == 0.0 or abs(x) >= 2 * sys.float_info.min
+                    for x in (lo, hi))
+        if exact and abs(old) < math.inf:
+            assert mid == old
+
+    @pytest.mark.parametrize("lo, hi", [(1e308, 1.7e308), (5e-324, 1e-323),
+                                        (-5e-324, -0.0), (-5e-324, 0.0)])
+    def test_midpoint_of_extreme_neighbours(self, lo, hi):
+        # finite on the largest floats, within [lo, hi] on subnormals,
+        # and 0.0 whichever zero the upper key is
+        mid = splitfind._midpoint(lo, hi)
+        assert lo <= mid <= hi
+        assert mid != 0.0 or math.copysign(1.0, mid) == 1.0
+
+    def test_presort_forest_splits_between_huge_values(self):
+        X = np.array([[1e308], [1e308], [1.5e308], [1.5e308], [1e308],
+                      [1.5e308]])
+        ds = ff.Dataset.from_dense(X, target=[0.0, 0, 1, 1, 0, 1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            forest = ff.train(ds, ff.ForestConfig(mode="classification",
+                                                  n_trees=2, seed=1))
+        inner = forest.feature >= 0
+        assert inner.any()
+        assert np.all(forest.threshold[inner] == 1.25e308)
+
+
+class TestBlockedClassCounts:
+    @settings(max_examples=150, deadline=None)
+    @given(classification_levels(), st.integers(1, 2000))
+    def test_blocks_give_the_one_block_split(self, level, budget):
+        # the grower's blocks of a level under a budget of a few bytes,
+        # down to one node a block, every node scanned in a block: the
+        # splits of the whole level scanned as one block
+        cols, feat_ids, y, starts, held, K = level
+        whole = splitfind.find_level_splits(cols, feat_ids, y, starts,
+                                            n_classes=K, held=held)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(forest_module, "_SCAN_BLOCK_BYTES", budget)
+            mp.setattr(forest_module, "SMALL_CELLS", 0)
+            blocked = _level_splits(cols, feat_ids, y, starts, held,
+                                    task="classification", n_classes=K)
+        assert list(map(split_bits, blocked)) == list(map(split_bits, whole))
+
+    def test_many_classes_scan_within_the_block_budget(self):
+        # the root of 2000 rows with 1000 classes: its whole one-hot would
+        # be 2000 x 3 x 1000 counts (46 MiB), about six budgets
+        rng = np.random.default_rng(0)
+        cols, y = rng.normal(size=(2000, 3)), rng.integers(0, 1000, 2000)
+        tracemalloc.start()
+        try:
+            split = ff.find_node_split(cols, np.arange(3), y,
+                                       task="classification", n_classes=1000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert split is not None
+        assert peak < splitfind.BLOCK_BYTES + (1 << 20)
+
+
 class TestSmallNodeScan:
     @staticmethod
     def scans(node):
-        """(Python scan's split, numpy scan's split) of one node."""
+        """(Python scan's split, level scan's split) of one node."""
         kwargs = dict(task="classification", n_classes=node["n_classes"],
                       held=node["held"])
         out = []
@@ -448,7 +546,7 @@ class TestSmallNodeScan:
                                    task="classification", n_classes=2)
                 ff.find_node_split(cols, np.arange(f), y.astype(float),
                                    task="regression")
-            # NaN and infinite cells keep the numpy scan
+            # NaN and infinite cells keep the level scan
             for bad in (np.nan, np.inf):
                 cols = np.array([[0.0], [1.0], [-1.5e308], [bad]])
                 split = ff.find_node_split(

@@ -13,12 +13,12 @@ The trees of a forest grow together, one level at a time, in groups
 whose level arrays fit BLOCK_BYTES (`_grow_trees`). Each level gathers
 the labels, counts them, reads the candidate cells, routes the rows and
 partitions them into the next level once for all the open nodes of all
-the group's trees. Its large classification nodes are scanned together,
-in blocks (`splitfind.find_level_splits`); only the candidate draw and
-the scan of small and regression nodes (`splitfind.find_node_split`)
-run node by node. Each tree's nodes are numbered in the order they
-grow: level by level, and within a level in the order of their
-parents, each left child just before its right.
+the group's trees, and one call finds their splits
+(`splitfind.find_splits`), which scans the large classification nodes
+together, in blocks; only the candidate draw runs node by node. Each
+tree's nodes are numbered in the order they grow: level by level, and
+within a level in the order of their parents, each left child just
+before its right.
 Under the histogram strategy each continuous feature gets at most n_bins
 quantile bins, fixed once per training (`_bin_columns`): the trees grow
 on the bin codes, and every split records its value edge, so the walk
@@ -46,8 +46,7 @@ from .dataset import Dataset, distinct_counts
 from .errors import ArgumentError, ConfigError
 from .rng import (ROOT_ROUTE, STREAM_LIMIT, NodeStreams, child_route,
                   synthetic_rng, tree_rng)
-from .splitfind import (BLOCK_BYTES, SMALL_CELLS, find_level_splits,
-                        find_node_split)
+from .splitfind import BLOCK_BYTES, find_splits
 
 MODES = ("classification", "regression", "unsupervised")
 STRATEGIES = ("presort", "histogram")
@@ -653,62 +652,6 @@ _GROW_CANDIDATE_BYTES = 17
 _CSR_READ_BYTES = 24
 
 
-# bytes one candidate cell of a `find_level_splits` block holds at its
-# peak (tracemalloc read 52-75 over 1-10 candidates, 2-20 classes, held
-# cells or none), and the budget of one block: on fit_dense's levels
-# (numpy 2.4.6) blocks of 6,500, 13,000 and 26,000 cells scanned in 52,
-# 48 and 47 ms, and this one raised a training's tracemalloc peak from
-# 1.97 to 2.27 MiB
-_SCAN_CELL_BYTES = 80
-_SCAN_BLOCK_BYTES = BLOCK_BYTES // 8
-
-
-def _level_splits(cols, feats, y, starts, held, *, task, n_classes) -> list:
-    """Each open node's Split, or None. Node i holds rows
-    starts[i]:starts[i + 1] of the level's candidate cells cols, their
-    held mask (or None) and labels y.
-
-    The classification nodes of more than SMALL_CELLS candidate cells are
-    scanned together (`find_level_splits`), in blocks of consecutive ones
-    whose cells take at most _SCAN_BLOCK_BYTES (a larger node is a block
-    alone); every other node is scanned alone (`find_node_split`). A node
-    or block with no held cell scans unmasked.
-    """
-    sizes = np.diff(starts)
-    cells = sizes * feats.shape[1]
-    alone = (cells <= SMALL_CELLS) | (task == "regression")
-    if held is not None:
-        any_held = np.logical_or.reduceat(held.any(axis=1), starts[:-1])
-    bounds = starts.tolist()
-    splits = [None] * len(sizes)
-    for i in np.flatnonzero(alone).tolist():
-        a, b = bounds[i], bounds[i + 1]
-        splits[i] = find_node_split(
-            cols[a:b], feats[i], y[a:b], task=task, n_classes=n_classes,
-            held=held[a:b] if held is not None and any_held[i] else None)
-    big = np.flatnonzero(~alone)
-    # the large nodes' rows, big[i]'s from at[i] on, and the blocks
-    rows = np.flatnonzero(np.repeat(~alone, sizes))
-    at = np.concatenate(([0], np.cumsum(sizes[big])))
-    first, used, blocks = 0, 0, []
-    for i, c in enumerate(cells[big].tolist()):
-        if i > first and (used + c) * _SCAN_CELL_BYTES > _SCAN_BLOCK_BYTES:
-            blocks.append((first, i))
-            first, used = i, 0
-        used += c
-    if big.size:
-        blocks.append((first, len(big)))
-    for u, v in blocks:
-        block = rows[at[u]:at[v]]
-        mask = None if held is None or not any_held[big[u:v]].any() \
-            else held[block]
-        for i, sp in zip(big[u:v].tolist(), find_level_splits(
-                cols[block], feats[big[u:v]], y[block], at[u:v + 1] - at[u],
-                n_classes=n_classes, held=mask)):
-            splits[i] = sp
-    return splits
-
-
 def _grow_trees(data, y, trees, *, task, n_classes, n_features, mtry,
                 min_node_size, max_depth, seed, bins=None, held_out=None):
     """Each tree's NODE_LAYOUT arrays (and held_out_left), and in-bag counts.
@@ -724,15 +667,14 @@ def _grow_trees(data, y, trees, *, task, n_classes, n_features, mtry,
     read of the candidate cells of the nodes that try a split, one
     compare that routes their rows, and one stable partition of those
     rows into the next level, each node's left child before its right.
-    The split scan takes the level's large classification nodes a block
-    at a time (`_level_splits`). Per node there is only the candidate
-    draw and the scan of the other nodes. The draw re-keys the node's
-    Philox stream and replays numpy 2.x's `Generator.choice(n_features,
-    size=mtry, replace=False)` on its raw output (Floyd's algorithm with
-    Lemire's bounded draw, then a Fisher-Yates shuffle; `rng.choose`), so
-    it is the same features without numpy's sampling code. Each tree's
-    nodes are then numbered in the order they grew
-    (`_number_level_order`).
+    One `splitfind.find_splits` call finds the level's splits, its large
+    classification nodes a block at a time. Per node there is only the
+    candidate draw. The draw re-keys the node's Philox stream and replays
+    numpy 2.x's `Generator.choice(n_features, size=mtry, replace=False)`
+    on its raw output (Floyd's algorithm with Lemire's bounded draw, then
+    a Fisher-Yates shuffle; `rng.choose`), so it is the same features
+    without numpy's sampling code. Each tree's nodes are then numbered in
+    the order they grew (`_number_level_order`).
     """
     n_rows = len(y)
     draws = [tree_rng(seed, t).integers(0, n_rows, size=n_rows) for t in trees]
@@ -788,8 +730,8 @@ def _grow_trees(data, y, trees, *, task, n_classes, n_features, mtry,
         del cell_feats
         feature, threshold, gain = (np.array(v) for v in zip(*[
             (sp.feature, sp.threshold, sp.gain) if sp else (_LEAF, 0.0, 0.0)
-            for sp in _level_splits(cols, feats, yv, starts, held, task=task,
-                                    n_classes=n_classes)]))
+            for sp in find_splits(cols, feats, yv, starts, task=task,
+                                  n_classes=n_classes, held=held)]))
         found = feature >= 0
         # each row's value of its node's split feature
         col = np.argmax(feats == feature[:, None], axis=1)[node]
@@ -901,12 +843,12 @@ def train_held_out(ds: Dataset, held_out, config: ForestConfig) -> Forest:
 
     ds must be dense and complete; its held-out cells hold placeholder
     fills. Each level of the level-wise growth reads the held-out flag of
-    every candidate cell it reads, and every node's split scan (a block's
-    `find_level_splits` or its own `find_node_split`, which give the same
-    split) takes its held-out cells as its held mask: each candidate
-    feature is scored on the node's rows where that cell is observed, its
-    gain scaled by the observed share, and the exact tie rule of every
-    other node picks among features.
+    every candidate cell it reads, and every node's split scan (in a
+    block or alone, which give the same split; `splitfind.find_splits`)
+    takes its held-out cells as its held mask: each candidate feature is
+    scored on the node's rows where that cell is observed, its gain
+    scaled by the observed share, and the exact tie rule of every other
+    node picks among features.
     A row whose split feature is held out goes to the child holding more
     of the node's observed in-bag rows, both in the level's partition and
     in leaf_of_train. In unsupervised mode the synthetic half carries the

@@ -39,9 +39,10 @@ scan. A classification node of at most SMALL_CELLS candidate cells
 (n * f) is scanned in Python on lists (`_small_class_split`); larger
 nodes and nodes holding a NaN or infinite cell take the level scan
 above, the reference. Most nodes are small, and on them numpy's fixed
-cost per call dominates (see SMALL_CELLS); the grower sends every larger
-one to the level scan in blocks. Every route gives the same Split, bit
-for bit:
+cost per call dominates (see SMALL_CELLS). The grower finds a level's
+splits with one call (`find_splits`), which sends every larger node to
+the level scan in blocks and every other node to `find_node_split`.
+Every route gives the same Split, bit for bit:
 * class counts are integers in all, so a, b and P are the same ints;
 * every float gain is (a / nL + b / nR - P / n_obs) / n of those ints,
   the same operations in the same order, and the tie rule's exact
@@ -81,13 +82,22 @@ _TIE_BAND = 1e-9
 # `find_level_splits`) and the Python scan 14-19 us at 1-16 cells, 37-47
 # us at 49-64 and 50-59 us at 65-96: they cross at 65-90 cells, and this
 # stays at or below the crossover. In a block of a level the level scan
-# takes 6.6-15.9 us a node at up to 64 cells, but the grower keeps the
-# small nodes on their own calls
+# takes 6.6-15.9 us a node at up to 64 cells, but `find_splits` keeps
+# the small nodes on their own calls
 SMALL_CELLS = 64
 
-# the largest node whose sums of squared class counts, at most twice its
-# squared rows, fit int32
-_INT32_ROWS = math.isqrt(np.iinfo(np.int32).max // 2)
+# a level scan block of at most this many (node, candidate) segments keys
+# them uint16, which numpy's stable argsort sorts by radix; more take int64
+_UINT16_SEGMENTS = 1 << 16
+
+# bytes one candidate cell of a `find_level_splits` block holds at its
+# peak (tracemalloc read 73-91 over 1-10 candidates, 2-20 classes, held
+# cells or none), and the budget of one block of `find_splits`. On the
+# levels of one fit_dense training (numpy 2.4.6, 2 shared vCPUs), blocks
+# of at most 5,500, 10,900, 21,800 and 43,700 cells scanned in 66, 67, 74
+# and 80 ms (medians of 15)
+_SCAN_CELL_BYTES = 96
+_SCAN_BLOCK_BYTES = BLOCK_BYTES // 8
 
 
 @dataclass(frozen=True)
@@ -232,7 +242,7 @@ def find_level_splits(cols, feat_ids, y, starts, *, n_classes,
     n_seg = len(sizes) * f
     keys = cols if held is None else np.where(held, np.inf, cols)
     # each cell's segment, node * f + j
-    ids = np.uint16 if n_seg <= 1 << 16 else np.int64
+    ids = np.uint16 if n_seg <= _UINT16_SEGMENTS else np.int64
     seg = (np.repeat(np.arange(0, n_seg, f, dtype=ids), sizes)[:, None]
            + np.arange(f, dtype=ids))
     order = keys.argsort(axis=None)
@@ -251,15 +261,11 @@ def find_level_splits(cols, feat_ids, y, starts, *, n_classes,
         held, starts[:-1], axis=0, dtype=np.int64).ravel(), 1)
     last = first + n_obs - 1
     of_seg = np.repeat(np.arange(n_seg), seg_len)
-    # counts and their squared sums stay within 2 * sizes.max() ** 2:
-    # int32 while that fits, whose cumulative sums run about twice as
-    # fast as int64's
-    count = np.int32 if sizes.max() <= _INT32_ROWS else np.int64
     # the rows left of each cell's boundary, itself included
-    n_left = np.arange(1, n_rows * f + 1, dtype=count) - first.take(
-        of_seg).astype(count)
+    n_left = np.arange(1, n_rows * f + 1, dtype=np.int64) - first.take(
+        of_seg)
 
-    a = np.zeros(n_rows * f, dtype=count)
+    a = np.zeros(n_rows * f, dtype=np.int64)
     b = np.zeros_like(a)
     rest = n_left.copy()
     present = np.flatnonzero(np.bincount(y, minlength=n_classes)).tolist()
@@ -268,7 +274,7 @@ def find_level_splits(cols, feat_ids, y, starts, *, n_classes,
             left = rest
         else:
             is_k = lab == k
-            left = np.cumsum(is_k, dtype=count)
+            left = np.cumsum(is_k, dtype=np.int64)
             left -= (left.take(first) - is_k.take(first)).take(of_seg)
             rest -= left
         a += left * left
@@ -279,7 +285,7 @@ def find_level_splits(cols, feat_ids, y, starts, *, n_classes,
 
     # the observed rows right of each boundary; none at a boundary past
     # them, which is masked
-    n_right = n_obs.astype(count).take(of_seg) - n_left
+    n_right = n_obs.take(of_seg) - n_left
     past = n_right <= 0
     gains = a / n_left
     gains += b / np.maximum(n_right, 1, out=n_right)
@@ -385,3 +391,52 @@ def find_node_split(cols, feat_ids, y, *, task, n_classes=0,
         return None
     return Split(int(feat_ids[j]), float(_midpoint(sk[p, j], sk[p + 1, j])),
                  float(gain))
+
+
+def find_splits(cols, feat_ids, y, starts, *, task, n_classes=0,
+                held=None) -> list[Split | None]:
+    """Best split of each node of a growth level, or None.
+
+    Node i holds rows starts[i]:starts[i + 1] of cols, y and held (as in
+    `find_level_splits`) and has the candidate features feat_ids[i]. The
+    classification nodes of more than SMALL_CELLS candidate cells are
+    scanned together (`find_level_splits`), in blocks of consecutive ones
+    whose cells take at most _SCAN_BLOCK_BYTES (a larger node is a block
+    alone); every other node is scanned alone (`find_node_split`). A node
+    or block with no held cell scans unmasked.
+    """
+    starts = np.asarray(starts, dtype=np.int64)
+    sizes = np.diff(starts)
+    cells = sizes * feat_ids.shape[1]
+    alone = (cells <= SMALL_CELLS) | (task == "regression")
+    if held is not None:
+        any_held = np.logical_or.reduceat(held.any(axis=1), starts[:-1])
+    bounds = starts.tolist()
+    splits = [None] * len(sizes)
+    for i in np.flatnonzero(alone).tolist():
+        a, b = bounds[i], bounds[i + 1]
+        splits[i] = find_node_split(
+            cols[a:b], feat_ids[i], y[a:b], task=task, n_classes=n_classes,
+            held=held[a:b] if held is not None and any_held[i] else None)
+    big = np.flatnonzero(~alone)
+    if not big.size:
+        return splits
+    # the large nodes' rows, big[i]'s from at[i] on, and the blocks
+    rows = np.flatnonzero(np.repeat(~alone, sizes))
+    at = np.concatenate(([0], np.cumsum(sizes[big])))
+    first, used, blocks = 0, 0, []
+    for i, c in enumerate(cells[big].tolist()):
+        if i > first and (used + c) * _SCAN_CELL_BYTES > _SCAN_BLOCK_BYTES:
+            blocks.append((first, i))
+            first, used = i, 0
+        used += c
+    blocks.append((first, len(big)))
+    for u, v in blocks:
+        block = rows[at[u]:at[v]]
+        mask = None if held is None or not any_held[big[u:v]].any() \
+            else held[block]
+        for i, sp in zip(big[u:v].tolist(), find_level_splits(
+                cols[block], feat_ids[big[u:v]], y[block],
+                at[u:v + 1] - at[u], n_classes=n_classes, held=mask)):
+            splits[i] = sp
+    return splits

@@ -13,9 +13,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import forestfuse as ff
-from forestfuse import forest as forest_module
 from forestfuse import splitfind
-from forestfuse.forest import _bin_columns, _level_splits
+from forestfuse.forest import _bin_columns
 
 
 def gini(counts):
@@ -400,6 +399,18 @@ class TestLevelScan:
     @settings(max_examples=200, deadline=None)
     @given(classification_levels())
     def test_level_scan_is_the_per_node_scan_bit_for_bit(self, level):
+        self.check(level)
+
+    @settings(max_examples=60, deadline=None)
+    @given(classification_levels())
+    def test_int64_segment_ids_give_the_same_splits(self, level):
+        # blocks of more than _UINT16_SEGMENTS segments key them int64
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(splitfind, "_UINT16_SEGMENTS", 0)
+            self.check(level)
+
+    @staticmethod
+    def check(level):
         cols, feat_ids, y, starts, held, K = level
         got = splitfind.find_level_splits(cols, feat_ids, y, starts,
                                           n_classes=K, held=held)
@@ -473,22 +484,24 @@ class TestBlockedClassCounts:
     @settings(max_examples=150, deadline=None)
     @given(classification_levels(), st.integers(1, 2000))
     def test_blocks_give_the_one_block_split(self, level, budget):
-        # the grower's blocks of a level under a budget of a few bytes,
-        # down to one node a block, every node scanned in a block: the
-        # splits of the whole level scanned as one block
+        # a level's blocks under a budget of a few bytes, down to one node
+        # a block, every node scanned in a block: the splits of the whole
+        # level scanned as one block
         cols, feat_ids, y, starts, held, K = level
         whole = splitfind.find_level_splits(cols, feat_ids, y, starts,
                                             n_classes=K, held=held)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(forest_module, "_SCAN_BLOCK_BYTES", budget)
-            mp.setattr(forest_module, "SMALL_CELLS", 0)
-            blocked = _level_splits(cols, feat_ids, y, starts, held,
-                                    task="classification", n_classes=K)
+            mp.setattr(splitfind, "_SCAN_BLOCK_BYTES", budget)
+            mp.setattr(splitfind, "SMALL_CELLS", 0)
+            blocked = splitfind.find_splits(cols, feat_ids, y, starts,
+                                            task="classification",
+                                            n_classes=K, held=held)
         assert list(map(split_bits, blocked)) == list(map(split_bits, whole))
 
     def test_many_classes_scan_within_the_block_budget(self):
-        # the root of 2000 rows with 1000 classes: its whole one-hot would
-        # be 2000 x 3 x 1000 counts (46 MiB), about six budgets
+        # the root of 2000 rows with 1000 classes scans in memory that does
+        # not grow with the class count: a (cells x classes) one-hot of its
+        # counts would take 2000 x 3 x 1000 int64s (46 MiB)
         rng = np.random.default_rng(0)
         cols, y = rng.normal(size=(2000, 3)), rng.integers(0, 1000, 2000)
         tracemalloc.start()

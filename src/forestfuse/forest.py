@@ -15,10 +15,10 @@ the labels, counts them, reads the candidate cells, routes the rows and
 partitions them into the next level once for all the open nodes of all
 the group's trees, and one call finds their splits
 (`splitfind.find_splits`), which scans the large classification nodes
-together, in blocks; only the candidate draw runs node by node. Each
-tree's nodes are numbered in the order they grow: level by level, and
-within a level in the order of their parents, each left child just
-before its right.
+together, in blocks, and the small ones with them on a level of many;
+only the candidate draw runs node by node. Each tree's nodes are
+numbered in the order they grow: level by level, and within a level in
+the order of their parents, each left child just before its right.
 Under the histogram strategy each continuous feature gets at most n_bins
 quantile bins, fixed once per training (`_bin_columns`): the trees grow
 on the bin codes, and every split records its value edge, so the walk
@@ -668,7 +668,9 @@ def _grow_trees(data, y, trees, *, task, n_classes, n_features, mtry,
     compare that routes their rows, and one stable partition of those
     rows into the next level, each node's left child before its right.
     One `splitfind.find_splits` call finds the level's splits, its large
-    classification nodes a block at a time. Per node there is only the
+    classification nodes a block at a time, and its small ones in those
+    blocks when there are at least `splitfind._SMALL_LEVEL_NODES` of
+    them (fewer are scanned one by one). Per node there is only the
     candidate draw. The draw re-keys the node's Philox stream and replays
     numpy 2.x's `Generator.choice(n_features, size=mtry, replace=False)`
     on its raw output (Floyd's algorithm with Lemire's bounded draw, then
@@ -844,8 +846,9 @@ def train_held_out(ds: Dataset, held_out, config: ForestConfig) -> Forest:
     ds must be dense and complete; its held-out cells hold placeholder
     fills. Each level of the level-wise growth reads the held-out flag of
     every candidate cell it reads, and every node's split scan (in a
-    block or alone, which give the same split; `splitfind.find_splits`)
-    takes its held-out cells as its held mask: each candidate feature is
+    level-scan block or alone, small nodes in blocks on a level of many;
+    all give the same split, `splitfind.find_splits`) takes its held-out
+    cells as its held mask: each candidate feature is
     scored on the node's rows where that cell is observed, its gain
     scaled by the observed share, and the exact tie rule of every other
     node picks among features.

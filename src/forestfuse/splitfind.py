@@ -34,14 +34,16 @@ exact gain, correctly rounded, and two that report equal gains compare
 their exact gains by integer cross-multiplication. Held cells change
 nothing here: every node, masked or not, gets this one rule.
 
-Small classification nodes take a second implementation of the same
-scan. A classification node of at most SMALL_CELLS candidate cells
-(n * f) is scanned in Python on lists (`_small_class_split`); larger
-nodes and nodes holding a NaN or infinite cell take the level scan
-above, the reference. Most nodes are small, and on them numpy's fixed
-cost per call dominates (see SMALL_CELLS). The grower finds a level's
-splits with one call (`find_splits`), which sends every larger node to
-the level scan in blocks and every other node to `find_node_split`.
+Small classification nodes scanned alone take a second implementation
+of the same scan. `find_node_split` scans a classification node of at
+most SMALL_CELLS candidate cells (n * f) in Python on lists
+(`_small_class_split`); larger nodes and nodes holding a NaN or infinite
+cell take the level scan above, the reference. On a small node alone
+numpy's fixed cost per call dominates (see SMALL_CELLS). The grower finds
+a level's splits with one call (`find_splits`), which sends every larger
+classification node to the level scan in blocks, and the small ones too
+when the level holds at least _SMALL_LEVEL_NODES of them, so that they
+share a block's fixed cost; every other node goes to `find_node_split`.
 Every route gives the same Split, bit for bit:
 * class counts are integers in all, so a, b and P are the same ints;
 * every float gain is (a / nL + b / nR - P / n_obs) / n of those ints,
@@ -82,9 +84,18 @@ _TIE_BAND = 1e-9
 # `find_level_splits`) and the Python scan 14-19 us at 1-16 cells, 37-47
 # us at 49-64 and 50-59 us at 65-96: they cross at 65-90 cells, and this
 # stays at or below the crossover. In a block of a level the level scan
-# takes 6.6-15.9 us a node at up to 64 cells, but `find_splits` keeps
-# the small nodes on their own calls
+# takes 6.6-15.9 us a node at up to 64 cells, so `find_splits` scans a
+# level's small nodes there when it holds _SMALL_LEVEL_NODES or more
 SMALL_CELLS = 64
+
+# a classification level of at least this many small nodes scans them in
+# its `find_level_splits` blocks; a level of fewer scans each alone. On
+# groups of k small nodes from the levels of fit_dense and impute_mixed
+# trainings (seeds 1-3, 40-80 groups a run, min of 30 calls; numpy 2.4.6,
+# 2 shared vCPUs), one block beat k `find_node_split` calls in 0-10% of
+# the groups at k = 5, 3-20% at 6, 14-56% at 7, 20-82% (median 68%) at 8,
+# 53-95% at 9 and 70-100% at 10
+_SMALL_LEVEL_NODES = 8
 
 # a level scan block of at most this many (node, candidate) segments keys
 # them uint16, which numpy's stable argsort sorts by radix; more take int64
@@ -402,13 +413,19 @@ def find_splits(cols, feat_ids, y, starts, *, task, n_classes=0,
     classification nodes of more than SMALL_CELLS candidate cells are
     scanned together (`find_level_splits`), in blocks of consecutive ones
     whose cells take at most _SCAN_BLOCK_BYTES (a larger node is a block
-    alone); every other node is scanned alone (`find_node_split`). A node
-    or block with no held cell scans unmasked.
+    alone), and so are the small ones, in level order with the large ones,
+    when the level holds at least _SMALL_LEVEL_NODES of them. Every other
+    node, regression nodes included, is scanned alone
+    (`find_node_split`). A node or block with no held cell scans
+    unmasked; when no node is alone, the blocks are slices of the level.
     """
     starts = np.asarray(starts, dtype=np.int64)
     sizes = np.diff(starts)
     cells = sizes * feat_ids.shape[1]
-    alone = (cells <= SMALL_CELLS) | (task == "regression")
+    alone = np.full(len(sizes), task == "regression")
+    small = cells <= SMALL_CELLS
+    if np.count_nonzero(small) < _SMALL_LEVEL_NODES:
+        alone |= small
     if held is not None:
         any_held = np.logical_or.reduceat(held.any(axis=1), starts[:-1])
     bounds = starts.tolist()
@@ -418,25 +435,26 @@ def find_splits(cols, feat_ids, y, starts, *, task, n_classes=0,
         splits[i] = find_node_split(
             cols[a:b], feat_ids[i], y[a:b], task=task, n_classes=n_classes,
             held=held[a:b] if held is not None and any_held[i] else None)
-    big = np.flatnonzero(~alone)
-    if not big.size:
+    grouped = np.flatnonzero(~alone)
+    if not grouped.size:
         return splits
-    # the large nodes' rows, big[i]'s from at[i] on, and the blocks
-    rows = np.flatnonzero(np.repeat(~alone, sizes))
-    at = np.concatenate(([0], np.cumsum(sizes[big])))
+    # the grouped nodes' rows, grouped[i]'s from at[i] on (all rows, as
+    # slices, when no node is alone), and the blocks
+    rows = np.flatnonzero(np.repeat(~alone, sizes)) if alone.any() else None
+    at = np.concatenate(([0], np.cumsum(sizes[grouped])))
     first, used, blocks = 0, 0, []
-    for i, c in enumerate(cells[big].tolist()):
+    for i, c in enumerate(cells[grouped].tolist()):
         if i > first and (used + c) * _SCAN_CELL_BYTES > _SCAN_BLOCK_BYTES:
             blocks.append((first, i))
             first, used = i, 0
         used += c
-    blocks.append((first, len(big)))
+    blocks.append((first, len(grouped)))
     for u, v in blocks:
-        block = rows[at[u]:at[v]]
-        mask = None if held is None or not any_held[big[u:v]].any() \
+        block = slice(at[u], at[v]) if rows is None else rows[at[u]:at[v]]
+        mask = None if held is None or not any_held[grouped[u:v]].any() \
             else held[block]
-        for i, sp in zip(big[u:v].tolist(), find_level_splits(
-                cols[block], feat_ids[big[u:v]], y[block],
+        for i, sp in zip(grouped[u:v].tolist(), find_level_splits(
+                cols[block], feat_ids[grouped[u:v]], y[block],
                 at[u:v + 1] - at[u], n_classes=n_classes, held=mask)):
             splits[i] = sp
     return splits

@@ -15,9 +15,10 @@ from hypothesis import strategies as st
 
 import forestfuse as ff
 from forestfuse import forest as forest_module
-from forestfuse.forest import (_ancestors, _bin_columns, _node_blocks,
-                               _node_grid, _perturbed_walk, _query_leaves,
-                               _walk, train_held_out)
+from forestfuse import splitfind
+from forestfuse.forest import (NODE_LAYOUT, _ancestors, _bin_columns,
+                               _node_blocks, _node_grid, _perturbed_walk,
+                               _query_leaves, _walk, train_held_out)
 from forestfuse.model_io import ModelArtifact, dataset_fingerprint, save_model
 from forestfuse.rng import (ROOT_ROUTE, NodeStreams, child_route, donor_rng,
                             donor_streams, node_rng, permute_rng,
@@ -629,6 +630,51 @@ class TestGrowerOracle:
         self.check(ds, train_held_out(ds, held, cfg), cfg, held)
 
 
+def assert_patch_keeps_forest(patch, mode, strategy, storage, tmp_path, *,
+                              n_rows=120, data_seed=11, seed=2):
+    """Grow a forest on mixed data of n_rows, then again with patch applied
+    to a MonkeyPatch: both save the same bytes and hold the same node
+    arrays, leaf_of_train, in-bag counts, held_out_left and OOB error."""
+    rng = np.random.default_rng(data_seed)
+    X = rng.normal(size=(n_rows, 4)).round(1)
+    X[:, 1] = np.where(rng.uniform(size=n_rows) < 0.4, 0.0, X[:, 1])
+    X[:, 3] = rng.integers(0, 3, size=n_rows)
+    schema = ff.FeatureSchema([
+        ff.Feature(f"f{k}", "categorical" if k == 3 else "continuous",
+                   ("a", "b", "c") if k == 3 else ()) for k in range(4)])
+    target = TestForestWalk.target(mode, n_rows, rng)
+    held = rng.uniform(size=X.shape) < 0.2
+    if storage == "csr":
+        ds = ff.Dataset.from_csr(*dense_to_csr(X), 4, schema=schema,
+                                 target=target)
+    else:
+        ds = ff.Dataset.from_dense(X, schema, target=target)
+    cfg = ff.ForestConfig(mode=mode, n_trees=5, seed=seed, n_bins=8,
+                          split_strategy=strategy)
+
+    def grow(name):
+        forest = (train_held_out(ds, held, cfg) if storage == "held"
+                  else ff.train(ds, cfg))
+        path = tmp_path / name
+        save_model(path, ModelArtifact(
+            forest, schema, dataset_fingerprint(ds, cfg.seed)))
+        return forest, path.read_bytes()
+
+    plain, plain_bytes = grow("plain.ffm")
+    with pytest.MonkeyPatch.context() as mp:
+        patch(mp)
+        patched, patched_bytes = grow("patched.ffm")
+    assert plain_bytes == patched_bytes
+    assert plain.oob_error.hex() == patched.oob_error.hex()
+    for name in [name for name, _ in NODE_LAYOUT] + [
+            "leaf_of_train", "inbag_counts", "held_out_left"]:
+        a, b = getattr(plain, name), getattr(patched, name)
+        assert (a is None) == (b is None) == (storage != "held"
+                                              and name == "held_out_left")
+        assert a is None or (a.dtype == b.dtype and np.array_equal(
+            a, b, equal_nan=a.dtype.kind == "f"))
+
+
 class TestTreeGroups:
     """Trees grow in groups whose level arrays fit forest.BLOCK_BYTES; the
     grouping changes no forest."""
@@ -638,42 +684,40 @@ class TestTreeGroups:
     @pytest.mark.parametrize("mode", ["classification", "regression",
                                       "unsupervised"])
     def test_one_tree_a_group_grows_the_same_forest(
+            self, mode, strategy, storage, tmp_path):
+        assert_patch_keeps_forest(
+            lambda mp: mp.setattr(forest_module, "BLOCK_BYTES", 1),
+            mode, strategy, storage, tmp_path)
+
+
+class TestSmallNodeBlocks:
+    """A level of many small classification nodes scans them in its
+    level-scan blocks; forests are the ones every small node scanned
+    alone grows."""
+
+    @pytest.mark.parametrize("storage", ["dense", "csr", "held"])
+    @pytest.mark.parametrize("strategy", ["presort", "histogram"])
+    @pytest.mark.parametrize("mode", ["classification", "unsupervised"])
+    def test_blocked_small_nodes_grow_the_same_forest(
             self, mode, strategy, storage, tmp_path, monkeypatch):
-        rng = np.random.default_rng(11)
-        X = rng.normal(size=(120, 4)).round(1)
-        X[:, 1] = np.where(rng.uniform(size=120) < 0.4, 0.0, X[:, 1])
-        X[:, 3] = rng.integers(0, 3, size=120)
-        schema = ff.FeatureSchema([
-            ff.Feature(f"f{k}", "categorical" if k == 3 else "continuous",
-                       ("a", "b", "c") if k == 3 else ()) for k in range(4)])
-        target = TestForestWalk.target(mode, 120, rng)
-        held = rng.uniform(size=X.shape) < 0.2
-        if storage == "csr":
-            ds = ff.Dataset.from_csr(*dense_to_csr(X), 4, schema=schema,
-                                     target=target)
-        else:
-            ds = ff.Dataset.from_dense(X, schema, target=target)
-        cfg = ff.ForestConfig(mode=mode, n_trees=5, seed=2, n_bins=8,
-                              split_strategy=strategy)
+        blocked = []
+        scan = splitfind.find_level_splits
 
-        def grow(name):
-            forest = (train_held_out(ds, held, cfg) if storage == "held"
-                      else ff.train(ds, cfg))
-            path = tmp_path / name
-            save_model(path, ModelArtifact(
-                forest, schema, dataset_fingerprint(ds, cfg.seed)))
-            return forest, path.read_bytes()
+        def spy(cols, feat_ids, y, starts, **kwargs):
+            cells = np.diff(starts) * feat_ids.shape[1]
+            blocked.append(np.count_nonzero(cells <= splitfind.SMALL_CELLS))
+            return scan(cols, feat_ids, y, starts, **kwargs)
 
-        together, together_bytes = grow("together.ffm")
-        monkeypatch.setattr(forest_module, "BLOCK_BYTES", 1)
-        alone, alone_bytes = grow("alone.ffm")
-        assert together_bytes == alone_bytes
-        for name in ("leaf_of_train", "split_gain", "inbag_counts",
-                     "held_out_left"):
-            a, b = getattr(together, name), getattr(alone, name)
-            assert (a is None) == (b is None) == (storage != "held"
-                                                  and name == "held_out_left")
-            assert a is None or np.array_equal(a, b)
+        monkeypatch.setattr(splitfind, "find_level_splits", spy)
+        for seed in (1, 2, 3):
+            # the patched forest scans every small node alone
+            assert_patch_keeps_forest(
+                lambda mp: mp.setattr(splitfind, "_SMALL_LEVEL_NODES",
+                                      10 ** 9),
+                mode, strategy, storage, tmp_path, n_rows=150,
+                data_seed=seed, seed=seed)
+        # some block scanned at least _SMALL_LEVEL_NODES small nodes
+        assert max(blocked) >= splitfind._SMALL_LEVEL_NODES
 
 
 class TestGlobalBins:

@@ -375,14 +375,14 @@ def split_bits(split):
 
 
 @st.composite
-def classification_levels(draw):
-    """(cols, feat_ids, y, starts, held, n_classes): 1-6 nodes of
-    classification_nodes sharing their candidate count and classes, node
-    after node, held None if no node holds a cell."""
+def classification_levels(draw, min_size=1, max_size=6):
+    """(cols, feat_ids, y, starts, held, n_classes): min_size to max_size
+    nodes of classification_nodes sharing their candidate count and
+    classes, node after node, held None if no node holds a cell."""
     f = draw(st.integers(1, 5))
     n_classes = draw(st.sampled_from([2, 3, 5, 2000]))
     nodes = draw(st.lists(classification_nodes(f=f, n_classes=n_classes),
-                          min_size=1, max_size=6))
+                          min_size=min_size, max_size=max_size))
     held = None
     if any(node["held"] is not None for node in nodes):
         held = np.concatenate([
@@ -421,6 +421,44 @@ class TestLevelScan:
                                        task="classification", n_classes=K,
                                        held=own)
             assert split_bits(got[i]) == split_bits(alone)
+
+
+class TestSmallNodeRoute:
+    @settings(max_examples=150, deadline=None)
+    # levels of 1-20 nodes, about half of them small, hold both fewer
+    # and more small nodes than _SMALL_LEVEL_NODES
+    @given(st.integers(1, 20).flatmap(lambda k: classification_levels(k, k)))
+    def test_a_busy_level_scans_its_small_nodes_in_blocks(self, level):
+        # a level of fewer than _SMALL_LEVEL_NODES small nodes scans each
+        # as `find_node_split` does (in Python, unless its cells do not
+        # sum to a finite float); a level of at least that many scans
+        # none in Python. Every split is the node's own, bit for bit
+        cols, feat_ids, y, starts, held, K = level
+        small = np.count_nonzero(np.diff(starts) * feat_ids.shape[1]
+                                 <= splitfind.SMALL_CELLS)
+        calls = []
+        scan = splitfind._small_class_split
+
+        def spy(*args):
+            calls.append(args)
+            return scan(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(splitfind, "_small_class_split", spy)
+            alone = []
+            for i, (a, b) in enumerate(zip(starts[:-1], starts[1:])):
+                own = (None if held is None or not held[a:b].any()
+                       else held[a:b])
+                alone.append(ff.find_node_split(
+                    cols[a:b], feat_ids[i], y[a:b], task="classification",
+                    n_classes=K, held=own))
+            python = len(calls)
+            got = splitfind.find_splits(cols, feat_ids, y, starts,
+                                        task="classification", n_classes=K,
+                                        held=held)
+        assert list(map(split_bits, got)) == list(map(split_bits, alone))
+        assert len(calls) - python == (
+            python if small < splitfind._SMALL_LEVEL_NODES else 0)
 
 
 class TestMidpoint:

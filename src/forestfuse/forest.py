@@ -13,10 +13,11 @@ The trees of a forest grow together, one level at a time, in groups
 whose level arrays fit BLOCK_BYTES (`_grow_trees`). Each level gathers
 the labels, counts them, reads the candidate cells, routes the rows and
 partitions them into the next level once for all the open nodes of all
-the group's trees, and one call finds their splits
-(`splitfind.find_splits`), which scans the large classification nodes
-together, in blocks, and the small ones with them on a level of many;
-only the candidate draw runs node by node. Each tree's nodes are
+the group's trees, one call draws their candidate features
+(`rng.LevelStreams`), from Philox on arrays on a level of many, and one
+call finds their splits as arrays (`splitfind.find_splits`), which scans
+the classification nodes together, in blocks, but for a few small nodes
+alone. Each tree's nodes are
 numbered in the order they grow: level by level, and within a level in
 the order of their parents, each left child just before its right.
 Under the histogram strategy each continuous feature gets at most n_bins
@@ -44,7 +45,7 @@ import numpy as np
 
 from .dataset import Dataset, distinct_counts
 from .errors import ArgumentError, ConfigError
-from .rng import (ROOT_ROUTE, STREAM_LIMIT, NodeStreams, child_route,
+from .rng import (ROOT_ROUTE, STREAM_LIMIT, LevelStreams, child_route,
                   synthetic_rng, tree_rng)
 from .splitfind import BLOCK_BYTES, find_splits
 
@@ -667,21 +668,24 @@ def _grow_trees(data, y, trees, *, task, n_classes, n_features, mtry,
     read of the candidate cells of the nodes that try a split, one
     compare that routes their rows, and one stable partition of those
     rows into the next level, each node's left child before its right.
-    One `splitfind.find_splits` call finds the level's splits, its large
-    classification nodes a block at a time, and its small ones in those
-    blocks when there are at least `splitfind._SMALL_LEVEL_NODES` of
-    them (fewer are scanned one by one). Per node there is only the
-    candidate draw. The draw re-keys the node's Philox stream and replays
+    One `splitfind.find_splits` call finds the level's splits, as
+    (feature, threshold, gain) arrays, its classification nodes a block
+    at a time (a level of fewer than `splitfind._SMALL_LEVEL_NODES` small
+    nodes only scans them one by one). One `rng.LevelStreams.candidates`
+    call draws every open node's candidate features, the sorted set of
     numpy 2.x's `Generator.choice(n_features, size=mtry, replace=False)`
-    on its raw output (Floyd's algorithm with Lemire's bounded draw, then
-    a Fisher-Yates shuffle; `rng.choose`), so it is the same features
-    without numpy's sampling code. Each tree's nodes are then numbered in
+    on the node's Philox stream: a level of at least
+    `rng._LEVEL_DRAW_NODES` nodes runs Philox on uint64 arrays and
+    Floyd's draws column by column, and a smaller level re-keys each
+    node's stream and replays the draw on its raw output (`rng.choose`).
+    No step of a level runs node by node in Python, but for those small
+    levels and regression nodes. Each tree's nodes are then numbered in
     the order they grew (`_number_level_order`).
     """
     n_rows = len(y)
     draws = [tree_rng(seed, t).integers(0, n_rows, size=n_rows) for t in trees]
     inbag = np.column_stack([np.bincount(d, minlength=n_rows) for d in draws])
-    streams = [NodeStreams(seed, t) for t in trees]
+    streams = LevelStreams(seed, trees)
     # the level's nodes: node i holds rows[starts[i]:starts[i + 1]], grows
     # in tree tree[i] (of the group) and has path id route[i]
     rows = np.concatenate(draws)
@@ -714,11 +718,8 @@ def _grow_trees(data, y, trees, *, task, n_classes, n_features, mtry,
             break
         depth += 1
 
-        feats = np.array([streams[t].candidates(r, n_features, mtry)
-                          for t, r in zip(tree[opened].tolist(),
-                                          route[opened].tolist())],
-                         dtype=np.int64)
-        feats.sort(axis=1)
+        feats = streams.candidates(tree[opened], route[opened], n_features,
+                                   mtry)
         # the open nodes' rows, the nodes renumbered from 0
         keep = keep[node]
         rows, yv = rows[keep], yv[keep]
@@ -730,10 +731,9 @@ def _grow_trees(data, y, trees, *, task, n_classes, n_features, mtry,
         held = (None if held_out is None
                 else held_out[rows[:, None], cell_feats])
         del cell_feats
-        feature, threshold, gain = (np.array(v) for v in zip(*[
-            (sp.feature, sp.threshold, sp.gain) if sp else (_LEAF, 0.0, 0.0)
-            for sp in find_splits(cols, feats, yv, starts, task=task,
-                                  n_classes=n_classes, held=held)]))
+        feature, threshold, gain = find_splits(
+            cols, feats, yv, starts, task=task, n_classes=n_classes,
+            held=held)
         found = feature >= 0
         # each row's value of its node's split feature
         col = np.argmax(feats == feature[:, None], axis=1)[node]
@@ -846,7 +846,7 @@ def train_held_out(ds: Dataset, held_out, config: ForestConfig) -> Forest:
     ds must be dense and complete; its held-out cells hold placeholder
     fills. Each level of the level-wise growth reads the held-out flag of
     every candidate cell it reads, and every node's split scan (in a
-    level-scan block or alone, small nodes in blocks on a level of many;
+    level-scan block or alone, alone only on a level of a few small nodes;
     all give the same split, `splitfind.find_splits`) takes its held-out
     cells as its held mask: each candidate feature is
     scored on the node's rows where that cell is observed, its gain

@@ -31,8 +31,12 @@ so every classification gain is a rational, and float rounding can order
 equal gains either way. The candidates within a small band of the float
 maximum are therefore ranked by their exact gains: each reports its
 exact gain, correctly rounded, and two that report equal gains compare
-their exact gains by integer cross-multiplication. Held cells change
-nothing here: every node, masked or not, gets this one rule.
+their exact gains by integer cross-multiplication. A band of one
+candidate needs no ranking: the level scan divides its exact gain's
+int64 numerator and denominator in float64, for all such nodes at once,
+which rounds as Python's int / int does while both are below 2**53
+(nodes of at most _EXACT_ROWS rows). Held cells change nothing here:
+every node, masked or not, gets this one rule.
 
 Small classification nodes scanned alone take a second implementation
 of the same scan. `find_node_split` scans a classification node of at
@@ -41,14 +45,18 @@ most SMALL_CELLS candidate cells (n * f) in Python on lists
 cell take the level scan above, the reference. On a small node alone
 numpy's fixed cost per call dominates (see SMALL_CELLS). The grower finds
 a level's splits with one call (`find_splits`), which sends every larger
-classification node to the level scan in blocks, and the small ones too
-when the level holds at least _SMALL_LEVEL_NODES of them, so that they
-share a block's fixed cost; every other node goes to `find_node_split`.
-Every route gives the same Split, bit for bit:
+classification node to the level scan in blocks, and the small ones with
+them, so that they share a block's fixed cost; only a level of fewer
+than _SMALL_LEVEL_NODES nodes, all small, sends them to
+`find_node_split`, as it does regression nodes. The level functions
+return a level's splits as (feature, threshold, gain) arrays, feature -1
+where a node has none; `find_node_split`, the oracle, returns one Split
+or None. Every route gives the same split, bit for bit:
 * class counts are integers in all, so a, b and P are the same ints;
 * every float gain is (a / nL + b / nR - P / n_obs) / n of those ints,
   the same operations in the same order, and the tie rule's exact
-  re-compare is integer arithmetic and one correctly rounded quotient;
+  re-compare is integer arithmetic and one correctly rounded quotient,
+  in Python or in float64;
 * the class counts at a boundary between two different values do not
   depend on the order of equal values, so Python's sort of (value,
   label) pairs, and a block's sort, score the boundaries a node's own
@@ -85,17 +93,24 @@ _TIE_BAND = 1e-9
 # us at 49-64 and 50-59 us at 65-96: they cross at 65-90 cells, and this
 # stays at or below the crossover. In a block of a level the level scan
 # takes 6.6-15.9 us a node at up to 64 cells, so `find_splits` scans a
-# level's small nodes there when it holds _SMALL_LEVEL_NODES or more
+# level's small nodes there unless the level is a few small nodes only
 SMALL_CELLS = 64
 
-# a classification level of at least this many small nodes scans them in
-# its `find_level_splits` blocks; a level of fewer scans each alone. On
-# groups of k small nodes from the levels of fit_dense and impute_mixed
-# trainings (seeds 1-3, 40-80 groups a run, min of 30 calls; numpy 2.4.6,
-# 2 shared vCPUs), one block beat k `find_node_split` calls in 0-10% of
-# the groups at k = 5, 3-20% at 6, 14-56% at 7, 20-82% (median 68%) at 8,
-# 53-95% at 9 and 70-100% at 10
+# a classification level of only small nodes scans them in its
+# `find_level_splits` blocks when it holds at least this many, and each
+# alone when it holds fewer; a level with a large node scans its small
+# ones in its blocks whatever their number, as it pays a block's fixed
+# cost anyway. On groups of k small nodes from the levels of fit_dense
+# and impute_mixed trainings (seeds 1-3, 40-80 groups a run, min of 30
+# calls; numpy 2.4.6, 2 shared vCPUs), one block beat k `find_node_split`
+# calls in 0-10% of the groups at k = 5, 3-20% at 6, 14-56% at 7, 20-82%
+# (median 68%) at 8, 53-95% at 9 and 70-100% at 10
 _SMALL_LEVEL_NODES = 8
+
+# a node of at most this many rows takes its exact gain as an int64
+# quotient when its tie band holds one candidate: its num and den are at
+# most n**4 / 4 < 2**53 (`find_level_splits`)
+_EXACT_ROWS = 13_000
 
 # a level scan block of at most this many (node, candidate) segments keys
 # them uint16, which numpy's stable argsort sorts by radix; more take int64
@@ -214,8 +229,7 @@ def _small_class_split(columns, feat_ids, labels, held):
     return Split(int(feat_ids[j]), _midpoint(lo, hi), float(gain))
 
 
-def find_level_splits(cols, feat_ids, y, starts, *, n_classes,
-                      held=None) -> list[Split | None]:
+def find_level_splits(cols, feat_ids, y, starts, *, n_classes, held=None):
     """Best split of each node of a block of classification nodes.
 
     Parameters
@@ -232,7 +246,12 @@ def find_level_splits(cols, feat_ids, y, starts, *, n_classes,
     held : optional (N, f) bool array
         Cells the splits must not read (held cells, module docstring).
 
-    Returns one Split or None a node: `find_node_split`'s, bit for bit.
+    Returns
+    -------
+    feature, threshold, gain : (nodes,) int64, float and float arrays
+        Each node's split, `find_node_split`'s bit for bit; feature is -1,
+        and threshold and gain 0.0, where it returns None.
+
     Segment s = node * f + j holds column j of a node. One float argsort
     of all keys, then a stable argsort of the segment ids in that order
     (uint16 ids, which numpy sorts by radix, while the block has at most
@@ -244,8 +263,10 @@ def find_level_splits(cols, feat_ids, y, starts, *, n_classes,
     boundary's rows. a and b sum the squared left and right counts and
     P the squared totals, and every boundary's float gain is
     (a / nL + b / max(n_obs - nL, 1) - P / n_obs) / n. Each node's float
-    maximum comes from one `maximum.reduceat`, and `_tie_rule` runs once
-    a node over the candidates within _TIE_BAND of it.
+    maximum comes from one `maximum.reduceat`. A node with one candidate
+    within _TIE_BAND of it and at most _EXACT_ROWS rows takes that
+    candidate's exact gain as one int64 quotient, with the other such
+    nodes; `_tie_rule` runs once a node over the band of every other.
     """
     n_rows, f = cols.shape
     starts = np.asarray(starts, dtype=np.int64)
@@ -311,23 +332,37 @@ def find_level_splits(cols, feat_ids, y, starts, *, n_classes,
     # candidates within _TIE_BAND of their node's maximum, segment by
     # segment, boundary by boundary: by feature, then threshold
     cand = np.flatnonzero(gains >= np.repeat(floor, sizes * f))
-    c_seg = of_seg.take(cand)
-    rows = list(zip(a.take(cand).tolist(), b.take(cand).tolist(),
-                    parent.take(c_seg).tolist(), n_left.take(cand).tolist(),
-                    n_obs.take(c_seg).tolist(), cand.tolist()))
-    cuts = np.searchsorted(cand, starts * f).tolist()
-    nodes = np.flatnonzero(found).tolist()
-    size = sizes.tolist()
-    won = [_tie_rule(rows[cuts[i]:cuts[i + 1]], size[i]) for i in nodes]
-    splits = [None] * len(size)
-    if won:
-        gain, at = (np.array(v) for v in zip(*won))
-        threshold = _midpoint(sk.take(at), sk.take(at + 1))
-        feature = feat_ids.take(of_seg.take(at))
-        for i, ft, th, g in zip(nodes, feature.tolist(), threshold.tolist(),
-                                gain.tolist()):
-            splits[i] = Split(ft, th, g)
-    return splits
+    in_band = np.diff(np.searchsorted(cand, starts * f))
+    feature = np.full(len(sizes), -1, dtype=np.int64)
+    threshold, gain = np.zeros(len(sizes)), np.zeros(len(sizes))
+    at = np.zeros(len(sizes), dtype=np.int64)
+    # a node whose band holds one candidate takes its exact gain num / den
+    # (`_tie_rule`) as an int64 quotient, correctly rounded while both
+    # are below 2**53 (_EXACT_ROWS)
+    one = found & (in_band == 1) & (sizes <= _EXACT_ROWS)
+    c = cand[np.repeat(one, in_band)]
+    nl, m = n_left.take(c), n_obs.take(of_seg.take(c))
+    nr = m - nl
+    num = (a.take(c) * nr + b.take(c) * nl) * m - parent.take(
+        of_seg.take(c)) * nl * nr
+    gain[one] = num / (nl * nr * m * sizes[one])
+    at[one] = c
+    # every other node with a split ranks its band by `_tie_rule`
+    many = found & ~one
+    if many.any():
+        c = cand[np.repeat(many, in_band)]
+        seg = of_seg.take(c)
+        rows = list(zip(a.take(c).tolist(), b.take(c).tolist(),
+                        parent.take(seg).tolist(), n_left.take(c).tolist(),
+                        n_obs.take(seg).tolist(), c.tolist()))
+        cuts = np.cumsum(in_band[many]).tolist()
+        gain[many], at[many] = zip(*[
+            _tie_rule(rows[u:v], n) for u, v, n in
+            zip([0] + cuts, cuts, sizes[many].tolist())])
+    at = at[found]
+    feature[found] = feat_ids.take(of_seg.take(at))
+    threshold[found] = _midpoint(sk.take(at), sk.take(at + 1))
+    return feature, threshold, gain
 
 
 def find_node_split(cols, feat_ids, y, *, task, n_classes=0,
@@ -369,9 +404,11 @@ def find_node_split(cols, feat_ids, y, *, task, n_classes=0,
                 return _small_class_split(
                     columns, feat_ids, y.tolist(),
                     None if held is None else held.T.tolist())
-        return find_level_splits(cols, np.asarray(feat_ids)[None], y,
-                                 np.array([0, n]), n_classes=n_classes,
-                                 held=held)[0]
+        (feature,), (threshold,), (gain,) = find_level_splits(
+            cols, np.asarray(feat_ids)[None], y, np.array([0, n]),
+            n_classes=n_classes, held=held)
+        return None if feature < 0 else Split(int(feature), float(threshold),
+                                              float(gain))
 
     keys = cols if held is None else np.where(held, np.inf, cols)
     # a float target sum depends on the order of equal keys
@@ -405,8 +442,10 @@ def find_node_split(cols, feat_ids, y, *, task, n_classes=0,
 
 
 def find_splits(cols, feat_ids, y, starts, *, task, n_classes=0,
-                held=None) -> list[Split | None]:
-    """Best split of each node of a growth level, or None.
+                held=None):
+    """Best split of each node of a growth level, as `find_level_splits`
+    returns them: (feature, threshold, gain) arrays, feature -1 where a
+    node has no split.
 
     Node i holds rows starts[i]:starts[i + 1] of cols, y and held (as in
     `find_level_splits`) and has the candidate features feat_ids[i]. The
@@ -414,30 +453,35 @@ def find_splits(cols, feat_ids, y, starts, *, task, n_classes=0,
     scanned together (`find_level_splits`), in blocks of consecutive ones
     whose cells take at most _SCAN_BLOCK_BYTES (a larger node is a block
     alone), and so are the small ones, in level order with the large ones,
-    when the level holds at least _SMALL_LEVEL_NODES of them. Every other
-    node, regression nodes included, is scanned alone
-    (`find_node_split`). A node or block with no held cell scans
-    unmasked; when no node is alone, the blocks are slices of the level.
+    unless the level holds only small nodes and fewer than
+    _SMALL_LEVEL_NODES of them. Every other node, regression nodes
+    included, is scanned alone (`find_node_split`). A node or block with
+    no held cell scans unmasked; when no node is alone, the blocks are
+    slices of the level.
     """
     starts = np.asarray(starts, dtype=np.int64)
     sizes = np.diff(starts)
     cells = sizes * feat_ids.shape[1]
     alone = np.full(len(sizes), task == "regression")
     small = cells <= SMALL_CELLS
-    if np.count_nonzero(small) < _SMALL_LEVEL_NODES:
+    if small.all() and len(sizes) < _SMALL_LEVEL_NODES:
         alone |= small
     if held is not None:
         any_held = np.logical_or.reduceat(held.any(axis=1), starts[:-1])
     bounds = starts.tolist()
-    splits = [None] * len(sizes)
+    feature = np.full(len(sizes), -1, dtype=np.int64)
+    threshold, gain = np.zeros(len(sizes)), np.zeros(len(sizes))
     for i in np.flatnonzero(alone).tolist():
         a, b = bounds[i], bounds[i + 1]
-        splits[i] = find_node_split(
+        sp = find_node_split(
             cols[a:b], feat_ids[i], y[a:b], task=task, n_classes=n_classes,
             held=held[a:b] if held is not None and any_held[i] else None)
+        if sp:
+            feature[i], threshold[i], gain[i] = (sp.feature, sp.threshold,
+                                                 sp.gain)
     grouped = np.flatnonzero(~alone)
     if not grouped.size:
-        return splits
+        return feature, threshold, gain
     # the grouped nodes' rows, grouped[i]'s from at[i] on (all rows, as
     # slices, when no node is alone), and the blocks
     rows = np.flatnonzero(np.repeat(~alone, sizes)) if alone.any() else None
@@ -453,8 +497,8 @@ def find_splits(cols, feat_ids, y, starts, *, task, n_classes=0,
         block = slice(at[u], at[v]) if rows is None else rows[at[u]:at[v]]
         mask = None if held is None or not any_held[grouped[u:v]].any() \
             else held[block]
-        for i, sp in zip(grouped[u:v].tolist(), find_level_splits(
-                cols[block], feat_ids[grouped[u:v]], y[block],
-                at[u:v + 1] - at[u], n_classes=n_classes, held=mask)):
-            splits[i] = sp
-    return splits
+        nodes = grouped[u:v]
+        feature[nodes], threshold[nodes], gain[nodes] = find_level_splits(
+            cols[block], feat_ids[nodes], y[block], at[u:v + 1] - at[u],
+            n_classes=n_classes, held=mask)
+    return feature, threshold, gain

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import forestfuse as ff
 from forestfuse import forest as forest_module
+from forestfuse import rng
 from forestfuse import splitfind
 from forestfuse.forest import (NODE_LAYOUT, _ancestors, _bin_columns,
                                _node_blocks, _node_grid, _perturbed_walk,
@@ -718,6 +719,33 @@ class TestSmallNodeBlocks:
                 data_seed=seed, seed=seed)
         # some block scanned at least _SMALL_LEVEL_NODES small nodes
         assert max(blocked) >= splitfind._SMALL_LEVEL_NODES
+
+
+class TestLevelDraws:
+    """A level's candidate draws from Philox on uint64 arrays, or node by
+    node: every level drawn either way grows the same forest."""
+
+    @pytest.mark.parametrize("nodes", [0, 10 ** 9])
+    @pytest.mark.parametrize("storage", ["dense", "csr", "held"])
+    @pytest.mark.parametrize("strategy", ["presort", "histogram"])
+    @pytest.mark.parametrize("mode", ["classification", "regression",
+                                      "unsupervised"])
+    def test_level_draws_grow_the_same_forest(
+            self, mode, strategy, storage, nodes, tmp_path, monkeypatch):
+        levels = []
+        draw = rng.LevelStreams.candidates
+
+        def spy(self, tree, route, n, m):
+            levels.append(len(tree))
+            return draw(self, tree, route, n, m)
+
+        monkeypatch.setattr(rng.LevelStreams, "candidates", spy)
+        assert_patch_keeps_forest(
+            lambda mp: mp.setattr(rng, "_LEVEL_DRAW_NODES", nodes),
+            mode, strategy, storage, tmp_path, n_rows=300)
+        # the classification levels lie on both sides of the constant
+        assert mode == "regression" or (
+            min(levels) < rng._LEVEL_DRAW_NODES <= max(levels))
 
 
 class TestGlobalBins:

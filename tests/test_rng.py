@@ -1,6 +1,7 @@
 """The node candidate draw: numpy's `Generator.choice` replayed on raw
-Philox output, and the Lemire bounded draw it is built from; the seed
-range of the other streams' keys."""
+Philox output, and the Lemire bounded draw it is built from; a level's
+draws from Philox on uint64 arrays; the seed range of the other streams'
+keys."""
 
 from itertools import islice
 
@@ -10,8 +11,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import forestfuse as ff
-from forestfuse.rng import (NodeStreams, _lemire, _words, choose,
-                            donor_streams, node_rng, synthetic_rng, tree_rng)
+from forestfuse import rng
+from forestfuse.rng import (LevelStreams, NodeStreams, _lemire, _words,
+                            choose, donor_streams, node_rng, synthetic_rng,
+                            tree_rng)
 
 seeds = st.integers(0, 2 ** 64 - 1)
 trees = st.integers(0, 2 ** 28 - 1)
@@ -156,3 +159,130 @@ def test_stream_seed_outside_64_bits_rejected(seed):
                  lambda: donor_streams(seed)(0, 0)):
         with pytest.raises(ff.ConfigError, match=r"seed must be in 0\.\."):
             draw()
+
+
+# -- a level's draws -----------------------------------------------------------
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(seeds, routes), min_size=1, max_size=8))
+def test_philox_blocks_equal_random_raw(keys):
+    key = np.array(keys, dtype=np.uint64).T
+    raw = [np.random.Philox(key=key[:, i]).random_raw(12).tolist()
+           for i in range(len(keys))]
+    for c in (1, 2, 3):
+        counter = np.zeros((4, len(keys)), dtype=np.uint64)
+        counter[0] = c
+        got = rng._philox(key, counter)
+        assert got.dtype == np.uint64
+        assert got.T.tolist() == [r[4 * c - 4:4 * c] for r in raw]
+
+
+def floyd_rejects(seed, tree, route, n, m):
+    """Whether a Lemire draw of the node's Floyd draws would reject its
+    32-bit word, in Python ints: the low half of w * (j + 1) below
+    2**32 mod (j + 1), for j = n - m .. n - 1 (j = 0 reads no word)."""
+    raw = node_rng(seed, tree, route).bit_generator.random_raw(m).tolist()
+    words = [half for w in raw for half in (w & 0xFFFFFFFF, w >> 32)]
+    skip = int(n == m)
+    return any(words[k - skip] * (n - m + k + 1) % 2 ** 32
+               < 2 ** 32 % (n - m + k + 1) for k in range(skip, m))
+
+
+def check_level(seed, first, tree, route, n, m):
+    """LevelStreams' draw of a level equals each node's sorted
+    node_rng(...).choice, and only the nodes the rules send there draw
+    through NodeStreams.candidates."""
+    trees = range(first, first + 4)
+    alone = []
+    candidates = NodeStreams.candidates
+
+    def spy(self, r, n, m):
+        alone.append(r)
+        return candidates(self, r, n, m)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(NodeStreams, "candidates", spy)
+        got = LevelStreams(seed, trees).candidates(
+            tree, np.array(route, dtype=np.uint64), n, m)
+    assert got.dtype == np.int64 and got.shape == (len(tree), m)
+    assert got.tolist() == [
+        sorted(node_rng(seed, trees[t], r).choice(n, m, replace=False)
+               .tolist()) for t, r in zip(tree, route)]
+    if len(tree) < rng._LEVEL_DRAW_NODES or (n > 10000 and m > n // 50):
+        assert alone == list(route)
+    else:
+        assert alone == [r for t, r in zip(tree, route)
+                         if floyd_rejects(seed, trees[t], r, n, m)]
+
+
+def levels(draw, n_m):
+    """(seed, first tree id, tree of each node, route of each node, n, m)
+    for levels on both sides of _LEVEL_DRAW_NODES."""
+    k = draw(st.integers(1, 2 * rng._LEVEL_DRAW_NODES))
+    n, m = draw(n_m)
+    return (draw(seeds), draw(st.integers(0, 2 ** 28 - 4)),
+            draw(st.lists(st.integers(0, 3), min_size=k, max_size=k)),
+            draw(st.lists(routes, min_size=k, max_size=k)), n, m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_level_draw_equals_sorted_choice(data):
+    check_level(*levels(data.draw, sizes(1, 80)))
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (2, 2), (40, 40), (60, 1),
+                                  (9, 8), (3000, 3000)])
+@pytest.mark.parametrize("extra", [-1, 0])
+def test_level_draw_at_the_constant_and_m_equal_to_n(n, m, extra):
+    k = rng._LEVEL_DRAW_NODES + extra
+    check_level(7, 100, [i % 4 for i in range(k)],
+                [(i * 0x9E3779B97F4A7C15) % 2 ** 64 for i in range(k)], n, m)
+
+
+# numpy's tail shuffle of range(n) (n > 10,000 and m > n // 50) draws
+# through `choose`; Floyd's algorithm below it draws from the arrays
+@settings(max_examples=12, deadline=None)
+@given(st.data())
+def test_level_draw_over_many_features(data):
+    seed, first, tree, route, n, m = levels(data.draw, sizes(
+        10_001, 12_000, lambda n: st.one_of(
+            st.integers(n // 50 - 5, n // 50 + 5), st.integers(n - 3, n))))
+    check_level(seed, first, tree, route, n, m)
+
+
+def test_a_rejected_word_sends_its_node_through_choose():
+    # n = 10, m = 3: Floyd's draws read 32-bit words 0, 1 and 2 with spans
+    # 8, 9 and 10, whose rejection floors 2**32 mod span are 0, 4 and 6
+    n, m, k = 10, 3, rng._LEVEL_DRAW_NODES
+    words = np.random.default_rng(4).integers(0, 2 ** 64, size=(k, 4),
+                                              dtype=np.uint64)
+    words[0, 0] &= np.uint64(0xFFFFFFFF)  # word 1 is 0: 0 * 9 rejects
+    words[1, 1] = 0  # word 2 is 0: 0 * 10 rejects
+    # word 1 is 477218589: 477218589 * 9 = 2**32 + 5, a low half below the
+    # span but not below the floor, which accepts the draw 1
+    words[2, 0] = (words[2, 0] & np.uint64(0xFFFFFFFF)) | np.uint64(
+        477218589 << 32)
+    seed, trees, route = 3, range(4), list(range(k))
+    tree = [i % 4 for i in range(k)]
+    alone = []
+    candidates = NodeStreams.candidates
+
+    def spy(self, r, n, m):
+        alone.append(r)
+        return candidates(self, r, n, m)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rng, "_philox", lambda key, counter: words.T)
+        mp.setattr(NodeStreams, "candidates", spy)
+        got = LevelStreams(seed, trees).candidates(
+            tree, np.array(route, dtype=np.uint64), n, m)
+    assert alone == [0, 1]
+    for i in (0, 1):
+        assert got[i].tolist() == sorted(node_rng(
+            seed, tree[i], i).choice(n, m, replace=False).tolist())
+    for i in range(2, k):
+        # the Floyd set of the crafted words; the shuffle reads the rest
+        assert got[i].tolist() == sorted(choose(RawWords(
+            words[i].tolist() + [1 << 31] * 4), n, m))
+    assert 1 in got[2]

@@ -374,6 +374,21 @@ def split_bits(split):
     return split and (split.feature, split.threshold.hex(), split.gain.hex())
 
 
+def level_bits(splits):
+    """split_bits of each node of a level's (feature, threshold, gain)
+    arrays; a node with feature -1 has no split, and must hold threshold
+    and gain 0.0."""
+    feature, threshold, gain = splits
+    assert feature.dtype == np.int64 and threshold.dtype == np.float64
+    assert gain.dtype == np.float64
+    assert len(feature) == len(threshold) == len(gain)
+    none = feature < 0
+    assert np.all(feature[none] == -1)
+    assert not np.any(threshold[none]) and not np.any(gain[none])
+    return [None if ft < 0 else (ft, th.hex(), g.hex()) for ft, th, g in
+            zip(feature.tolist(), threshold.tolist(), gain.tolist())]
+
+
 @st.composite
 def classification_levels(draw, min_size=1, max_size=6):
     """(cols, feat_ids, y, starts, held, n_classes): min_size to max_size
@@ -395,6 +410,19 @@ def classification_levels(draw, min_size=1, max_size=6):
             n_classes)
 
 
+def node_bits(level):
+    """split_bits of each node of a level scanned alone by
+    `find_node_split`, with its own held mask if it holds a cell."""
+    cols, feat_ids, y, starts, held, K = level
+    out = []
+    for i, (a, b) in enumerate(zip(starts[:-1], starts[1:])):
+        own = None if held is None or not held[a:b].any() else held[a:b]
+        out.append(split_bits(ff.find_node_split(
+            cols[a:b], feat_ids[i], y[a:b], task="classification",
+            n_classes=K, held=own)))
+    return out
+
+
 class TestLevelScan:
     @settings(max_examples=200, deadline=None)
     @given(classification_levels())
@@ -412,15 +440,9 @@ class TestLevelScan:
     @staticmethod
     def check(level):
         cols, feat_ids, y, starts, held, K = level
-        got = splitfind.find_level_splits(cols, feat_ids, y, starts,
-                                          n_classes=K, held=held)
-        assert len(got) == len(feat_ids)
-        for i, (a, b) in enumerate(zip(starts[:-1], starts[1:])):
-            own = None if held is None or not held[a:b].any() else held[a:b]
-            alone = ff.find_node_split(cols[a:b], feat_ids[i], y[a:b],
-                                       task="classification", n_classes=K,
-                                       held=own)
-            assert split_bits(got[i]) == split_bits(alone)
+        got = level_bits(splitfind.find_level_splits(
+            cols, feat_ids, y, starts, n_classes=K, held=held))
+        assert got == node_bits(level)
 
 
 class TestSmallNodeRoute:
@@ -429,13 +451,13 @@ class TestSmallNodeRoute:
     # and more small nodes than _SMALL_LEVEL_NODES
     @given(st.integers(1, 20).flatmap(lambda k: classification_levels(k, k)))
     def test_a_busy_level_scans_its_small_nodes_in_blocks(self, level):
-        # a level of fewer than _SMALL_LEVEL_NODES small nodes scans each
-        # as `find_node_split` does (in Python, unless its cells do not
-        # sum to a finite float); a level of at least that many scans
-        # none in Python. Every split is the node's own, bit for bit
+        # a level of only small nodes, fewer than _SMALL_LEVEL_NODES,
+        # scans each as `find_node_split` does (in Python, unless its
+        # cells do not sum to a finite float); a level of at least that
+        # many, or with a large node beside its small ones, scans none in
+        # Python. Every split is the node's own, bit for bit
         cols, feat_ids, y, starts, held, K = level
-        small = np.count_nonzero(np.diff(starts) * feat_ids.shape[1]
-                                 <= splitfind.SMALL_CELLS)
+        small = np.diff(starts) * feat_ids.shape[1] <= splitfind.SMALL_CELLS
         calls = []
         scan = splitfind._small_class_split
 
@@ -456,9 +478,72 @@ class TestSmallNodeRoute:
             got = splitfind.find_splits(cols, feat_ids, y, starts,
                                         task="classification", n_classes=K,
                                         held=held)
-        assert list(map(split_bits, got)) == list(map(split_bits, alone))
+        assert level_bits(got) == list(map(split_bits, alone))
         assert len(calls) - python == (
-            python if small < splitfind._SMALL_LEVEL_NODES else 0)
+            python if small.all() and len(small) < splitfind._SMALL_LEVEL_NODES
+            else 0)
+
+
+class TestExactGain:
+    """A node whose tie band holds one candidate, and at most _EXACT_ROWS
+    rows, takes that candidate's exact gain as an int64 quotient, not from
+    `_tie_rule`; the gain is `_tie_rule`'s, bit for bit."""
+
+    @staticmethod
+    def spied(level, exact_rows):
+        """find_level_splits' splits of the level with _EXACT_ROWS set to
+        exact_rows, and the candidates of each `_tie_rule` call."""
+        cols, feat_ids, y, starts, held, K = level
+        calls = []
+        rule = splitfind._tie_rule
+
+        def spy(cands, n):
+            cands = list(cands)
+            calls.append(cands)
+            return rule(cands, n)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(splitfind, "_tie_rule", spy)
+            mp.setattr(splitfind, "_EXACT_ROWS", exact_rows)
+            got = splitfind.find_level_splits(cols, feat_ids, y, starts,
+                                              n_classes=K, held=held)
+        return level_bits(got), calls
+
+    @settings(max_examples=150, deadline=None)
+    @given(classification_levels())
+    def test_one_candidate_gain_is_the_tie_rules(self, level):
+        got, calls = self.spied(level, splitfind._EXACT_ROWS)
+        want, _ = self.spied(level, 0)
+        assert got == want
+        # only nodes of several band candidates reach the rule
+        assert all(len(cands) > 1 for cands in calls)
+
+    @pytest.mark.parametrize("n", [13_000, 13_001])
+    def test_exact_gain_at_and_above_the_row_bound(self, n):
+        # about a third of the rows a class, one label in five moved to the
+        # next class: the best split's num and den are near n**4 / 4, and
+        # it is alone in its band
+        x = np.arange(n, dtype=np.float64)
+        y = ((x >= n // 3).astype(np.int64) + (x >= 2 * n // 3)) % 3
+        y[::5] = (y[::5] + 1) % 3
+        perm = np.random.default_rng(n).permutation(n)
+        level = (x[perm, None], np.array([[0]]), y[perm], np.array([0, n]),
+                 None, 3)
+        (split,), calls = self.spied(level, splitfind._EXACT_ROWS)
+        assert n > splitfind._EXACT_ROWS or not calls
+        assert n <= splitfind._EXACT_ROWS or [len(c) for c in calls] == [1]
+        _, thr_hex, gain_hex = split
+        left = y[x <= float.fromhex(thr_hex)]
+        right = y[x > float.fromhex(thr_hex)]
+        a, b, parent = (int((np.bincount(v, minlength=3) ** 2).sum())
+                        for v in (left, right, y))
+        nl, nr = len(left), len(right)
+        num = (a * nr + b * nl) * n - parent * nl * nr
+        den = nl * nr * n * n
+        assert den < 2 ** 53 and 2 ** 52 < den
+        assert float.fromhex(gain_hex) == num / den
+        assert gain_hex == float(splitfind._tie_rule(
+            [(a, b, parent, nl, n, 0)], n)[0]).hex()
 
 
 class TestMidpoint:
@@ -523,8 +608,8 @@ class TestBlockedClassCounts:
     @given(classification_levels(), st.integers(1, 2000))
     def test_blocks_give_the_one_block_split(self, level, budget):
         # a level's blocks under a budget of a few bytes, down to one node
-        # a block, every node scanned in a block: the splits of the whole
-        # level scanned as one block
+        # a block, every node scanned in a block: the splits of each node
+        # scanned alone, as those of the whole level scanned as one block
         cols, feat_ids, y, starts, held, K = level
         whole = splitfind.find_level_splits(cols, feat_ids, y, starts,
                                             n_classes=K, held=held)
@@ -534,7 +619,7 @@ class TestBlockedClassCounts:
             blocked = splitfind.find_splits(cols, feat_ids, y, starts,
                                             task="classification",
                                             n_classes=K, held=held)
-        assert list(map(split_bits, blocked)) == list(map(split_bits, whole))
+        assert level_bits(blocked) == level_bits(whole) == node_bits(level)
 
     def test_many_classes_scan_within_the_block_budget(self):
         # the root of 2000 rows with 1000 classes scans in memory that does

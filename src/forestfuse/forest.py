@@ -16,10 +16,10 @@ partitions them into the next level once for all the open nodes of all
 the group's trees, one call draws their candidate features
 (`rng.LevelStreams`), from Philox on arrays on a level of many, and one
 call finds their splits as arrays (`splitfind.find_splits`), which scans
-the classification nodes together, in blocks, but for a few small nodes
-alone. Each tree's nodes are
-numbered in the order they grow: level by level, and within a level in
-the order of their parents, each left child just before its right.
+the classification nodes together, in blocks of consecutive nodes, but
+on a level of a few small nodes. Each tree's nodes are numbered in the
+order they grow: level by level, and within a level in the order of
+their parents, each left child just before its right.
 Under the histogram strategy each continuous feature gets at most n_bins
 quantile bins, fixed once per training (`_bin_columns`): the trees grow
 on the bin codes, and every split records its value edge, so the walk
@@ -670,17 +670,19 @@ def _grow_trees(data, y, trees, *, task, n_classes, n_features, mtry,
     rows into the next level, each node's left child before its right.
     One `splitfind.find_splits` call finds the level's splits, as
     (feature, threshold, gain) arrays, its classification nodes a block
-    at a time (a level of fewer than `splitfind._SMALL_LEVEL_NODES` small
-    nodes only scans them one by one). One `rng.LevelStreams.candidates`
-    call draws every open node's candidate features, the sorted set of
-    numpy 2.x's `Generator.choice(n_features, size=mtry, replace=False)`
-    on the node's Philox stream: a level of at least
+    at a time (`splitfind.find_level_splits`). One
+    `rng.LevelStreams.candidates` call draws every open node's candidate
+    features, the sorted set of numpy 2.x's
+    `Generator.choice(n_features, size=mtry, replace=False)` on the
+    node's Philox stream: a level of at least
     `rng._LEVEL_DRAW_NODES` nodes runs Philox on uint64 arrays and
     Floyd's draws column by column, and a smaller level re-keys each
     node's stream and replays the draw on its raw output (`rng.choose`).
     No step of a level runs node by node in Python, but for those small
-    levels and regression nodes. Each tree's nodes are then numbered in
-    the order they grew (`_number_level_order`).
+    levels and the split scans of regression nodes and of a level of a
+    few small classification nodes (`splitfind.SMALL_CELLS`). Each tree's
+    nodes are then numbered in the order they grew
+    (`_number_level_order`).
     """
     n_rows = len(y)
     draws = [tree_rng(seed, t).integers(0, n_rows, size=n_rows) for t in trees]
@@ -846,12 +848,11 @@ def train_held_out(ds: Dataset, held_out, config: ForestConfig) -> Forest:
     ds must be dense and complete; its held-out cells hold placeholder
     fills. Each level of the level-wise growth reads the held-out flag of
     every candidate cell it reads, and every node's split scan (in a
-    level-scan block or alone, alone only on a level of a few small nodes;
-    all give the same split, `splitfind.find_splits`) takes its held-out
-    cells as its held mask: each candidate feature is
-    scored on the node's rows where that cell is observed, its gain
-    scaled by the observed share, and the exact tie rule of every other
-    node picks among features.
+    level-scan block of any size, which gives the node the same split,
+    `splitfind.find_splits`) takes its held-out cells as its held mask:
+    each candidate feature is scored on the node's rows where that cell
+    is observed, its gain scaled by the observed share, and the exact tie
+    rule of every other node picks among features.
     A row whose split feature is held out goes to the child holding more
     of the node's observed in-bag rows, both in the level's partition and
     in leaf_of_train. In unsupervised mode the synthetic half carries the

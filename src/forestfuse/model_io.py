@@ -237,6 +237,15 @@ def _parse_model(blob: bytes) -> ModelArtifact:
                        for k in ("n_rows", "n_features", "seed", "sha256")}
     except (KeyError, TypeError, ValueError, ForestFuseError) as exc:
         raise ModelFormatError(f"bad metadata: {exc}") from None
+    # a regression forest alone stores no class counts, and an unsupervised
+    # one alone has a synthetic half and two classes, real and synthetic
+    unsupervised = config.mode == "unsupervised"
+    if ((config.mode == "regression") != (n_classes is None)
+            or unsupervised != (synthetic_offset is not None)
+            or unsupervised and n_classes != 2):
+        raise ModelFormatError(
+            f"mode {config.mode!r} does not match n_classes={n_classes} "
+            f"and synthetic_offset={synthetic_offset}")
     if synthetic_offset is not None and 2 * synthetic_offset != n_train:
         raise ModelFormatError("synthetic_offset is not half the rows")
 

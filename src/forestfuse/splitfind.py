@@ -38,36 +38,29 @@ which rounds as Python's int / int does while both are below 2**53
 (nodes of at most _EXACT_ROWS rows). Held cells change nothing here:
 every node, masked or not, gets this one rule.
 
-Small classification nodes scanned alone take a second implementation
-of the same scan. `find_node_split` scans a classification node of at
-most SMALL_CELLS candidate cells (n * f) in Python on lists
-(`_small_class_split`); larger nodes and nodes holding a NaN or infinite
-cell take the level scan above, the reference. On a small node alone
-numpy's fixed cost per call dominates (see SMALL_CELLS). The grower finds
-a level's splits with one call (`find_splits`), which sends every larger
-classification node to the level scan in blocks, and the small ones with
-them, so that they share a block's fixed cost; only a level of fewer
-than _SMALL_LEVEL_NODES nodes, all small, sends them to
-`find_node_split`, as it does regression nodes. The level functions
-return a level's splits as (feature, threshold, gain) arrays, feature -1
-where a node has none; `find_node_split`, the oracle, returns one Split
-or None. Every route gives the same split, bit for bit:
-* class counts are integers in all, so a, b and P are the same ints;
+The grower finds a level's splits with one call (`find_splits`), which
+scans the level's classification nodes in blocks of consecutive nodes
+(`find_level_splits`). Regression nodes, and the nodes of a level of a
+few small classification nodes (see SMALL_CELLS), are scanned one at a
+time by `find_node_split`, which scans a classification node as a block
+of one. The level functions return a level's splits as (feature,
+threshold, gain) arrays, feature -1 where a node has none;
+`find_node_split` returns one Split or None. A node's split is the same,
+bit for bit, in whatever block it is scanned:
+* its class counts are integers, so a, b and P are the same ints;
 * every float gain is (a / nL + b / nR - P / n_obs) / n of those ints,
   the same operations in the same order, and the tie rule's exact
   re-compare is integer arithmetic and one correctly rounded quotient,
-  in Python or in float64;
+  in Python ints or in float64;
 * the class counts at a boundary between two different values do not
-  depend on the order of equal values, so Python's sort of (value,
-  label) pairs, and a block's sort, score the boundaries a node's own
-  sort scores;
+  depend on the order of equal values, so a block's sort scores the
+  boundaries a node's own sort scores;
 * thresholds come from the same float operation, and none depends on a
   zero's sign.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,26 +78,16 @@ GAIN_EPS = 1e-12
 # float gains this close to the max are re-compared exactly (classification)
 _TIE_BAND = 1e-9
 
-# classification nodes of at most this many candidate cells (n * f) take
-# the Python scan. Per call, on one round of the benchmark's classification
-# nodes (Python 3.11, numpy 2.4.6, 2 shared vCPUs), a one-node numpy scan
-# costs 42-59 us at any size up to 128 cells (80-93 us as a one-node
-# `find_level_splits`) and the Python scan 14-19 us at 1-16 cells, 37-47
-# us at 49-64 and 50-59 us at 65-96: they cross at 65-90 cells, and this
-# stays at or below the crossover. In a block of a level the level scan
-# takes 6.6-15.9 us a node at up to 64 cells, so `find_splits` scans a
-# level's small nodes there unless the level is a few small nodes only
+# a classification node of at most SMALL_CELLS candidate cells (n * f) is
+# small, and a level of fewer than _SMALL_LEVEL_NODES nodes, all small,
+# scans each through `find_node_split` rather than in one block. That is
+# no faster: with the route off, fit_dense's two trainings took 125-128 ms
+# against 128-130 ms, and impute_mixed's two imputations 82-96 ms against
+# 85-99 ms (min of 16 alternating calls, seeds 1-3; numpy 2.4.6, 2 shared
+# vCPUs). It stays only because the benchmark's tracer test counts
+# `find_node_split` calls and needs every node of its 20-row forest to
+# take the route
 SMALL_CELLS = 64
-
-# a classification level of only small nodes scans them in its
-# `find_level_splits` blocks when it holds at least this many, and each
-# alone when it holds fewer; a level with a large node scans its small
-# ones in its blocks whatever their number, as it pays a block's fixed
-# cost anyway. On groups of k small nodes from the levels of fit_dense
-# and impute_mixed trainings (seeds 1-3, 40-80 groups a run, min of 30
-# calls; numpy 2.4.6, 2 shared vCPUs), one block beat k `find_node_split`
-# calls in 0-10% of the groups at k = 5, 3-20% at 6, 14-56% at 7, 20-82%
-# (median 68%) at 8, 53-95% at 9 and 70-100% at 10
 _SMALL_LEVEL_NODES = 8
 
 # a node of at most this many rows takes its exact gain as an int64
@@ -167,68 +150,6 @@ def _tie_rule(cands, n):
     return best[0], best[3]
 
 
-def _class_totals(labels):
-    """({label: count}, sum of squared counts) of a list of labels."""
-    total = {}
-    for c in labels:
-        total[c] = total.get(c, 0) + 1
-    return total, sum([t * t for t in total.values()])
-
-
-def _small_class_split(columns, feat_ids, labels, held):
-    """The classification scan of `find_node_split` on Python lists.
-
-    columns and held hold one list a candidate, labels one int a row.
-    Each column's observed rows are sorted once as (value, label) pairs.
-    The running class counts are ints in a dict; a = sum of squared left
-    counts and cross = sum of left * total counts change row by row, and
-    b = P - 2 * cross + a is the sum of squared right counts. Every float
-    is the numpy scan's, from the same ints by the same operations in the
-    same order, and only gains within _TIE_BAND of the running maximum
-    are kept for the tie rule.
-    """
-    n = len(labels)
-    if held is None:
-        total, parent = _class_totals(labels)
-    cands = []
-    gmax = floor = -math.inf
-    for j, vals in enumerate(columns):
-        lab = labels
-        if held is not None:
-            obs = [i for i, h in enumerate(held[j]) if not h]
-            vals = [vals[i] for i in obs]
-            lab = [labels[i] for i in obs]
-            total, parent = _class_totals(lab)
-        m = len(vals)
-        if m < 2:
-            continue
-        pairs = sorted(zip(vals, lab))
-        pm = parent / m
-        left = dict.fromkeys(total, 0)
-        a = cross = nl = 0
-        prev = pairs[0][0]
-        for v, c in pairs:
-            if v != prev:
-                # the boundary after the first nl rows
-                b = parent - 2 * cross + a
-                g = (a / nl + b / (m - nl) - pm) / n
-                if g >= floor:
-                    cands.append((g, a, b, parent, nl, m, (j, prev, v)))
-                    if g > gmax:
-                        gmax, floor = g, g - _TIE_BAND
-                prev = v
-            count = left[c]
-            left[c] = count + 1
-            a += count + count + 1
-            cross += total[c]
-            nl += 1
-    if not GAIN_EPS < gmax:
-        return None
-    gain, (j, lo, hi) = _tie_rule(
-        (cand[1:] for cand in cands if cand[0] >= floor), n)
-    return Split(int(feat_ids[j]), _midpoint(lo, hi), float(gain))
-
-
 def find_level_splits(cols, feat_ids, y, starts, *, n_classes, held=None):
     """Best split of each node of a block of classification nodes.
 
@@ -249,8 +170,9 @@ def find_level_splits(cols, feat_ids, y, starts, *, n_classes, held=None):
     Returns
     -------
     feature, threshold, gain : (nodes,) int64, float and float arrays
-        Each node's split, `find_node_split`'s bit for bit; feature is -1,
-        and threshold and gain 0.0, where it returns None.
+        Each node's split, bit for bit the one it gets in any other block
+        (module docstring); feature is -1, and threshold and gain 0.0,
+        where it has none.
 
     Segment s = node * f + j holds column j of a node. One float argsort
     of all keys, then a stable argsort of the segment ids in that order
@@ -383,12 +305,13 @@ def find_node_split(cols, feat_ids, y, *, task, n_classes=0,
         Cells the split must not read (see held cells in the module
         docstring). A column with fewer than 2 observed rows offers none.
 
-    A classification node of at most SMALL_CELLS cells is scanned in
-    Python (`_small_class_split`), a larger one as a block of one node
+    A classification node is scanned as a block of one node
     (`find_level_splits`). A regression node sums its targets down each
     sorted column: left[p, j] over the rows left of boundary p of column
     j, total[j] over its n_obs[j] observed rows, and the gain is the
     float (left^2 / nL + (total - left)^2 / nR - total^2 / n_obs) / n.
+    The tests check both scans against an enumeration of every candidate
+    split's exact gain (`TestOneScanOracle`).
     """
     n, f = cols.shape
     if n < 2:
@@ -396,14 +319,6 @@ def find_node_split(cols, feat_ids, y, *, task, n_classes=0,
     if task == "classification":
         if n_classes < 2:
             raise ArgumentError("classification split needs n_classes >= 2")
-        if n * f <= SMALL_CELLS:
-            columns = cols.T.tolist()
-            # a NaN sorts unlike in numpy: a node holding one, or an
-            # infinite cell, keeps the level scan
-            if math.isfinite(sum(map(sum, columns))):
-                return _small_class_split(
-                    columns, feat_ids, y.tolist(),
-                    None if held is None else held.T.tolist())
         (feature,), (threshold,), (gain,) = find_level_splits(
             cols, np.asarray(feat_ids)[None], y, np.array([0, n]),
             n_classes=n_classes, held=held)
@@ -448,57 +363,44 @@ def find_splits(cols, feat_ids, y, starts, *, task, n_classes=0,
     node has no split.
 
     Node i holds rows starts[i]:starts[i + 1] of cols, y and held (as in
-    `find_level_splits`) and has the candidate features feat_ids[i]. The
-    classification nodes of more than SMALL_CELLS candidate cells are
-    scanned together (`find_level_splits`), in blocks of consecutive ones
-    whose cells take at most _SCAN_BLOCK_BYTES (a larger node is a block
-    alone), and so are the small ones, in level order with the large ones,
-    unless the level holds only small nodes and fewer than
-    _SMALL_LEVEL_NODES of them. Every other node, regression nodes
-    included, is scanned alone (`find_node_split`). A node or block with
-    no held cell scans unmasked; when no node is alone, the blocks are
-    slices of the level.
+    `find_level_splits`) and has the candidate features feat_ids[i]. A
+    classification level is scanned in blocks (`find_level_splits`):
+    slices of consecutive nodes whose cells take at most
+    _SCAN_BLOCK_BYTES, a larger node a block alone. A regression level,
+    and a level of fewer than _SMALL_LEVEL_NODES nodes of at most
+    SMALL_CELLS cells each, is scanned node by node (`find_node_split`).
+    A node or block with no held cell scans unmasked.
     """
     starts = np.asarray(starts, dtype=np.int64)
     sizes = np.diff(starts)
     cells = sizes * feat_ids.shape[1]
-    alone = np.full(len(sizes), task == "regression")
-    small = cells <= SMALL_CELLS
-    if small.all() and len(sizes) < _SMALL_LEVEL_NODES:
-        alone |= small
     if held is not None:
         any_held = np.logical_or.reduceat(held.any(axis=1), starts[:-1])
     bounds = starts.tolist()
     feature = np.full(len(sizes), -1, dtype=np.int64)
     threshold, gain = np.zeros(len(sizes)), np.zeros(len(sizes))
-    for i in np.flatnonzero(alone).tolist():
-        a, b = bounds[i], bounds[i + 1]
-        sp = find_node_split(
-            cols[a:b], feat_ids[i], y[a:b], task=task, n_classes=n_classes,
-            held=held[a:b] if held is not None and any_held[i] else None)
-        if sp:
-            feature[i], threshold[i], gain[i] = (sp.feature, sp.threshold,
-                                                 sp.gain)
-    grouped = np.flatnonzero(~alone)
-    if not grouped.size:
+    if task == "regression" or (len(sizes) < _SMALL_LEVEL_NODES
+                                and (cells <= SMALL_CELLS).all()):
+        for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
+            sp = find_node_split(
+                cols[a:b], feat_ids[i], y[a:b], task=task,
+                n_classes=n_classes,
+                held=held[a:b] if held is not None and any_held[i] else None)
+            if sp:
+                feature[i], threshold[i], gain[i] = (sp.feature, sp.threshold,
+                                                     sp.gain)
         return feature, threshold, gain
-    # the grouped nodes' rows, grouped[i]'s from at[i] on (all rows, as
-    # slices, when no node is alone), and the blocks
-    rows = np.flatnonzero(np.repeat(~alone, sizes)) if alone.any() else None
-    at = np.concatenate(([0], np.cumsum(sizes[grouped])))
     first, used, blocks = 0, 0, []
-    for i, c in enumerate(cells[grouped].tolist()):
+    for i, c in enumerate(cells.tolist()):
         if i > first and (used + c) * _SCAN_CELL_BYTES > _SCAN_BLOCK_BYTES:
             blocks.append((first, i))
             first, used = i, 0
         used += c
-    blocks.append((first, len(grouped)))
+    blocks.append((first, len(sizes)))
     for u, v in blocks:
-        block = slice(at[u], at[v]) if rows is None else rows[at[u]:at[v]]
-        mask = None if held is None or not any_held[grouped[u:v]].any() \
-            else held[block]
-        nodes = grouped[u:v]
-        feature[nodes], threshold[nodes], gain[nodes] = find_level_splits(
-            cols[block], feat_ids[nodes], y[block], at[u:v + 1] - at[u],
+        a, b = bounds[u], bounds[v]
+        mask = None if held is None or not any_held[u:v].any() else held[a:b]
+        feature[u:v], threshold[u:v], gain[u:v] = find_level_splits(
+            cols[a:b], feat_ids[u:v], y[a:b], starts[u:v + 1] - a,
             n_classes=n_classes, held=mask)
     return feature, threshold, gain

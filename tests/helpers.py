@@ -1,6 +1,8 @@
 """Shared generators and hand-built forest utilities for the test suite."""
 
+import json
 import os
+import struct
 import subprocess
 import sys
 from dataclasses import replace
@@ -280,3 +282,16 @@ def bc_oracle(forest, values, missing, categorical, fills):
             else:
                 out[i, k] = np.average(values[donors, k], weights=weights)
     return out, fallbacks
+
+
+def with_config(blob, meta=(), **fields):
+    """A model file's bytes with fields set in its stored config, and the
+    items of meta in its metadata."""
+    # the first section, after the 12-byte header: "meta", then its size
+    assert blob[12:18] == b"\x04\x00meta"
+    (size,) = struct.unpack_from("<Q", blob, 18)
+    stored = json.loads(blob[26:26 + size])
+    stored.update(meta)
+    stored["config"].update(fields)
+    raw = json.dumps(stored, sort_keys=True, separators=(",", ":")).encode()
+    return blob[:18] + struct.pack("<Q", len(raw)) + raw + blob[26 + size:]

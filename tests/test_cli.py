@@ -5,7 +5,7 @@ import csv
 import numpy as np
 import pytest
 
-from helpers import loads_numpy_ma
+from helpers import loads_numpy_ma, with_config
 
 import forestfuse as ff
 from forestfuse.cli import main
@@ -302,3 +302,15 @@ def test_predict_rejects_children_that_are_not_consecutive(trained, capsys):
     assert main(["predict", str(paths["model.ffm"]),
                  str(paths["features.csv"])]) == 1
     assert_one_line_error(capsys, "tree nodes are inconsistent")
+
+
+def test_predict_rejects_a_mode_that_contradicts_the_forest(trained,
+                                                            capsys):
+    # a classification file relabelled regression would predict each
+    # row's class counts as its value
+    paths, _, _ = trained
+    model = paths["model.ffm"]
+    model.write_bytes(with_config(model.read_bytes(), mode="regression"))
+    capsys.readouterr()
+    assert main(["predict", str(model), str(paths["features.csv"])]) == 1
+    assert_one_line_error(capsys, "mode 'regression' does not match")

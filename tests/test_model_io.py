@@ -1,11 +1,9 @@
 """Model files: exact round trips, and corrupt files rejected cleanly."""
 
-import json
-import struct
-
 import numpy as np
 import pytest
-from helpers import assemble_forest, blobs, renumber_depth_first, stump
+from helpers import (assemble_forest, blobs, renumber_depth_first, stump,
+                     with_config)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -53,17 +51,6 @@ def test_round_trip_keeps_predictions_and_neighbours(mode, tmp_path):
         (tmp_path / "m.ffm").read_bytes()
 
 
-def with_config(blob, **fields):
-    """A model file's bytes with fields set in its stored config."""
-    # the first section, after the 12-byte header: "meta", then its size
-    assert blob[12:18] == b"\x04\x00meta"
-    (size,) = struct.unpack_from("<Q", blob, 18)
-    meta = json.loads(blob[26:26 + size])
-    meta["config"].update(fields)
-    raw = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
-    return blob[:18] + struct.pack("<Q", len(raw)) + raw + blob[26 + size:]
-
-
 def test_stored_proximity_pairs_key_is_ignored(model_file, tmp_path):
     """Files written while the config held `proximity_pairs` still load."""
     path, forest, ds = model_file
@@ -88,6 +75,42 @@ def test_seed_outside_64_bits_rejected(model_file, tmp_path, seed):
     bad = tmp_path / "bad.ffm"
     bad.write_bytes(with_config(path.read_bytes(), seed=seed))
     with pytest.raises(ff.ModelFormatError, match="seed must be in 0"):
+        ff.load_model(bad)
+
+
+@pytest.fixture(scope="module")
+def mode_files(tmp_path_factory):
+    """A small model file's bytes for each mode."""
+    X, y = blobs(12, seed=2, sep=2.0)
+    out, path = {}, tmp_path_factory.mktemp("modes") / "model.ffm"
+    for mode in ("classification", "regression", "unsupervised"):
+        ds = ff.Dataset.from_dense(X, target=None if mode == "unsupervised"
+                                   else y)
+        save(ff.train(ds, ff.ForestConfig(mode=mode, n_trees=3, seed=4)), ds,
+             path)
+        out[mode] = path.read_bytes()
+    return out
+
+
+@pytest.mark.parametrize("mode, config, meta", [
+    # class counts read as regression values
+    ("classification", {"mode": "regression"}, {}),
+    # one value a node read as class counts
+    ("regression", {"mode": "classification"}, {}),
+    # a synthetic half outside unsupervised mode
+    ("unsupervised", {"mode": "classification"}, {}),
+    # unsupervised mode without its synthetic half
+    ("classification", {"mode": "unsupervised"}, {}),
+    # an unsupervised forest of other than two classes
+    ("unsupervised", {}, {"n_classes": 3}),
+], ids=["classification-as-regression", "regression-as-classification",
+        "unsupervised-as-classification", "classification-as-unsupervised",
+        "unsupervised-with-3-classes"])
+def test_mode_contradicting_the_forest_rejected(mode_files, tmp_path, mode,
+                                                config, meta):
+    bad = tmp_path / "bad.ffm"
+    bad.write_bytes(with_config(mode_files[mode], meta=meta, **config))
+    with pytest.raises(ff.ModelFormatError, match="mode '.*' does not match"):
         ff.load_model(bad)
 
 

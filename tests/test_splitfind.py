@@ -211,6 +211,13 @@ class TestNodeSplit:
                                    task="classification", n_classes=2)
         assert split.feature == 1
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nan_and_infinite_cells_scan(self, bad):
+        cols = np.array([[0.0], [1.0], [-1.5e308], [bad]])
+        split = ff.find_node_split(cols, np.array([0]), np.array([0, 1, 0, 1]),
+                                   task="classification", n_classes=2)
+        assert split is not None or np.isnan(bad)
+
 
 # -- one scan against an oracle that enumerates every candidate ---------------
 
@@ -330,7 +337,7 @@ class TestOneScanOracle:
             (int(node["feat_ids"][j]), thr, float(exact))
 
 
-# -- the Python scan of small nodes and the level scan, node by node ---------
+# -- the level scan, in blocks and node by node ------------------------------
 
 @st.composite
 def classification_nodes(draw, f=None, n_classes=None):
@@ -451,37 +458,14 @@ class TestSmallNodeRoute:
     # and more small nodes than _SMALL_LEVEL_NODES
     @given(st.integers(1, 20).flatmap(lambda k: classification_levels(k, k)))
     def test_a_busy_level_scans_its_small_nodes_in_blocks(self, level):
-        # a level of only small nodes, fewer than _SMALL_LEVEL_NODES,
-        # scans each as `find_node_split` does (in Python, unless its
-        # cells do not sum to a finite float); a level of at least that
-        # many, or with a large node beside its small ones, scans none in
-        # Python. Every split is the node's own, bit for bit
+        # a level of only small nodes, fewer than _SMALL_LEVEL_NODES, scans
+        # each alone; a busier level scans them in its blocks. Every split
+        # is the node's own, bit for bit
         cols, feat_ids, y, starts, held, K = level
-        small = np.diff(starts) * feat_ids.shape[1] <= splitfind.SMALL_CELLS
-        calls = []
-        scan = splitfind._small_class_split
-
-        def spy(*args):
-            calls.append(args)
-            return scan(*args)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(splitfind, "_small_class_split", spy)
-            alone = []
-            for i, (a, b) in enumerate(zip(starts[:-1], starts[1:])):
-                own = (None if held is None or not held[a:b].any()
-                       else held[a:b])
-                alone.append(ff.find_node_split(
-                    cols[a:b], feat_ids[i], y[a:b], task="classification",
-                    n_classes=K, held=own))
-            python = len(calls)
-            got = splitfind.find_splits(cols, feat_ids, y, starts,
-                                        task="classification", n_classes=K,
-                                        held=held)
-        assert level_bits(got) == list(map(split_bits, alone))
-        assert len(calls) - python == (
-            python if small.all() and len(small) < splitfind._SMALL_LEVEL_NODES
-            else 0)
+        got = splitfind.find_splits(cols, feat_ids, y, starts,
+                                    task="classification", n_classes=K,
+                                    held=held)
+        assert level_bits(got) == node_bits(level)
 
 
 class TestExactGain:
@@ -549,17 +533,14 @@ class TestExactGain:
 class TestMidpoint:
     """Thresholds halve each key before the sum (`splitfind._midpoint`)."""
 
-    @pytest.mark.parametrize("task, cells", [
-        ("classification", 10 ** 9), ("classification", 0),
-        ("regression", 0)])
-    def test_midpoints_of_huge_values_do_not_overflow(self, task, cells):
+    @pytest.mark.parametrize("task", ["classification", "regression"])
+    def test_midpoints_of_huge_values_do_not_overflow(self, task):
         # 0.5 * (a + b) overflows to inf here and sends every row left
         col = np.array([[1e308], [1e308], [1.5e308], [1.5e308], [1e308],
                         [1.5e308]])
         y = np.array([0, 0, 1, 1, 0, 1])
-        with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        with warnings.catch_warnings():
             warnings.simplefilter("error")
-            mp.setattr(splitfind, "SMALL_CELLS", cells)
             split = ff.find_node_split(col, np.array([0]), y, task=task,
                                        n_classes=2)
         assert split.threshold == 1.25e308
@@ -636,57 +617,3 @@ class TestBlockedClassCounts:
             tracemalloc.stop()
         assert split is not None
         assert peak < splitfind.BLOCK_BYTES + (1 << 20)
-
-
-class TestSmallNodeScan:
-    @staticmethod
-    def scans(node):
-        """(Python scan's split, level scan's split) of one node."""
-        kwargs = dict(task="classification", n_classes=node["n_classes"],
-                      held=node["held"])
-        out = []
-        for cells in (10 ** 9, 0):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(splitfind, "SMALL_CELLS", cells)
-                out.append(ff.find_node_split(node["cols"], node["feat_ids"],
-                                              node["y"], **kwargs))
-        return out
-
-    @settings(max_examples=300, deadline=None)
-    @given(classification_nodes())
-    # equal exact gains at 0.5 and 1.5, where the float gain at 1.5 rounds
-    # higher (the first example of test_split_matches_enumerated_candidates)
-    @example(dict(cols=np.array([[1.0, 1, 3, 2, 1, 0, 0, 0, 3]]).T,
-                  y=np.array([1, 1, 1, 1, 0, 0, 2, 1, 1]), n_classes=3,
-                  feat_ids=np.array([0]), held=None))
-    def test_python_scan_is_the_numpy_scan_bit_for_bit(self, node):
-        small, large = self.scans(node)
-        assert split_bits(small) == split_bits(large)
-
-    def test_only_small_classification_nodes_take_the_python_scan(self):
-        calls = []
-        scan = splitfind._small_class_split
-
-        def spy(*args):
-            calls.append(len(args[0]) * len(args[0][0]))
-            return scan(*args)
-
-        rng = np.random.default_rng(3)
-        cells = splitfind.SMALL_CELLS
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(splitfind, "_small_class_split", spy)
-            for n, f in ((cells // 2, 2), (cells // 2 + 1, 2), (cells, 1)):
-                cols = rng.normal(size=(n, f))
-                y = rng.integers(0, 2, n)
-                ff.find_node_split(cols, np.arange(f), y,
-                                   task="classification", n_classes=2)
-                ff.find_node_split(cols, np.arange(f), y.astype(float),
-                                   task="regression")
-            # NaN and infinite cells keep the level scan
-            for bad in (np.nan, np.inf):
-                cols = np.array([[0.0], [1.0], [-1.5e308], [bad]])
-                split = ff.find_node_split(
-                    cols, np.array([0]), np.array([0, 1, 0, 1]),
-                    task="classification", n_classes=2)
-        assert calls == [cells, cells]
-        assert split is not None

@@ -20,7 +20,8 @@ import numpy as np
 from . import __version__
 from .dataset import (Dataset, load_dense_csv, load_schema, write_dense_csv)
 from .errors import ConfigError, ForestFuseError, SchemaError
-from .forest import ForestConfig, p_synthetic, predict, predict_proba, train
+from .forest import (MODES, ForestConfig, p_synthetic, predict,
+                     predict_proba, train)
 from .importance import (compute_importance_report, local_proximity_importance,
                          local_variable_importance,
                          overall_proximity_importance,
@@ -33,11 +34,7 @@ from .prototype import find_prototypes
 from .proximity import top_k_similar, top_k_similar_explained
 
 
-def _add_forest_flags(p: argparse.ArgumentParser, require_mode: bool) -> None:
-    p.add_argument("--mode", choices=("classification", "regression",
-                                      "unsupervised"),
-                   required=require_mode, default=None if require_mode
-                   else "unsupervised")
+def _add_forest_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trees", dest="n_trees", type=int, default=100)
     p.add_argument("--mtry", type=int, default=None)
     p.add_argument("--min-node-size", type=int, default=None)
@@ -322,7 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", default=None)
     p.add_argument("--importance-out", default=None,
                    help="prefix for importance reports computed at train time")
-    _add_forest_flags(p, require_mode=True)
+    p.add_argument("--mode", choices=MODES, required=True)
+    _add_forest_flags(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="predict rows of a CSV")
@@ -393,7 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-3)
     p.add_argument("--target", default=None)
     p.add_argument("--trace", default=None)
-    _add_forest_flags(p, require_mode=False)
+    p.add_argument("--mode", choices=MODES, default="unsupervised")
+    _add_forest_flags(p)
     p.set_defaults(func=cmd_impute)
 
     p = sub.add_parser("validate-imputation",
@@ -402,8 +401,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("candidates", nargs="+")
     p.add_argument("--schema", required=True)
     p.add_argument("-o", "--output", default=None)
-    _add_forest_flags(p, require_mode=False)
-    p.set_defaults(func=cmd_validate_imputation)
+    _add_forest_flags(p)
+    # the validator's forest is always unsupervised, so it takes no --mode
+    p.set_defaults(func=cmd_validate_imputation, mode="unsupervised")
 
     return parser
 

@@ -54,6 +54,7 @@ class ImputationConfig:
     tol: float = 1e-3
 
     def validate(self):
+        self.forest_config.validate()
         if self.method not in ("breiman_cutler", "young"):
             raise ConfigError(f"unknown imputation method {self.method!r}")
         if self.max_iters < 1:

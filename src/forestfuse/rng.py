@@ -10,21 +10,21 @@ bit-identical functions of the data and the seed.
 
 A node's candidate features are m of n drawn without replacement from
 the node's raw Philox output (`choose`): Floyd's algorithm with Lemire's
-bounded draw, then a Fisher-Yates shuffle, or for a large share of many
-features a partial Fisher-Yates shuffle of the tail. That is the draw of
-numpy 2.x's `Generator.choice(n, size=m, replace=False)`, replayed in
-Python ints, so `node_rng(...).choice` is its reference.
+bounded draw, or for a large share of many features a partial
+Fisher-Yates shuffle of the tail. That is the set numpy 2.x's
+`Generator.choice(n, size=m, replace=False)` draws, replayed in Python
+ints, so `node_rng(...).choice` is its reference; numpy's shuffle of
+Floyd's values reorders the set, and the grower only needs the set.
 
 Philox is counter-based (Salmon et al., "Parallel random numbers: as
 easy as 1, 2, 3", SC 2011): each block of a stream is a pure function of
 its key and counter. So the grower draws a whole level's candidate sets
 at once (`LevelStreams.candidates`): one uint64 pass keys every node,
 Philox4x64-10 runs on uint64 arrays (`_philox`), and Floyd's draws take
-their Lemire draws column by column. The grower sorts each set, so the
-shuffle's words are never needed. A node whose Floyd draw would reject a
-word, a large share of many features, and a level of fewer than
-_LEVEL_DRAW_NODES nodes draw through `choose`; every node gets the same
-set either way.
+their Lemire draws column by column. A node whose Floyd draw would
+reject a word, a large share of many features, and a level of fewer
+than _LEVEL_DRAW_NODES nodes draw through `choose`; every node gets the
+same set either way.
 """
 
 import operator
@@ -57,19 +57,23 @@ _PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]],
                      dtype=np.uint64)
 _PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]],
                      dtype=np.uint64)
-# every operand of the level draw is np.uint64: under numpy 1.x's
-# value-based casting an int64 operand would turn a uint64 array float64
+# every array of the level draw is np.uint64, and so is every numpy
+# scalar that meets one: under numpy 1.x's value-based casting an int64
+# array would turn a uint64 array float64. The constants that `mix64` and
+# `_node_word` share with the Python-int path are non-negative Python
+# ints, which keep a uint64 array uint64 under numpy 1.x and 2.x and,
+# unlike 0-d numpy scalars, never warn when the arithmetic wraps
 _U32 = np.uint64(32)
 _U_LOW32 = np.uint64(_LOW32)
 _PHILOX_M_LO, _PHILOX_M_HI = _PHILOX_M & _U_LOW32, _PHILOX_M >> _U32
 
 # a level of at least this many nodes draws its candidates from one
 # `_philox` pass; a level of fewer draws node by node. On levels of k
-# random nodes (min of 9 x 50 calls; numpy 2.4.6, 2 shared vCPUs), 3 of
-# 10 features drawn node by node take 5.3-5.7 us a node (159 us at k =
-# 30, 217 us at 40) and from arrays 199-209 us at k = 10-60, 235-314 us
-# at 80-300; they cross between 30 and 40 nodes, 2 of 6 features at
-# about 40 and 5 of 15 at 35-40
+# random nodes (min of 40 x 20 calls; numpy 2.4.6, 2 shared vCPUs), 2 of
+# 6, 3 of 10 and 5 of 15 features drawn node by node take 4.2, 4.5 and
+# 5.4 us a node, and from arrays 185-235 us at k = 20-60; they cross
+# between 40 and 45 nodes. Replaying each benchmark workload's seed-1
+# levels, 40 and 45 differ by less than the noise
 _LEVEL_DRAW_NODES = 40
 
 
@@ -120,9 +124,10 @@ def tree_rng(seed: int, tree_id: int) -> np.random.Generator:
     return _stream(seed, _TAG_TREE, tree_id)
 
 
-def _node_key(seed: int, tree_id: int, route: int) -> list[int]:
-    return [seed & _MASK64,
-            mix64((_TAG_NODE << 56) ^ (tree_id * _GOLDEN) ^ route)]
+def _node_word(tree_id, route):
+    """The second key word of node_rng(seed, tree_id, route): of ints, or
+    of each entry of uint64 arrays of tree ids and routes."""
+    return mix64((_TAG_NODE << 56) ^ tree_id * _GOLDEN ^ route)
 
 
 def node_rng(seed: int, tree_id: int, route: int) -> np.random.Generator:
@@ -133,10 +138,10 @@ def node_rng(seed: int, tree_id: int, route: int) -> np.random.Generator:
     untouched — tree growth is a locally stable function of the data.
     The grower draws a level's candidates as `LevelStreams.candidates`,
     from Philox on arrays or from each stream's raw output (`choose`);
-    `node_rng(...).choice(n, size=m, replace=False)` draws the same
-    features through numpy and is the reference the tests hold it to.
+    `node_rng(...).choice(n, size=m, replace=False)` draws the same set
+    of features through numpy and is the reference the tests hold it to.
     """
-    return _generator(_node_key(seed, tree_id, route))
+    return _generator([seed & _MASK64, _node_word(tree_id, route)])
 
 
 class Rekeyed:
@@ -166,20 +171,6 @@ class Rekeyed:
         return self._gen
 
 
-class NodeStreams(Rekeyed):
-    """node_rng(seed, tree_id, route) for one tree, as streams(route), and
-    its candidate draw, as streams.candidates(route, n, m)."""
-
-    def __init__(self, seed: int, tree_id: int):
-        super().__init__(lambda route: _node_key(seed, tree_id, route))
-
-    def candidates(self, route: int, n: int, m: int) -> list[int]:
-        """node_rng(seed, tree_id, route).choice(n, size=m, replace=False),
-        drawn by `choose` from the node stream's raw output."""
-        self(route)
-        return choose(self._bits, n, m)
-
-
 class LevelStreams:
     """The candidate draws of a growth level's nodes, over a group of
     trees: candidates(tree, route, n, m) for the nodes of trees[tree[i]]
@@ -188,33 +179,31 @@ class LevelStreams:
     def __init__(self, seed: int, trees):
         self._seed = np.uint64(seed & _MASK64)
         self._trees = np.array(list(trees), dtype=np.uint64)
-        self._streams = [NodeStreams(seed, t) for t in self._trees.tolist()]
+        self._streams = node_streams(seed)
 
     def candidates(self, tree, route, n: int, m: int) -> np.ndarray:
-        """(nodes, m) int64 array whose row i is node i's features,
-        node_rng(seed, trees[tree[i]], route[i]).choice(n, size=m,
-        replace=False), in ascending order.
+        """(nodes, m) int64 array whose row i is node i's features, the
+        set node_rng(seed, trees[tree[i]], route[i]).choice(n, size=m,
+        replace=False) in ascending order.
 
         A level of at least _LEVEL_DRAW_NODES nodes draws its Floyd sets
         from one `_philox` pass (`_floyd_level`), unless n > 10,000 and
         m > n // 50 (`choose`'s tail shuffle); every other node, and
-        every node whose Floyd draw rejects a word, draws through
-        `NodeStreams.candidates`, the reference.
+        every node whose Floyd draw rejects a word, re-keys the node
+        stream and draws through `choose`, the reference.
         """
-        tree = np.asarray(tree, dtype=np.int64)
+        trees = self._trees.take(tree)
         route = np.asarray(route, dtype=np.uint64)
-        out, alone = None, range(len(tree))
-        if len(tree) >= _LEVEL_DRAW_NODES and not (n > 10000 and m > n // 50):
-            out, reject = _floyd_level(self._seed, self._trees.take(tree),
-                                       route, n, m)
+        out, alone = None, range(len(trees))
+        if len(trees) >= _LEVEL_DRAW_NODES and not (n > 10000 and m > n // 50):
+            out, reject = _floyd_level(self._seed, trees, route, n, m)
             alone = np.flatnonzero(reject).tolist()
         if alone:
-            trees, routes = tree.tolist(), route.tolist()
-            drawn = np.array([self._streams[trees[i]].candidates(
-                routes[i], n, m) for i in alone], dtype=np.int64)
-            drawn.sort(axis=1)
+            trees, route = trees.tolist(), route.tolist()
+            drawn = [choose(self._streams(trees[i], route[i]).bit_generator,
+                            n, m) for i in alone]
             if out is None:
-                return drawn
+                return np.array(drawn, dtype=np.int64)
             out[alone] = drawn
         return out
 
@@ -259,8 +248,7 @@ def _floyd_level(seed, trees, routes, n: int, m: int):
     those products has a low half below 2**32 mod (j + 1) would reject
     the word and read another, so it is marked.
     """
-    sub = mix64(np.uint64(_TAG_NODE << 56) ^ trees * np.uint64(_GOLDEN)
-                ^ routes)
+    sub = _node_word(trees, routes)
     skip = int(n == m)
     blocks = -(-(m - skip) // 8)  # a block holds eight 32-bit words
     key = np.stack([np.full(len(sub) * blocks, seed, dtype=np.uint64),
@@ -312,34 +300,32 @@ def _lemire(words, j: int) -> int:
 
 
 def choose(bits, n: int, m: int) -> list[int]:
-    """m distinct draws from range(n), n <= 2**32, in the order
-    `np.random.Generator(bits).choice(n, size=m, replace=False)` gives.
+    """The m distinct draws from range(n), n <= 2**32, that
+    `np.random.Generator(bits).choice(n, size=m, replace=False)` gives,
+    in ascending order.
 
     bits is a Philox fresh from its key, with no saved 32-bit half. For a
     large share of many features (n > 10,000 and m > n // 50) a partial
-    Fisher-Yates shuffle of range(n) takes the last m entries. Otherwise
-    Floyd's algorithm draws one value in [0, j] for j = n - m .. n - 1,
-    taking j when the value was drawn before, and a Fisher-Yates shuffle
-    of the m values follows. Every draw is `_lemire`'s.
+    Fisher-Yates shuffle of range(n) takes the last m entries; a dict
+    holds the entries it moved below them, so no list of range(n) is
+    built. Otherwise Floyd's algorithm draws one value in [0, j] for
+    j = n - m .. n - 1, taking j when the value was drawn before (numpy
+    then shuffles the m values, which leaves the set as it is). Every
+    draw is `_lemire`'s, about one 32-bit word a value.
     """
-    words = _words(bits, m)
+    words = _words(bits, m // 2 + 1)
     if n > 10000 and m > n // 50:
-        pool = list(range(n))
-        for i in range(n - 1, max(n - m, 1) - 1, -1):
+        out, moved = [], {}
+        for i in range(n - 1, n - m - 1, -1):
             k = _lemire(words, i)
-            pool[i], pool[k] = pool[k], pool[i]
-        return pool[n - m:]
-    out, seen = [], set()
+            out.append(moved.get(k, k))
+            moved[k] = moved.pop(i, i)
+        return sorted(out)
+    seen = set()
     for j in range(n - m, n):
         v = _lemire(words, j)
-        if v in seen:
-            v = j
-        seen.add(v)
-        out.append(v)
-    for i in range(m - 1, 0, -1):
-        k = _lemire(words, i)
-        out[i], out[k] = out[k], out[i]
-    return out
+        seen.add(j if v in seen else v)
+    return sorted(seen)
 
 
 def synthetic_rng(seed: int, column: int) -> np.random.Generator:
@@ -360,6 +346,11 @@ def permute_rng(seed: int, tree_id: int, feature: int) -> np.random.Generator:
 def query_donor_rng(seed: int, feature: int) -> np.random.Generator:
     """Stream for donor draws when explaining an out-of-sample query."""
     return _stream(seed, _TAG_QUERY_DONOR, feature)
+
+
+def node_streams(seed: int) -> Rekeyed:
+    """node_rng(seed, tree_id, route) as streams(tree_id, route)."""
+    return Rekeyed(lambda t, r: [seed & _MASK64, _node_word(t, r)])
 
 
 def donor_streams(seed: int) -> Rekeyed:

@@ -328,9 +328,7 @@ def find_node_split(cols, feat_ids, y, *, task, n_classes=0,
     keys = cols if held is None else np.where(held, np.inf, cols)
     # a float target sum depends on the order of equal keys
     order = keys.argsort(axis=0, kind="stable")
-    # the sorted keys; equal keys may swap only a zero's sign, which no
-    # test below or threshold reads
-    sk = np.sort(keys, axis=0)
+    sk = keys[order, np.arange(f)]
     n_left = np.arange(1, n, dtype=np.float64)[:, None]
     if held is None:
         n_obs, last, n_right = n, -1, n - n_left

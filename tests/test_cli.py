@@ -212,6 +212,49 @@ def test_impute_rejects_a_nan_tolerance(trained, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value, expected", [
+    ("--trees", "0", "n_trees must be in"), ("--bins", "1", "n_bins must be"),
+    ("--mtry", "0", "mtry must be"), ("--seed", "-1", "seed must be in")])
+def test_impute_rejects_a_bad_forest_flag(trained, tmp_path, capsys, flag,
+                                          value, expected):
+    # features.csv is complete, so impute trains no forest
+    paths, _, _ = trained
+    out = tmp_path / "filled.csv"
+    capsys.readouterr()
+    assert main(["impute", str(paths["features.csv"]),
+                 str(paths["schema.txt"]), "-o", str(out), flag, value]) == 1
+    assert_one_line_error(capsys, expected)
+    assert not out.exists()
+
+
+def test_validate_imputation_takes_no_mode(trained, capsys):
+    # the validator always trains an unsupervised forest
+    paths, _, _ = trained
+    features = str(paths["features.csv"])
+    with pytest.raises(SystemExit) as exc:
+        main(["validate-imputation", features, features, "--schema",
+              str(paths["schema.txt"]), "--mode", "classification"])
+    assert exc.value.code == 2
+    assert "--mode" in capsys.readouterr().err
+
+
+def test_train_importance_out_is_the_importance_command(trained, tmp_path):
+    paths, _, _ = trained
+    model, prefix = tmp_path / "again.ffm", tmp_path / "imp"
+    assert main(["train", str(paths["train.csv"]), str(paths["schema.txt"]),
+                 "-o", str(model), "--target", "label", "--mode",
+                 "classification", "--trees", "7", "--seed", "3",
+                 "--importance-out", str(prefix)]) == 0
+    assert model.read_bytes() == paths["model.ffm"].read_bytes()
+    for kind in ("overall-var", "local-var", "overall-prox", "local-prox"):
+        out = tmp_path / f"{kind}.csv"
+        assert main(["importance", str(model), str(paths["train.csv"]),
+                     "--type", kind, "--target", "label", "-o",
+                     str(out)]) == 0
+        written = tmp_path / f"imp.{kind.replace('-', '_')}.csv"
+        assert written.read_bytes() == out.read_bytes()
+
+
 @pytest.mark.parametrize("method", ["bc", "young"])
 def test_impute_does_not_import_numpy_ma(trained, tmp_path, method):
     # a one-shot `forestfuse impute` would pay numpy.ma's import

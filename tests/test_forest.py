@@ -21,9 +21,9 @@ from forestfuse.forest import (NODE_LAYOUT, _ancestors, _bin_columns,
                                _node_blocks, _node_grid, _perturbed_walk,
                                _query_leaves, _walk, train_held_out)
 from forestfuse.model_io import ModelArtifact, dataset_fingerprint, save_model
-from forestfuse.rng import (ROOT_ROUTE, NodeStreams, child_route, donor_rng,
-                            donor_streams, node_rng, permute_rng,
-                            permute_streams, query_donor_rng,
+from forestfuse.rng import (ROOT_ROUTE, child_route, donor_rng,
+                            donor_streams, node_rng, node_streams,
+                            permute_rng, permute_streams, query_donor_rng,
                             query_donor_streams, synthetic_rng, tree_rng)
 from forestfuse.splitfind import find_node_split
 
@@ -230,9 +230,9 @@ class TestTraining:
         # two trees' streams visited interleaved, with varying mtry and
         # extra draws that leave part of Philox's buffer unread: a stale
         # buffer, counter or 32-bit half would show in the next draw
-        streams = [NodeStreams(seed, t) for t in trees]
+        streams = node_streams(seed)
         for which, route, mtry, extra in visits:
-            got = streams[which](route)
+            got = streams(trees[which], route)
             want = node_rng(seed, trees[which], route)
             assert np.array_equal(got.choice(12, size=mtry, replace=False),
                                   want.choice(12, size=mtry, replace=False))
@@ -265,10 +265,10 @@ class TestTraining:
                               child_route(routes, False))
             routes = np.where(going[:, step], turned, routes)
         assert routes.tolist() == want
-        streams = NodeStreams(seed, tree)
+        streams = node_streams(seed)
         for got, route in zip(routes.tolist(), want):
             assert np.array_equal(
-                streams(got).choice(50, size=5, replace=False),
+                streams(tree, got).choice(50, size=5, replace=False),
                 node_rng(seed, tree, route).choice(50, size=5, replace=False))
 
     @settings(max_examples=60, deadline=None)

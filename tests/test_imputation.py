@@ -464,6 +464,18 @@ class TestIterativeMethods:
             with pytest.raises(ff.ConfigError, match="tol"):
                 ff.impute(ds, small_config(tol=tol))
 
+    def test_bad_forest_config_on_complete_data(self):
+        # a complete dataset trains no forest, and its config is still
+        # checked
+        ds = ff.Dataset.from_dense([[1.0], [2.0]])
+        for fc in (ff.ForestConfig(mode="nope", n_trees=-5),
+                   ff.ForestConfig(mode="unsupervised", n_trees=0),
+                   ff.ForestConfig(mode="unsupervised", n_bins=1)):
+            for method in ("breiman_cutler", "young"):
+                with pytest.raises(ff.ConfigError):
+                    ff.impute(ds, ff.ImputationConfig(forest_config=fc,
+                                                      method=method))
+
 
 class TestValidator:
     def test_reference_beats_shuffled(self):

@@ -1,8 +1,9 @@
-"""The node candidate draw: numpy's `Generator.choice` replayed on raw
-Philox output, and the Lemire bounded draw it is built from; a level's
-draws from Philox on uint64 arrays; the seed range of the other streams'
-keys."""
+"""The node candidate draw: the set numpy's `Generator.choice` draws,
+replayed on raw Philox output, and the Lemire bounded draw it is built
+from; a level's draws from Philox on uint64 arrays; the seed range of the
+other streams' keys."""
 
+import tracemalloc
 from itertools import islice
 
 import numpy as np
@@ -12,9 +13,10 @@ from hypothesis import strategies as st
 
 import forestfuse as ff
 from forestfuse import rng
-from forestfuse.rng import (LevelStreams, NodeStreams, _lemire, _words,
-                            choose, donor_streams, node_rng, synthetic_rng,
-                            tree_rng)
+from forestfuse.rng import (LevelStreams, _lemire, _words, choose,
+                            donor_streams, node_rng, node_streams,
+                            synthetic_rng, tree_rng)
+from forestfuse.splitfind import BLOCK_BYTES
 
 seeds = st.integers(0, 2 ** 64 - 1)
 trees = st.integers(0, 2 ** 28 - 1)
@@ -36,7 +38,8 @@ def sizes(low, high, m_of=lambda n: st.integers(1, n)):
 def test_candidates_equal_generator_choice(seed, tree, route, size):
     n, m = size
     want = node_rng(seed, tree, route).choice(n, size=m, replace=False)
-    assert NodeStreams(seed, tree).candidates(route, n, m) == want.tolist()
+    bits = node_streams(seed)(tree, route).bit_generator
+    assert choose(bits, n, m) == sorted(want.tolist())
 
 
 # beyond 10,000 features numpy shuffles the tail of range(n) when
@@ -50,7 +53,23 @@ def test_candidates_equal_generator_choice_over_many_features(seed, tree,
                                                               route, size):
     n, m = size
     want = node_rng(seed, tree, route).choice(n, size=m, replace=False)
-    assert NodeStreams(seed, tree).candidates(route, n, m) == want.tolist()
+    bits = node_streams(seed)(tree, route).bit_generator
+    assert choose(bits, n, m) == sorted(want.tolist())
+
+
+def test_tail_draw_of_many_features_stays_small():
+    # the tail shuffle keeps the entries it moved, not a list of range(n)
+    n, m = 1_000_000, 20_001
+    bits = node_rng(5, 7, 11).bit_generator
+    tracemalloc.start()
+    try:
+        got = choose(bits, n, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < BLOCK_BYTES
+    want = node_rng(5, 7, 11).choice(n, size=m, replace=False)
+    assert got == sorted(want.tolist())
 
 
 class Exhausted(Exception):
@@ -133,9 +152,10 @@ def test_choose_refills_when_the_first_block_runs_out(seed, sub, size):
     stub = RawWords(bits.random_raw(4 * m + 4), most=1)
     want = np.random.Generator(np.random.Philox(key=key)).choice(
         n, size=m, replace=False)
-    assert choose(stub, n, m) == want.tolist()
-    # from m = 3 on, Floyd's and the shuffle's draws take 4 words or more
-    assert m < 3 or stub.calls >= 2
+    assert choose(stub, n, m) == sorted(want.tolist())
+    # Floyd's draws read a 32-bit word each, but for j = 0: from three
+    # words on, two raw words or more
+    assert m - (n == m) < 3 or stub.calls >= 2
 
 
 @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1, np.uint64(2 ** 64 - 1),
@@ -177,42 +197,60 @@ def test_philox_blocks_equal_random_raw(keys):
         assert got.T.tolist() == [r[4 * c - 4:4 * c] for r in raw]
 
 
-def floyd_rejects(seed, tree, route, n, m):
-    """Whether a Lemire draw of the node's Floyd draws would reject its
-    32-bit word, in Python ints: the low half of w * (j + 1) below
-    2**32 mod (j + 1), for j = n - m .. n - 1 (j = 0 reads no word)."""
-    raw = node_rng(seed, tree, route).bit_generator.random_raw(m).tolist()
+def floyd_rejects(raw, n, m):
+    """Whether a Lemire draw of a node's Floyd draws would reject its
+    32-bit word, in Python ints, for the node's raw 64-bit words: the low
+    half of w * (j + 1) below 2**32 mod (j + 1), for j = n - m .. n - 1
+    (j = 0 reads no word)."""
     words = [half for w in raw for half in (w & 0xFFFFFFFF, w >> 32)]
     skip = int(n == m)
     return any(words[k - skip] * (n - m + k + 1) % 2 ** 32
                < 2 ** 32 % (n - m + k + 1) for k in range(skip, m))
 
 
-def check_level(seed, first, tree, route, n, m):
-    """LevelStreams' draw of a level equals each node's sorted
-    node_rng(...).choice, and only the nodes the rules send there draw
-    through NodeStreams.candidates."""
-    trees = range(first, first + 4)
-    alone = []
-    candidates = NodeStreams.candidates
+def key_word(seed, tree, route):
+    """The second key word of node_rng(seed, tree, route)."""
+    key = node_rng(seed, tree, route).bit_generator.state["state"]["key"]
+    return int(key[1])
 
-    def spy(self, r, n, m):
-        alone.append(r)
-        return candidates(self, r, n, m)
+
+def level_draw(seed, trees, tree, route, n, m, philox=None):
+    """LevelStreams(seed, trees)'s draw of a level, and the key words of
+    the streams that drew through `choose`, in the order they drew;
+    philox, if given, stands in for `rng._philox`."""
+    alone = []
+
+    def spy(bits, n, m):
+        alone.append(int(bits.state["state"]["key"][1]))
+        return choose(bits, n, m)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(NodeStreams, "candidates", spy)
+        mp.setattr(rng, "choose", spy)
+        if philox is not None:
+            mp.setattr(rng, "_philox", philox)
         got = LevelStreams(seed, trees).candidates(
             tree, np.array(route, dtype=np.uint64), n, m)
     assert got.dtype == np.int64 and got.shape == (len(tree), m)
+    return got, alone
+
+
+def check_level(seed, first, tree, route, n, m):
+    """LevelStreams' draw of a level equals each node's sorted
+    node_rng(...).choice, and only the nodes the rules send there draw
+    through `choose`."""
+    trees = range(first, first + 4)
+    nodes = [(trees[t], r) for t, r in zip(tree, route)]
+    got, alone = level_draw(seed, trees, tree, route, n, m)
     assert got.tolist() == [
-        sorted(node_rng(seed, trees[t], r).choice(n, m, replace=False)
-               .tolist()) for t, r in zip(tree, route)]
+        sorted(node_rng(seed, t, r).choice(n, m, replace=False).tolist())
+        for t, r in nodes]
     if len(tree) < rng._LEVEL_DRAW_NODES or (n > 10000 and m > n // 50):
-        assert alone == list(route)
+        assert alone == [key_word(seed, t, r) for t, r in nodes]
     else:
-        assert alone == [r for t, r in zip(tree, route)
-                         if floyd_rejects(seed, trees[t], r, n, m)]
+        raw = [node_rng(seed, t, r).bit_generator.random_raw(m).tolist()
+               for t, r in nodes]
+        assert alone == [key_word(seed, t, r) for (t, r), w in
+                         zip(nodes, raw) if floyd_rejects(w, n, m)]
 
 
 def levels(draw, n_m):
@@ -251,6 +289,43 @@ def test_level_draw_over_many_features(data):
     check_level(seed, first, tree, route, n, m)
 
 
+def crafted_philox(raw):
+    """A stand-in for `rng._philox` whose blocks are raw[i], node i's
+    words, block after block."""
+    blocks = np.array(raw, dtype=np.uint64).reshape(-1, 4).T
+    return lambda key, counter: blocks
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_rejected_words_send_their_nodes_through_choose(data):
+    # crafted Philox words, some 32-bit halves set low: a node whose Floyd
+    # draw rejects one draws its own stream's set through `choose`, and
+    # every other node gets the Floyd set of its crafted words
+    n, m = data.draw(sizes(2, 80))
+    k = data.draw(st.integers(rng._LEVEL_DRAW_NODES,
+                              2 * rng._LEVEL_DRAW_NODES))
+    blocks = -(-(m - (n == m)) // 8)
+    raw = np.random.default_rng(data.draw(st.integers(0, 2 ** 32))).integers(
+        0, 2 ** 64, size=(k, 4 * blocks), dtype=np.uint64).tolist()
+    for i, w, v in data.draw(st.lists(st.tuples(
+            st.integers(0, k - 1), st.integers(0, 8 * blocks - 1),
+            st.integers(0, 15)), max_size=8)):
+        shift = 32 * (w % 2)
+        raw[i][w // 2] = raw[i][w // 2] & ~(0xFFFFFFFF << shift) | v << shift
+    seed, trees = data.draw(seeds), range(4)
+    tree = data.draw(st.lists(st.integers(0, 3), min_size=k, max_size=k))
+    got, alone = level_draw(seed, trees, tree, range(k), n, m,
+                            philox=crafted_philox(raw))
+    rejects = [floyd_rejects(w, n, m) for w in raw]
+    assert alone == [key_word(seed, tree[i], i)
+                     for i in range(k) if rejects[i]]
+    for i in range(k):
+        want = (node_rng(seed, tree[i], i).choice(n, m, replace=False)
+                .tolist() if rejects[i] else choose(RawWords(raw[i]), n, m))
+        assert got[i].tolist() == sorted(want)
+
+
 def test_a_rejected_word_sends_its_node_through_choose():
     # n = 10, m = 3: Floyd's draws read 32-bit words 0, 1 and 2 with spans
     # 8, 9 and 10, whose rejection floors 2**32 mod span are 0, 4 and 6
@@ -263,26 +338,15 @@ def test_a_rejected_word_sends_its_node_through_choose():
     # span but not below the floor, which accepts the draw 1
     words[2, 0] = (words[2, 0] & np.uint64(0xFFFFFFFF)) | np.uint64(
         477218589 << 32)
-    seed, trees, route = 3, range(4), list(range(k))
+    seed, trees = 3, range(4)
     tree = [i % 4 for i in range(k)]
-    alone = []
-    candidates = NodeStreams.candidates
-
-    def spy(self, r, n, m):
-        alone.append(r)
-        return candidates(self, r, n, m)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(rng, "_philox", lambda key, counter: words.T)
-        mp.setattr(NodeStreams, "candidates", spy)
-        got = LevelStreams(seed, trees).candidates(
-            tree, np.array(route, dtype=np.uint64), n, m)
-    assert alone == [0, 1]
+    got, alone = level_draw(seed, trees, tree, range(k), n, m,
+                            philox=crafted_philox(words.tolist()))
+    assert alone == [key_word(seed, tree[i], i) for i in (0, 1)]
     for i in (0, 1):
         assert got[i].tolist() == sorted(node_rng(
             seed, tree[i], i).choice(n, m, replace=False).tolist())
     for i in range(2, k):
-        # the Floyd set of the crafted words; the shuffle reads the rest
-        assert got[i].tolist() == sorted(choose(RawWords(
-            words[i].tolist() + [1 << 31] * 4), n, m))
+        # the Floyd set of the crafted words
+        assert got[i].tolist() == choose(RawWords(words[i].tolist()), n, m)
     assert 1 in got[2]

@@ -339,11 +339,19 @@ class TestOneScanOracle:
 
 # -- the level scan, in blocks and node by node ------------------------------
 
+def one_draw(make):
+    """A strategy that draws make(gen) as one value: gen is a numpy
+    Generator seeded by one drawn integer."""
+    return st.integers(0, 2 ** 32 - 1).map(
+        lambda s: make(np.random.default_rng(s)))
+
+
 @st.composite
 def classification_nodes(draw, f=None, n_classes=None):
     """Nodes on both sides of SMALL_CELLS, with many-way ties, signed
     zeros, values whose sum overflows, held columns of 0 or 1 observed
-    rows and a few labels present out of up to 2000."""
+    rows and a few labels present out of up to 2000. A node's cells, its
+    labels and its held mask are one draw each."""
     f = f or draw(st.integers(1, 5))
     n = draw(st.integers(2, 2 * splitfind.SMALL_CELLS // f + 2))
     pool = draw(st.sampled_from([
@@ -351,21 +359,17 @@ def classification_nodes(draw, f=None, n_classes=None):
         [float(v) for v in range(4)],
         [0.5, 0.25, -0.0, 1e-300, 3e300, -2e300, 1.7e308, -1.7e308],
         None]))
-    cell = (st.sampled_from(pool) if pool else
-            st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False))
-    cols = np.array(draw(st.lists(cell, min_size=n * f, max_size=n * f)),
-                    dtype=np.float64).reshape(n, f)
+    cols = draw(one_draw(lambda g: g.choice(pool, size=(n, f)) if pool
+                         else g.uniform(-1e6, 1e6, size=(n, f))))
     n_classes = n_classes or draw(st.sampled_from([2, 3, 5, 2000]))
     present = draw(st.lists(st.integers(0, n_classes - 1), min_size=1,
                             max_size=4, unique=True))
-    y = np.array(draw(st.lists(st.sampled_from(present), min_size=n,
-                               max_size=n)), dtype=np.int64)
+    y = draw(one_draw(lambda g: g.choice(present, size=n).astype(np.int64)))
     held = None
     kind = draw(st.sampled_from(["none", "scattered", "whole column",
                                  "one observed row"]))
     if kind != "none":
-        held = np.array(draw(st.lists(st.booleans(), min_size=n * f,
-                                      max_size=n * f))).reshape(n, f)
+        held = draw(one_draw(lambda g: g.random((n, f)) < 0.5))
         if kind != "scattered":
             j = draw(st.integers(0, f - 1))
             held[:, j] = True

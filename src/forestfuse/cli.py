@@ -60,12 +60,16 @@ def _open_out(path):
     return open(path, "w", encoding="utf-8", newline=""), True
 
 
-def _write_rows(path, header, rows):
+def _write_rows(path, header, rows, quote=True):
+    """CSV of `header` and `rows`; quote=False rows are (ints, float texts)."""
     fh, close = _open_out(path)
     try:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(rows)
+        if quote:
+            writer.writerows(rows)
+        else:
+            fh.writelines(f"{ids},{','.join(texts)}\n" for ids, texts in rows)
     finally:
         if close:
             fh.close()
@@ -131,30 +135,27 @@ def _write_importance_files(prefix, report, schema):
                     zip(names, _texts(scores)))
     for label, matrix in (("local_var", report.local_var),
                           ("local_prox", report.local_prox)):
-        rows = [[r] + row for r, row in enumerate(_texts(matrix))]
-        _write_rows(f"{prefix}.{label}.csv", ["row"] + names, rows)
+        _write_rows(f"{prefix}.{label}.csv", ["row"] + names,
+                    enumerate(_texts(matrix)), quote=False)
 
 
 def cmd_predict(args) -> int:
     artifact = load_model(args.model)
     forest = artifact.forest
     ds = load_dense_csv(args.data, artifact.schema, target_column=args.target)
-    if forest.mode == "regression":
-        values = predict(forest, ds)
-        _write_rows(args.output, ["row", "prediction"],
-                    enumerate(_texts(values)))
-    elif forest.mode == "unsupervised":
-        values = p_synthetic(forest, ds)
-        _write_rows(args.output, ["row", "p_synthetic"],
-                    enumerate(_texts(values)))
-    else:
+    if forest.mode == "classification":
         proba = predict_proba(forest, ds)
-        labels = np.argmax(proba, axis=1)
         header = ["row", "prediction"] + [f"p_class{c}"
                                           for c in range(proba.shape[1])]
-        rows = [[r, label] + row for r, (label, row) in
-                enumerate(zip(labels.tolist(), _texts(proba)))]
-        _write_rows(args.output, header, rows)
+        labels = np.argmax(proba, axis=1).tolist()
+        rows = zip((f"{r},{label}" for r, label in enumerate(labels)),
+                   _texts(proba))
+    else:
+        regression = forest.mode == "regression"
+        values = (predict if regression else p_synthetic)(forest, ds)
+        header = ["row", "prediction" if regression else "p_synthetic"]
+        rows = enumerate(_texts(values[:, None]))
+    _write_rows(args.output, header, rows, quote=False)
     return 0
 
 
@@ -187,6 +188,8 @@ def cmd_similar(args) -> int:
 
 
 def cmd_importance(args) -> int:
+    if args.row is not None and args.type.startswith("overall"):
+        raise ConfigError("--row applies to local-var and local-prox")
     artifact = load_model(args.model)
     forest = artifact.forest
     ds = _load_data_for_model(artifact, args.data, args.target)
@@ -204,14 +207,12 @@ def cmd_importance(args) -> int:
     else:
         matrix = local_proximity_importance(forest, ds,
                                             n_repeats=args.repeats)
-    row_ids = range(matrix.shape[0])
+    rows = enumerate(_texts(matrix))
     if args.row is not None:
         if not (0 <= args.row < matrix.shape[0]):
             raise ConfigError(f"--row {args.row} out of range")
-        row_ids = [args.row]
-    texts = _texts(matrix)
-    rows = [[r] + texts[r] for r in row_ids]
-    _write_rows(args.output, ["row"] + names, rows)
+        rows = [(args.row, _texts(matrix[args.row]))]
+    _write_rows(args.output, ["row"] + names, rows, quote=False)
     return 0
 
 
@@ -304,112 +305,129 @@ def cmd_validate_imputation(args) -> int:
 
 # -- wiring ------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The CLI's parser, with only `command`'s subparser if it names one."""
+    commands = ("train", "predict", "similar", "importance", "outliers",
+                "prototypes", "impute", "validate-imputation")
+    command = command if command in commands else None
     parser = argparse.ArgumentParser(
         prog="forestfuse",
         description="Random-forest engine: train once, then predict, "
                     "search, explain, score outliers, and impute.")
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    # one subparser's usage lists all; a full parser's errors say "command"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=(
+        "{" + ",".join(commands) + "}" if command else None))
 
-    p = sub.add_parser("train", help="train a forest and save the model")
-    p.add_argument("data")
-    p.add_argument("schema")
-    p.add_argument("-o", "--output", required=True)
-    p.add_argument("--target", default=None)
-    p.add_argument("--importance-out", default=None,
-                   help="prefix for importance reports computed at train time")
-    p.add_argument("--mode", choices=MODES, required=True)
-    _add_forest_flags(p)
-    p.set_defaults(func=cmd_train)
+    if command in (None, "train"):
+        p = sub.add_parser("train", help="train a forest and save the model")
+        p.add_argument("data")
+        p.add_argument("schema")
+        p.add_argument("-o", "--output", required=True)
+        p.add_argument("--target", default=None)
+        p.add_argument("--importance-out", default=None,
+                       help="prefix for importance reports computed at "
+                            "train time")
+        p.add_argument("--mode", choices=MODES, required=True)
+        _add_forest_flags(p)
+        p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("predict", help="predict rows of a CSV")
-    p.add_argument("model")
-    p.add_argument("data")
-    p.add_argument("--target", default=None,
-                   help="target column in the CSV, ignored")
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_predict)
+    if command in (None, "predict"):
+        p = sub.add_parser("predict", help="predict rows of a CSV")
+        p.add_argument("model")
+        p.add_argument("data")
+        p.add_argument("--target", default=None,
+                       help="target column in the CSV, ignored")
+        p.add_argument("-o", "--output", default=None)
+        p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("similar", help="top-K similar training rows")
-    p.add_argument("model")
-    p.add_argument("query", help="CSV of query rows (schema header)")
-    p.add_argument("--query-row", type=int, default=0)
-    p.add_argument("--k", type=int, default=10)
-    p.add_argument("--explain", action="store_true")
-    p.add_argument("--build-index", action="store_true",
-                   help="accepted and ignored: queries read the model's "
-                        "leaf assignments directly")
-    p.add_argument("--data", default=None,
-                   help="training CSV (required with --explain)")
-    p.add_argument("--target", default=None,
-                   help="target column of the training CSV; a query may "
-                        "carry it too, and it is ignored there")
-    p.add_argument("--repeats", type=int, default=1)
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_similar)
+    if command in (None, "similar"):
+        p = sub.add_parser("similar", help="top-K similar training rows")
+        p.add_argument("model")
+        p.add_argument("query", help="CSV of query rows (schema header)")
+        p.add_argument("--query-row", type=int, default=0)
+        p.add_argument("--k", type=int, default=10)
+        p.add_argument("--explain", action="store_true")
+        p.add_argument("--build-index", action="store_true",
+                       help="accepted and ignored: queries read the model's "
+                            "leaf assignments directly")
+        p.add_argument("--data", default=None,
+                       help="training CSV (required with --explain)")
+        p.add_argument("--target", default=None,
+                       help="target column of the training CSV; a query may "
+                            "carry it too, and it is ignored there")
+        p.add_argument("--repeats", type=int, default=1)
+        p.add_argument("-o", "--output", default=None)
+        p.set_defaults(func=cmd_similar)
 
-    p = sub.add_parser("importance", help="importance reports")
-    p.add_argument("model")
-    p.add_argument("data")
-    p.add_argument("--type", required=True,
-                   choices=("overall-var", "local-var", "overall-prox",
-                            "local-prox"))
-    p.add_argument("--method", choices=("permutation", "split_gain"),
-                   default="permutation")
-    p.add_argument("--row", type=int, default=None)
-    p.add_argument("--repeats", type=int, default=1)
-    p.add_argument("--target", default=None)
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_importance)
+    if command in (None, "importance"):
+        p = sub.add_parser("importance", help="importance reports")
+        p.add_argument("model")
+        p.add_argument("data")
+        p.add_argument("--type", required=True,
+                       choices=("overall-var", "local-var", "overall-prox",
+                                "local-prox"))
+        p.add_argument("--method", choices=("permutation", "split_gain"),
+                       default="permutation")
+        p.add_argument("--row", type=int, default=None)
+        p.add_argument("--repeats", type=int, default=1)
+        p.add_argument("--target", default=None)
+        p.add_argument("-o", "--output", default=None)
+        p.set_defaults(func=cmd_importance)
 
-    p = sub.add_parser("outliers", help="per-row outlier scores")
-    p.add_argument("model")
-    p.add_argument("data")
-    p.add_argument("--mode", dest="score_mode", choices=("exact", "greedy"),
-                   default="exact")
-    p.add_argument("--m-cap", type=int, default=256)
-    p.add_argument("--target", default=None)
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_outliers)
+    if command in (None, "outliers"):
+        p = sub.add_parser("outliers", help="per-row outlier scores")
+        p.add_argument("model")
+        p.add_argument("data")
+        p.add_argument("--mode", dest="score_mode",
+                       choices=("exact", "greedy"), default="exact")
+        p.add_argument("--m-cap", type=int, default=256)
+        p.add_argument("--target", default=None)
+        p.add_argument("-o", "--output", default=None)
+        p.set_defaults(func=cmd_outliers)
 
-    p = sub.add_parser("prototypes", help="class prototypes")
-    p.add_argument("model")
-    p.add_argument("data")
-    p.add_argument("--k", type=int, default=10)
-    p.add_argument("--n-protos", type=int, default=1)
-    p.add_argument("--target", default=None)
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_prototypes)
+    if command in (None, "prototypes"):
+        p = sub.add_parser("prototypes", help="class prototypes")
+        p.add_argument("model")
+        p.add_argument("data")
+        p.add_argument("--k", type=int, default=10)
+        p.add_argument("--n-protos", type=int, default=1)
+        p.add_argument("--target", default=None)
+        p.add_argument("-o", "--output", default=None)
+        p.set_defaults(func=cmd_prototypes)
 
-    p = sub.add_parser("impute", help="fill missing values")
-    p.add_argument("data")
-    p.add_argument("schema")
-    p.add_argument("-o", "--output", required=True)
-    p.add_argument("--impute-method", choices=("bc", "young"), default="bc")
-    p.add_argument("--max-iters", type=int, default=6)
-    p.add_argument("--tol", type=float, default=1e-3)
-    p.add_argument("--target", default=None)
-    p.add_argument("--trace", default=None)
-    p.add_argument("--mode", choices=MODES, default="unsupervised")
-    _add_forest_flags(p)
-    p.set_defaults(func=cmd_impute)
+    if command in (None, "impute"):
+        p = sub.add_parser("impute", help="fill missing values")
+        p.add_argument("data")
+        p.add_argument("schema")
+        p.add_argument("-o", "--output", required=True)
+        p.add_argument("--impute-method", choices=("bc", "young"),
+                       default="bc")
+        p.add_argument("--max-iters", type=int, default=6)
+        p.add_argument("--tol", type=float, default=1e-3)
+        p.add_argument("--target", default=None)
+        p.add_argument("--trace", default=None)
+        p.add_argument("--mode", choices=MODES, default="unsupervised")
+        _add_forest_flags(p)
+        p.set_defaults(func=cmd_impute)
 
-    p = sub.add_parser("validate-imputation",
-                       help="rank imputed datasets without ground truth")
-    p.add_argument("reference")
-    p.add_argument("candidates", nargs="+")
-    p.add_argument("--schema", required=True)
-    p.add_argument("-o", "--output", default=None)
-    _add_forest_flags(p)
-    # the validator's forest is always unsupervised, so it takes no --mode
-    p.set_defaults(func=cmd_validate_imputation, mode="unsupervised")
+    if command in (None, "validate-imputation"):
+        p = sub.add_parser("validate-imputation",
+                           help="rank imputed datasets without ground truth")
+        p.add_argument("reference")
+        p.add_argument("candidates", nargs="+")
+        p.add_argument("--schema", required=True)
+        p.add_argument("-o", "--output", default=None)
+        _add_forest_flags(p)
+        # the validator's forest is always unsupervised, so it takes no --mode
+        p.set_defaults(func=cmd_validate_imputation, mode="unsupervised")
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     try:
         return args.func(args)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -424,9 +424,8 @@ def load_dense_csv(path, schema: FeatureSchema, target_column=None
     a finite number.
     """
     with _read_text(path, newline="") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = next(csv.reader(fh))
         except StopIteration:
             raise FormatError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
@@ -448,7 +447,8 @@ def load_dense_csv(path, schema: FeatureSchema, target_column=None
         # blocks of (values, mask, target); a fault raises in its block
         parts = [(np.empty((0, m)), np.zeros((0, m), dtype=bool), np.empty(0))]
         line = 2  # the file line of the next record
-        while records := list(itertools.islice(reader, _CSV_BLOCK_ROWS)):
+        while lines := list(itertools.islice(fh, _CSV_BLOCK_ROWS)):
+            records = _split_records(lines, fh)
             parts.append(_parse_records(records, line, path, len(header),
                                         col_map, target_pos, schema))
             line += len(records)
@@ -463,6 +463,23 @@ def load_dense_csv(path, schema: FeatureSchema, target_column=None
                               None if target_pos is None else target)
 
 
+def _split_records(lines, fh) -> list:
+    """The CSV records that start on `lines` of file `fh`, split at commas
+    when the block holds no quote and no CR, else read by csv.reader."""
+    text = "".join(lines)
+    if '"' in text or "\r" in text:
+        return _csv_records(lines, fh)
+    # the newline that ends the last line leaves one row more
+    return [row.split(",") if row else []
+            for row in text.split("\n")[:len(lines)]]
+
+
+def _csv_records(lines, fh) -> list:
+    """csv.reader's records that start on `lines`, reading on from `fh`."""
+    reader = csv.reader(itertools.chain(lines, fh))
+    return list(itertools.islice(reader, len(lines)))
+
+
 def _parse_records(records, line, path, n_fields, col_map, target_pos,
                    schema):
     """Parse CSV records column-wise into (values, mask, target).
@@ -475,14 +492,14 @@ def _parse_records(records, line, path, n_fields, col_map, target_pos,
     # cell on an earlier line is still the first fault
     cut = next((i for i, rec in enumerate(records) if len(rec) != n_fields),
                len(records))
-    table = records[:cut]
-    n, m = len(table), schema.n_features
+    columns = list(zip(*records[:cut])) or [()] * n_fields
+    n, m = cut, schema.n_features
     values = np.empty((n, m))
     mask = np.zeros((n, m), dtype=bool)
     faults = []  # each column's first bad cell: (row, position, error)
     for k, (src, feat) in enumerate(zip(col_map, schema.features)):
-        cells = [rec[src].strip() for rec in table]
         if feat.kind == CATEGORICAL:
+            cells = [cell.strip() for cell in columns[src]]
             # the first code of a repeated label; the missing token wins
             codes = {label: float(code) for code, label
                      in reversed(list(enumerate(feat.categories)))}
@@ -497,22 +514,17 @@ def _parse_records(records, line, path, n_fields, col_map, target_pos,
             values[:, k] = picked
             mask[:, k] = np.isnan(values[:, k])
             continue
-        if MISSING_TOKEN in cells:
-            mask[:, k] = [cell == MISSING_TOKEN for cell in cells]
-            cells = ["nan" if miss else cell
-                     for cell, miss in zip(cells, mask[:, k])]
-        r = _parse_floats(cells, values[:, k])
-        if r is not None:
-            faults.append((r, k, ParseError(
-                f"{path}:{line + r}: column {feat.name!r}: "
-                f"cannot parse {cells[r]!r} as a number")))
+        bad = _parse_floats(columns[src], values[:, k], mask[:, k])
+        if bad is not None:
+            faults.append((bad[0], k, ParseError(
+                f"{path}:{line + bad[0]}: column {feat.name!r}: "
+                f"cannot parse {bad[1]!r} as a number")))
     target = np.empty(n)
     if target_pos is not None:
-        cells = [rec[target_pos].strip() for rec in table]
-        r = _parse_floats(cells, target)
-        if r is not None:
-            faults.append((r, m, ParseError(
-                f"{path}:{line + r}: cannot parse target {cells[r]!r}")))
+        bad = _parse_floats(columns[target_pos], target)
+        if bad is not None:
+            faults.append((bad[0], m, ParseError(
+                f"{path}:{line + bad[0]}: cannot parse target {bad[1]!r}")))
     if faults:
         raise min(faults, key=lambda fault: fault[:2])[2]
     if cut < len(records):
@@ -521,8 +533,18 @@ def _parse_records(records, line, path, n_fields, col_map, target_pos,
     return values, mask, target
 
 
-def _parse_floats(cells, out) -> int | None:
-    """Parse `cells` as Python floats into `out`; the first bad index or None."""
+def _parse_floats(cells, out, mask=None) -> tuple | None:
+    """Parse `cells` as Python floats into `out`: None, or the first bad
+    cell's index and stripped text; `mask` marks MISSING_TOKEN cells, NaN.
+    Cells strip only if need be, as numpy and float() skip whitespace."""
+    with suppress(ValueError):
+        if mask is None or MISSING_TOKEN not in cells:
+            out[:] = np.array(cells, dtype=np.float64)
+            return None
+    cells = [cell.strip() for cell in cells]
+    if mask is not None and MISSING_TOKEN in cells:
+        mask[:] = [cell == MISSING_TOKEN for cell in cells]
+        cells = ["nan" if miss else cell for cell, miss in zip(cells, mask)]
     try:
         out[:] = np.array(cells, dtype=np.float64)
     except ValueError:
@@ -530,7 +552,7 @@ def _parse_floats(cells, out) -> int | None:
             try:
                 float(cell)
             except ValueError:
-                return r
+                return r, cell
         raise
     return None
 

@@ -8,7 +8,7 @@ import pytest
 from helpers import loads_numpy_ma, with_config
 
 import forestfuse as ff
-from forestfuse.cli import main
+from forestfuse.cli import build_parser, main
 from forestfuse.forest import _query_leaves
 
 
@@ -254,6 +254,61 @@ def test_train_importance_out_is_the_importance_command(trained, tmp_path):
         written = tmp_path / f"imp.{kind.replace('-', '_')}.csv"
         assert written.read_bytes() == out.read_bytes()
 
+
+@pytest.mark.parametrize("kind", ["overall-var", "overall-prox"])
+def test_importance_rejects_row_with_an_overall_type(trained, capsys, kind):
+    paths, _, _ = trained
+    capsys.readouterr()
+    assert main(["importance", str(paths["model.ffm"]),
+                 str(paths["train.csv"]), "--target", "label", "--type", kind,
+                 "--row", "3"]) == 1
+    assert_one_line_error(capsys, "--row applies to local-var and local-prox")
+
+
+COMMANDS = ("train", "predict", "similar", "importance", "outliers",
+            "prototypes", "impute", "validate-imputation")
+# each command's required arguments, then an option no parser knows
+UNRECOGNIZED = (
+    ["train", "d", "s", "-o", "m", "--mode", "regression", "--bogus"],
+    ["predict", "m", "d", "--bogus"],
+    ["similar", "m", "q", "--bogus"],
+    ["importance", "m", "d", "--type", "local-var", "--bogus"],
+    ["outliers", "m", "d", "--bogus"],
+    ["prototypes", "m", "d", "--bogus"],
+    ["impute", "d", "s", "-o", "f", "--bogus"],
+    ["validate-imputation", "r", "c", "--schema", "s", "--bogus"],
+)
+
+
+def exit_texts(parse, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return captured.out, captured.err, exc.value.code
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["--version"],
+    *([command, "--help"] for command in COMMANDS),
+    *([command] for command in COMMANDS),
+    ["bogus"], *UNRECOGNIZED,
+    ["importance", "m", "d", "--type", "bogus"],
+    ["similar", "m", "q", "--k", "x"],
+])
+def test_main_prints_what_the_full_parser_prints(argv, capsys):
+    # main builds only the invoked command's subparser
+    full = exit_texts(build_parser().parse_args, argv, capsys)
+    assert exit_texts(main, argv, capsys) == full
+    assert full[2] == (0 if "--help" in argv or "--version" in argv else 2)
+
+
+
+def test_usage_errors_name_the_command_argument(capsys):
+    # a metavar on the full parser would name it "{train,...}" instead
+    assert exit_texts(main, [], capsys)[1].endswith(
+        "error: the following arguments are required: command\n")
+    assert ("error: argument command: invalid choice: 'bogus'"
+            in exit_texts(main, ["bogus"], capsys)[1])
 
 @pytest.mark.parametrize("method", ["bc", "young"])
 def test_impute_does_not_import_numpy_ma(trained, tmp_path, method):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from helpers import dense_to_csr, sparse_matrices
 
@@ -17,6 +17,30 @@ def write(tmp_path, name, text):
 
 def two_continuous():
     return ff.continuous_schema(["a", "b"])
+
+
+def padded(cells):
+    """Cells with optional whitespace on either side."""
+    pad = st.sampled_from(["", " ", "\t"])
+    return st.tuples(pad, cells, pad).map("".join)
+
+
+CSV_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["1.5", "-2", "0", "NA", "nan", "zap", "1e", "", '"1.5"']))
+# known labels come twice as often; schema categories may hold commas,
+# and a quoted field may span lines
+CSV_LABELS = st.sampled_from(["red", "blue", "red", "blue", "NA", '"x,y"',
+                              "green", '"red"', '"a\nb"', '"x\r\ny"'])
+# records of the a,c,b,y header two times in three, else short or long
+# records or blank lines; LF six times in eight
+CSV_RECORD = st.tuples(padded(CSV_NUMBERS), padded(CSV_LABELS),
+                       padded(CSV_NUMBERS), padded(CSV_NUMBERS))
+CSV_LINES = st.lists(st.tuples(
+    st.one_of(CSV_RECORD, CSV_RECORD,
+              st.lists(padded(st.one_of(CSV_NUMBERS, CSV_LABELS)),
+                       max_size=6)).map(",".join),
+    st.sampled_from(["\n"] * 6 + ["\r\n", "\r"])).map("".join), max_size=12)
 
 
 class TestDenseCsv:
@@ -127,6 +151,56 @@ class TestDenseCsv:
         np.testing.assert_array_equal(parts.missing, whole.missing)
         np.testing.assert_array_equal(parts.target, np.arange(40.0))
         assert whole.n_missing > 0
+
+    def test_cells_are_read_without_surrounding_whitespace(self, tmp_path):
+        # float() takes " 1.5 " but not "\x1c-3", which str.strip strips
+        schema = ff.FeatureSchema([
+            ff.Feature("a", ff.CONTINUOUS),
+            ff.Feature("c", ff.CATEGORICAL, ("red", "blue")),
+            ff.Feature("b", ff.CONTINUOUS),
+        ])
+        path = write(tmp_path, "d.csv", "a,c,b,y\n 1.5 , blue ,\tNA , 2\n"
+                     "\x1c-3\x1c,red ,4\x1c, 0\n")
+        ds = ff.load_dense_csv(path, schema, target_column="y")
+        np.testing.assert_array_equal(ds.values,
+                                      [[1.5, 1.0, np.nan], [-3.0, 0.0, 4.0]])
+        assert ds.missing.tolist() == [[False, False, True],
+                                       [False, False, False]]
+        assert ds.target.tolist() == [2.0, 0.0]
+
+    @given(lines=CSV_LINES, last_ending=st.booleans())
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_split_blocks_read_as_csv_reader_reads_them(self, tmp_path,
+                                                        lines, last_ending):
+        # a block with no quote and no CR is split at its commas; the
+        # reference reads every block with csv.reader
+        text = "a,c,b,y\n" + "".join(lines)
+        if lines and not last_ending:
+            text = text.rstrip("\r\n")
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode("utf-8"))
+        schema = ff.FeatureSchema([
+            ff.Feature("a", ff.CONTINUOUS),
+            ff.Feature("c", ff.CATEGORICAL, ("red", "blue", "x,y")),
+            ff.Feature("b", ff.CONTINUOUS),
+        ])
+
+        def outcome():
+            try:
+                ds = ff.load_dense_csv(path, schema, target_column="y")
+            except Exception as exc:
+                return type(exc), str(exc)
+            return (ds.values.shape, ds.values.tobytes(),
+                    ds.missing.tobytes(), ds.target.tobytes())
+
+        for block_rows in (1, 2, 256):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(ff.dataset, "_CSV_BLOCK_ROWS", block_rows)
+                split = outcome()
+                mp.setattr(ff.dataset, "_split_records",
+                           ff.dataset._csv_records)
+                assert split == outcome()
 
     def test_header_mismatch(self, tmp_path):
         path = write(tmp_path, "d.csv", "a,c\n1.0,2.0\n")

@@ -428,6 +428,8 @@ def load_dense_csv(path, schema: FeatureSchema, target_column=None
             header = next(csv.reader(fh))
         except StopIteration:
             raise FormatError(f"{path}: empty file") from None
+        except csv.Error as exc:
+            raise ParseError(f"{path}:1: {exc}") from None
         header = [h.strip() for h in header]
         target_pos = None
         if target_column is not None:
@@ -448,7 +450,7 @@ def load_dense_csv(path, schema: FeatureSchema, target_column=None
         parts = [(np.empty((0, m)), np.zeros((0, m), dtype=bool), np.empty(0))]
         line = 2  # the file line of the next record
         while lines := list(itertools.islice(fh, _CSV_BLOCK_ROWS)):
-            records = _split_records(lines, fh)
+            records = _split_records(lines, fh, path, line)
             parts.append(_parse_records(records, line, path, len(header),
                                         col_map, target_pos, schema))
             line += len(records)
@@ -463,21 +465,26 @@ def load_dense_csv(path, schema: FeatureSchema, target_column=None
                               None if target_pos is None else target)
 
 
-def _split_records(lines, fh) -> list:
+def _split_records(lines, fh, path, line) -> list:
     """The CSV records that start on `lines` of file `fh`, split at commas
     when the block holds no quote and no CR, else read by csv.reader."""
     text = "".join(lines)
     if '"' in text or "\r" in text:
-        return _csv_records(lines, fh)
+        return _csv_records(lines, fh, path, line)
     # the newline that ends the last line leaves one row more
     return [row.split(",") if row else []
             for row in text.split("\n")[:len(lines)]]
 
 
-def _csv_records(lines, fh) -> list:
-    """csv.reader's records that start on `lines`, reading on from `fh`."""
+def _csv_records(lines, fh, path, line) -> list:
+    """csv.reader's records that start on `lines`, at file line `line`,
+    reading on from `fh`; a record it rejects raises ParseError."""
     reader = csv.reader(itertools.chain(lines, fh))
-    return list(itertools.islice(reader, len(lines)))
+    try:
+        return list(itertools.islice(reader, len(lines)))
+    except csv.Error as exc:
+        raise ParseError(f"{path}:{line + reader.line_num - 1}: {exc}"
+                         ) from None
 
 
 def _parse_records(records, line, path, n_fields, col_map, target_pos,

@@ -10,10 +10,11 @@ from the root, so a forest is a bit-identical function of the data and
 the config.
 
 The trees of a forest grow together, one level at a time, in groups
-whose level arrays fit BLOCK_BYTES (`_grow_trees`). Each level gathers
-the labels, counts them, reads the candidate cells, routes the rows and
-partitions them into the next level once for all the open nodes of all
-the group's trees, one call draws their candidate features
+whose level arrays fit BLOCK_BYTES (`_grow_trees`), a classification
+tree on each distinct in-bag row once, weighted by its draw count. Each
+level gathers the labels, counts them, reads the candidate cells, routes
+the rows and partitions them into the next level once for all the open
+nodes of all the group's trees, one call draws their candidate features
 (`rng.LevelStreams`), from Philox on arrays on a level of many, and one
 call finds their splits as arrays (`splitfind.find_splits`), which scans
 the classification nodes together, in blocks of consecutive nodes, but
@@ -132,7 +133,7 @@ class ForestConfig:
 # on and `load_model` checks. A tree grown here numbers its nodes level by
 # level and its leaf ids in node order; a reader asks only the rules
 # above, so files numbered depth first still load. A row goes left iff
-# its value <= threshold. n_node counts the node's in-bag rows; value
+# its value <= threshold. n_node counts the node's in-bag draws; value
 # holds their class counts, (nodes, K), or for regression their target
 # mean. split_gain has one entry per feature, not per node: the gain the
 # tree credits to each feature.
@@ -644,7 +645,9 @@ def _bin_columns(data, categorical, n_bins: int, held_out=None):
 # -- growth ----------------------------------------------------------------
 
 # bytes one (row, tree) cell of a growth level holds at most: its row,
-# node and label, the masks and the partition's counts
+# weight, node and label, the masks and the partition's counts (at 6,000
+# and 10,000 rows, 3 and 9 dense features, 4 trees: 69-96 a draw for
+# classification, which holds distinct rows, 113-125 for regression)
 _GROW_CELL_BYTES = 112
 # and per candidate feature: its id, value and held flag while its cells
 # are read, and on CSR the read's cell keys, positions and gathered values
@@ -664,17 +667,21 @@ def _grow_trees(data, y, trees, *, task, n_classes, n_features, mtry,
 
     The trees grow together, one level at a time. A level holds every
     open node of every tree, its in-bag rows in one array, node after
-    node, and runs one label gather and one count for all of them, one
-    read of the candidate cells of the nodes that try a split, one
-    compare that routes their rows, and one stable partition of those
-    rows into the next level, each node's left child before its right.
-    One `splitfind.find_splits` call finds the level's splits, as
-    (feature, threshold, gain) arrays, its classification nodes a block
-    at a time (`splitfind.find_level_splits`). One
-    `rng.LevelStreams.candidates` call draws every open node's candidate
-    features, the sorted set of numpy 2.x's
-    `Generator.choice(n_features, size=mtry, replace=False)` on the
-    node's Philox stream: a level of at least
+    node: a classification tree each distinct in-bag row once, weighted
+    by its draw count, a regression tree each draw (weight 1: its float
+    sums follow draw order). Sizes, class counts, the held-out side rule
+    and the scan count rows by weight, so a node gets the counts and split
+    of its draws (`splitfind` module docstring). A level runs one label
+    gather and one count for all of its nodes, one read of the candidate
+    cells of the nodes that try a split, one compare that routes their
+    rows, and one stable partition of those rows and their weights into
+    the next level, each node's left child before its right. One
+    `splitfind.find_splits` call finds the level's splits, as (feature,
+    threshold, gain) arrays, its classification nodes a block at a time
+    (`splitfind.find_level_splits`). One `rng.LevelStreams.candidates`
+    call draws every open node's candidate features, the sorted set of
+    numpy 2.x's `Generator.choice(n_features, size=mtry, replace=False)`
+    on the node's Philox stream: a level of at least
     `rng._LEVEL_DRAW_NODES` nodes runs Philox on uint64 arrays and
     Floyd's draws column by column, and a smaller level re-keys each
     node's stream and replays the draw on its raw output (`rng.choose`).
@@ -688,20 +695,25 @@ def _grow_trees(data, y, trees, *, task, n_classes, n_features, mtry,
     draws = [tree_rng(seed, t).integers(0, n_rows, size=n_rows) for t in trees]
     inbag = np.column_stack([np.bincount(d, minlength=n_rows) for d in draws])
     streams = LevelStreams(seed, trees)
-    # the level's nodes: node i holds rows[starts[i]:starts[i + 1]], grows
-    # in tree tree[i] (of the group) and has path id route[i]
+    # the level's nodes: node i holds rows[starts[i]:starts[i + 1]], of
+    # weights w, grows in tree tree[i] (of the group), path id route[i]
+    if task == "classification":
+        draws = [np.flatnonzero(c) for c in inbag.T]
     rows = np.concatenate(draws)
-    starts = np.arange(len(trees) + 1) * n_rows
+    w = (np.concatenate([c[d] for c, d in zip(inbag.T, draws)])
+         if task == "classification" else np.ones_like(rows))
+    starts = np.cumsum([0] + [len(d) for d in draws])
     tree = np.arange(len(trees))
     route = np.full(len(trees), ROOT_ROUTE, dtype=np.uint64)
     levels, depth = [], 0
     while len(tree):
         nn, size = len(tree), np.diff(starts)
         node = np.repeat(np.arange(nn), size)
+        n_node = np.add.reduceat(w, starts[:-1])
         yv = y[rows]
         if task == "classification":
-            value = np.bincount(node * n_classes + yv, minlength=nn * n_classes
-                                ).reshape(nn, n_classes)
+            value = np.bincount(node * n_classes + yv, w, nn * n_classes
+                                ).astype(np.int64).reshape(nn, n_classes)
             pure = np.count_nonzero(value, axis=1) == 1
         else:
             # one sum per node, rounding as the node's targets alone do
@@ -710,11 +722,11 @@ def _grow_trees(data, y, trees, *, task, n_classes, n_features, mtry,
                               zip(bounds, bounds[1:])]) / size
             pure = (np.minimum.reduceat(yv, starts[:-1])
                     == np.maximum.reduceat(yv, starts[:-1]))
-        level = {"tree": tree, "n_node": size, "value": value,
+        level = {"tree": tree, "n_node": n_node, "value": value,
                  "feature": np.full(nn, _LEAF), "threshold": np.full(nn, np.nan),
                  "gain": np.zeros(nn), "held_out_left": np.zeros(nn, bool)}
         levels.append(level)
-        keep = ~pure & (size > min_node_size)
+        keep = ~pure & (n_node > min_node_size)
         opened = np.flatnonzero(keep)
         if (max_depth is not None and depth >= max_depth) or not opened.size:
             break
@@ -724,7 +736,7 @@ def _grow_trees(data, y, trees, *, task, n_classes, n_features, mtry,
                                    mtry)
         # the open nodes' rows, the nodes renumbered from 0
         keep = keep[node]
-        rows, yv = rows[keep], yv[keep]
+        rows, yv, w = rows[keep], yv[keep], w[keep]
         size = size[opened]
         starts = np.concatenate(([0], np.cumsum(size)))
         node = np.repeat(np.arange(len(opened)), size)
@@ -735,7 +747,7 @@ def _grow_trees(data, y, trees, *, task, n_classes, n_features, mtry,
         del cell_feats
         feature, threshold, gain = find_splits(
             cols, feats, yv, starts, task=task, n_classes=n_classes,
-            held=held)
+            held=held, weights=w if task == "classification" else None)
         found = feature >= 0
         # each row's value of its node's split feature
         col = np.argmax(feats == feature[:, None], axis=1)[node]
@@ -745,8 +757,8 @@ def _grow_trees(data, y, trees, *, task, n_classes, n_features, mtry,
         if held is not None:
             # held-out rows follow the side with more observed rows
             obs = ~held[cell]
-            side = (2 * np.bincount(node[obs & go_left], minlength=len(size))
-                    >= np.bincount(node[obs], minlength=len(size)))
+            side = (2 * np.bincount(node, w * (obs & go_left), len(size))
+                    >= np.bincount(node, w * obs, len(size)))
             go_left = np.where(obs, go_left, side[node])
             level["held_out_left"][opened] = found & side
         n_left = np.bincount(node[go_left], minlength=len(size))
@@ -764,7 +776,7 @@ def _grow_trees(data, y, trees, *, task, n_classes, n_features, mtry,
         # a stable partition by counts: each split node's rows go to its
         # left child, then its right child, both in row order
         keep = ok[node]
-        rows, go_left = rows[keep], go_left[keep]
+        rows, w, go_left = rows[keep], w[keep], go_left[keep]
         n_left, size = n_left[ok], size[ok]
         node = np.repeat(np.arange(len(size)), size)
         first = np.cumsum(size) - size
@@ -773,9 +785,9 @@ def _grow_trees(data, y, trees, *, task, n_classes, n_features, mtry,
         at = np.where(go_left, left_before + (first - at_first)[node],
                       np.arange(len(rows)) - left_before
                       + (at_first + n_left)[node])
-        moved = np.empty_like(rows)
-        moved[at] = rows
-        rows = moved
+        moved = np.empty((2, len(rows)), dtype=rows.dtype)
+        moved[:, at] = rows, w
+        rows, w = moved
         sizes = np.column_stack([n_left, size - n_left]).ravel()
         starts = np.concatenate(([0], np.cumsum(sizes)))
         tree = np.repeat(tree[split], 2)

@@ -5,14 +5,15 @@ a block at a time (`find_level_splits`): one float argsort of the
 block's keys and one stable argsort of their (node, candidate) segment
 ids put every column's cells in key order, segment after segment, and
 one integer running count a class, with a base per segment, gives every
-boundary's class counts. Regression nodes sort each column of the node
-with one argsort and run one cumulative sum of the targets down the
-sorted rows (float sums, so the sort is stable). A split may fall only
-between two sorted rows whose values differ, and its threshold is the
-midpoint of those two values (`_midpoint`). Under `histogram` the
-grower passes each continuous feature's global bin codes in place of
-its values and turns the midpoint of two codes into a value edge
-(`forest._bin_columns`); the scan is the same.
+boundary's class counts; a row of integer weight w (its draw count in
+the tree's bootstrap) counts as w rows. Regression nodes sort each
+column of the node with one argsort and run one cumulative sum of the
+targets down the sorted rows (float sums, so the sort is stable). A
+split may fall only between two sorted rows whose values differ, and
+its threshold is the midpoint of those two values (`_midpoint`). Under
+`histogram` the grower passes each continuous feature's global bin
+codes in place of its values and turns the midpoint of two codes into a
+value edge (`forest._bin_columns`); the scan is the same.
 
 The criterion is Gini impurity decrease for classification and variance
 reduction for regression, both normalized per sample in the node, so a
@@ -35,8 +36,8 @@ their exact gains by integer cross-multiplication. A band of one
 candidate needs no ranking: the level scan divides its exact gain's
 int64 numerator and denominator in float64, for all such nodes at once,
 which rounds as Python's int / int does while both are below 2**53
-(nodes of at most _EXACT_ROWS rows). Held cells change nothing here:
-every node, masked or not, gets this one rule.
+(nodes of at most _EXACT_ROWS rows, counted by weight). Held cells
+change nothing here: every node, masked or not, gets this one rule.
 
 The grower finds a level's splits with one call (`find_splits`), which
 scans the level's classification nodes in blocks of consecutive nodes
@@ -56,7 +57,10 @@ bit for bit, in whatever block it is scanned:
   depend on the order of equal values, so a block's sort scores the
   boundaries a node's own sort scores;
 * thresholds come from the same float operation, and none depends on a
-  zero's sign.
+  zero's sign;
+* a row of weight w scans as w rows with its values and label: every
+  boundary between two different values gets the same ints a, b, P, nL
+  and n, so the same float gain, tie rule and midpoint.
 """
 
 from __future__ import annotations
@@ -90,9 +94,9 @@ _TIE_BAND = 1e-9
 SMALL_CELLS = 64
 _SMALL_LEVEL_NODES = 8
 
-# a node of at most this many rows takes its exact gain as an int64
-# quotient when its tie band holds one candidate: its num and den are at
-# most n**4 / 4 < 2**53 (`find_level_splits`)
+# a node of at most this many rows, counted by weight (draws, not distinct
+# rows), takes its exact gain as an int64 quotient when its tie band holds
+# one candidate: its num and den are at most n**4 / 4 < 2**53
 _EXACT_ROWS = 13_000
 
 # a level scan block of at most this many (node, candidate) segments keys
@@ -150,7 +154,8 @@ def _tie_rule(cands, n):
     return best[0], best[3]
 
 
-def find_level_splits(cols, feat_ids, y, starts, *, n_classes, held=None):
+def find_level_splits(cols, feat_ids, y, starts, *, n_classes, held=None,
+                      weights=None):
     """Best split of each node of a block of classification nodes.
 
     Parameters
@@ -166,6 +171,9 @@ def find_level_splits(cols, feat_ids, y, starts, *, n_classes, held=None):
         Row offsets, from 0 to N, strictly increasing.
     held : optional (N, f) bool array
         Cells the splits must not read (held cells, module docstring).
+    weights : optional (N,) int array
+        Each row's weight, at least 1 (None: 1): a row of weight w counts
+        as w rows with its values and label.
 
     Returns
     -------
@@ -178,22 +186,25 @@ def find_level_splits(cols, feat_ids, y, starts, *, n_classes, held=None):
     of all keys, then a stable argsort of the segment ids in that order
     (uint16 ids, which numpy sorts by radix, while the block has at most
     65536 segments), list each segment's cells in key order, segment
-    after segment. Per class present, one integer cumulative sum less its
-    value before each segment's first cell is that class's left count at
-    every boundary, and its value at the segment's last observed row the
-    column's total; the last class present takes the rest of each
-    boundary's rows. a and b sum the squared left and right counts and
-    P the squared totals, and every boundary's float gain is
-    (a / nL + b / max(n_obs - nL, 1) - P / n_obs) / n. Each node's float
-    maximum comes from one `maximum.reduceat`. A node with one candidate
-    within _TIE_BAND of it and at most _EXACT_ROWS rows takes that
-    candidate's exact gain as one int64 quotient, with the other such
-    nodes; `_tie_rule` runs once a node over the band of every other.
+    after segment. One integer cumulative sum of the sorted weights, less
+    its value before each segment's first cell, is nL at every boundary,
+    and its value at the segment's last observed row the column's n_obs;
+    per class present, the same sum of its cells' weights is its left
+    count, and at that row its total; the last class present takes the
+    rest. a and b sum the squared left and right counts and P the squared
+    totals, and every boundary's float gain is
+    (a / nL + b / max(n_obs - nL, 1) - P / n_obs) / n, n the node's
+    weight. Each node's float maximum comes from one `maximum.reduceat`.
+    A node with one candidate within _TIE_BAND of it and n <= _EXACT_ROWS
+    takes that candidate's exact gain as one int64 quotient, with the
+    other such nodes; `_tie_rule` runs once a node over every other band.
     """
     n_rows, f = cols.shape
     starts = np.asarray(starts, dtype=np.int64)
     sizes = np.diff(starts)
     n_seg = len(sizes) * f
+    weights = np.ones(n_rows, np.int64) if weights is None else weights
+    n = np.add.reduceat(weights, starts[:-1])
     keys = cols if held is None else np.where(held, np.inf, cols)
     # each cell's segment, node * f + j
     ids = np.uint16 if n_seg <= _UINT16_SEGMENTS else np.int64
@@ -203,21 +214,24 @@ def find_level_splits(cols, feat_ids, y, starts, *, n_classes, held=None):
     order = order.take(seg.take(order).argsort(kind="stable"))
     del seg
     sk = keys.take(order)
-    lab = y.take(order // f)
+    order //= f
+    lab, ws = y.take(order), weights.take(order)
     del order
 
-    # each segment's rows and first cell, its n_obs observed rows (clamped
-    # for a column held whole, whose boundaries are all masked below) and
-    # the cell at its last observed row; every cell's segment
+    # each segment's rows and first cell, the cell at its last observed
+    # row (the first for a column held whole, whose boundaries are all
+    # masked below) and every cell's segment
     seg_len = np.repeat(sizes, f)
     first = np.cumsum(seg_len) - seg_len
-    n_obs = seg_len if held is None else np.maximum(seg_len - np.add.reduceat(
-        held, starts[:-1], axis=0, dtype=np.int64).ravel(), 1)
-    last = first + n_obs - 1
+    last = first - 1 + (seg_len if held is None else np.maximum(
+        seg_len - np.add.reduceat(held, starts[:-1], axis=0,
+                                  dtype=np.int64).ravel(), 1))
     of_seg = np.repeat(np.arange(n_seg), seg_len)
-    # the rows left of each cell's boundary, itself included
-    n_left = np.arange(1, n_rows * f + 1, dtype=np.int64) - first.take(
-        of_seg)
+    # the weight left of each cell's boundary, itself included, and the
+    # n_obs observed weight of each segment
+    n_left = np.cumsum(ws, dtype=np.int64)
+    n_left -= (n_left.take(first) - ws.take(first)).take(of_seg)
+    n_obs = n_left.take(last)
 
     a = np.zeros(n_rows * f, dtype=np.int64)
     b = np.zeros_like(a)
@@ -227,24 +241,24 @@ def find_level_splits(cols, feat_ids, y, starts, *, n_classes, held=None):
         if k == present[-1]:
             left = rest
         else:
-            is_k = lab == k
+            is_k = np.where(lab == k, ws, 0)
             left = np.cumsum(is_k, dtype=np.int64)
             left -= (left.take(first) - is_k.take(first)).take(of_seg)
             rest -= left
         a += left * left
         left -= left.take(last).take(of_seg)
         b += left * left
-    del lab, rest, left
+    del lab, ws, rest, left
     parent = a.take(last)
 
-    # the observed rows right of each boundary; none at a boundary past
-    # them, which is masked
+    # the observed weight right of each boundary; none at a boundary past
+    # the observed rows, which is masked
     n_right = n_obs.take(of_seg) - n_left
     past = n_right <= 0
     gains = a / n_left
     gains += b / np.maximum(n_right, 1, out=n_right)
     gains -= (parent / n_obs).take(of_seg)
-    gains /= np.repeat(sizes, sizes * f)
+    gains /= np.repeat(n, sizes * f)
     gains[past] = -np.inf
     gains[:-1][sk[:-1] == sk[1:]] = -np.inf
 
@@ -261,13 +275,13 @@ def find_level_splits(cols, feat_ids, y, starts, *, n_classes, held=None):
     # a node whose band holds one candidate takes its exact gain num / den
     # (`_tie_rule`) as an int64 quotient, correctly rounded while both
     # are below 2**53 (_EXACT_ROWS)
-    one = found & (in_band == 1) & (sizes <= _EXACT_ROWS)
+    one = found & (in_band == 1) & (n <= _EXACT_ROWS)
     c = cand[np.repeat(one, in_band)]
     nl, m = n_left.take(c), n_obs.take(of_seg.take(c))
     nr = m - nl
     num = (a.take(c) * nr + b.take(c) * nl) * m - parent.take(
         of_seg.take(c)) * nl * nr
-    gain[one] = num / (nl * nr * m * sizes[one])
+    gain[one] = num / (nl * nr * m * n[one])
     at[one] = c
     # every other node with a split ranks its band by `_tie_rule`
     many = found & ~one
@@ -280,7 +294,7 @@ def find_level_splits(cols, feat_ids, y, starts, *, n_classes, held=None):
         cuts = np.cumsum(in_band[many]).tolist()
         gain[many], at[many] = zip(*[
             _tie_rule(rows[u:v], n) for u, v, n in
-            zip([0] + cuts, cuts, sizes[many].tolist())])
+            zip([0] + cuts, cuts, n[many].tolist())])
     at = at[found]
     feature[found] = feat_ids.take(of_seg.take(at))
     threshold[found] = _midpoint(sk.take(at), sk.take(at + 1))
@@ -288,7 +302,7 @@ def find_level_splits(cols, feat_ids, y, starts, *, n_classes, held=None):
 
 
 def find_node_split(cols, feat_ids, y, *, task, n_classes=0,
-                    held=None) -> Split | None:
+                    held=None, weights=None) -> Split | None:
     """Best split over the node's candidate features, or None.
 
     Parameters
@@ -304,6 +318,8 @@ def find_node_split(cols, feat_ids, y, *, task, n_classes=0,
     held : optional (n, f) bool array
         Cells the split must not read (see held cells in the module
         docstring). A column with fewer than 2 observed rows offers none.
+    weights : optional (n,) int array
+        Each sample's weight (`find_level_splits`); classification only.
 
     A classification node is scanned as a block of one node
     (`find_level_splits`). A regression node sums its targets down each
@@ -321,9 +337,11 @@ def find_node_split(cols, feat_ids, y, *, task, n_classes=0,
             raise ArgumentError("classification split needs n_classes >= 2")
         (feature,), (threshold,), (gain,) = find_level_splits(
             cols, np.asarray(feat_ids)[None], y, np.array([0, n]),
-            n_classes=n_classes, held=held)
+            n_classes=n_classes, held=held, weights=weights)
         return None if feature < 0 else Split(int(feature), float(threshold),
                                               float(gain))
+    if weights is not None:
+        raise ArgumentError("regression splits take no weights")
 
     keys = cols if held is None else np.where(held, np.inf, cols)
     # a float target sum depends on the order of equal keys
@@ -355,16 +373,16 @@ def find_node_split(cols, feat_ids, y, *, task, n_classes=0,
 
 
 def find_splits(cols, feat_ids, y, starts, *, task, n_classes=0,
-                held=None):
+                held=None, weights=None):
     """Best split of each node of a growth level, as `find_level_splits`
     returns them: (feature, threshold, gain) arrays, feature -1 where a
     node has no split.
 
-    Node i holds rows starts[i]:starts[i + 1] of cols, y and held (as in
-    `find_level_splits`) and has the candidate features feat_ids[i]. A
-    classification level is scanned in blocks (`find_level_splits`):
-    slices of consecutive nodes whose cells take at most
-    _SCAN_BLOCK_BYTES, a larger node a block alone. A regression level,
+    Node i holds rows starts[i]:starts[i + 1] of cols, y, held and
+    weights (as in `find_level_splits`) and has the candidate features
+    feat_ids[i]. A classification level is scanned in blocks
+    (`find_level_splits`): slices of consecutive nodes whose cells take at
+    most _SCAN_BLOCK_BYTES, a larger node a block alone. A regression level,
     and a level of fewer than _SMALL_LEVEL_NODES nodes of at most
     SMALL_CELLS cells each, is scanned node by node (`find_node_split`).
     A node or block with no held cell scans unmasked.
@@ -383,7 +401,8 @@ def find_splits(cols, feat_ids, y, starts, *, task, n_classes=0,
             sp = find_node_split(
                 cols[a:b], feat_ids[i], y[a:b], task=task,
                 n_classes=n_classes,
-                held=held[a:b] if held is not None and any_held[i] else None)
+                held=held[a:b] if held is not None and any_held[i] else None,
+                weights=None if weights is None else weights[a:b])
             if sp:
                 feature[i], threshold[i], gain[i] = (sp.feature, sp.threshold,
                                                      sp.gain)
@@ -400,5 +419,6 @@ def find_splits(cols, feat_ids, y, starts, *, task, n_classes=0,
         mask = None if held is None or not any_held[u:v].any() else held[a:b]
         feature[u:v], threshold[u:v], gain[u:v] = find_level_splits(
             cols[a:b], feat_ids[u:v], y[a:b], starts[u:v + 1] - a,
-            n_classes=n_classes, held=mask)
+            n_classes=n_classes, held=mask,
+            weights=None if weights is None else weights[a:b])
     return feature, threshold, gain

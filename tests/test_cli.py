@@ -200,6 +200,22 @@ def test_non_utf8_csv_is_a_one_line_error(trained, tmp_path, capsys,
     assert_one_line_error(capsys, "latin1.csv: not UTF-8 text")
 
 
+@pytest.mark.parametrize("line", [1, 2, 4])
+def test_a_cell_over_the_csv_field_limit_is_a_one_line_error(
+        trained, tmp_path, capsys, line):
+    # a quoted cell sends its block to csv.reader, which refuses a field
+    # over csv.field_size_limit() (131072 characters by default)
+    paths, _, _ = trained
+    lines = ["a,b,c", "0.1,0.2,0.3", "0.4,0.5,0.6", "0.7,0.8,0.9"]
+    lines[line - 1] = '"' + "1" * 200_000 + '"' + lines[line - 1][3:]
+    data = tmp_path / "big.csv"
+    data.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["predict", str(paths["model.ffm"]), str(data)]) == 1
+    assert_one_line_error(capsys, f"big.csv:{line}: field larger than "
+                          "field limit")
+
+
 def test_impute_rejects_a_nan_tolerance(trained, tmp_path, capsys):
     paths, _, _ = trained
     data = tmp_path / "holes.csv"

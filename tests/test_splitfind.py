@@ -401,12 +401,13 @@ def level_bits(splits):
 
 
 @st.composite
-def classification_levels(draw, min_size=1, max_size=6):
+def classification_levels(draw, min_size=1, max_size=6, f=None,
+                          n_classes=None):
     """(cols, feat_ids, y, starts, held, n_classes): min_size to max_size
     nodes of classification_nodes sharing their candidate count and
     classes, node after node, held None if no node holds a cell."""
-    f = draw(st.integers(1, 5))
-    n_classes = draw(st.sampled_from([2, 3, 5, 2000]))
+    f = f or draw(st.integers(1, 5))
+    n_classes = n_classes or draw(st.sampled_from([2, 3, 5, 2000]))
     nodes = draw(st.lists(classification_nodes(f=f, n_classes=n_classes),
                           min_size=min_size, max_size=max_size))
     held = None
@@ -470,6 +471,82 @@ class TestSmallNodeRoute:
                                     task="classification", n_classes=K,
                                     held=held)
         assert level_bits(got) == node_bits(level)
+
+
+@st.composite
+def weighted_levels(draw):
+    """(level, weights): a classification_levels level of 1-4 nodes with
+    1-4 candidates and 2-20 classes, and a weight of 1-5 a row."""
+    level = draw(classification_levels(
+        1, 4, f=draw(st.integers(1, 4)), n_classes=draw(st.integers(2, 20))))
+    n_rows = len(level[2])
+    return level, draw(one_draw(lambda g: g.integers(1, 6, size=n_rows)))
+
+
+def repeated(level, weights):
+    """The level with each row repeated weights[row] times."""
+    cols, feat_ids, y, starts, held, K = level
+    ends = np.cumsum(weights)
+    return (np.repeat(cols, weights, axis=0), feat_ids,
+            np.repeat(y, weights), np.concatenate(([0], ends))[starts],
+            None if held is None else np.repeat(held, weights, axis=0), K)
+
+
+class TestWeightedRows:
+    """A row of weight w scans as w copies of itself: the same class
+    counts at every boundary between distinct values, so the same split,
+    bit for bit, in a level scan or through `find_splits`."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(weighted_levels())
+    def test_weights_are_repeated_rows(self, case):
+        level, weights = case
+        cols, feat_ids, y, starts, held, K = level
+        got = splitfind.find_level_splits(cols, feat_ids, y, starts,
+                                          n_classes=K, held=held,
+                                          weights=weights)
+        rcols, _, ry, rstarts, rheld, _ = repeated(level, weights)
+        want = splitfind.find_level_splits(rcols, feat_ids, ry, rstarts,
+                                           n_classes=K, held=rheld)
+        assert level_bits(got) == level_bits(want)
+        got = splitfind.find_splits(cols, feat_ids, y, starts,
+                                    task="classification", n_classes=K,
+                                    held=held, weights=weights)
+        assert level_bits(got) == level_bits(want)
+
+    @pytest.mark.parametrize("n", [13_000, 13_001])
+    def test_weighted_size_decides_the_exact_gain_route(self, n):
+        # 40 distinct rows weigh n: past _EXACT_ROWS the one candidate of
+        # the band goes through `_tie_rule`, as its repeated rows do
+        x = np.arange(40, dtype=np.float64)
+        y = (x >= 13).astype(np.int64) + (x >= 27)
+        y[::4] = (y[::4] + 1) % 3
+        weights = np.full(40, n // 40)
+        weights[:n % 40] += 1
+        level = (x[:, None], np.array([[0]]), y, np.array([0, 40]), None, 3)
+        calls = []
+        rule = splitfind._tie_rule
+
+        def spy(cands, m):
+            calls.append(m)
+            return rule(cands, m)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(splitfind, "_tie_rule", spy)
+            got = splitfind.find_level_splits(
+                *level[:4], n_classes=3, weights=weights)
+            rcols, _, ry, rstarts, _, _ = repeated(level, weights)
+            want = splitfind.find_level_splits(rcols, level[1], ry, rstarts,
+                                               n_classes=3)
+        assert level_bits(got) == level_bits(want)
+        assert got[0][0] == 0
+        assert calls == ([] if n <= splitfind._EXACT_ROWS else [n, n])
+
+    def test_regression_takes_no_weights(self):
+        with pytest.raises(ff.ArgumentError, match="no weights"):
+            ff.find_node_split(np.arange(4.0)[:, None], np.array([0]),
+                               np.arange(4.0), task="regression",
+                               weights=np.ones(4, np.int64))
 
 
 class TestExactGain:

@@ -61,7 +61,8 @@ def _open_out(path):
 
 
 def _write_rows(path, header, rows, quote=True):
-    """CSV of `header` and `rows`; quote=False rows are (ints, float texts)."""
+    """CSV of `header` and `rows`; quote=False rows are (ids, texts), an
+    already joined prefix and field texts that never need quoting."""
     fh, close = _open_out(path)
     try:
         writer = csv.writer(fh, lineterminator="\n")
@@ -77,11 +78,31 @@ def _write_rows(path, header, rows, quote=True):
 
 def _texts(values) -> list:
     """Shortest round-trip text of each float of a 1-D array, or a list of
-    such rows for a 2-D one, read through one .tolist()."""
+    such rows for a 2-D one.
+
+    When at most half the cells are distinct, each distinct bit pattern
+    (so 0.0 and -0.0 stay apart) is repr'd once and its text indexed:
+    importance and probability matrices repeat a few values many times.
+    """
     values = np.asarray(values, dtype=np.float64)
+    flat = values.ravel()
+    bits = flat.view(np.int64)
+    order = bits.argsort()
+    ordered = bits[order]
+    first = np.empty(flat.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    if 2 * np.count_nonzero(first) > flat.size:
+        texts = list(map(repr, flat.tolist()))
+    else:
+        distinct = list(map(repr, flat[order[first]].tolist()))
+        which = np.empty(flat.size, dtype=np.intp)
+        which[order] = np.cumsum(first) - 1
+        texts = list(map(distinct.__getitem__, which.tolist()))
     if values.ndim == 2:
-        return [list(map(repr, row)) for row in values.tolist()]
-    return list(map(repr, values.tolist()))
+        w = values.shape[1]
+        return [texts[r * w:(r + 1) * w] for r in range(values.shape[0])]
+    return texts
 
 
 def _load_queries(path, schema, target) -> Dataset:
@@ -235,10 +256,12 @@ def cmd_outliers(args) -> int:
         report = outlier_exact(forest, classes)
     else:
         report = outlier_greedy(forest, classes, m_cap=args.m_cap)
-    rows = [(r, c, raw, score, ";".join(flags)) for r, (c, raw, score, flags)
-            in enumerate(zip(report.class_of.tolist(), _texts(report.raw),
-                             _texts(report.score), report.flags))]
-    _write_rows(args.output, ["row_id", "class", "raw", "score", "flags"], rows)
+    # flags come from a fixed vocabulary that never needs quoting
+    rows = zip((f"{r},{c}" for r, c in enumerate(report.class_of.tolist())),
+               zip(_texts(report.raw), _texts(report.score),
+                   map(";".join, report.flags)))
+    _write_rows(args.output, ["row_id", "class", "raw", "score", "flags"],
+                rows, quote=False)
     return 0
 
 

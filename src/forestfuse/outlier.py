@@ -33,7 +33,7 @@ from .dataset import distinct_counts, median
 from .errors import ArgumentError, ClassSizeError
 from .forest import Forest
 from .proximity import (DEFAULT_BLOCK_BYTES, ProximityMatrix, matrix_rows,
-                        nearness_key, proximity_rows)
+                        nearest_columns, nearness_key, proximity_rows)
 
 FLAG_INF_RAW = "inf_raw"
 FLAG_DEGENERATE_MAD = "degenerate_mad"
@@ -43,7 +43,8 @@ DEFAULT_GREEDY_CAP = 256
 # per-cell bytes built from a block of classmate proximities: the self
 # mask, the block without self, and its float64 squares
 _EXACT_CELL_BYTES = 1 + 8 + 8
-# greedy adds a ranking key and argpartition's int64 positions
+# greedy may build a ranking key, partitioned in place, and the kept
+# keys' decoded columns; an upper bound
 _GREEDY_CELL_BYTES = _EXACT_CELL_BYTES + 8 + 8
 
 
@@ -110,19 +111,23 @@ def _normalize(raw: np.ndarray, classes: np.ndarray):
     return score, class_ids, medians, mads, [tuple(sorted(f)) for f in flags]
 
 
-def _classmate_rows(prox, classes, cell_bytes):
-    """Yield (rows, mates, scale) per class and block of its rows.
+def _classmate_blocks(prox, classes, cell_bytes):
+    """Yield (members, rows, values, scale) per class and block of its rows.
 
-    mates[r] / scale are the proximities of rows[r] to each of its
-    classmates except itself, in ascending row id.
+    members are the class's rows, ascending; values[r, j] / scale is the
+    proximity of rows[r] to members[j], its own column included.
     """
     for c in distinct_counts(classes)[0]:
         members = np.flatnonzero(classes == c)
         for block, values, scale in proximity_rows(
                 prox, members, members, max_bytes=DEFAULT_BLOCK_BYTES,
                 cell_bytes=cell_bytes):
-            keep = members != block[:, None]
-            yield block, values[keep].reshape(len(block), -1), scale
+            yield members, block, values, scale
+
+
+def _without_self(members, rows, values):
+    """Each row's proximities to its classmates except itself, by id."""
+    return values[members != rows[:, None]].reshape(len(rows), -1)
 
 
 def _raw_from_mass(raw, rows, nj, mates, scale):
@@ -151,9 +156,10 @@ def outlier_exact(prox: ProximityMatrix | np.ndarray | Forest, classes
     n = matrix_rows(prox)
     classes = _check_classes(classes, n)
     raw = np.empty(n, dtype=np.float64)
-    for rows, mates, scale in _classmate_rows(prox, classes,
-                                              _EXACT_CELL_BYTES):
-        _raw_from_mass(raw, rows, mates.shape[1] + 1, mates, scale)
+    for members, rows, values, scale in _classmate_blocks(
+            prox, classes, _EXACT_CELL_BYTES):
+        _raw_from_mass(raw, rows, len(members),
+                       _without_self(members, rows, values), scale)
     score, class_ids, medians, mads, flags = _normalize(raw, classes)
     return OutlierReport(raw, score, classes, class_ids, medians, mads,
                          flags, mode="exact")
@@ -171,14 +177,20 @@ def outlier_greedy(forest: Forest, classes,
         raise ArgumentError("m_cap must be >= 1")
     classes = _check_classes(classes, forest.n_scored_rows)
     raw = np.empty(len(classes), dtype=np.float64)
-    for rows, mates, scale in _classmate_rows(forest, classes,
-                                              _GREEDY_CELL_BYTES):
-        nj = mates.shape[1] + 1
-        if nj - 1 > m_cap:
-            top = np.argpartition(nearness_key(mates), m_cap - 1,
-                                  axis=1)[:, :m_cap]
+    for members, rows, values, scale in _classmate_blocks(
+            forest, classes, _GREEDY_CELL_BYTES):
+        nj = len(members)
+        if nj - 1 <= m_cap:
+            mates = _without_self(members, rows, values)
+        else:
+            # each row's own column carries the exclusion mark
+            key = nearness_key(values)
+            key[np.arange(len(rows)), np.searchsorted(members, rows)] = \
+                np.iinfo(key.dtype).max
+            top = nearest_columns(key, m_cap)
             top.sort(axis=1)
-            mates = np.take_along_axis(mates, top, axis=1)
+            # flat positions in the contiguous block: a plain take
+            mates = values.take(top + np.arange(0, values.size, nj)[:, None])
         _raw_from_mass(raw, rows, nj, mates, scale)
     score, class_ids, medians, mads, flags = _normalize(raw, classes)
     return OutlierReport(raw, score, classes, class_ids, medians, mads,

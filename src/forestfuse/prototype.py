@@ -19,10 +19,10 @@ from .dataset import Dataset, distinct_counts, sorted_quantile
 from .errors import ArgumentError
 from .forest import Forest
 from .proximity import (DEFAULT_BLOCK_BYTES, ProximityMatrix, matrix_rows,
-                        nearness_key, proximity_rows)
+                        nearest_columns, nearness_key, proximity_rows)
 
-# per-cell bytes built from a block: the key, two masks and
-# argpartition's positions
+# per-cell bytes built from a block, an upper bound: the key (partitioned
+# in place), two masks, and the kept keys' decoded columns
 _CELL_BYTES = 8 + 2 + 8
 # a matrix's block first becomes dense ranks: a sort of its values and a
 # searchsorted of each
@@ -55,10 +55,10 @@ def _nearest(values, block, classes, consumed, k):
         return np.empty((b, 0), dtype=np.int64)
     key = nearness_key(values)
     far = np.iinfo(key.dtype).max
-    key[consumed & (classes == classes[block, None])] = far
+    if consumed.any():
+        key[consumed & (classes == classes[block, None])] = far
     key[np.arange(b), block] = far
-    nn = np.argpartition(key, k - 1, axis=1)[:, :k]
-    return np.where(np.take_along_axis(key, nn, axis=1) < far, nn, -1)
+    return nearest_columns(key, k)
 
 
 def find_prototypes(prox: ProximityMatrix | np.ndarray | Forest, ds: Dataset,

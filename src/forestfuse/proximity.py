@@ -138,15 +138,36 @@ def nearness_key(values) -> np.ndarray:
     """A unique integer key per cell of a (b, m) array of integers >= 0.
 
     Along each row a smaller key means a larger value, then a lower
-    column, so argpartition on the key picks the strongest cells with
-    ties to the lower id. Keys are int32 when they fit, with room above
-    them for a caller's exclusion mark at the type's maximum.
+    column: key = -value * m + column, so `key % m` is the column. The
+    keys are unique, so the k smallest keys of a row, which a partition
+    by key value picks, are its k strongest cells with ties to the lower
+    id. Keys are int32 when they fit, with room above them for a
+    caller's exclusion mark at the type's maximum.
     """
     m = values.shape[1]
     itype = np.int32 if (int(values.max()) + 1) * m < 2 ** 31 else np.int64
     key = np.multiply(values, -m, dtype=itype)
     key += np.arange(m, dtype=itype)
     return key
+
+
+def nearest_columns(key, k) -> np.ndarray:
+    """Columns of each row's k smallest `nearness_key` keys, in no set order.
+
+    Partitions `key` in place, moving the keys alone with no index array,
+    and decodes each kept key to its column, `key % m`. A kept key at the
+    type's maximum, a caller's exclusion mark, reads -1.
+    """
+    m = key.shape[1]
+    key.partition(k - 1, axis=1)
+    kept = key[:, :k]
+    # key - key // m * m: numpy divides by a scalar far faster than it
+    # takes a remainder
+    columns = kept // m
+    columns *= -m
+    columns += kept
+    columns[kept == np.iinfo(key.dtype).max] = -1
+    return columns
 
 
 def compute_proximity(forest: Forest, ds: Dataset, pair_mode: str = "all",

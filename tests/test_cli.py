@@ -1,14 +1,17 @@
 """The command-line interface, end to end through cli.main."""
 
 import csv
+import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import loads_numpy_ma, with_config
 
 import forestfuse as ff
-from forestfuse.cli import build_parser, main
+from forestfuse.cli import _texts, build_parser, main
 from forestfuse.forest import _query_leaves
 
 
@@ -428,3 +431,41 @@ def test_predict_rejects_a_mode_that_contradicts_the_forest(trained,
     capsys.readouterr()
     assert main(["predict", str(model), str(paths["features.csv"])]) == 1
     assert_one_line_error(capsys, "mode 'regression' does not match")
+
+
+# repeats, both zeros, NaN and the infinities, so most texts are indexed
+# from the repr of their bit pattern
+TEXT_POOL = [0.0, -0.0, 0.1, 1 / 3, 1.0, -2.5, 1e-300, 1e300, np.inf,
+             -np.inf, np.nan]
+
+
+@settings(max_examples=60, deadline=None)
+@given(cells=st.lists(st.sampled_from(TEXT_POOL) | st.floats(), max_size=40),
+       width=st.integers(1, 5))
+def test_texts_are_the_repr_of_every_cell(cells, width):
+    vec = np.array(cells, dtype=np.float64)
+    assert _texts(vec) == list(map(repr, vec.tolist()))
+    matrix = vec[:len(vec) // width * width].reshape(-1, width)
+    assert _texts(matrix) == [list(map(repr, row)) for row in matrix.tolist()]
+    assert _texts(np.empty((len(cells), 0))) == [[]] * len(cells)
+
+
+@pytest.mark.parametrize("mode, m_cap", [("exact", 256), ("greedy", 1),
+                                         ("greedy", 3)])
+def test_outliers_file_is_the_report_as_csv(trained, tmp_path, mode, m_cap):
+    paths, _, y = trained
+    out = tmp_path / "outliers.csv"
+    assert main(["outliers", str(paths["model.ffm"]), str(paths["train.csv"]),
+                 "--target", "label", "--mode", mode, "--m-cap", str(m_cap),
+                 "-o", str(out)]) == 0
+    forest = ff.load_model(paths["model.ffm"]).forest
+    report = (ff.outlier_exact(forest, y) if mode == "exact"
+              else ff.outlier_greedy(forest, y, m_cap=m_cap))
+    want = io.StringIO()
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(["row_id", "class", "raw", "score", "flags"])
+    writer.writerows([r, c, repr(raw), repr(score), ";".join(flags)]
+                     for r, (c, raw, score, flags) in enumerate(zip(
+                         y.tolist(), report.raw.tolist(),
+                         report.score.tolist(), report.flags)))
+    assert out.read_bytes() == want.getvalue().encode()

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 import forestfuse as ff
 from forestfuse import outlier, prototype
-from forestfuse.proximity import cooccurrence_blocks
+from forestfuse.proximity import (cooccurrence_blocks, nearest_columns,
+                                  nearness_key)
 
 
 def brute_force_counts(forest, pair_mode):
@@ -230,6 +231,75 @@ def test_prototypes_of_a_tied_float_matrix_match_the_oracle(seed, n, k,
     expected = prototype_oracle(prox, classes, k, n_protos)
     assert {c: [(p.center_row, p.support.tolist()) for p in protos]
             for c, protos in got.items()} == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), n_trees=st.integers(1, 3),
+       n_classes=st.integers(1, 3), data=st.data())
+def test_forest_consumers_match_the_oracles_on_tied_counts(seed, n_trees,
+                                                          n_classes, data):
+    rng = np.random.default_rng(seed)
+    # few distinct rows, repeated, and at most 3 trees: counts tie
+    # everywhere, and duplicated rows share every leaf
+    n = data.draw(st.integers(2 * n_classes, 24), label="n")
+    X = rng.normal(size=(data.draw(st.integers(1, 5), label="distinct"), 2))
+    X = X[rng.integers(0, len(X), size=n)]
+    y = rng.permutation(np.arange(n) % n_classes)
+    forest = ff.train(ff.Dataset.from_dense(X, target=y.astype(float)),
+                      ff.ForestConfig(mode="classification", n_trees=n_trees,
+                                      seed=seed))
+    counts, _ = brute_force_counts(forest, "all")
+    k = data.draw(st.integers(1, n), label="k")
+    n_protos = data.draw(st.integers(1, 3), label="n_protos")
+    m_cap = data.draw(st.integers(1, n), label="m_cap")
+    # hypothesis reruns the body, so a function-scoped fixture won't do
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (prototype, outlier):
+            mp.setattr(module, "DEFAULT_BLOCK_BYTES",
+                       int(rng.integers(1, 4000)))
+        protos = ff.find_prototypes(forest, ff.Dataset.from_dense(X), y,
+                                    k=k, n_protos=n_protos)
+        greedy = ff.outlier_greedy(forest, y, m_cap=m_cap)
+    assert {c: [(p.center_row, p.support.tolist()) for p in ps]
+            for c, ps in protos.items()} == \
+        prototype_oracle(counts, y, k, n_protos)
+    assert greedy.raw.tobytes() == \
+        greedy_oracle(counts, y, forest.n_trees, m_cap).tobytes()
+
+
+@pytest.mark.parametrize("shape, top, itype", [
+    ((4, 9), 30, np.int32),
+    # (60,000 + 1) * 40,000 keys overflow int32
+    ((2, 40_000), 60_000, np.int64)])
+def test_nearness_keys_decode_to_their_column(shape, top, itype):
+    values = np.random.default_rng(3).integers(0, top + 1, size=shape,
+                                               dtype=np.uint32)
+    values[0, 0] = top
+    key = nearness_key(values)
+    assert key.dtype == itype
+    m = values.shape[1]
+    columns = key % m
+    np.testing.assert_array_equal(columns, np.broadcast_to(np.arange(m),
+                                                           key.shape))
+    np.testing.assert_array_equal((columns - key) // m, values)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), b=st.integers(1, 5),
+       m=st.integers(1, 12), levels=st.integers(1, 4), data=st.data())
+def test_nearest_columns_are_the_strongest_cells(seed, b, m, levels, data):
+    rng = np.random.default_rng(seed)
+    values = rng.integers(0, levels, size=(b, m))
+    excluded = rng.uniform(size=(b, m)) < 0.3
+    k = data.draw(st.integers(1, m), label="k")
+    key = nearness_key(values)
+    key[excluded] = np.iinfo(key.dtype).max
+    got = nearest_columns(key, k)
+    for r in range(b):
+        # strongest first, ties to the lower column; excluded cells read -1
+        order = np.lexsort((np.arange(m), -values[r], excluded[r]))[:k]
+        want = np.where(excluded[r, order], -1, order)
+        assert sorted(got[r].tolist()) == sorted(want.tolist())
 
 
 def test_forest_consumers_hold_no_square_matrix(monkeypatch):

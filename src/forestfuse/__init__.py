@@ -29,8 +29,7 @@ from .imputation import (ImputationConfig, ImputationResult, IterationStats,
                          ValidationReport, bc_reimpute, impute,
                          impute_breiman_cutler, impute_young, initial_impute,
                          validate_imputations, young_reimpute)
-from .model_io import (ModelArtifact, check_fingerprint, dataset_fingerprint,
-                       load_model, save_model)
+from .model_io import ModelArtifact, load_model, save_model
 from .outlier import OutlierReport, outlier_exact, outlier_greedy
 from .prototype import Prototype, find_prototypes
 from .proximity import (Neighbor, ProximityMatrix, compute_proximity,

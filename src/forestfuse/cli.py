@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import json
 import os
 import sys
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .dataset import (Dataset, load_dense_csv, load_schema, write_dense_csv)
-from .errors import ConfigError, ForestFuseError, SchemaError
+from .errors import ConfigError, ForestFuseError, ProvenanceError, SchemaError
 from .forest import (MODES, ForestConfig, p_synthetic, predict,
                      predict_proba, train)
 from .importance import (compute_importance_report, local_proximity_importance,
@@ -27,8 +28,7 @@ from .importance import (compute_importance_report, local_proximity_importance,
                          overall_proximity_importance,
                          overall_variable_importance)
 from .imputation import ImputationConfig, impute, validate_imputations
-from .model_io import (ModelArtifact, check_fingerprint, dataset_fingerprint,
-                       load_model, save_model)
+from .model_io import ModelArtifact, load_model, save_model
 from .outlier import outlier_exact, outlier_greedy
 from .prototype import find_prototypes
 from .proximity import top_k_similar, top_k_similar_explained
@@ -120,24 +120,40 @@ def _load_queries(path, schema, target) -> Dataset:
         raise mismatch from None
 
 
-def _load_data_for_model(artifact: ModelArtifact, path, target=None) -> Dataset:
-    ds = load_dense_csv(path, artifact.schema, target_column=target)
-    check_fingerprint(artifact, ds)
-    return ds
+def _training_rows(artifact: ModelArtifact, path, target) -> Dataset:
+    """The rows the model stores. A training file, if given, is checked by
+    the SHA-256 of its bytes, not parsed; a target column by its name."""
+    if path is not None:
+        with open(path, "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
+        if digest != artifact.source_sha256:
+            found = ("not the file the model was trained on"
+                     if artifact.source_sha256 else
+                     "the model records no digest of its training file")
+            raise ProvenanceError(f"{path}: {found}; omit the file, as the "
+                                  "model carries its training rows")
+    if target is not None and target != artifact.target_column:
+        raise ConfigError(f"--target {target!r} is not the model's target "
+                          f"column ({artifact.target_column!r})")
+    return artifact.data
 
 
 # -- subcommands -----------------------------------------------------------
 
 def cmd_train(args) -> int:
     schema = load_schema(args.schema)
-    ds = load_dense_csv(args.data, schema, target_column=args.target)
+    with open(args.data, "rb") as fh:
+        raw = fh.read()
+    ds = load_dense_csv(args.data, schema, target_column=args.target, raw=raw)
+    source_sha256 = hashlib.sha256(raw).hexdigest()
+    del raw  # not held through training
     config = _forest_config(args)
     t0 = time.perf_counter()
     forest = train(ds, config)
     elapsed = time.perf_counter() - t0
     artifact = ModelArtifact(
-        forest=forest, schema=schema,
-        fingerprint=dataset_fingerprint(ds, config.seed))
+        forest=forest, schema=schema, data=ds,
+        source_sha256=source_sha256, target_column=args.target)
     save_model(args.output, artifact)
     kind = "mse" if config.mode == "regression" else "error"
     print(f"oob_{kind}={forest.oob_error:.6f} skipped={forest.oob_skipped} "
@@ -189,10 +205,7 @@ def cmd_similar(args) -> int:
     vec = queries.values[args.query_row]
 
     if args.explain:
-        if args.data is None:
-            raise ConfigError("--explain needs --data (training file) "
-                              "for donor draws")
-        ds = _load_data_for_model(artifact, args.data, args.target)
+        ds = _training_rows(artifact, args.data, args.target)
         neighbors, importance = top_k_similar_explained(
             forest, ds.without_target(), vec, args.k,
             n_repeats=args.repeats)
@@ -213,7 +226,7 @@ def cmd_importance(args) -> int:
         raise ConfigError("--row applies to local-var and local-prox")
     artifact = load_model(args.model)
     forest = artifact.forest
-    ds = _load_data_for_model(artifact, args.data, args.target)
+    ds = _training_rows(artifact, args.data, args.target)
     names = artifact.schema.names
     if args.type.startswith("overall"):
         scores = (overall_variable_importance(forest, ds, args.method)
@@ -239,9 +252,6 @@ def cmd_importance(args) -> int:
 
 def _outlier_classes(forest, ds):
     if forest.mode == "classification":
-        if ds.target is None:
-            raise ConfigError("classification outliers need the target "
-                              "column (--target)")
         return ds.target.astype(np.int64)
     # one pseudo-class: all real rows together
     return np.zeros(forest.n_scored_rows, dtype=np.int64)
@@ -250,7 +260,7 @@ def _outlier_classes(forest, ds):
 def cmd_outliers(args) -> int:
     artifact = load_model(args.model)
     forest = artifact.forest
-    ds = _load_data_for_model(artifact, args.data, args.target)
+    ds = _training_rows(artifact, args.data, args.target)
     classes = _outlier_classes(forest, ds)
     if args.score_mode == "exact":
         report = outlier_exact(forest, classes)
@@ -268,7 +278,7 @@ def cmd_outliers(args) -> int:
 def cmd_prototypes(args) -> int:
     artifact = load_model(args.model)
     forest = artifact.forest
-    ds = _load_data_for_model(artifact, args.data, args.target)
+    ds = _training_rows(artifact, args.data, args.target)
     classes = _outlier_classes(forest, ds)
     protos = find_prototypes(forest, ds.without_target(), classes,
                              k=args.k, n_protos=args.n_protos)
@@ -328,6 +338,12 @@ def cmd_validate_imputation(args) -> int:
 
 # -- wiring ------------------------------------------------------------------
 
+_DATA_HELP = ("the training CSV, optional: the model carries its training "
+              "rows, so the file is not read, only checked against the "
+              "SHA-256 of the file the model was trained on")
+_TARGET_HELP = "the model's target column, checked against its name"
+
+
 def build_parser(command=None) -> argparse.ArgumentParser:
     """The CLI's parser, with only `command`'s subparser if it names one."""
     commands = ("train", "predict", "similar", "importance", "outliers",
@@ -375,10 +391,11 @@ def build_parser(command=None) -> argparse.ArgumentParser:
                        help="accepted and ignored: queries read the model's "
                             "leaf assignments directly")
         p.add_argument("--data", default=None,
-                       help="training CSV (required with --explain)")
+                       help=f"with --explain, {_DATA_HELP}")
         p.add_argument("--target", default=None,
                        help="target column of the training CSV; a query may "
-                            "carry it too, and it is ignored there")
+                            "carry it too, and it is ignored there; with "
+                            "--explain it must be the model's")
         p.add_argument("--repeats", type=int, default=1)
         p.add_argument("-o", "--output", default=None)
         p.set_defaults(func=cmd_similar)
@@ -386,7 +403,7 @@ def build_parser(command=None) -> argparse.ArgumentParser:
     if command in (None, "importance"):
         p = sub.add_parser("importance", help="importance reports")
         p.add_argument("model")
-        p.add_argument("data")
+        p.add_argument("data", nargs="?", help=_DATA_HELP)
         p.add_argument("--type", required=True,
                        choices=("overall-var", "local-var", "overall-prox",
                                 "local-prox"))
@@ -394,28 +411,28 @@ def build_parser(command=None) -> argparse.ArgumentParser:
                        default="permutation")
         p.add_argument("--row", type=int, default=None)
         p.add_argument("--repeats", type=int, default=1)
-        p.add_argument("--target", default=None)
+        p.add_argument("--target", default=None, help=_TARGET_HELP)
         p.add_argument("-o", "--output", default=None)
         p.set_defaults(func=cmd_importance)
 
     if command in (None, "outliers"):
         p = sub.add_parser("outliers", help="per-row outlier scores")
         p.add_argument("model")
-        p.add_argument("data")
+        p.add_argument("data", nargs="?", help=_DATA_HELP)
         p.add_argument("--mode", dest="score_mode",
                        choices=("exact", "greedy"), default="exact")
         p.add_argument("--m-cap", type=int, default=256)
-        p.add_argument("--target", default=None)
+        p.add_argument("--target", default=None, help=_TARGET_HELP)
         p.add_argument("-o", "--output", default=None)
         p.set_defaults(func=cmd_outliers)
 
     if command in (None, "prototypes"):
         p = sub.add_parser("prototypes", help="class prototypes")
         p.add_argument("model")
-        p.add_argument("data")
+        p.add_argument("data", nargs="?", help=_DATA_HELP)
         p.add_argument("--k", type=int, default=10)
         p.add_argument("--n-protos", type=int, default=1)
-        p.add_argument("--target", default=None)
+        p.add_argument("--target", default=None, help=_TARGET_HELP)
         p.add_argument("-o", "--output", default=None)
         p.set_defaults(func=cmd_prototypes)
 

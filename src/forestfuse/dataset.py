@@ -10,14 +10,15 @@ structural zeros and its mask reads all False. Categorical features
 are integer-coded at load time and split as ordered codes.
 
 `Dataset.read_cells` is the one cell reader for both storages. The CSR
-arrays are a CSR dataset's canonical content: they are what the model
-fingerprint hashes. `from_csr` also keeps the stored cells sorted by
-(column, row), so any set of cells is read with one searchsorted.
+arrays are a CSR dataset's canonical content: they are what a model file
+stores. `from_csr` also keeps the stored cells sorted by (column, row),
+so any set of cells is read with one searchsorted.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import math
 from contextlib import contextmanager, suppress
@@ -103,10 +104,13 @@ class FeatureSchema:
 
 
 @contextmanager
-def _read_text(path, newline=None):
-    """open(path) for UTF-8 text; bytes that do not decode raise ParseError."""
+def _read_text(path, newline=None, raw=None):
+    """open(path) for UTF-8 text, or its bytes `raw` as such a stream if
+    they were read; bytes that do not decode raise ParseError."""
     try:
-        with open(path, encoding="utf-8", newline=newline) as fh:
+        with (open(path, encoding="utf-8", newline=newline) if raw is None
+              else io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8",
+                                    newline=newline)) as fh:
             yield fh
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
@@ -197,7 +201,8 @@ class Dataset:
 
     @classmethod
     def from_csr(cls, indptr, indices, data, n_features, schema=None, target=None):
-        """Wrap CSR arrays; validates offsets and column ordering."""
+        """Wrap CSR arrays; validates offsets, column ordering and
+        categorical codes."""
         ds = cls._blank()
         ds.is_sparse = True
         ds.indptr = _as_whole(indptr, "CSR offsets")
@@ -242,6 +247,7 @@ class Dataset:
         # complete by construction: an all-False mask that holds no memory
         ds.missing = np.broadcast_to(False, (ds.n_rows, ds.n_features))
         ds._set_target(target, FormatError)
+        ds._check_categorical_codes()
         # one ascending (column, row) key per stored cell, so any set of
         # cells is read with one searchsorted; stable keeps rows ascending
         # within each column
@@ -266,8 +272,9 @@ class Dataset:
         for k, feat in enumerate(self.schema.features):
             if feat.kind != CATEGORICAL:
                 continue
-            col = self.values[:, k]
-            obs = col[~self.missing[:, k]]
+            # a CSR column's structural zeros are code 0, always in range
+            obs = (self.data[self.indices == k] if self.is_sparse
+                   else self.values[:, k][~self.missing[:, k]])
             if obs.size == 0:
                 continue
             if np.any(obs != np.floor(obs)) or obs.min() < 0 \
@@ -413,9 +420,10 @@ def sorted_quantile(ordered, q: float):
 
 # -- dense CSV ------------------------------------------------------------
 
-def load_dense_csv(path, schema: FeatureSchema, target_column=None
-                   ) -> Dataset:
-    """Load a dense CSV against a schema.
+def load_dense_csv(path, schema: FeatureSchema, target_column=None,
+                   raw=None) -> Dataset:
+    """Load a dense CSV against a schema; `raw`, if given, holds the
+    file's bytes, already read, and `path` then only names it.
 
     The header must list the schema's feature names in order; a target
     column named `target_column` may appear at any position. Cells equal
@@ -423,7 +431,7 @@ def load_dense_csv(path, schema: FeatureSchema, target_column=None
     mapped to their schema codes. Any other continuous cell must parse as
     a finite number.
     """
-    with _read_text(path, newline="") as fh:
+    with _read_text(path, newline="", raw=raw) as fh:
         try:
             header = next(csv.reader(fh))
         except StopIteration:

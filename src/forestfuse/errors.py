@@ -43,7 +43,10 @@ class ImputationError(ForestFuseError):
 
 
 class ProvenanceError(ForestFuseError):
-    """Supplied data does not match the model's training fingerprint."""
+    """A file given as a model's training data is not the file it was
+    trained on: the SHA-256 of its bytes differs from the one the model
+    records, or the model records none. The model carries its training
+    rows, so the file can be omitted."""
 
 
 class ModelFormatError(ForestFuseError):

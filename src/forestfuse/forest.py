@@ -163,9 +163,10 @@ class Forest:
     """A trained forest in one set of node arrays, plus per-row bookkeeping.
 
     Built from tree_arrays, one dict of NODE_LAYOUT arrays per tree, which
-    it concatenates tree after tree into one array per field: tree t owns
-    nodes node_offset[t]:node_offset[t + 1], its children and leaf ids
-    stay local, and split_gain is (T, n_features). held_out_left says per
+    it concatenates tree after tree into one array per field, or one dict
+    of such flat arrays, used as given, with each tree's "node_count": tree
+    t owns nodes node_offset[t]:node_offset[t + 1], its children and leaf
+    ids stay local, and split_gain is (T, n_features). held_out_left says per
     node whether a row whose split feature is held out goes left; only
     `train_held_out` puts it in the dicts, and it is never saved. Leaf
     `leaf` of tree t has the global id leaf_offset[t] + leaf; leaf_nodes
@@ -190,13 +191,12 @@ class Forest:
     oob_skipped: int
 
     def __post_init__(self, tree_arrays):
-        self.node_offset = np.cumsum([0] + [len(a["feature"])
-                                            for a in tree_arrays])
-        for name, dtype in (*NODE_LAYOUT, ("held_out_left", bool)):
-            parts = [a.get(name) for a in tree_arrays]
-            join = np.stack if name == "split_gain" else np.concatenate
-            setattr(self, name, None if parts[0] is None
-                    else join(parts, dtype=dtype))
+        if not isinstance(tree_arrays, dict):
+            tree_arrays = _flat_nodes(tree_arrays)
+        self.node_offset = np.concatenate(
+            [[0], np.cumsum(tree_arrays["node_count"], dtype=np.int64)])
+        for name, _ in (*NODE_LAYOUT, ("held_out_left", bool)):
+            setattr(self, name, tree_arrays.get(name))
         leaves = np.flatnonzero(self.feature < 0)
         self.leaf_offset = np.searchsorted(leaves, self.node_offset)
         # each tree's leaves in leaf-id order
@@ -256,6 +256,18 @@ class Forest:
     def node_of_leaf(self, leaves) -> np.ndarray:
         """Global node of each leaf id in an (..., T) array of per-tree leaves."""
         return self.leaf_nodes[self.leaf_offset[:-1] + leaves]
+
+
+def _flat_nodes(tree_arrays: list[dict]) -> dict:
+    """Per-tree dicts of NODE_LAYOUT arrays (and held_out_left) joined tree
+    after tree into one array per field, with each tree's node count."""
+    flat = {"node_count": [len(a["feature"]) for a in tree_arrays]}
+    for name, dtype in (*NODE_LAYOUT, ("held_out_left", bool)):
+        parts = [a.get(name) for a in tree_arrays]
+        if parts[0] is not None:
+            join = np.stack if name == "split_gain" else np.concatenate
+            flat[name] = join(parts, dtype=dtype)
+    return flat
 
 
 @dataclass

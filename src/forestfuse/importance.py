@@ -246,10 +246,20 @@ def overall_variable_importance(forest: Forest, ds: Dataset,
         new = _perturbed_walk(forest, data, rows, end, feats,
                               _read(data, rows, feats)[perm], ancestors)
         before, after = score(end, rows), score(new, rows)
-        for _, k, a, b in runs:
-            base = float(np.mean(before[a:b]))
-            moved = float(np.mean(after[a:b]))
-            deltas[k] += moved - base if regression else base - moved
+        if regression:
+            for _, k, a, b in runs:
+                base = float(np.mean(before[a:b]))
+                moved = float(np.mean(after[a:b]))
+                deltas[k] += moved - base
+            continue
+        # the scores are booleans: a run's mean is its count of hits over
+        # its length, the float np.mean gives; the runs tile the block, so
+        # one reduceat counts them all, and np.add.at adds the runs to
+        # their features in run order
+        _, feature, start, stop = map(np.array, zip(*runs))
+        base, moved = (np.add.reduceat(hit, start, dtype=np.intp)
+                       / (stop - start) for hit in (before, after))
+        np.add.at(deltas, feature, base - moved)
     return deltas / forest.n_trees
 
 

@@ -1,23 +1,36 @@
 """Model persistence.
 
 Single-file container: magic bytes, a little-endian format version, then
-length-prefixed named sections (JSON metadata, trees, in-bag counts, leaf
-assignments). The trees section holds one record per tree: its node
-count, then its arrays in the order and dtypes of `forest.NODE_LAYOUT`,
-little-endian. Serialization is canonical — sorted JSON keys,
-fixed dtypes — so identical forests produce byte-identical files, and a
-save/load round trip reproduces predictions and top-K results exactly.
+length-prefixed named sections. Format version 2 holds:
+
+- "meta": JSON metadata, with the SHA-256 of the training file's bytes
+  and its target column's name when the CLI trained the model;
+- "trees": each tree's node count (int64), then each `forest.NODE_LAYOUT`
+  field over all trees, tree after tree, in its dtype;
+- "inbag" and "leaf_train", the in-bag counts and leaf assignments of
+  every training row, rows by trees, each in the narrowest unsigned
+  type that holds its largest value, named in the metadata; loading
+  widens them to uint16 and int32;
+- the training rows the forest answers for: "values" (float64, rows by
+  features) for dense data, or "indptr" (int64), "indices" (int32) and
+  "data" (float64) for CSR, plus "target" (float64) unless unsupervised.
+
+Everything is little-endian. Serialization is canonical (sorted JSON
+keys, dtypes fixed or chosen by the values), so identical forests
+produce byte-identical files, saving what was loaded writes the same
+bytes, and a round trip reproduces predictions and top-K results exactly.
 
 Loading checks every length, count and shape against the metadata, then
 every tree's node links, leaf ids and node values in one pass over the
-forest's node arrays, so a truncated or corrupted file raises
-ModelFormatError rather than a low-level error, a forest whose walks
-never end, or a leaf whose class counts give NaN probabilities.
+forest's node arrays, and the training rows as the Dataset constructors
+do, with a finite target of the forest's classes. So a truncated or
+corrupted file raises ModelFormatError rather than a low-level error, a
+forest whose walks never end, or a leaf whose class counts give NaN
+probabilities.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import struct
 from dataclasses import asdict, dataclass
@@ -25,60 +38,42 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .dataset import Dataset, Feature, FeatureSchema
-from .errors import ForestFuseError, ModelFormatError, ProvenanceError
+from .errors import ArgumentError, ForestFuseError, ModelFormatError
 from .forest import NODE_LAYOUT, Forest, ForestConfig
 
 MAGIC = b"FFMD"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 @dataclass
 class ModelArtifact:
+    """A forest, its schema and the rows it was trained on.
+
+    source_sha256 is the SHA-256 (hex) of the training file's bytes and
+    target_column the name of its target column, when the rows were read
+    from a file; `forestfuse train` records both.
+    """
+
     forest: Forest
     schema: FeatureSchema
-    fingerprint: dict
-
-
-def dataset_fingerprint(ds: Dataset, seed: int) -> dict:
-    """Content hash binding a model to its training data."""
-    h = hashlib.sha256()
-    h.update(struct.pack("<qq", ds.n_rows, ds.n_features))
-    if ds.is_sparse:
-        h.update(b"csr")
-        h.update(np.ascontiguousarray(ds.indptr, dtype="<i8").tobytes())
-        h.update(np.ascontiguousarray(ds.indices, dtype="<i4").tobytes())
-        h.update(np.ascontiguousarray(ds.data, dtype="<f8").tobytes())
-    else:
-        h.update(b"dense")
-        h.update(np.ascontiguousarray(ds.values, dtype="<f8").tobytes())
-        h.update(np.packbits(ds.missing).tobytes())
-    if ds.target is not None:
-        h.update(np.ascontiguousarray(ds.target, dtype="<f8").tobytes())
-    return {
-        "n_rows": ds.n_rows,
-        "n_features": ds.n_features,
-        "seed": seed,
-        "sha256": h.hexdigest(),
-    }
-
-
-def check_fingerprint(artifact: ModelArtifact, ds: Dataset) -> None:
-    """Raise ProvenanceError unless ds matches the model's training data."""
-    actual = dataset_fingerprint(ds, artifact.fingerprint["seed"])
-    if actual["sha256"] != artifact.fingerprint["sha256"]:
-        raise ProvenanceError(
-            "dataset does not match the model's training fingerprint")
+    data: Dataset
+    source_sha256: str | None = None
+    target_column: str | None = None
 
 
 # NODE_LAYOUT's dtypes, little-endian
 _FILE_LAYOUT = [(name, np.dtype(dtype).newbyteorder("<").str)
                 for name, dtype in NODE_LAYOUT]
+# each per-row section: its name, the forest's array it holds, that
+# array's dtype, and the types a file may store it in
+_PER_ROW = (("inbag", "inbag_counts", np.uint16, ("uint8", "uint16")),
+            ("leaf_train", "leaf_of_train", np.int32,
+             ("uint8", "uint16", "uint32")))
 
 
-def _pack_tree(arrays: dict) -> bytes:
-    return struct.pack("<q", len(arrays["feature"])) + b"".join(
-        np.ascontiguousarray(arrays[name], dtype=dtype).tobytes()
-        for name, dtype in _FILE_LAYOUT)
+def _le(values, dtype) -> bytes:
+    return np.ascontiguousarray(values, dtype=np.dtype(dtype).newbyteorder(
+        "<")).tobytes()
 
 
 def _take(buf, offset: int, dtype: str, count: int):
@@ -89,16 +84,16 @@ def _take(buf, offset: int, dtype: str, count: int):
     return np.frombuffer(buf, dtype=dtype, count=count, offset=offset), end
 
 
-def _unpack_tree(buf: memoryview, offset: int, n_classes, n_features):
-    (n,), offset = _take(buf, offset, "<i8", 1)
-    n = int(n)
-    counts = {"value": n * (n_classes or 1), "split_gain": n_features}
-    arrays = {}
-    for name, dtype in _FILE_LAYOUT:
-        arrays[name], offset = _take(buf, offset, dtype, counts.get(name, n))
-    if n_classes:
-        arrays["value"] = arrays["value"].reshape(n, n_classes)
-    return arrays, offset
+def _section(sections: dict, name: str, dtype, count: int) -> np.ndarray:
+    """Section `name`, exactly `count` items of `dtype`, little-endian."""
+    if name not in sections:
+        raise ModelFormatError(f"missing section {name!r}")
+    arr, end = _take(sections[name], 0, np.dtype(dtype).newbyteorder("<"),
+                     count)
+    if end != len(sections[name]):
+        raise ModelFormatError(f"section {name!r} does not hold {count} "
+                               "values")
+    return arr
 
 
 def _check_forest(forest: Forest) -> None:
@@ -145,7 +140,11 @@ def _schema_from_json(items) -> FeatureSchema:
 
 
 def save_model(path, artifact: ModelArtifact) -> None:
-    forest = artifact.forest
+    forest, ds = artifact.forest, artifact.data
+    if (ds.n_rows, ds.n_features) != (forest.n_scored_rows,
+                                      forest.n_features) or ds.has_missing:
+        raise ArgumentError("the artifact's data are not complete rows of "
+                            "the forest's training shape")
     meta = {
         "format_version": FORMAT_VERSION,
         "config": asdict(forest.config),
@@ -156,18 +155,28 @@ def save_model(path, artifact: ModelArtifact) -> None:
         "synthetic_offset": forest.synthetic_offset,
         "oob_error": None if np.isnan(forest.oob_error) else forest.oob_error,
         "oob_skipped": forest.oob_skipped,
-        "fingerprint": artifact.fingerprint,
+        "source_sha256": artifact.source_sha256,
+        "target_column": artifact.target_column,
     }
-    sections = [
-        ("meta", json.dumps(meta, sort_keys=True,
-                            separators=(",", ":")).encode("utf-8")),
-        ("trees", b"".join(_pack_tree(forest.arrays_of(t))
-                           for t in range(forest.n_trees))),
-        ("inbag", np.ascontiguousarray(
-            forest.inbag_counts, dtype="<u2").tobytes()),
-        ("leaf_train", np.ascontiguousarray(
-            forest.leaf_of_train, dtype="<i4").tobytes()),
-    ]
+    sections = [("trees", _le(np.diff(forest.node_offset), "<i8") + b"".join(
+        _le(getattr(forest, name), dtype) for name, dtype in _FILE_LAYOUT))]
+    for name, attr, _, _ in _PER_ROW:
+        values = getattr(forest, attr)
+        # the narrowest type of its range: unsigned, unless a value is not
+        dtype = np.result_type(*map(np.min_scalar_type,
+                                    (values.min(), values.max())))
+        meta[f"{name}_dtype"] = dtype.name
+        sections.append((name, _le(values, dtype)))
+    if ds.is_sparse:
+        sections += [("indptr", _le(ds.indptr, "<i8")),
+                     ("indices", _le(ds.indices, "<i4")),
+                     ("data", _le(ds.data, "<f8"))]
+    else:
+        sections.append(("values", _le(ds.values, "<f8")))
+    if ds.target is not None:
+        sections.append(("target", _le(ds.target, "<f8")))
+    sections.insert(0, ("meta", json.dumps(
+        meta, sort_keys=True, separators=(",", ":")).encode("utf-8")))
     with open(path, "wb") as fh:
         fh.write(struct.pack("<4sII", MAGIC, FORMAT_VERSION, len(sections)))
         for name, payload in sections:
@@ -194,6 +203,12 @@ def _count(value, low: int) -> int:
     return value
 
 
+def _name(value):
+    if value is not None and type(value) is not str:
+        raise ModelFormatError(f"expected a string or null, got {value!r}")
+    return value
+
+
 def _parse_model(blob: bytes) -> ModelArtifact:
     if len(blob) < 12 or blob[:4] != MAGIC:
         raise ModelFormatError("not a forestfuse model file")
@@ -213,15 +228,13 @@ def _parse_model(blob: bytes) -> ModelArtifact:
         offset = end
     if offset != len(blob):
         raise ModelFormatError(f"{len(blob) - offset} bytes after the sections")
-    for required in ("meta", "trees", "inbag", "leaf_train"):
+    for required in ("meta", "trees"):
         if required not in sections:
             raise ModelFormatError(f"missing section {required!r}")
 
     try:
         meta = json.loads(bytes(sections["meta"]).decode("utf-8"))
-        stored = dict(meta["config"])
-        stored.pop("proximity_pairs", None)  # older files; no longer a setting
-        config = ForestConfig(**stored)
+        config = ForestConfig(**meta["config"])
         config.validate()
         schema = _schema_from_json(meta["schema"])
         n_features = _count(meta["n_features"], 1)
@@ -233,8 +246,14 @@ def _parse_model(blob: bytes) -> ModelArtifact:
         oob = meta["oob_error"]
         oob_error = float("nan") if oob is None else float(oob)
         oob_skipped = _count(meta["oob_skipped"], 0)
-        fingerprint = {k: meta["fingerprint"][k]
-                       for k in ("n_rows", "n_features", "seed", "sha256")}
+        source_sha256, target_column = (
+            _name(meta[k]) for k in ("source_sha256", "target_column"))
+        stored = {}
+        for name, _, _, allowed in _PER_ROW:
+            if meta[f"{name}_dtype"] not in allowed:
+                raise ModelFormatError(f"{name} stored as "
+                                       f"{meta[f'{name}_dtype']!r}")
+            stored[name] = meta[f"{name}_dtype"]
     except (KeyError, TypeError, ValueError, ForestFuseError) as exc:
         raise ModelFormatError(f"bad metadata: {exc}") from None
     # a regression forest alone stores no class counts, and an unsupervised
@@ -249,23 +268,30 @@ def _parse_model(blob: bytes) -> ModelArtifact:
     if synthetic_offset is not None and 2 * synthetic_offset != n_train:
         raise ModelFormatError("synthetic_offset is not half the rows")
 
-    trees, end = [], 0
-    for _ in range(n_trees):
-        tree, end = _unpack_tree(sections["trees"], end, n_classes, n_features)
-        trees.append(tree)
-    if end != len(sections["trees"]):
-        raise ModelFormatError(f"{len(sections['trees']) - end} bytes "
-                               "after the trees")
-    per_row = {}
-    for name, dtype in (("inbag", "<u2"), ("leaf_train", "<i4")):
-        arr, end = _take(sections[name], 0, dtype, n_train * n_trees)
-        if end != len(sections[name]):
-            raise ModelFormatError(f"section {name!r} does not hold "
-                                   f"{n_train} x {n_trees} values")
-        per_row[name] = arr.reshape(n_train, n_trees).astype(dtype[1:])
+    # each tree's node count, then each field over all trees
+    buf = sections["trees"]
+    sizes, end = _take(buf, 0, "<i8", n_trees)
+    if sizes.min() < 0 or sizes.max() > len(buf):
+        raise ModelFormatError("tree node counts are out of range")
+    n = int(sizes.sum())
+    counts = {"value": n * (n_classes or 1),
+              "split_gain": n_trees * n_features}
+    nodes = {"node_count": sizes}
+    for name, dtype in _FILE_LAYOUT:
+        arr, end = _take(buf, end, dtype, counts.get(name, n))
+        nodes[name] = arr.astype(dtype[1:])
+    if end != len(buf):
+        raise ModelFormatError(f"{len(buf) - end} bytes after the trees")
+    if n_classes:
+        nodes["value"] = nodes["value"].reshape(n, n_classes)
+    nodes["split_gain"] = nodes["split_gain"].reshape(n_trees, n_features)
+    per_row = {
+        name: _section(sections, name, stored[name], n_train * n_trees
+                       ).reshape(n_train, n_trees).astype(memory)
+        for name, _, memory, _ in _PER_ROW}
     forest = Forest(
         config=config,
-        tree_arrays=trees,
+        tree_arrays=nodes,
         inbag_counts=per_row["inbag"],
         leaf_of_train=per_row["leaf_train"],
         n_features=n_features,
@@ -275,4 +301,43 @@ def _parse_model(blob: bytes) -> ModelArtifact:
         oob_skipped=oob_skipped,
     )
     _check_forest(forest)
-    return ModelArtifact(forest=forest, schema=schema, fingerprint=fingerprint)
+    return ModelArtifact(forest=forest, schema=schema,
+                         data=_stored_rows(sections, forest, schema),
+                         source_sha256=source_sha256,
+                         target_column=target_column)
+
+
+def _stored_rows(sections: dict, forest: Forest, schema) -> Dataset:
+    """The stored training rows: n_scored_rows x n_features, each cell
+    checked by the Dataset constructors, and a target, finite and whole
+    classes of the forest in classification, exactly when supervised."""
+    n, m = forest.n_scored_rows, forest.n_features
+    has_target = forest.mode != "unsupervised"
+    if ("target" in sections) != has_target:
+        raise ModelFormatError(f"a {forest.mode} model "
+                               f"{'needs' if has_target else 'takes no'} "
+                               "target section")
+    target = None
+    if has_target:
+        target = _section(sections, "target", np.float64, n).astype(np.float64)
+        if not (np.isfinite(target).all() and (
+                forest.mode == "regression"
+                or ((target >= 0) & (target < forest.n_classes)
+                    & (target == np.floor(target))).all())):
+            raise ModelFormatError("the target is not finite, or not the "
+                                   "forest's classes")
+    try:
+        if "values" in sections:
+            return Dataset.from_dense(
+                _section(sections, "values", np.float64, n * m).reshape(n, m),
+                schema, target=target)
+        indptr = _section(sections, "indptr", np.int64, n + 1)
+        nnz = int(indptr[-1])
+        return Dataset.from_csr(
+            indptr, _section(sections, "indices", np.int32, nnz),
+            _section(sections, "data", np.float64, nnz).astype(np.float64),
+            m, schema, target=target)
+    except ModelFormatError:
+        raise
+    except ForestFuseError as exc:
+        raise ModelFormatError(f"bad training rows: {exc}") from None

@@ -1,7 +1,9 @@
 """The command-line interface, end to end through cli.main."""
 
 import csv
+import hashlib
 import io
+import struct
 
 import numpy as np
 import pytest
@@ -378,9 +380,10 @@ def test_imputed_csv_is_complete_and_feeds_the_pipeline(trained, tmp_path,
     expected = ff.impute(ff.load_dense_csv(data, ff.load_schema(schema)),
                          cfg).dataset
     filled = ff.load_dense_csv(out, ff.load_schema(schema))
-    np.testing.assert_array_equal(filled.values, expected.values)
-    assert ff.dataset_fingerprint(filled, 2) == \
-        ff.dataset_fingerprint(expected, 2)
+    for name in ("values", "missing"):
+        assert getattr(filled, name).tobytes() == \
+            getattr(expected, name).tobytes()
+    assert filled.target is None and expected.target is None
     assert main(["train", str(out), schema, "-o", str(tmp_path / "m.ffm"),
                  "--mode", "unsupervised", *flags]) == 0
     assert main(["validate-imputation", str(paths["features.csv"]), str(out),
@@ -469,3 +472,103 @@ def test_outliers_file_is_the_report_as_csv(trained, tmp_path, mode, m_cap):
                          y.tolist(), report.raw.tolist(),
                          report.score.tolist(), report.flags)))
     assert out.read_bytes() == want.getvalue().encode()
+
+
+def test_train_stores_the_rows_it_parsed_and_their_files_digest(trained):
+    # csv.writer ends train.csv's lines with CRLF
+    paths, X, y = trained
+    raw = paths["train.csv"].read_bytes()
+    assert b"\r\n" in raw
+    artifact = ff.load_model(paths["model.ffm"])
+    assert artifact.source_sha256 == hashlib.sha256(raw).hexdigest()
+    assert artifact.target_column == "label"
+    parsed = ff.load_dense_csv(paths["train.csv"],
+                               ff.load_schema(paths["schema.txt"]), "label")
+    for name in ("values", "missing", "target"):
+        assert getattr(artifact.data, name).tobytes() == \
+            getattr(parsed, name).tobytes()
+    assert np.array_equal(artifact.data.values, X)
+    assert np.array_equal(artifact.data.target, y)
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("outliers", ["--mode", "exact"]),
+    ("outliers", ["--mode", "greedy", "--m-cap", "4"]),
+    ("prototypes", ["--k", "5", "--n-protos", "2"]),
+    ("importance", ["--type", "overall-var"]),
+    ("importance", ["--type", "local-prox"]),
+    ("similar", ["--explain", "--k", "5", "--query-row", "2"]),
+])
+def test_explore_commands_read_the_rows_the_model_carries(trained, tmp_path,
+                                                          command, flags):
+    # the training file, if given, is checked, not read: each command
+    # writes the same bytes without it
+    paths, _, _ = trained
+    model, train = str(paths["model.ffm"]), str(paths["train.csv"])
+    if command == "similar":
+        query = [str(paths["features.csv"])]
+        runs = (query + ["--data", train, "--target", "label"], query)
+    else:
+        runs = ([train, "--target", "label"], [])
+    written = []
+    for i, data in enumerate(runs):
+        out = tmp_path / f"{command}{i}.csv"
+        assert main([command, model, *data, *flags, "-o", str(out)]) == 0
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+
+
+def test_a_copy_of_the_training_file_in_other_bytes_is_refused(
+        trained, tmp_path, capsys):
+    # the same rows with LF line ends: the model records the CRLF file's
+    # digest, and omitting the file is the remedy
+    paths, _, _ = trained
+    copy = tmp_path / "lf.csv"
+    copy.write_bytes(paths["train.csv"].read_bytes().replace(b"\r\n", b"\n"))
+    schema = ff.load_schema(paths["schema.txt"])
+    assert np.array_equal(ff.load_dense_csv(copy, schema, "label").values,
+                          ff.load_dense_csv(paths["train.csv"], schema,
+                                            "label").values)
+    capsys.readouterr()
+    assert main(["outliers", str(paths["model.ffm"]), str(copy),
+                 "--target", "label"]) == 1
+    assert_one_line_error(capsys, "lf.csv: not the file the model was "
+                          "trained on; omit the file")
+
+
+def test_a_model_saved_without_a_digest_refuses_a_training_file(
+        trained, tmp_path, capsys):
+    paths, _, _ = trained
+    artifact = ff.load_model(paths["model.ffm"])
+    artifact.source_sha256 = None
+    ff.save_model(paths["model.ffm"], artifact)
+    capsys.readouterr()
+    assert main(["prototypes", str(paths["model.ffm"]),
+                 str(paths["train.csv"])]) == 1
+    assert_one_line_error(capsys, "records no digest of its training file")
+    assert main(["prototypes", str(paths["model.ffm"]),
+                 "-o", str(tmp_path / "protos.csv")]) == 0
+
+
+@pytest.mark.parametrize("command", ["outliers", "prototypes", "importance",
+                                     "similar"])
+def test_a_target_other_than_the_models_is_refused(trained, capsys,
+                                                   command):
+    paths, _, _ = trained
+    argv = {"importance": ["--type", "local-prox"],
+            "similar": [str(paths["features.csv"]), "--explain"]}
+    capsys.readouterr()
+    assert main([command, str(paths["model.ffm"]), *argv.get(command, []),
+                 "--target", "y"]) == 1
+    assert_one_line_error(capsys, "--target 'y' is not the model's target "
+                          "column ('label')")
+
+
+def test_a_version_1_model_is_a_one_line_error(trained, capsys):
+    paths, _, _ = trained
+    blob = paths["model.ffm"].read_bytes()
+    paths["model.ffm"].write_bytes(blob[:4] + struct.pack("<I", 1) + blob[8:])
+    capsys.readouterr()
+    assert main(["outliers", str(paths["model.ffm"])]) == 1
+    assert_one_line_error(capsys, "format version 1 is not supported "
+                          "(expected 2)")

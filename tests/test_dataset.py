@@ -446,6 +446,11 @@ class TestCellSemantics:
             ff.Dataset.from_dense([[2.0]], schema)
         with pytest.raises(ff.SchemaError):
             ff.Dataset.from_dense([[0.5]], schema)
+        # stored CSR cells too; a structural zero reads code 0
+        for code in (2.0, 0.5, -1.0):
+            with pytest.raises(ff.SchemaError):
+                ff.Dataset.from_csr([0, 0, 1], [0], [code], 1, schema=schema)
+        ff.Dataset.from_csr([0, 0, 1], [0], [1.0], 1, schema=schema)
 
 
 class TestCsrColumnIndex:

@@ -20,7 +20,7 @@ from forestfuse import splitfind
 from forestfuse.forest import (NODE_LAYOUT, _ancestors, _bin_columns,
                                _node_blocks, _node_grid, _perturbed_walk,
                                _query_leaves, _walk, train_held_out)
-from forestfuse.model_io import ModelArtifact, dataset_fingerprint, save_model
+from forestfuse.model_io import ModelArtifact, save_model
 from forestfuse.rng import (ROOT_ROUTE, child_route, donor_rng,
                             donor_streams, node_rng, node_streams,
                             permute_rng, permute_streams, query_donor_rng,
@@ -146,8 +146,7 @@ class TestTrainValidation:
         assert forest.config == plain.config
         assert np.array_equal(forest.leaf_of_train, plain.leaf_of_train)
         path = tmp_path / "model.ffm"
-        ff.save_model(path, ModelArtifact(forest, ds.schema,
-                                          dataset_fingerprint(ds, 7)))
+        ff.save_model(path, ModelArtifact(forest, ds.schema, ds))
         assert ff.load_model(path).forest.config == plain.config
 
     @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1, np.uint64(2 ** 64 - 1)])
@@ -657,8 +656,7 @@ def assert_patch_keeps_forest(patch, mode, strategy, storage, tmp_path, *,
         forest = (train_held_out(ds, held, cfg) if storage == "held"
                   else ff.train(ds, cfg))
         path = tmp_path / name
-        save_model(path, ModelArtifact(
-            forest, schema, dataset_fingerprint(ds, cfg.seed)))
+        save_model(path, ModelArtifact(forest, schema, ds))
         return forest, path.read_bytes()
 
     plain, plain_bytes = grow("plain.ffm")
@@ -1245,8 +1243,8 @@ def test_public_surface_is_pinned():
         "ModelFormatError", "Neighbor", "OOBResult", "OutlierReport",
         "ParseError", "Prototype", "ProvenanceError", "ProximityMatrix",
         "SchemaError", "Split", "Tree", "ValidationReport", "bc_reimpute",
-        "check_fingerprint", "compute_importance_report", "compute_proximity",
-        "continuous_schema", "counted_trees", "dataset_fingerprint",
+        "compute_importance_report", "compute_proximity",
+        "continuous_schema", "counted_trees",
         "find_node_split", "find_prototypes",
         "generate_synthetic", "impute",
         "impute_breiman_cutler", "impute_young", "initial_impute",

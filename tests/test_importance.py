@@ -8,8 +8,10 @@ from helpers import assemble_forest, blobs_dataset, leaf_tree, stump, walk_tree
 
 import forestfuse as ff
 from forestfuse import forest as forest_module
+from forestfuse.forest import _TrainingView
 from forestfuse.importance import _CELL_BYTES, _cells
 from forestfuse.proximity import query_proximity_importance
+from forestfuse.rng import permute_streams
 
 
 def toy_setup():
@@ -231,6 +233,44 @@ class TestOverallVariableImportance:
                                               seed=4))
         perm = ff.overall_variable_importance(forest, ds, "permutation")
         assert np.argmax(perm) == 1
+
+    @pytest.mark.parametrize("mode", ["classification", "regression",
+                                      "unsupervised"])
+    def test_permutation_matches_a_per_tree_oracle(self, mode):
+        # per tree and feature it splits on, the mean score of the tree's
+        # OOB rows walked one at a time, before and after the feature is
+        # permuted among them, added up tree by tree, feature by feature
+        rng = np.random.default_rng(12)
+        X = rng.normal(size=(80, 4))
+        y = {"classification": (X[:, 0] > 0) + (X[:, 1] > 0.8),
+             "regression": X[:, 0] + X[:, 2] ** 2, "unsupervised": None}[mode]
+        ds = ff.Dataset.from_dense(X, target=y)
+        forest = ff.train(ds, ff.ForestConfig(mode=mode, n_trees=8, seed=5))
+        view = _TrainingView(ds, mode, forest.config.seed)
+        data, y = view.columns, view.y
+        streams = permute_streams(forest.config.seed)
+
+        def scores(t, rows):
+            nodes = [forest.leaf_nodes[forest.leaf_offset[t] +
+                                       walk_tree(forest.trees[t], x)]
+                     for x in rows]
+            if mode == "regression":
+                return (forest.value[nodes] - y_oob) ** 2
+            return np.argmax(forest.value[nodes], axis=1) == y_oob
+
+        want = np.zeros(4)
+        for t in range(forest.n_trees):
+            oob = np.flatnonzero(forest.inbag_counts[:, t] == 0)
+            y_oob = y[oob]
+            base = np.mean(scores(t, data[oob]))
+            tree = forest.trees[t]
+            for k in np.unique(tree.feature[tree.feature >= 0]).tolist():
+                moved = data[oob].copy()
+                moved[:, k] = moved[streams(t, k).permutation(len(oob)), k]
+                delta = np.mean(scores(t, moved)) - base
+                want[k] += float(delta if mode == "regression" else -delta)
+        np.testing.assert_array_equal(
+            ff.overall_variable_importance(forest, ds), want / forest.n_trees)
 
     def test_unsupervised_importance_runs_on_augmented_matrix(self):
         rng = np.random.default_rng(25)

@@ -1,9 +1,12 @@
 """Model files: exact round trips, and corrupt files rejected cleanly."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
-from helpers import (assemble_forest, blobs, renumber_depth_first, stump,
-                     with_config)
+from helpers import (assemble_forest, blobs, dense_to_csr,
+                     renumber_depth_first, stump, with_config)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,9 +16,8 @@ from forestfuse.proximity import cooccurrence_blocks
 
 
 def save(forest, ds, path):
-    ff.save_model(path, ff.ModelArtifact(
-        forest=forest, schema=ds.schema,
-        fingerprint=ff.dataset_fingerprint(ds, forest.config.seed)))
+    ff.save_model(path, ff.ModelArtifact(forest=forest, schema=ds.schema,
+                                         data=ds))
 
 
 @pytest.fixture(scope="module")
@@ -51,20 +53,175 @@ def test_round_trip_keeps_predictions_and_neighbours(mode, tmp_path):
         (tmp_path / "m.ffm").read_bytes()
 
 
-def test_stored_proximity_pairs_key_is_ignored(model_file, tmp_path):
-    """Files written while the config held `proximity_pairs` still load."""
-    path, forest, ds = model_file
+def stored_meta(blob):
+    """The metadata of a model file's bytes: its first section."""
+    (size,) = struct.unpack_from("<Q", blob, 18)
+    return json.loads(blob[26:26 + size])
+
+
+def training_rows(mode, storage, n=40, seed=3):
+    """A dataset of `storage` with one categorical feature, many zero
+    cells, and the target `mode` trains on."""
+    rng = np.random.default_rng(seed)
+    X = np.round(rng.normal(size=(n, 4)), 2)
+    X[rng.uniform(size=X.shape) < 0.4] = 0.0
+    X[:, 3] = rng.integers(0, 3, size=n)
+    schema = ff.FeatureSchema([ff.Feature(f"f{k}", "continuous")
+                               for k in range(3)]
+                              + [ff.Feature("c", "categorical", ("a", "b",
+                                                                 "c"))])
+    target = {"classification": (X[:, 0] > 0) + (X[:, 3] == 2.0),
+              "regression": X[:, 0] * 2 + X[:, 1],
+              "unsupervised": None}[mode]
+    if storage == "csr":
+        return ff.Dataset.from_csr(*dense_to_csr(X), 4, schema=schema,
+                                   target=target)
+    return ff.Dataset.from_dense(X, schema, target=target)
+
+
+@pytest.mark.parametrize("storage", ["dense", "csr"])
+@pytest.mark.parametrize("mode", ["classification", "regression",
+                                  "unsupervised"])
+def test_round_trip_keeps_the_training_rows(mode, storage, tmp_path):
+    ds = training_rows(mode, storage)
+    forest = ff.train(ds, ff.ForestConfig(mode=mode, n_trees=4, seed=2))
+    digest = "0123456789abcdef" * 4
+    ff.save_model(tmp_path / "m.ffm", ff.ModelArtifact(
+        forest, ds.schema, ds, source_sha256=digest, target_column="y"))
+    artifact = ff.load_model(tmp_path / "m.ffm")
+    assert (artifact.source_sha256, artifact.target_column) == (digest, "y")
+    rows = artifact.data
+    assert rows.is_sparse == (storage == "csr")
+    assert rows.schema == ds.schema == artifact.schema
+    names = ["indptr", "indices", "data"] if storage == "csr" else [
+        "values", "missing"]
+    for name in names + ["target"] * (mode != "unsupervised"):
+        got, want = getattr(rows, name), getattr(ds, name)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert (rows.target is None) == (mode == "unsupervised")
+    ff.save_model(tmp_path / "again.ffm", artifact)
+    assert (tmp_path / "again.ffm").read_bytes() == \
+        (tmp_path / "m.ffm").read_bytes()
+
+
+def test_per_row_sections_take_the_narrowest_type(tmp_path):
+    # single-row leaves: more than 255 leaves a tree, so leaf ids need 16
+    # bits, while in-bag counts stay under 256
+    X, y = blobs(300, seed=5, sep=0.5)
+    ds = ff.Dataset.from_dense(X, target=X[:, 0] + y)
+    forest = ff.train(ds, ff.ForestConfig(mode="regression", n_trees=2,
+                                          seed=1, min_node_size=1))
+    assert 255 < forest.leaf_of_train.max() < 2 ** 16
+    save(forest, ds, tmp_path / "m.ffm")
+    blob = (tmp_path / "m.ffm").read_bytes()
+    meta = stored_meta(blob)
+    assert (meta["inbag_dtype"], meta["leaf_train_dtype"]) == ("uint8",
+                                                               "uint16")
+    loaded = ff.load_model(tmp_path / "m.ffm").forest
+    for name in ("inbag_counts", "leaf_of_train"):
+        got, want = getattr(loaded, name), getattr(forest, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    # a stored type wider than the array it widens to is refused
+    bad = tmp_path / "bad.ffm"
+    bad.write_bytes(with_config(blob, meta={"inbag_dtype": "uint32"}))
+    with pytest.raises(ff.ModelFormatError, match="inbag stored as"):
+        ff.load_model(bad)
+
+
+def test_version_1_file_is_refused_by_its_version(model_file, tmp_path):
+    path, _, _ = model_file
+    old = tmp_path / "v1.ffm"
     blob = path.read_bytes()
-    assert b"proximity_pairs" not in blob
-    old = tmp_path / "old.ffm"
-    old.write_bytes(with_config(blob, proximity_pairs="oob"))
-    artifact = ff.load_model(old)
-    assert artifact.forest.config == forest.config
-    X = ds.without_target().values
-    np.testing.assert_array_equal(ff.predict_proba(artifact.forest, X),
-                                  ff.predict_proba(forest, X))
-    ff.save_model(tmp_path / "resaved.ffm", artifact)
-    assert (tmp_path / "resaved.ffm").read_bytes() == blob
+    old.write_bytes(blob[:4] + struct.pack("<I", 1) + blob[8:])
+    with pytest.raises(ff.ModelFormatError,
+                       match="format version 1 is not supported"):
+        ff.load_model(old)
+
+
+@pytest.mark.parametrize("target, match", [
+    ([0.0, 2.0], "forest's classes"),      # a class the forest lacks
+    ([0.0, 0.5], "forest's classes"),      # not a class at all
+    ([0.0, np.nan], "not finite"),
+    (None, "needs target section"),
+])
+def test_stored_target_must_be_the_forests_classes(target, match, tmp_path):
+    ds = ff.Dataset.from_dense([[0.0], [1.0]], target=[0.0, 1.0])
+    forest = assemble_forest([stump(0, 0.5, [1.0, 0.0], [0.0, 1.0])], ds,
+                             n_classes=2)
+    # the target is written as given; the loader refuses it
+    save(forest, ds._replace(target=None if target is None
+                             else np.array(target)), tmp_path / "m.ffm")
+    with pytest.raises(ff.ModelFormatError, match=match):
+        ff.load_model(tmp_path / "m.ffm")
+
+
+@pytest.mark.parametrize("values, match", [
+    ([[0.0, 0.0], [1.0, 3.0]], "categorical codes"),
+    ([[0.0, 0.0], [np.inf, 1.0]], "not finite"),
+])
+def test_stored_rows_are_checked_as_the_dataset_checks(values, match,
+                                                       tmp_path):
+    schema = ff.FeatureSchema([ff.Feature("x", "continuous"),
+                               ff.Feature("c", "categorical", ("a", "b"))])
+    ds = ff.Dataset.from_dense([[0.0, 0.0], [1.0, 1.0]], schema,
+                               target=[0.0, 1.0])
+    forest = assemble_forest([stump(0, 0.5, [1.0, 0.0], [0.0, 1.0],
+                                    n_features=2)], ds, n_classes=2)
+    save(forest, ds._replace(values=np.array(values)), tmp_path / "m.ffm")
+    with pytest.raises(ff.ModelFormatError, match=f"training rows: .*{match}"):
+        ff.load_model(tmp_path / "m.ffm")
+
+
+def test_save_refuses_rows_of_another_shape(model_file, tmp_path):
+    _, forest, ds = model_file
+    fewer = ff.Dataset.from_dense(ds.values[1:], target=ds.target[1:])
+    with pytest.raises(ff.ArgumentError, match="training shape"):
+        save(forest, fewer, tmp_path / "m.ffm")
+
+
+@pytest.fixture(scope="module")
+def row_files(tmp_path_factory):
+    """A classification model file of each storage, and its rows."""
+    out = {}
+    for storage in ("dense", "csr"):
+        ds = training_rows("classification", storage, n=24)
+        forest = ff.train(ds, ff.ForestConfig(mode="classification",
+                                              n_trees=3, seed=4))
+        path = tmp_path_factory.mktemp(storage) / "model.ffm"
+        save(forest, ds, path)
+        out[storage] = path, ds
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_flipped_training_rows_raise_only_model_format_error(row_files,
+                                                             data):
+    storage = data.draw(st.sampled_from(["dense", "csr"]), label="storage")
+    path, ds = row_files[storage]
+    blob = path.read_bytes()
+    # the row sections come last, from the first one's name on
+    first = b"values" if storage == "dense" else b"indptr"
+    start = blob.index(struct.pack("<H", len(first)) + first)
+    at = data.draw(st.integers(start, len(blob) - 1), label="at")
+    flipped = bytearray(blob)
+    flipped[at] ^= data.draw(st.integers(1, 255), label="mask")
+    corrupt = path.with_name("corrupt.ffm")
+    corrupt.write_bytes(bytes(flipped))
+    try:
+        rows = ff.load_model(corrupt).data
+    except ff.ModelFormatError:
+        return
+    # rows that load are complete rows of the forest's shape and classes
+    assert (rows.n_rows, rows.n_features, rows.is_sparse) == (
+        ds.n_rows, ds.n_features, ds.is_sparse)
+    cells = rows.data if rows.is_sparse else rows.values
+    assert np.isfinite(cells).all() and not rows.has_missing
+    codes = (rows.data[rows.indices == 3] if rows.is_sparse
+             else rows.values[:, 3])
+    assert np.isin(codes, np.arange(3)).all()
+    assert np.isin(rows.target, np.arange(3)).all()
 
 
 @pytest.mark.parametrize("seed", [-5, 2 ** 64])
